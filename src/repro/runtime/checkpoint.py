@@ -172,7 +172,7 @@ class RecoveryManager:
             return
         # Nothing in flight: flush the withheld protocol updates so all
         # views agree, then re-arm if the flush unblocked more work.
-        self.cluster._flush_protocol_buffers()
+        self.cluster.plane.flush_all()
         for worker in self.cluster.workers:
             worker.activate()
         if not self.quiescent():
@@ -260,7 +260,7 @@ class RecoveryManager:
         # that left via remove_process() stop receiving broadcasts and
         # their views go stale by design; mirror views alias process
         # 0's object and are deduplicated.
-        views = cluster._unique_views(live_only=True)
+        views = cluster.plane.agreeing_views(live_only=True)
         occurrence = views[0].snapshot()
         for view in views[1:]:
             if view.state.occurrence != occurrence:
@@ -344,7 +344,7 @@ class RecoveryManager:
         cluster = self.cluster
         if cluster.network.data_in_flight:
             return False
-        if cluster.nodes[process].buffer:
+        if cluster.plane.withholding(process):
             return False
         if any(w.dead for w in cluster.workers if w.process == process):
             # A silent crash froze the hosted workers where they stood:
@@ -647,11 +647,6 @@ class RecoveryManager:
                 )
             )
         cluster.network.teardown_inflight()
-        if cluster._progress_fence is not None:
-            # The torn-down copies' fence wrappers will never run, so
-            # their entries would leak — and a later settle would
-            # re-apply pre-rollback updates to the restored views.
-            cluster._progress_fence.clear()
         cluster._rebuild_workers(busy_until=ready)
         cluster._restore_snapshot(snapshot)
         self.released = snapshot["journal_released"]

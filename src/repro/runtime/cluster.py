@@ -39,10 +39,9 @@ from ..sim.network import Network, NetworkConfig
 from .checkpoint import RECOVERY_POLICIES, RecoveryManager
 from .protocol import (
     CentralAccumulator,
+    ProgressPlane,
     ProgressView,
     ProtocolNode,
-    net_updates,
-    wire_size,
 )
 from .synthetic import batch_bytes, record_count
 
@@ -124,6 +123,7 @@ class _Worker:
         "cluster",
         "index",
         "process",
+        "view",
         "queue",
         "pending_notifications",
         "pending_cleanups",
@@ -150,6 +150,7 @@ class _Worker:
         self.cluster = cluster
         self.index = index
         self.process = cluster.worker_process(index)
+        self.view = cluster.plane.view(self.process)
         self.queue: deque = deque()
         self.pending_notifications: Dict[Pointstamp, int] = {}
         self.pending_cleanups: Dict[Pointstamp, int] = {}
@@ -235,9 +236,11 @@ class _Worker:
                 raise TimestampViolation(
                     "notify_at at %r from a callback at %r" % (timestamp, current)
                 )
-        pointstamp = Pointstamp(timestamp, vertex.stage)
+        stage = vertex.stage
+        pointstamp = Pointstamp(timestamp, stage)
         if capability:
-            if vertex.stage in self.cluster._proj_table:
+            cluster = self.cluster
+            if cluster.summarized_scopes and cluster.plane.is_summarized(stage):
                 raise TimestampViolation(
                     "notify_at(%r) with a capability on stage %r, which "
                     "lives inside a summarized loop scope: its vertex "
@@ -246,20 +249,16 @@ class _Worker:
                     "notification could not be coordinated. Set "
                     "notifies=True on the vertex class, or build the "
                     "cluster with progress_tracking='flat'"
-                    % (timestamp, vertex.stage.name)
+                    % (timestamp, stage.name)
                 )
             self._updates.append((pointstamp, +1))
-            self.pending_notifications[pointstamp] = (
-                self.pending_notifications.get(pointstamp, 0) + 1
-            )
-            self._pending_rev += 1
+            table = self.pending_notifications
         else:
             # Section 2.4: guarantee-only request — no pointstamp, no
             # protocol traffic, cannot delay anything anywhere.
-            self.pending_cleanups[pointstamp] = (
-                self.pending_cleanups.get(pointstamp, 0) + 1
-            )
-            self._pending_rev += 1
+            table = self.pending_cleanups
+        table[pointstamp] = table.get(pointstamp, 0) + 1
+        self._pending_rev += 1
 
     # ------------------------------------------------------------------
     # Scheduling.
@@ -311,8 +310,8 @@ class _Worker:
             # the message is post-cut, or channel-log it if pre-cut.
             ac.on_delivery(self, connector, records, timestamp, remote_bytes, src, tag, key)
         self.queue.append((connector, records, timestamp, remote_bytes, tag))
-        if self.cluster._proj_table:
-            self.cluster._note_scope_enqueue(connector, timestamp, self.process)
+        if self.cluster.summarized_scopes:
+            self.cluster.plane.note_enqueue(connector, timestamp, self.process)
         trace = self.cluster._trace
         if trace is not None:
             now = self.cluster.sim.now
@@ -348,39 +347,38 @@ class _Worker:
         )
         self.cluster.sim.schedule_at(start, self._step)
 
-    def _deliverable_notification(self) -> Optional[Pointstamp]:
-        if not self.pending_notifications:
-            return None
-        view = self.cluster.views[self.process]
-        key = (id(view.state), view.state.version, self._pending_rev)
-        memo = self._notif_memo
-        if memo is not None and memo[0] == key:
-            return memo[1]
-        # Delivery tests are needed only for per-location *minima* of
-        # flat (counter-free) pointstamps: two flat notifications at the
-        # same location share the counter part of every could-result-in
-        # verdict, so a frontier element blocking the earlier epoch
-        # blocks every later one too (it cannot *be* the later one — its
-        # epoch is <= the earlier's).  Loop timestamps don't share
-        # verdicts this way and are tested individually.
-        candidates = {}
-        loop_stamps = None
-        for pointstamp in self.pending_notifications:
+    def _delivery_candidates(self, pending: Dict[Pointstamp, int]) -> List[Pointstamp]:
+        """The pending pointstamps whose delivery test decides the table.
+
+        Delivery tests are needed only for per-location *minima* of
+        flat (counter-free) pointstamps: two flat requests at the same
+        location share the counter part of every could-result-in
+        verdict, so a frontier element blocking the earlier epoch
+        blocks every later one too (it cannot *be* the later one — its
+        epoch is <= the earlier's).  Loop timestamps don't share
+        verdicts this way and are tested individually.
+        """
+        candidates: Dict[Any, Pointstamp] = {}
+        loop_stamps: List[Pointstamp] = []
+        for pointstamp in pending:
             if pointstamp.timestamp.counters:
-                if loop_stamps is None:
-                    loop_stamps = []
                 loop_stamps.append(pointstamp)
                 continue
             current = candidates.get(pointstamp.location)
             if current is None or pointstamp.timestamp < current.timestamp:
                 candidates[pointstamp.location] = pointstamp
+        return list(candidates.values()) + loop_stamps
+
+    def _deliverable_notification(self) -> Optional[Pointstamp]:
+        if not self.pending_notifications:
+            return None
+        view = self.view
+        key = (id(view.state), view.state.version, self._pending_rev)
+        memo = self._notif_memo
+        if memo is not None and memo[0] == key:
+            return memo[1]
         best = None
-        scan = (
-            candidates.values()
-            if loop_stamps is None
-            else list(candidates.values()) + loop_stamps
-        )
-        for pointstamp in scan:
+        for pointstamp in self._delivery_candidates(self.pending_notifications):
             if view.unblocked(pointstamp):
                 if best is None or (pointstamp.timestamp, pointstamp.location.index) < (
                     best.timestamp,
@@ -393,33 +391,15 @@ class _Worker:
     def _deliverable_cleanup(self) -> Optional[Pointstamp]:
         if not self.pending_cleanups:
             return None
-        view = self.cluster.views[self.process]
+        view = self.view
         key = (id(view.state), view.state.version, self._pending_rev)
         memo = self._cleanup_memo
         if memo is not None and memo[0] == key:
             return memo[1]
-        # Same per-location minima argument as in
-        # :meth:`_deliverable_notification`: if a flat group's earliest
-        # member is blocked the whole group is, so any-unblocked can be
-        # decided from the minima alone.
-        candidates = {}
-        loop_stamps = None
-        for pointstamp in self.pending_cleanups:
-            if pointstamp.timestamp.counters:
-                if loop_stamps is None:
-                    loop_stamps = []
-                loop_stamps.append(pointstamp)
-                continue
-            current = candidates.get(pointstamp.location)
-            if current is None or pointstamp.timestamp < current.timestamp:
-                candidates[pointstamp.location] = pointstamp
+        # Any unblocked one will do: if a flat group's earliest member
+        # is blocked the whole group is.
         found = None
-        scan = (
-            candidates.values()
-            if loop_stamps is None
-            else list(candidates.values()) + loop_stamps
-        )
-        for pointstamp in scan:
+        for pointstamp in self._delivery_candidates(self.pending_cleanups):
             if view.unblocked(pointstamp):
                 found = pointstamp
                 break
@@ -480,8 +460,8 @@ class _Worker:
                         # materializing records; mixed parts flatten to
                         # one record list (the pre-columnar behaviour).
                         records = combine_payloads(parts)
-            if self.cluster._proj_table:
-                self.cluster._note_scope_dequeue(
+            if self.cluster.summarized_scopes:
+                self.cluster.plane.note_dequeue(
                     connector, timestamp, self.process, batches
                 )
             return ("recv", connector, records, timestamp, remote_bytes, batches)
@@ -523,26 +503,9 @@ class _Worker:
                             (connector, dest, batch, out_time, nbytes)
                         )
             else:
-                _, timestamp, capability = effect
-                pointstamp = Pointstamp(timestamp, stage)
-                if capability:
-                    if stage in self.cluster._proj_table:
-                        raise TimestampViolation(
-                            "notify_at(%r) with a capability on stage %r "
-                            "inside a summarized loop scope (see "
-                            "Vertex.notifies / progress_tracking='flat')"
-                            % (timestamp, stage.name)
-                        )
-                    self._updates.append((pointstamp, +1))
-                    self.pending_notifications[pointstamp] = (
-                        self.pending_notifications.get(pointstamp, 0) + 1
-                    )
-                    self._pending_rev += 1
-                else:
-                    self.pending_cleanups[pointstamp] = (
-                        self.pending_cleanups.get(pointstamp, 0) + 1
-                    )
-                    self._pending_rev += 1
+                # No frame is open while effects replay (the child
+                # already checked them), so this is bookkeeping only.
+                self.request_notification(vertex, effect[1], effect[2])
 
     def _step(self) -> None:
         if self.dead:
@@ -787,9 +750,7 @@ class _Worker:
                         cluster.generations[self.process],
                     ): (w.enqueue_message(c, b, t, s, i, n, g, k, f)),
                 )
-        if cluster._proj_table:
-            updates = cluster._project_updates(updates)
-        cluster.nodes[self.process].submit(updates)
+        cluster.plane.submit(self.process, updates)
         if ac is not None and self._cut_deferred:
             ac.commit_hook(self)
         self.activate()
@@ -800,92 +761,6 @@ class _Worker:
             or bool(self.pending_notifications)
             or bool(self.pending_cleanups)
         )
-
-
-class _ProgressFence:
-    """Generation fencing for the progress plane.
-
-    Every in-flight progress-protocol copy (node broadcast, central
-    accumulate, central deliver, controller broadcast) registers here
-    before entering the network and unregisters as it delivers.  When a
-    process is fenced, :meth:`settle` applies every outstanding copy
-    touching it *synchronously*, in send order — equivalent to the
-    network having been instantaneously fast for exactly those copies
-    (progress updates commute, and occurrence accounting is exact
-    either way) — so all views agree on the fenced incarnation's final
-    effects and no accumulator hold waits on a dead peer forever.  The
-    network copy of a settled entry that straggles in later finds its
-    key gone and is dropped with a ``detect``/``drop`` trace: that is
-    the deterministic discard of zombie progress traffic.
-    """
-
-    __slots__ = ("cluster", "_entries", "_next_key", "dropped")
-
-    def __init__(self, cluster: "ClusterComputation"):
-        self.cluster = cluster
-        self._entries: Dict[int, Tuple[int, int, Callable[[], None]]] = {}
-        self._next_key = 0
-        #: Stale progress copies discarded after their entry settled.
-        self.dropped = 0
-
-    def register(
-        self, src: int, dst: int, deliver: Callable[[], None]
-    ) -> Callable[[], None]:
-        key = self._next_key
-        self._next_key += 1
-        self._entries[key] = (src, dst, deliver)
-
-        def wrapped() -> None:
-            entry = self._entries.pop(key, None)
-            if entry is None:
-                # Settled at fence time (or cleared by a global
-                # rollback): this network copy is provably stale.
-                self.dropped += 1
-                cluster = self.cluster
-                cluster.fenced_drops += 1
-                trace = cluster._trace
-                if trace is not None:
-                    trace.emit(
-                        TraceEvent(
-                            "detect",
-                            cluster.sim.now,
-                            0.0,
-                            perf_counter(),
-                            -1,
-                            dst,
-                            "drop",
-                            (),
-                            ("stale-progress", src, cluster.generations[src]),
-                        )
-                    )
-                return
-            entry[2]()
-
-        return wrapped
-
-    def settle(self, process: int) -> int:
-        """Apply every outstanding copy from or to ``process`` now, in
-        send order; returns how many were settled."""
-        keys = sorted(
-            key
-            for key, (src, dst, _) in self._entries.items()
-            if src == process or dst == process
-        )
-        for key in keys:
-            entry = self._entries.pop(key, None)
-            if entry is not None:
-                # A settled deliver can trigger fresh broadcasts that
-                # register (and even settle) new entries; the snapshot
-                # of keys above keeps this loop over the original set.
-                entry[2]()
-        return len(keys)
-
-    def clear(self) -> int:
-        """Forget every entry (global rollback tore the network down:
-        the guarded copies will never run, so nothing can double-apply)."""
-        count = len(self._entries)
-        self._entries.clear()
-        return count
 
 
 class ClusterComputation(Computation):
@@ -993,26 +868,15 @@ class ClusterComputation(Computation):
         #: build() when checkpoint_mode == "async", else stays None and
         #: every hook in the hot path is a single attribute test.
         self.async_ckpt = None
+        #: The progress plane (:class:`repro.runtime.protocol
+        #: .ProgressPlane`), created in build().  ``views``, ``nodes``,
+        #: ``central`` and ``summarized_scopes`` are plain aliases of
+        #: its own attributes, kept for introspection.
+        self.plane: Optional[ProgressPlane] = None
         self.views: List[ProgressView] = []
         self.nodes: List[ProtocolNode] = []
         self.central: Optional[CentralAccumulator] = None
-        #: Loop contexts whose interior progress is summarized (build()).
         self.summarized_scopes: Tuple = ()
-        #: location -> ScopeNode of its outermost summarized enclosing
-        #: scope; empty under flat tracking (every hot-path hook is then
-        #: a single truthiness test).
-        self._proj_table: Dict[Any, Any] = {}
-        #: Pointstamp -> projected Pointstamp memo for _project_updates.
-        self._proj_cache: Dict[Pointstamp, Pointstamp] = {}
-        #: (process, ScopeNode, projected time) -> interior deliveries
-        #: queued on that process; the per-node boundary hold test.
-        self._scope_pending: Dict[Tuple, int] = {}
-        #: (ScopeNode, projected time) -> cluster-wide queued interior
-        #: deliveries; the central accumulator's hold test.
-        self._scope_pending_total: Dict[Tuple, int] = {}
-        #: Deferred-flush scheduler shared by all protocol endpoints
-        #: (None until scoped tracking configures batching).
-        self._defer_flush: Optional[Callable[[Callable[[], None]], None]] = None
         self.workers: List[_Worker] = []
         self.vertices: Dict[Tuple[Stage, int], Vertex] = {}
         self._stage_costs: Dict[Stage, float] = {}
@@ -1045,10 +909,6 @@ class ClusterComputation(Computation):
         #: Silent crashes injected via :meth:`crash_process` — the
         #: coordinator is *not* told; only a supervisor can notice.
         self.crashes: List[Dict[str, Any]] = []
-        self._progress_fence: Optional[_ProgressFence] = None
-        #: Processes added at runtime; their views alias process 0's
-        #: object (see :meth:`_execute_add`).
-        self._mirror_processes: List[int] = []
         #: Monotone counter of completed membership changes, and the
         #: completed changes themselves (dicts; see :meth:`_note_rescale`).
         self.rescale_generation = 0
@@ -1157,69 +1017,49 @@ class ClusterComputation(Computation):
 
             self.columnar_connectors = mark_columnar(self.graph)
         self.graph.freeze()
-        summaries = self.graph.summaries
-        shared_cri_cache: Dict = {}
-        for process in range(self.num_processes):
-            view = ProgressView(
-                summaries,
-                on_change=lambda p=process: self._recheck_process(p),
-                cri_cache=shared_cri_cache,
-            )
-            self.views.append(view)
-        for process in range(self.num_processes):
-            node = ProtocolNode(
-                process,
-                self.num_processes,
-                self.progress_mode,
-                self.views[process],
-                self.network,
-                self.nodes,
-                None,
-                members=self.live_processes,
-            )
-            self.nodes.append(node)
-        if self.progress_mode in ("global", "local+global"):
-            self.central = CentralAccumulator(
-                0,
-                self.num_processes,
-                self.views[0],
-                self.network,
-                self.nodes,
-                members=self.live_processes,
-            )
-            for node in self.nodes:
-                node.central = self.central
-        self.workers = [_Worker(self, index) for index in range(self.total_workers)]
-        self._rebuild_process_index()
+        # Vertices first: which stages notify decides which loop scopes
+        # the progress plane summarizes, and workers bind to its views.
         for stage in self.graph.stages:
             if stage.kind is StageKind.INPUT:
                 continue
-            for index, worker in enumerate(self.workers):
+            for index in range(self.total_workers):
                 vertex = stage.factory(stage, index)
                 vertex.stage = stage
                 vertex.worker = index
-                vertex._harness = worker
                 self.vertices[(stage, index)] = vertex
-        if self.progress_tracking == "scoped":
-            self._configure_scoped_tracking()
+        # "scoped" summarizes the loop scopes none of whose vertices
+        # notify; "flat" treats every stage as notifying, so every
+        # interior pointstamp is disseminated (the paper's one-big-pile
+        # protocol), kept for conformance testing.
+        flat = self.progress_tracking == "flat"
+        self.plane = plane = ProgressPlane(
+            self.graph.summaries,
+            lambda stage: flat
+            or getattr(self.vertices.get((stage, 0)), "notifies", True),
+            self.sim,
+            self.network,
+            self.live_processes,
+            self.progress_mode,
+            self.progress_batch_interval,
+            on_frontier_change=self._recheck_process,
+            on_stale=self._note_stale_progress,
+        )
+        self.views = plane.views
+        self.nodes = plane.nodes
+        self.central = plane.central
+        self.summarized_scopes = plane.summarized_scopes
+        self.workers = [_Worker(self, index) for index in range(self.total_workers)]
+        self._rebuild_process_index()
+        for (stage, index), vertex in self.vertices.items():
+            vertex._harness = self.workers[index]
         self.views[0].listeners.append(self._trace_cluster_frontier)
-        initial = [
-            (Pointstamp(Timestamp(0), handle.stage), +1) for handle in self.inputs
-        ]
-        for view in self.views:
-            view.apply(list(initial))
+        plane.apply_all(
+            [(Pointstamp(Timestamp(0), handle.stage), +1) for handle in self.inputs]
+        )
         # Serving layer: resolve arrangement readers and hook frontier
         # advances for parked stale queries (repro.serve).
         for manager in self.session_managers:
             manager._attach(self)
-        # Generation fencing for the progress plane: every in-flight
-        # protocol copy registers here so fencing a process can settle
-        # (or a stale wrapper can drop) its outstanding updates.
-        self._progress_fence = _ProgressFence(self)
-        for node in self.nodes:
-            node.fence = self._progress_fence
-        if self.central is not None:
-            self.central.fence = self._progress_fence
         self.recovery = RecoveryManager(self)
         self._wrap_external_outputs()
         # The rollback target before any checkpoint exists: the freshly
@@ -1230,163 +1070,6 @@ class ClusterComputation(Computation):
 
             self.async_ckpt = AsyncCheckpointManager(self)
         self._built = True
-
-    # ------------------------------------------------------------------
-    # Scoped progress tracking: boundary-summary dissemination.
-    # ------------------------------------------------------------------
-
-    def _configure_scoped_tracking(self) -> None:
-        """Choose summarized scopes and install the projection tables.
-
-        A loop scope qualifies when every stage in its subtree is built
-        from non-notifying vertices (:attr:`Vertex.notifies` False):
-        interior work then never needs a cluster-wide notification
-        frontier, so interior pointstamps are projected onto the scope's
-        boundary :class:`ScopeNode` (inner loop coordinates dropped)
-        before dissemination, and inner-iteration churn nets away inside
-        the accumulators instead of crossing the network.  The outermost
-        qualifying ancestor absorbs its whole nest.
-        """
-        index = self.graph.summary_index
-        summarized: set = set()
-        for scope in index.scopes:
-            if scope is None:
-                continue  # the root streaming context has no boundary
-            qualifies = True
-            for inner in index.subtree(scope):
-                for member in index.members(inner):
-                    if getattr(member, "kind", None) is None:
-                        continue  # a connector
-                    vertex = self.vertices.get((member, 0))
-                    if vertex is None or getattr(vertex, "notifies", True):
-                        qualifies = False
-                        break
-                if not qualifies:
-                    break
-            if qualifies:
-                summarized.add(id(scope))
-        self.summarized_scopes = tuple(
-            scope for scope in index.scopes if id(scope) in summarized
-        )
-        if not summarized:
-            return
-        table = self._proj_table
-        for scope in index.scopes:
-            if scope is None:
-                continue
-            # scope_chain runs innermost -> root; scan from the top so
-            # the outermost summarized ancestor owns the projection.
-            owner = None
-            for ancestor in reversed(index.scope_chain(scope)[:-1]):
-                if id(ancestor) in summarized:
-                    owner = ancestor
-                    break
-            if owner is None:
-                continue
-            node = index.scope_node(owner)
-            for member in index.members(scope):
-                table[member] = node
-        for node_ in self.nodes:
-            node_.scope_pending = self._node_scope_pending(node_.process)
-        if self.central is not None:
-            self.central.scope_pending = self._central_scope_pending
-        if self.progress_batch_interval > 0:
-            interval = self.progress_batch_interval
-
-            def defer(thunk: Callable[[], None]) -> None:
-                self.sim.schedule(interval, thunk)
-
-            self._defer_flush = defer
-            for node_ in self.nodes:
-                node_.defer_flush = defer
-            if self.central is not None:
-                self.central.defer_flush = defer
-
-    def _node_scope_pending(self, process: int) -> Callable[[Pointstamp], bool]:
-        pending = self._scope_pending
-
-        def scope_pending(pointstamp: Pointstamp) -> bool:
-            return (
-                pending.get(
-                    (process, pointstamp.location, pointstamp.timestamp), 0
-                )
-                > 0
-            )
-
-        return scope_pending
-
-    def _central_scope_pending(self, pointstamp: Pointstamp) -> bool:
-        return (
-            self._scope_pending_total.get(
-                (pointstamp.location, pointstamp.timestamp), 0
-            )
-            > 0
-        )
-
-    def _project_updates(
-        self, updates: List[Tuple[Pointstamp, int]]
-    ) -> List[Tuple[Pointstamp, int]]:
-        """Replace interior pointstamps of summarized scopes with their
-        boundary projection.  Idempotent — ScopeNode locations are never
-        projection keys — so already-projected batches pass through."""
-        table = self._proj_table
-        if not table:
-            return updates
-        cache = self._proj_cache
-        out: List[Tuple[Pointstamp, int]] = []
-        for pointstamp, delta in updates:
-            node = table.get(pointstamp.location)
-            if node is not None:
-                projected = cache.get(pointstamp)
-                if projected is None:
-                    t = pointstamp.timestamp
-                    projected = Pointstamp(
-                        Timestamp(t.epoch, t.counters[: node.depth]), node
-                    )
-                    if len(cache) > 100_000:
-                        cache.clear()
-                    cache[pointstamp] = projected
-                pointstamp = projected
-            out.append((pointstamp, delta))
-        return out
-
-    def _note_scope_enqueue(
-        self, connector: Connector, timestamp: Timestamp, process: int
-    ) -> None:
-        node = self._proj_table.get(connector)
-        if node is None:
-            return
-        t = Timestamp(timestamp.epoch, timestamp.counters[: node.depth])
-        key = (process, node, t)
-        self._scope_pending[key] = self._scope_pending.get(key, 0) + 1
-        total_key = (node, t)
-        self._scope_pending_total[total_key] = (
-            self._scope_pending_total.get(total_key, 0) + 1
-        )
-
-    def _note_scope_dequeue(
-        self,
-        connector: Connector,
-        timestamp: Timestamp,
-        process: int,
-        count: int = 1,
-    ) -> None:
-        node = self._proj_table.get(connector)
-        if node is None:
-            return
-        t = Timestamp(timestamp.epoch, timestamp.counters[: node.depth])
-        key = (process, node, t)
-        remaining = self._scope_pending.get(key, 0) - count
-        if remaining > 0:
-            self._scope_pending[key] = remaining
-        else:
-            self._scope_pending.pop(key, None)
-        total_key = (node, t)
-        remaining = self._scope_pending_total.get(total_key, 0) - count
-        if remaining > 0:
-            self._scope_pending_total[total_key] = remaining
-        else:
-            self._scope_pending_total.pop(total_key, None)
 
     def _wrap_external_outputs(self) -> None:
         """Make subscriber callbacks exactly-once across replays."""
@@ -1408,55 +1091,36 @@ class ClusterComputation(Computation):
         return release
 
     def _recheck_process(self, process: int) -> None:
-        processes = [process]
-        if process == 0 and self._mirror_processes:
-            # Mirror processes alias process 0's view, so its changes
-            # are theirs too: recheck their workers' pending tables.
-            processes.extend(self._mirror_processes)
-        for p in processes:
-            for worker in self._process_workers.get(p, ()):
-                if worker.pending_notifications or worker.pending_cleanups:
-                    worker.activate()
-        if process == 0:
-            # A mirror node's buffered holds are evaluated against the
-            # shared view, which changes without the mirror receiving
-            # anything (the owner's deliveries mutate it): re-test its
-            # withheld updates, exactly like the central accumulator.
-            for p in self._mirror_processes:
-                self.nodes[p]._maybe_flush()
-        if self.central is not None and process == self.central.process:
-            self.central.recheck()
+        # The plane's on_frontier_change: ``process``'s frontier moved,
+        # so its workers' pending requests may have become deliverable.
+        for worker in self._process_workers.get(process, ()):
+            if worker.pending_notifications or worker.pending_cleanups:
+                worker.activate()
+
+    def _note_stale_progress(self, src: int, dst: int) -> None:
+        # The plane's on_stale: a progress copy whose fence entry was
+        # settled (or rolled back) straggled in and was discarded.
+        self.fenced_drops += 1
+        if self._trace is not None:
+            self._trace.emit(
+                TraceEvent(
+                    "detect",
+                    self.sim.now,
+                    0.0,
+                    perf_counter(),
+                    -1,
+                    dst,
+                    "drop",
+                    (),
+                    ("stale-progress", src, self.generations[src]),
+                )
+            )
 
     def _rebuild_process_index(self) -> None:
         index: Dict[int, List[_Worker]] = {}
         for worker in self.workers:
             index.setdefault(worker.process, []).append(worker)
         self._process_workers = index
-
-    def _unique_views(self, live_only: bool = False) -> List[ProgressView]:
-        """The distinct progress-view objects, identity-deduplicated.
-
-        Mirror processes (added by :meth:`add_process`) alias process
-        0's view object, so iterating ``self.views`` would visit it
-        twice — a fence or flush applied through this helper lands on
-        each object exactly once.  ``live_only`` restricts to current
-        members: a removed process's view is stale by design and must
-        not vote in agreement checks.
-        """
-        if not self.views:
-            return []
-        processes = (
-            self.live_processes if live_only else range(len(self.views))
-        )
-        seen: set = set()
-        unique: List[ProgressView] = []
-        for process in processes:
-            view = self.views[process]
-            if id(view) in seen:
-                continue
-            seen.add(id(view))
-            unique.append(view)
-        return unique
 
     # ------------------------------------------------------------------
     # Inputs (the external producer feeds all workers' input vertices).
@@ -1508,7 +1172,7 @@ class ClusterComputation(Computation):
                 )
         updates.append((Pointstamp(Timestamp(epoch + 1), stage), +1))
         updates.append((Pointstamp(timestamp, stage), -1))
-        self._controller_broadcast(updates)
+        self.plane.controller_broadcast(updates)
 
     def _partition_input(
         self, connector: Connector, records: List[Any]
@@ -1543,20 +1207,9 @@ class ClusterComputation(Computation):
         return shares
 
     def _release_close(self, stage: Stage, next_epoch: int) -> None:
-        self._controller_broadcast(
+        self.plane.controller_broadcast(
             [(Pointstamp(Timestamp(next_epoch), stage), -1)]
         )
-
-    def _controller_broadcast(self, updates: List[Tuple[Pointstamp, int]]) -> None:
-        """Low-volume control-plane updates from the controller (proc 0)."""
-        size = wire_size(updates)
-        fence = self._progress_fence
-        for dst in list(self.live_processes):
-            node = self.nodes[dst]
-            deliver = lambda n=node: n.receive(updates, ())
-            if fence is not None:
-                deliver = fence.register(0, dst, deliver)
-            self.network.send(0, dst, size, "progress", deliver)
 
     # ------------------------------------------------------------------
     # Execution.
@@ -1615,7 +1268,7 @@ class ClusterComputation(Computation):
         return (
             all(
                 len(view.state) == 0
-                for view in self._unique_views(live_only=True)
+                for view in self.plane.agreeing_views(live_only=True)
             )
             and not any(worker.has_work() for worker in self.workers)
             and self.sim.pending_events == 0
@@ -1654,13 +1307,8 @@ class ClusterComputation(Computation):
                     tuple(sorted(self._removed_processes)),
                 )
             )
-        for process, view in enumerate(self.views):
-            if process in self._mirror_processes:
-                continue  # aliases process 0's view; already shown
-            if len(view.state):
-                lines.append(
-                    "  process %d view: %r" % (process, view.state.occurrence)
-                )
+        if self.plane is not None:
+            lines.extend(self.plane.describe())
         for worker in self.workers:
             if worker.has_work():
                 lines.append(
@@ -1672,11 +1320,6 @@ class ClusterComputation(Computation):
                         worker.pending_notifications,
                     )
                 )
-        for node in self.nodes:
-            if node.buffer:
-                lines.append("  node %d buffer: %r" % (node.process, node.buffer))
-        if self.central is not None and self.central.buffer:
-            lines.append("  central buffer: %r" % (self.central.buffer,))
         recovery = self.recovery
         ft_info: Dict[str, Any] = {
             "mode": ft.mode,
@@ -1782,7 +1425,7 @@ class ClusterComputation(Computation):
             return recovery.snapshot
         while True:
             self.sim.run()
-            self._flush_protocol_buffers()
+            self.plane.flush_all()
             for worker in self.workers:
                 worker.activate()
             if self.sim.pending_events == 0 and recovery.quiescent():
@@ -1919,9 +1562,7 @@ class ClusterComputation(Computation):
         partitioned-away process) can keep talking forever without any
         of it being applied.
         """
-        settled = 0
-        if self._progress_fence is not None:
-            settled = self._progress_fence.settle(process)
+        settled = self.plane.settle(process)
         self.generations[process] += 1
         if self._trace is not None:
             self._trace.emit(
@@ -2191,34 +1832,9 @@ class ClusterComputation(Computation):
         now = self.sim.now
         process = self.network.add_process()
         self.num_processes += 1
-        # The new process mirrors process 0's progress view: the shared
-        # object already holds a consistent occurrence picture, and the
-        # mirror flag on the new protocol node keeps broadcast deltas
-        # from being applied to it twice.
-        self.views.append(self.views[0])
-        node = ProtocolNode(
-            process,
-            self.num_processes,
-            self.progress_mode,
-            self.views[0],
-            self.network,
-            self.nodes,
-            self.central,
-            members=self.live_processes,
-            mirror=True,
-        )
-        if self._proj_table:
-            node.scope_pending = self._node_scope_pending(process)
-            node.defer_flush = self._defer_flush
-        node.fence = self._progress_fence
-        self.nodes.append(node)
+        self.plane.add_mirror(process)
         self.generations.append(0)
-        for peer in self.nodes:
-            peer.num_processes = self.num_processes
-        if self.central is not None:
-            self.central.num_processes = self.num_processes
         self.live_processes.append(process)
-        self._mirror_processes.append(process)
         # Pick the migrating share: repeatedly take the highest-index
         # worker from the most-loaded donor, never draining a donor
         # below one worker.
@@ -2340,24 +1956,6 @@ class ClusterComputation(Computation):
                 "use sim.schedule_at() or call it between run()s" % name
             )
 
-    def _flush_protocol_buffers(self) -> None:
-        """Synchronously disseminate all withheld progress updates.
-
-        Part of the checkpoint barrier: once nothing is in flight, the
-        updates held in per-process accumulators (under the section 3.3
-        safety condition) and in the central accumulator are applied
-        directly to every view, bringing all processes to agreement.
-        """
-        updates: List[Tuple[Pointstamp, int]] = []
-        for node in self.nodes:
-            updates.extend(node.drain_buffer())
-        if self.central is not None:
-            updates.extend(self.central.drain_buffer())
-        merged = net_updates(updates)
-        if merged:
-            for view in self._unique_views():
-                view.apply(list(merged))
-
     def _rebuild_workers(self, busy_until: float = 0.0) -> None:
         """Replace every worker object (global rollback after a kill).
 
@@ -2367,10 +1965,8 @@ class ClusterComputation(Computation):
         """
         for worker in self.workers:
             worker.dead = True
-        # Every queue dies with its worker; re-injected deliveries pass
-        # through enqueue_message and re-increment the pending tables.
-        self._scope_pending.clear()
-        self._scope_pending_total.clear()
+        # Every queue dies with its worker (the plane's reset forgets
+        # them); re-injected deliveries pass through enqueue_message.
         self.workers = [_Worker(self, index) for index in range(self.total_workers)]
         for worker in self.workers:
             worker.busy_until = busy_until
@@ -2393,13 +1989,13 @@ class ClusterComputation(Computation):
         replacements take their place, idle until ``busy_until``.
         """
         replaced = set(indices)
-        if self._proj_table:
+        if self.summarized_scopes:
             # The dying workers' queued interior deliveries vanish;
             # their re-injections re-increment through enqueue_message.
             for index in indices:
                 worker = self.workers[index]
                 for entry in worker.queue:
-                    self._note_scope_dequeue(entry[0], entry[2], worker.process)
+                    self.plane.note_dequeue(entry[0], entry[2], worker.process)
         for index in indices:
             self.workers[index].dead = True
             self.workers[index] = _Worker(self, index)
@@ -2426,20 +2022,7 @@ class ClusterComputation(Computation):
                 snapshot["cleanups"].get(worker.index, {})
             )
             worker._pending_rev += 1
-        for node in self.nodes:
-            node.reset()
-        if self.central is not None:
-            self.central.reset()
-        occurrence = snapshot["occurrence"]
-        if self._proj_table:
-            # Async snapshots assemble occurrence in interior coordinates;
-            # barrier snapshots copy already-projected views.  Projection
-            # is idempotent, so one site restores both.
-            occurrence = dict(
-                net_updates(self._project_updates(list(occurrence.items())))
-            )
-        for view in self._unique_views():
-            view.reset(occurrence)
+        self.plane.reset(snapshot["occurrence"])
         if self.async_ckpt is not None:
             self.async_ckpt.note_global_restore(snapshot)
         for worker in self.workers:

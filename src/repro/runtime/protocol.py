@@ -30,15 +30,26 @@ pointstamp whose net update — local count, plus buffered delta, plus
 updates sent but not yet seen back — is strictly positive.  When any
 buffered pointstamp fails both tests the whole buffer is flushed, with
 positive deltas sent before negative ones.
+
+The whole progress plane lives here.  :class:`Accumulator` is the one
+implementation of that algorithm (buffer and netting, in-flight ledger,
+hold-verdict memo, deferred-flush timer); :class:`ProtocolNode` and
+:class:`CentralAccumulator` add only routing.  :class:`ProgressPlane`
+owns every endpoint together with the views, the generation fence, the
+scope projection and the queued-interior counts, and is what the data
+plane and the control plane talk to.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..core.graph import Stage
 from ..core.progress import Pointstamp, ProgressState
 from ..core.scope import ScopeNode
+from ..core.timestamp import Timestamp
+from ..sim.des import Simulator
 from ..sim.network import Network
 
 #: One progress update on the wire: location id + timestamp + delta.
@@ -58,7 +69,7 @@ def _may_hold_update(
     pointstamp: Pointstamp,
     buffered: int,
     in_flight: int,
-    scope_pending: Optional[Callable[[Pointstamp], bool]] = None,
+    queued: Optional[Dict[Pointstamp, int]] = None,
 ) -> bool:
     """The paper's buffering safety condition, amended for liveness.
 
@@ -82,7 +93,7 @@ def _may_hold_update(
     when a summarized scope's interior updates are projected onto its
     boundary) get a third hold reason: while this endpoint knows of
     interior work still queued for the scope at that projected time
-    (``scope_pending``), the boundary delta may be withheld — once the
+    (a key of ``queued``), the boundary delta may be withheld — once the
     interior drains, the final callback's submission dirties the entry
     and forces the flush.  Holding is always safe (withheld updates only
     make peers more conservative); the pending test only bounds how long
@@ -92,7 +103,7 @@ def _may_hold_update(
         return True
     location = pointstamp.location
     if isinstance(location, ScopeNode):
-        if scope_pending is not None and scope_pending(pointstamp):
+        if queued is not None and pointstamp in queued:
             return True
         # Condition (b) applies to boundary pointstamps too: a surplus
         # positive whose globally visible net stays strictly positive
@@ -186,112 +197,96 @@ class ProgressView:
         return not self.state.frontier_dominates(pointstamp)
 
 
-class ProtocolNode:
-    """Per-process protocol endpoint: buffering, flushing, dissemination.
+class Accumulator:
+    """One endpoint of the section 3.3 accumulator algorithm.
 
-    One node exists per process; in the ``global`` modes a single extra
-    :class:`CentralAccumulator` nets updates cluster-wide.  The node with
-    index 0 hosts the central accumulator (mirroring Naiad, where the
-    cluster-level accumulator lives in one process).
+    The paper runs the same algorithm at two levels — per process and
+    per cluster — and so does this class: it buffers and nets updates,
+    withholds the buffer while every entry passes the safety condition
+    (:func:`_may_hold_update`) against ``view``, tracks what it sent
+    but has not yet seen back, and flushes.  Subclasses add routing
+    only: where a flushed batch goes (:meth:`_disseminate`) and which
+    acknowledgements they consume.
     """
 
-    def __init__(
-        self,
-        process: int,
-        num_processes: int,
-        mode: str,
-        view: ProgressView,
-        network: Network,
-        nodes: List["ProtocolNode"],
-        central: Optional["CentralAccumulator"],
-        *,
-        members: Optional[List[int]] = None,
-        mirror: bool = False,
-    ):
-        if mode not in PROTOCOL_MODES:
-            raise ValueError("unknown protocol mode %r" % mode)
+    def __init__(self, process: int, view: ProgressView, plane: "ProgressPlane"):
         self.process = process
-        self.num_processes = num_processes
-        self.mode = mode
         self.view = view
-        self.network = network
-        self.nodes = nodes
-        self.central = central
-        #: Current cluster membership (a live, shared list under elastic
-        #: rescaling); None broadcasts to range(num_processes).
-        self.members = members
-        #: A mirror node shares another process's view object (elastic
-        #: add_process): it buffers and flushes its own workers' updates
-        #: normally but must not apply received broadcasts — the view
-        #: owner's delivery already applies them to the shared object.
-        self.mirror = mirror
+        self.plane = plane
         self.buffer: Dict[Pointstamp, int] = {}
+        #: Origins ``(process, seq)`` whose batches were absorbed here
+        #: and are acknowledged by the next flush.  Only an endpoint
+        #: with upstream feeders (the central accumulator) ever owes any.
+        self._covered: List[Tuple[int, int]] = []
         self._in_flight: Dict[int, List[ProgressUpdate]] = {}
         self._in_flight_totals: Dict[Pointstamp, int] = {}
         self._next_seq = 0
-        #: Generation-fencing ledger for in-flight protocol copies
-        #: (installed by the cluster; see cluster._ProgressFence).
-        self.fence = None
-        #: Scope-interior pending test (installed by the cluster under
-        #: scoped progress tracking); None means flat behaviour.
-        self.scope_pending: Optional[Callable[[Pointstamp], bool]] = None
-        #: Deferred-flush scheduler (installed by the cluster under
-        #: scoped tracking): called with a thunk to run one accumulation
-        #: interval later.  When set, an unholdable buffer is not
-        #: flushed per callback but once per interval — Naiad batches
-        #: its progress updates the same way (the paper's §6 micro-
-        #: benchmark measures the resulting coordination rounds), and
-        #: boundary deltas from a summarized scope coalesce heavily
-        #: within an interval.  The timer is a simulator event, so a
-        #: pending flush keeps ``run()`` alive: liveness no longer
-        #: depends on the hold conditions alone.
-        self.defer_flush: Optional[Callable[[Callable[[], None]], None]] = None
+        #: Boundary pointstamp ``(ScopeNode, projected time)`` -> interior
+        #: deliveries still queued for that scope as far as this endpoint
+        #: can see (its own process for a node, the whole cluster for the
+        #: central).  Maintained by :meth:`ProgressPlane.note_enqueue` /
+        #: ``note_dequeue``; a key is present iff its count is positive.
+        self.queued: Dict[Pointstamp, int] = {}
+        #: A deferred flush is pending on the plane's timer.  When the
+        #: plane batches (``ProgressPlane.defer_flush``), an unholdable
+        #: buffer is not flushed per callback but once per interval —
+        #: Naiad batches its progress updates the same way (the paper's
+        #: §6 micro-benchmark measures the resulting coordination
+        #: rounds), and boundary deltas from a summarized scope coalesce
+        #: heavily within an interval.  The timer is a simulator event,
+        #: so a pending flush keeps ``run()`` alive: liveness does not
+        #: depend on the hold conditions alone.
         self._flush_scheduled = False
         #: Hold-verdict memo with exact invalidation: an entry maps a
         #: pointstamp to ``(frontier version vector, verdict)`` and is
         #: dropped when any input of its verdict changes — its buffered
-        #: delta (submit), its in-flight total (ledger), its occurrence
-        #: count (view listener) — while a frontier move invalidates
-        #: only the entries whose version vector actually advanced
-        #: (inner-iteration churn in *other* scopes leaves a verdict's
-        #: vector, and hence its memo entry, intact).
+        #: delta (accumulate), its in-flight total (ledger), its
+        #: occurrence count (view listener) — while a frontier move
+        #: invalidates only the entries whose version vector actually
+        #: advanced (inner-iteration churn in *other* scopes leaves a
+        #: verdict's vector, and hence its memo entry, intact).
         self._hold_cache: Dict[Pointstamp, Tuple[Tuple, bool]] = {}
         self._hold_version = -1
         #: Incremental safety-condition scan — the fix for the measured
-        #: 64-computer hot path (_maybe_flush runs on every submit and
-        #: every progress receive, and used to rescan the whole buffer
-        #: each time).  ``_verified`` means every buffered pointstamp
-        #: outside ``_dirty`` was proven holdable and none of those
-        #: verdicts has been invalidated since, so a recheck only needs
-        #: to look at the dirty set.
+        #: 64-computer hot path (_maybe_flush runs on every accumulate
+        #: and every progress receive, and used to rescan the whole
+        #: buffer each time).  ``_verified`` means every buffered
+        #: pointstamp outside ``_dirty`` was proven holdable and none of
+        #: those verdicts has been invalidated since, so a recheck only
+        #: needs to look at the dirty ones.  A dict, not a set: scan
+        #: order (and with it ``hold_evals``) must not follow the
+        #: address-derived hashes of pointstamps.
         self._verified = False
-        self._dirty: set = set()
+        self._dirty: Dict[Pointstamp, None] = {}
         self.hold_evals = 0
         self.hold_memo_hits = 0
         view.listeners.append(self._note_view_updates)
 
-    # ------------------------------------------------------------------
-    # Worker-side entry point.
-    # ------------------------------------------------------------------
+    def accumulate(
+        self,
+        updates: List[ProgressUpdate],
+        origin: Optional[Tuple[int, int]] = None,
+    ) -> None:
+        """Net ``updates`` into the buffer and re-test the holds."""
+        buffer = self.buffer
+        cache = self._hold_cache
+        dirty = self._dirty
+        for pointstamp, delta in updates:
+            buffer[pointstamp] = buffer.get(pointstamp, 0) + delta
+            if buffer[pointstamp] == 0:
+                del buffer[pointstamp]
+            cache.pop(pointstamp, None)
+            dirty[pointstamp] = None
+        if origin is not None:
+            self._covered.append(origin)
+        self._maybe_flush()
 
-    def submit(self, updates: List[ProgressUpdate]) -> None:
-        """A worker on this process finished a callback."""
-        if not updates:
-            return
-        if self.mode == "none":
-            self._broadcast(net_updates(updates))
-        elif self.mode == "global":
-            self._send_to_central(net_updates(updates))
-        else:  # local accumulation (with or without global)
-            cache = self._hold_cache
-            dirty = self._dirty
-            for pointstamp, delta in updates:
-                self.buffer[pointstamp] = self.buffer.get(pointstamp, 0) + delta
-                if self.buffer[pointstamp] == 0:
-                    del self.buffer[pointstamp]
-                cache.pop(pointstamp, None)
-                dirty.add(pointstamp)
-            self._maybe_flush()
+    def _disseminate(
+        self,
+        updates: List[ProgressUpdate],
+        covered: Tuple[Tuple[int, int], ...],
+    ) -> None:
+        raise NotImplementedError
 
     # ------------------------------------------------------------------
     # The buffering safety condition.
@@ -304,7 +299,7 @@ class ProtocolNode:
         # of condition (b) the version vector does not capture.
         for pointstamp, _ in updates:
             cache.pop(pointstamp, None)
-            dirty.add(pointstamp)
+            dirty[pointstamp] = None
         version = self.view.state.version
         if version != self._hold_version:
             self._hold_version = version
@@ -318,7 +313,7 @@ class ProtocolNode:
             ]
             for pointstamp in stale:
                 del cache[pointstamp]
-                dirty.add(pointstamp)
+                dirty[pointstamp] = None
 
     def _may_hold(self, pointstamp: Pointstamp, buffered: int) -> bool:
         state = self.view.state
@@ -333,20 +328,20 @@ class ProtocolNode:
             pointstamp,
             buffered,
             self._in_flight_totals.get(pointstamp, 0),
-            self.scope_pending,
+            self.queued,
         )
         self._hold_cache[pointstamp] = (vector, verdict)
         return verdict
 
     def _holds_invalidated(self, pointstamp: Pointstamp) -> None:
         if self._hold_cache.pop(pointstamp, None) is not None:
-            self._dirty.add(pointstamp)
+            self._dirty[pointstamp] = None
 
     def _scan_holds(self) -> bool:
         """True iff the whole buffer may (still) be withheld.
 
         When the previous scan verified the buffer, only pointstamps
-        whose verdict inputs changed since (the dirty set) are
+        whose verdict inputs changed since (the dirty ones) are
         re-examined; the rest are covered by exact invalidation.
         """
         buffer = self.buffer
@@ -363,9 +358,9 @@ class ProtocolNode:
                     if not self._may_hold(pointstamp, delta):
                         return False
             dirty.clear()
-            # The entries the dirty-set scan skipped are verdicts
-            # reused as-is — each one an evaluation the flat rescan
-            # performed every round.
+            # The entries the dirty scan skipped are verdicts reused
+            # as-is — each one an evaluation the flat rescan performed
+            # every round.
             self.hold_memo_hits += len(buffer) - examined
             return True
         if all(self._may_hold(p, d) for p, d in buffer.items()):
@@ -374,49 +369,68 @@ class ProtocolNode:
             return True
         return False
 
+    # ------------------------------------------------------------------
+    # Flushing.
+    # ------------------------------------------------------------------
+
     def _maybe_flush(self) -> None:
         if not self.buffer:
+            if self._covered:
+                # All buffered updates cancelled: acknowledge origins so
+                # their in-flight ledgers do not pin condition (b).
+                if self.plane.defer_flush is not None:
+                    self._schedule_flush()
+                else:
+                    self._disseminate([], tuple(self._covered))
+                    self._covered = []
             return
         if self._scan_holds():
             return
-        if self.defer_flush is not None:
-            if not self._flush_scheduled:
-                self._flush_scheduled = True
-                self.defer_flush(self._deferred_flush)
+        if self.plane.defer_flush is not None:
+            self._schedule_flush()
             return
         self._flush_now()
 
+    def _schedule_flush(self) -> None:
+        if not self._flush_scheduled:
+            self._flush_scheduled = True
+            self.plane.defer_flush(self._deferred_flush)
+
     def _deferred_flush(self) -> None:
         self._flush_scheduled = False
-        # Conditions may have improved while the timer was pending
-        # (e.g. the unholdable delta netted away); flush only if the
-        # buffer still fails the safety scan.
-        if self.buffer and not self._scan_holds():
+        if self.buffer and self._scan_holds():
+            # The buffer became holdable while the timer was pending
+            # (e.g. the unholdable delta netted away); owed
+            # acknowledgements wait for the next real flush, exactly as
+            # the undeferred path would have them.
+            return
+        if self.buffer or self._covered:
             self._flush_now()
 
     def _flush_now(self) -> None:
         updates = net_updates(list(self.buffer.items()))
+        covered = tuple(self._covered)
         self.buffer.clear()
         self._hold_cache.clear()
         self._verified = False
         self._dirty.clear()
-        if self.mode == "local+global":
-            self._send_to_central(updates)
-        else:
-            self._broadcast(updates)
+        self._covered = []
+        self._disseminate(updates, covered)
 
     # ------------------------------------------------------------------
-    # Dissemination.
+    # The in-flight ledger: what this endpoint sent and has not seen
+    # come back, an input of condition (b).
     # ------------------------------------------------------------------
 
     def _remember_in_flight(self, updates: List[ProgressUpdate]) -> int:
         seq = self._next_seq
         self._next_seq += 1
-        self._in_flight[seq] = updates
-        totals = self._in_flight_totals
-        for pointstamp, delta in updates:
-            totals[pointstamp] = totals.get(pointstamp, 0) + delta
-            self._holds_invalidated(pointstamp)
+        if updates:
+            self._in_flight[seq] = updates
+            totals = self._in_flight_totals
+            for pointstamp, delta in updates:
+                totals[pointstamp] = totals.get(pointstamp, 0) + delta
+                self._holds_invalidated(pointstamp)
         return seq
 
     def _forget_in_flight(self, seq: int) -> None:
@@ -432,67 +446,86 @@ class ProtocolNode:
                 totals.pop(pointstamp, None)
             self._holds_invalidated(pointstamp)
 
-    def _broadcast(self, updates: List[ProgressUpdate]) -> None:
-        if not updates:
-            return
-        seq = self._remember_in_flight(updates)
-        covered = ((self.process, seq),)
-        size = wire_size(updates)
-        targets = self.members if self.members is not None else range(self.num_processes)
-        for dst in list(targets):
-            node = self.nodes[dst]
-            deliver = lambda node=node: node.receive(updates, covered)
-            if self.fence is not None:
-                deliver = self.fence.register(self.process, dst, deliver)
-            self.network.send(self.process, dst, size, "progress", deliver)
-
-    def _send_to_central(self, updates: List[ProgressUpdate]) -> None:
-        if not updates:
-            return
-        seq = self._remember_in_flight(updates)
-        central = self.central
-        deliver = lambda: central.accumulate(updates, (self.process, seq))
-        if self.fence is not None:
-            deliver = self.fence.register(self.process, central.process, deliver)
-        self.network.send(
-            self.process,
-            central.process,
-            wire_size(updates),
-            "progress",
-            deliver,
-        )
-
     # ------------------------------------------------------------------
     # Checkpoint / recovery support (section 3.4).
     # ------------------------------------------------------------------
 
-    def drain_buffer(self) -> List[ProgressUpdate]:
+    def drain(self) -> List[ProgressUpdate]:
         """Surrender all withheld updates for a synchronous flush.
 
         Valid only at a checkpoint barrier, when the network holds no
-        in-flight messages: every update this node sent has been applied
-        at every peer, so the in-flight ledgers are cleared rather than
-        waiting for acknowledgement rounds.
+        in-flight messages: every update this endpoint sent has been
+        applied at every peer and every origin's ledger is cleared by
+        the same barrier, so ledgers and owed acknowledgements are
+        dropped rather than waiting for acknowledgement rounds.
         """
         updates = list(self.buffer.items())
-        self.buffer.clear()
-        self._in_flight.clear()
-        self._in_flight_totals.clear()
-        self._hold_cache.clear()
-        self._hold_version = -1
-        self._verified = False
-        self._dirty.clear()
+        self.reset()
         return updates
 
     def reset(self) -> None:
         """Discard buffered and in-flight ledger state (failure recovery)."""
         self.buffer.clear()
+        self._covered = []
         self._in_flight.clear()
         self._in_flight_totals.clear()
         self._hold_cache.clear()
         self._hold_version = -1
         self._verified = False
         self._dirty.clear()
+
+
+class ProtocolNode(Accumulator):
+    """Per-process protocol endpoint.
+
+    One node exists per process; in the ``global`` modes a single extra
+    :class:`CentralAccumulator` nets updates cluster-wide.  Routing:
+    what leaves the node goes to the central accumulator when there is
+    one, else to every member, and comes back through :meth:`receive`.
+    """
+
+    def __init__(
+        self,
+        process: int,
+        view: ProgressView,
+        plane: "ProgressPlane",
+        mirror: bool = False,
+    ):
+        super().__init__(process, view, plane)
+        #: A mirror node shares another process's view object (elastic
+        #: add_process): it buffers and flushes its own workers' updates
+        #: normally but must not apply received broadcasts — the view
+        #: owner's delivery already applies them to the shared object.
+        self.mirror = mirror
+
+    def _disseminate(
+        self,
+        updates: List[ProgressUpdate],
+        covered: Tuple[Tuple[int, int], ...],
+    ) -> None:
+        if not updates:
+            return
+        plane = self.plane
+        seq = self._remember_in_flight(updates)
+        size = wire_size(updates)
+        central = plane.central
+        if central is not None:
+            deliver = plane.fence.register(
+                self.process,
+                central.process,
+                lambda: central.accumulate(updates, (self.process, seq)),
+            )
+            plane.network.send(
+                self.process, central.process, size, "progress", deliver
+            )
+            return
+        covered = ((self.process, seq),)
+        for dst in list(plane.live_processes):
+            node = plane.nodes[dst]
+            deliver = plane.fence.register(
+                self.process, dst, lambda node=node: node.receive(updates, covered)
+            )
+            plane.network.send(self.process, dst, size, "progress", deliver)
 
     def receive(
         self,
@@ -512,248 +545,32 @@ class ProtocolNode:
         self._maybe_flush()
 
 
-class CentralAccumulator:
+class CentralAccumulator(Accumulator):
     """The cluster-level accumulator (hosted on one process).
 
-    Nets updates arriving from process nodes and broadcasts their
-    combined effect, subject to the same safety condition evaluated
-    against the hosting process's view.
+    Nets updates arriving from process nodes (:meth:`accumulate` with
+    the sender's origin) and broadcasts their combined effect, holding
+    against the hosting process's view.  Routing: every flush goes to
+    every member, carrying the origins it covers plus its own ``(-1,
+    seq)``, which its home delivery consumes.
     """
 
-    def __init__(
-        self,
-        process: int,
-        num_processes: int,
-        view: ProgressView,
-        network: Network,
-        nodes: List[ProtocolNode],
-        *,
-        members: Optional[List[int]] = None,
-    ):
-        self.process = process
-        self.num_processes = num_processes
-        self.view = view
-        self.network = network
-        self.nodes = nodes
-        #: Current cluster membership (shared with the cluster under
-        #: elastic rescaling); None broadcasts to range(num_processes).
-        self.members = members
-        self.buffer: Dict[Pointstamp, int] = {}
-        self._covered: List[Tuple[int, int]] = []
-        self._in_flight: Dict[int, List[ProgressUpdate]] = {}
-        self._in_flight_totals: Dict[Pointstamp, int] = {}
-        self._next_seq = 0
-        #: Generation-fencing ledger for in-flight protocol copies
-        #: (installed by the cluster; see cluster._ProgressFence).
-        self.fence = None
-        #: Scope-interior pending test; the cluster installs a
-        #: *cluster-wide* variant here (it sees every process's queues),
-        #: whereas each node's test covers only its own process.
-        self.scope_pending: Optional[Callable[[Pointstamp], bool]] = None
-        #: Deferred-flush scheduler (see :class:`ProtocolNode`): batches
-        #: both update broadcasts and the empty acknowledgement rounds
-        #: into one broadcast per accumulation interval.
-        self.defer_flush: Optional[Callable[[Callable[[], None]], None]] = None
-        self._flush_scheduled = False
-        #: Hold-verdict memo and incremental dirty-set scan; same
-        #: invalidation discipline as :class:`ProtocolNode` (evaluated
-        #: against the hosting process's view, on which this registers a
-        #: listener).
-        self._hold_cache: Dict[Pointstamp, Tuple[Tuple, bool]] = {}
-        self._hold_version = -1
-        self._verified = False
-        self._dirty: set = set()
-        self.hold_evals = 0
-        self.hold_memo_hits = 0
-        view.listeners.append(self._note_view_updates)
-
-    def accumulate(
-        self, updates: List[ProgressUpdate], origin: Tuple[int, int]
-    ) -> None:
-        cache = self._hold_cache
-        dirty = self._dirty
-        for pointstamp, delta in updates:
-            self.buffer[pointstamp] = self.buffer.get(pointstamp, 0) + delta
-            if self.buffer[pointstamp] == 0:
-                del self.buffer[pointstamp]
-            cache.pop(pointstamp, None)
-            dirty.add(pointstamp)
-        self._covered.append(origin)
-        self._maybe_flush()
-
-    def _note_view_updates(self, updates: List[ProgressUpdate]) -> None:
-        cache = self._hold_cache
-        dirty = self._dirty
-        # The applied pointstamps' occurrence counts changed — an input
-        # of condition (b) the version vector does not capture.
-        for pointstamp, _ in updates:
-            cache.pop(pointstamp, None)
-            dirty.add(pointstamp)
-        version = self.view.state.version
-        if version != self._hold_version:
-            self._hold_version = version
-            # The frontier moved somewhere; re-examine exactly the
-            # entries whose version vector advanced.
-            state = self.view.state
-            stale = [
-                pointstamp
-                for pointstamp, (vector, _) in cache.items()
-                if state.frontier_version_vector(pointstamp.location) != vector
-            ]
-            for pointstamp in stale:
-                del cache[pointstamp]
-                dirty.add(pointstamp)
-
-    def _may_hold(self, pointstamp: Pointstamp, buffered: int) -> bool:
-        state = self.view.state
-        vector = state.frontier_version_vector(pointstamp.location)
-        cached = self._hold_cache.get(pointstamp)
-        if cached is not None and cached[0] == vector:
-            self.hold_memo_hits += 1
-            return cached[1]
-        self.hold_evals += 1
-        verdict = _may_hold_update(
-            state,
-            pointstamp,
-            buffered,
-            self._in_flight_totals.get(pointstamp, 0),
-            self.scope_pending,
-        )
-        self._hold_cache[pointstamp] = (vector, verdict)
-        return verdict
-
-    def _holds_invalidated(self, pointstamp: Pointstamp) -> None:
-        if self._hold_cache.pop(pointstamp, None) is not None:
-            self._dirty.add(pointstamp)
-
-    def _scan_holds(self) -> bool:
-        """True iff the whole buffer may (still) be withheld.
-
-        Mirrors :meth:`ProtocolNode._scan_holds`: once the buffer has
-        been verified, only dirty pointstamps are re-examined.
-        """
-        buffer = self.buffer
-        if self._verified:
-            dirty = self._dirty
-            if not dirty:
-                self.hold_memo_hits += len(buffer)
-                return True
-            examined = 0
-            for pointstamp in dirty:
-                delta = buffer.get(pointstamp)
-                if delta is not None:
-                    examined += 1
-                    if not self._may_hold(pointstamp, delta):
-                        return False
-            dirty.clear()
-            # The entries the dirty-set scan skipped are verdicts
-            # reused as-is — each one an evaluation the flat rescan
-            # performed every round.
-            self.hold_memo_hits += len(buffer) - examined
-            return True
-        if all(self._may_hold(p, d) for p, d in buffer.items()):
-            self._verified = True
-            self._dirty.clear()
-            return True
-        return False
-
-    def recheck(self) -> None:
-        self._maybe_flush()
-
-    def drain_buffer(self) -> List[ProgressUpdate]:
-        """Surrender withheld updates for a checkpoint-barrier flush.
-
-        See :meth:`ProtocolNode.drain_buffer`; additionally drops the
-        covered-origin list — the origin nodes' ledgers are cleared by
-        the same barrier, so no acknowledgements are owed.
-        """
-        updates = list(self.buffer.items())
-        self.buffer.clear()
-        self._covered = []
-        self._in_flight.clear()
-        self._in_flight_totals.clear()
-        self._hold_cache.clear()
-        self._hold_version = -1
-        self._verified = False
-        self._dirty.clear()
-        return updates
-
-    def reset(self) -> None:
-        """Discard accumulated and in-flight state (failure recovery)."""
-        self.buffer.clear()
-        self._covered = []
-        self._in_flight.clear()
-        self._in_flight_totals.clear()
-        self._hold_cache.clear()
-        self._hold_version = -1
-        self._verified = False
-        self._dirty.clear()
-
-    def _maybe_flush(self) -> None:
-        if not self.buffer:
-            if self._covered:
-                # All buffered updates cancelled: acknowledge origins so
-                # their in-flight ledgers do not pin condition (b).
-                if self.defer_flush is not None:
-                    self._schedule_flush()
-                else:
-                    self._broadcast([], tuple(self._covered))
-                    self._covered = []
-            return
-        if self._scan_holds():
-            return
-        if self.defer_flush is not None:
-            self._schedule_flush()
-            return
-        self._flush_now()
-
-    def _schedule_flush(self) -> None:
-        if not self._flush_scheduled:
-            self._flush_scheduled = True
-            self.defer_flush(self._deferred_flush)
-
-    def _deferred_flush(self) -> None:
-        self._flush_scheduled = False
-        if self.buffer and self._scan_holds():
-            # The buffer became holdable while the timer was pending;
-            # keep the covered list for the next real flush, exactly as
-            # the undeferred path would.
-            return
-        if self.buffer or self._covered:
-            self._flush_now()
-
-    def _flush_now(self) -> None:
-        updates = net_updates(list(self.buffer.items()))
-        covered = tuple(self._covered)
-        self.buffer.clear()
-        self._hold_cache.clear()
-        self._verified = False
-        self._dirty.clear()
-        self._covered = []
-        self._broadcast(updates, covered)
-
-    def _broadcast(
+    def _disseminate(
         self,
         updates: List[ProgressUpdate],
         covered: Tuple[Tuple[int, int], ...],
     ) -> None:
-        seq = self._next_seq
-        self._next_seq += 1
-        if updates:
-            self._in_flight[seq] = updates
-            totals = self._in_flight_totals
-            for pointstamp, delta in updates:
-                totals[pointstamp] = totals.get(pointstamp, 0) + delta
-                self._holds_invalidated(pointstamp)
-        covered = covered + ((-1, seq),)
+        plane = self.plane
+        covered = covered + ((-1, self._remember_in_flight(updates)),)
         size = wire_size(updates)
-        targets = self.members if self.members is not None else range(self.num_processes)
-        for dst in list(targets):
-            node = self.nodes[dst]
-            deliver = lambda node=node: self._deliver(node, updates, covered)
-            if self.fence is not None:
-                deliver = self.fence.register(self.process, dst, deliver)
-            self.network.send(self.process, dst, size, "progress", deliver)
+        for dst in list(plane.live_processes):
+            node = plane.nodes[dst]
+            deliver = plane.fence.register(
+                self.process,
+                dst,
+                lambda node=node: self._deliver(node, updates, covered),
+            )
+            plane.network.send(self.process, dst, size, "progress", deliver)
 
     def _deliver(
         self,
@@ -761,19 +578,404 @@ class CentralAccumulator:
         updates: List[ProgressUpdate],
         covered: Tuple[Tuple[int, int], ...],
     ) -> None:
-        if node.process == self.process:
+        home = node.process == self.process
+        if home:
             for origin, seq in covered:
                 if origin == -1:
-                    acked = self._in_flight.pop(seq, None)
-                    if acked:
-                        totals = self._in_flight_totals
-                        for pointstamp, delta in acked:
-                            remaining = totals.get(pointstamp, 0) - delta
-                            if remaining:
-                                totals[pointstamp] = remaining
-                            else:
-                                totals.pop(pointstamp, None)
-                            self._holds_invalidated(pointstamp)
+                    self._forget_in_flight(seq)
         node.receive(updates, covered)
-        if node.process == self.process:
-            self.recheck()
+        if home:
+            self._maybe_flush()
+
+
+class _Fence:
+    """Generation fencing for the progress plane.
+
+    Every in-flight progress-protocol copy (node broadcast, central
+    accumulate, central deliver, controller broadcast) registers here
+    before entering the network and unregisters as it delivers.  When a
+    process is fenced, :meth:`settle` applies every outstanding copy
+    touching it *synchronously*, in send order — equivalent to the
+    network having been instantaneously fast for exactly those copies
+    (progress updates commute, and occurrence accounting is exact
+    either way) — so all views agree on the fenced incarnation's final
+    effects and no accumulator hold waits on a dead peer forever.  The
+    network copy of a settled entry that straggles in later finds its
+    key gone and is dropped (``on_stale(src, dst)`` is told): that is
+    the deterministic discard of zombie progress traffic.
+    """
+
+    __slots__ = ("_entries", "_next_key", "_on_stale")
+
+    def __init__(self, on_stale: Optional[Callable[[int, int], None]]):
+        self._entries: Dict[int, Tuple[int, int, Callable[[], None]]] = {}
+        self._next_key = 0
+        self._on_stale = on_stale
+
+    def register(
+        self, src: int, dst: int, deliver: Callable[[], None]
+    ) -> Callable[[], None]:
+        key = self._next_key
+        self._next_key += 1
+        self._entries[key] = (src, dst, deliver)
+
+        def wrapped() -> None:
+            entry = self._entries.pop(key, None)
+            if entry is None:
+                # Settled at fence time (or cleared by a global
+                # rollback): this network copy is provably stale.
+                if self._on_stale is not None:
+                    self._on_stale(src, dst)
+                return
+            entry[2]()
+
+        return wrapped
+
+    def settle(self, process: int) -> int:
+        """Apply every outstanding copy from or to ``process`` now, in
+        send order; returns how many were settled."""
+        keys = sorted(
+            key
+            for key, (src, dst, _) in self._entries.items()
+            if src == process or dst == process
+        )
+        for key in keys:
+            entry = self._entries.pop(key, None)
+            if entry is not None:
+                # A settled deliver can trigger fresh broadcasts that
+                # register (and even settle) new entries; the snapshot
+                # of keys above keeps this loop over the original set.
+                entry[2]()
+        return len(keys)
+
+    def clear(self) -> None:
+        """Forget every entry (a global rollback tore the network down:
+        the guarded copies will never run, so nothing can double-apply)."""
+        self._entries.clear()
+
+
+class ProgressPlane:
+    """The progress plane of a cluster: views, endpoints, fence, scopes.
+
+    Built from the graph's summary index, a simulator and a network —
+    no cluster, no vertices — so it can be driven on its own.
+    ``notifies(stage)`` says whether a stage's vertices request
+    notifications; a loop scope none of whose stages do is *summarized*:
+    its interior pointstamps are projected onto the scope's boundary
+    :class:`ScopeNode` (inner loop coordinates dropped) before
+    dissemination, so inner-iteration churn nets away inside the
+    accumulators instead of crossing the network.  ``live_processes`` is
+    the cluster's membership list, shared and read at every broadcast.
+
+    The data plane calls :meth:`submit`, :meth:`view`,
+    :meth:`note_enqueue` / :meth:`note_dequeue` and
+    :meth:`is_summarized`; everything else is control plane.
+    ``on_frontier_change(process)`` fires when that process's frontier
+    moved (pending notifications may have become deliverable);
+    ``on_stale(src, dst)`` when a fenced-off progress copy is dropped.
+    """
+
+    def __init__(
+        self,
+        summaries,
+        notifies: Callable[[Stage], bool],
+        sim: Simulator,
+        network: Network,
+        live_processes: List[int],
+        progress_mode: str,
+        progress_batch_interval: float,
+        *,
+        on_frontier_change: Optional[Callable[[int], None]] = None,
+        on_stale: Optional[Callable[[int, int], None]] = None,
+    ):
+        if progress_mode not in PROTOCOL_MODES:
+            raise ValueError("unknown protocol mode %r" % progress_mode)
+        self.sim = sim
+        self.network = network
+        self.live_processes = live_processes
+        self.accumulates_locally = progress_mode in ("local", "local+global")
+        self.on_frontier_change = on_frontier_change
+        self.fence = _Fence(on_stale)
+        #: Loop contexts whose interior progress is summarized.
+        self.summarized_scopes: Tuple = ()
+        #: location -> ScopeNode of its outermost summarized enclosing
+        #: scope; empty when nothing is summarized (every data-plane
+        #: hook is then a single truthiness test).
+        self._proj_table: Dict[Any, ScopeNode] = {}
+        #: Pointstamp -> projected Pointstamp memo for :meth:`project`.
+        self._proj_cache: Dict[Pointstamp, Pointstamp] = {}
+        self._summarize_scopes(summaries, notifies)
+        #: Deferred-flush timer shared by all endpoints: called with a
+        #: thunk to run one accumulation interval later.  Only
+        #: summarized scopes batch — scope-free graphs never defer.
+        self.defer_flush: Optional[Callable[[Callable[[], None]], None]] = None
+        if self._proj_table and progress_batch_interval > 0:
+            self.defer_flush = partial(sim.schedule, progress_batch_interval)
+        #: Processes added at runtime; their views alias process 0's.
+        self._mirrors: List[int] = []
+        shared_cri_cache: Dict = {}
+        self.views: List[ProgressView] = [
+            ProgressView(
+                summaries,
+                on_change=partial(self._frontier_moved, process),
+                cri_cache=shared_cri_cache,
+            )
+            for process in range(len(live_processes))
+        ]
+        self.nodes: List[ProtocolNode] = [
+            ProtocolNode(process, view, self)
+            for process, view in enumerate(self.views)
+        ]
+        #: Hosted on process 0, mirroring Naiad, where the cluster-level
+        #: accumulator lives in one process.
+        self.central: Optional[CentralAccumulator] = None
+        if progress_mode in ("global", "local+global"):
+            self.central = CentralAccumulator(0, self.views[0], self)
+
+    def _summarize_scopes(self, index, notifies: Callable[[Stage], bool]) -> None:
+        """Choose the summarized scopes and fill the projection table.
+
+        A loop scope qualifies when no stage in its subtree notifies:
+        interior work then never needs a cluster-wide notification
+        frontier.  The outermost qualifying ancestor absorbs its whole
+        nest.
+        """
+        summarized: set = set()
+        for scope in index.scopes:
+            if scope is None:
+                continue  # the root streaming context has no boundary
+            if not any(
+                getattr(member, "kind", None) is not None and notifies(member)
+                for inner in index.subtree(scope)
+                for member in index.members(inner)
+            ):
+                summarized.add(id(scope))
+        self.summarized_scopes = tuple(
+            scope for scope in index.scopes if id(scope) in summarized
+        )
+        for scope in index.scopes:
+            if scope is None:
+                continue
+            # scope_chain runs innermost -> root; scan from the top so
+            # the outermost summarized ancestor owns the projection.
+            for ancestor in reversed(index.scope_chain(scope)[:-1]):
+                if id(ancestor) in summarized:
+                    node = index.scope_node(ancestor)
+                    for member in index.members(scope):
+                        self._proj_table[member] = node
+                    break
+
+    # ------------------------------------------------------------------
+    # Data plane.
+    # ------------------------------------------------------------------
+
+    def submit(self, process: int, updates: List[ProgressUpdate]) -> None:
+        """A worker on ``process`` committed a callback's updates:
+        project them, then hand them to its node — to accumulate in the
+        ``local`` modes, to pass on netted otherwise."""
+        if self._proj_table:
+            updates = self.project(updates)
+        if not updates:
+            return
+        node = self.nodes[process]
+        if self.accumulates_locally:
+            node.accumulate(updates)
+        else:
+            node._disseminate(net_updates(updates), ())
+
+    def view(self, process: int) -> ProgressView:
+        return self.views[process]
+
+    def is_summarized(self, stage: Stage) -> bool:
+        """True when ``stage`` lies inside a summarized scope, where its
+        own pointstamps are never disseminated."""
+        return stage in self._proj_table
+
+    def note_enqueue(self, connector, timestamp: Timestamp, process: int) -> None:
+        """A delivery on ``connector`` was queued at a worker of
+        ``process``; counts only if it is interior to a summarized scope."""
+        node = self._proj_table.get(connector)
+        if node is None:
+            return
+        boundary = Pointstamp(
+            Timestamp(timestamp.epoch, timestamp.counters[: node.depth]), node
+        )
+        for endpoint in (self.nodes[process], self.central):
+            if endpoint is not None:
+                endpoint.queued[boundary] = endpoint.queued.get(boundary, 0) + 1
+
+    def note_dequeue(
+        self, connector, timestamp: Timestamp, process: int, count: int = 1
+    ) -> None:
+        """``count`` such deliveries left the queue (run, or lost)."""
+        node = self._proj_table.get(connector)
+        if node is None:
+            return
+        boundary = Pointstamp(
+            Timestamp(timestamp.epoch, timestamp.counters[: node.depth]), node
+        )
+        for endpoint in (self.nodes[process], self.central):
+            if endpoint is not None:
+                remaining = endpoint.queued.get(boundary, 0) - count
+                if remaining > 0:
+                    endpoint.queued[boundary] = remaining
+                else:
+                    endpoint.queued.pop(boundary, None)
+
+    # ------------------------------------------------------------------
+    # Control plane.
+    # ------------------------------------------------------------------
+
+    def project(self, updates: List[ProgressUpdate]) -> List[ProgressUpdate]:
+        """Replace interior pointstamps of summarized scopes with their
+        boundary projection.  Idempotent — ScopeNode locations are never
+        projection keys — so already-projected batches pass through."""
+        table = self._proj_table
+        if not table:
+            return updates
+        cache = self._proj_cache
+        out: List[ProgressUpdate] = []
+        for pointstamp, delta in updates:
+            node = table.get(pointstamp.location)
+            if node is not None:
+                projected = cache.get(pointstamp)
+                if projected is None:
+                    t = pointstamp.timestamp
+                    projected = Pointstamp(
+                        Timestamp(t.epoch, t.counters[: node.depth]), node
+                    )
+                    if len(cache) > 100_000:
+                        cache.clear()
+                    cache[pointstamp] = projected
+                pointstamp = projected
+            out.append((pointstamp, delta))
+        return out
+
+    def agreeing_views(self, live_only: bool = False) -> List[ProgressView]:
+        """The distinct view objects, identity-deduplicated.
+
+        Mirror processes alias process 0's view object, so iterating
+        ``views`` would visit it twice — whatever is applied through
+        this list lands on each object exactly once.  ``live_only``
+        restricts to current members: a removed process's view is stale
+        by design and must not vote in agreement checks.
+        """
+        processes = self.live_processes if live_only else range(len(self.views))
+        unique: Dict[int, ProgressView] = {}
+        for process in processes:
+            view = self.views[process]
+            unique.setdefault(id(view), view)
+        return list(unique.values())
+
+    def apply_all(self, updates: List[ProgressUpdate]) -> None:
+        """Apply ``updates`` to every view directly, off the network."""
+        for view in self.agreeing_views():
+            view.apply(list(updates))
+
+    def controller_broadcast(self, updates: List[ProgressUpdate]) -> None:
+        """Low-volume control-plane updates from the controller (proc 0)."""
+        size = wire_size(updates)
+        for dst in list(self.live_processes):
+            node = self.nodes[dst]
+            deliver = self.fence.register(
+                0, dst, lambda node=node: node.receive(updates, ())
+            )
+            self.network.send(0, dst, size, "progress", deliver)
+
+    def flush_all(self) -> None:
+        """Synchronously disseminate all withheld progress updates.
+
+        Part of the checkpoint barrier: once nothing is in flight, the
+        updates held in per-process accumulators (under the section 3.3
+        safety condition) and in the central accumulator are applied
+        directly to every view, bringing all processes to agreement.
+        """
+        updates: List[ProgressUpdate] = []
+        for node in self.nodes:
+            updates.extend(node.drain())
+        if self.central is not None:
+            updates.extend(self.central.drain())
+        merged = net_updates(updates)
+        if merged:
+            self.apply_all(merged)
+
+    def withholding(self, process: int) -> bool:
+        """True while ``process``'s node holds undisseminated updates."""
+        return bool(self.nodes[process].buffer)
+
+    def flush_node(self, process: int) -> None:
+        """Force ``process``'s withheld updates out through the normal
+        dissemination path (it is dying or departing: they are committed
+        effects its peers never saw).  Ledgers stay intact — unlike the
+        barrier's drain, messages are still in flight out there."""
+        node = self.nodes[process]
+        if node.buffer:
+            node._flush_now()
+
+    def settle(self, process: int) -> int:
+        """Apply every outstanding protocol copy from or to ``process``
+        now, in send order (it is being fenced); returns how many."""
+        return self.fence.settle(process)
+
+    def reset(self, occurrence: Dict[Pointstamp, int]) -> None:
+        """Global rollback: rebuild every view from ``occurrence``.
+
+        The network was torn down and every worker queue died, so the
+        fence's entries (whose copies will never run — a later settle
+        would re-apply pre-rollback updates), the queued-interior counts
+        and all accumulator state go too.  ``occurrence`` may be in
+        interior coordinates (async snapshots) or already projected
+        (barrier snapshots copy views); projection is idempotent.
+        """
+        self.fence.clear()
+        for endpoint in self.nodes + [self.central]:
+            if endpoint is not None:
+                endpoint.reset()
+                endpoint.queued.clear()
+        if self._proj_table:
+            occurrence = dict(net_updates(self.project(list(occurrence.items()))))
+        for view in self.agreeing_views():
+            view.reset(occurrence)
+
+    def add_mirror(self, process: int) -> None:
+        """Admit a process added at runtime.  It mirrors process 0's
+        view: the shared object already holds a consistent occurrence
+        picture, and the mirror flag on its node keeps broadcast deltas
+        from being applied to it twice."""
+        self.views.append(self.views[0])
+        self.nodes.append(ProtocolNode(process, self.views[0], self, mirror=True))
+        self._mirrors.append(process)
+
+    def describe(self) -> List[str]:
+        """Non-empty views and withheld buffers (``debug_state``)."""
+        lines = []
+        for process, view in enumerate(self.views):
+            # A mirror aliases process 0's view; already shown.
+            if process not in self._mirrors and len(view.state):
+                lines.append(
+                    "  process %d view: %r" % (process, view.state.occurrence)
+                )
+        for node in self.nodes:
+            if node.buffer:
+                lines.append("  node %d buffer: %r" % (node.process, node.buffer))
+        if self.central is not None and self.central.buffer:
+            lines.append("  central buffer: %r" % (self.central.buffer,))
+        return lines
+
+    def _frontier_moved(self, process: int) -> None:
+        # Mirror processes alias process 0's view, so its changes are
+        # theirs too.
+        mirrors = self._mirrors if process == 0 else ()
+        notify = self.on_frontier_change
+        if notify is not None:
+            notify(process)
+            for mirror in mirrors:
+                notify(mirror)
+        # A mirror node's holds are evaluated against the shared view,
+        # which changes without the mirror receiving anything (the
+        # owner's deliveries mutate it): re-test its withheld updates,
+        # exactly like the central accumulator's.
+        for mirror in mirrors:
+            self.nodes[mirror]._maybe_flush()
+        if self.central is not None and process == self.central.process:
+            self.central._maybe_flush()

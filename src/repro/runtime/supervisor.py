@@ -466,7 +466,7 @@ class Supervisor:
         cluster = self.cluster
         if cluster.network.data_in_flight:
             return True
-        for view in cluster._unique_views(live_only=True):
+        for view in cluster.plane.agreeing_views(live_only=True):
             if len(view.state):
                 return True
         for worker in cluster.workers:

@@ -200,7 +200,8 @@ class TestTrafficAndMemoization:
         )
         comp.build()
         assert len(comp.summarized_scopes) == 1
-        assert comp._proj_table  # interior locations project to the node
+        # Interior locations project to the scope's boundary node.
+        assert any(comp.plane.is_summarized(s) for s in comp.graph.stages)
 
     def test_notifying_scope_is_not_summarized(self):
         # Pregel's vertex requests notifications, so its loop must keep
@@ -273,13 +274,12 @@ class TestBoundarySummaryAlgebra:
             lambda t, recs: None
         )
         comp.build()
-        location = next(iter(comp._proj_table))
-        node = comp._proj_table[location]
-        once = comp._project_updates(
-            [(Pointstamp(Timestamp(0, (2,)), location), 1)]
-        )
+        plane = comp.plane
+        location = next(s for s in comp.graph.stages if plane.is_summarized(s))
+        node = comp.graph.summary_index.scope_node(comp.summarized_scopes[0])
+        once = plane.project([(Pointstamp(Timestamp(0, (2,)), location), 1)])
         assert once == [(Pointstamp(Timestamp(0, ()), node), 1)]
-        assert comp._project_updates(once) == once
+        assert plane.project(once) == once
 
 
 class TestEagerValidation:
