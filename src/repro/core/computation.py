@@ -17,7 +17,6 @@ examples and correctness tests; the simulated distributed runtime in
 from __future__ import annotations
 
 import os
-import warnings
 from collections import deque
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -601,26 +600,14 @@ class Computation(TimelyRuntime):
         self,
         max_steps: Optional[int] = None,
         until: Optional[float] = None,
-        *,
-        max_events: Optional[int] = None,
     ) -> int:
         """Deliver events until quiescent; returns the number of steps.
 
         ``until`` is accepted for signature compatibility with the
         simulated cluster runtime (the unified :class:`TimelyRuntime`
         surface); the reference runtime has no virtual clock, so it is
-        a documented no-op.  ``max_events`` is the historical name for
-        ``max_steps`` and is deprecated — both runtimes accept it with
-        the same warning.
+        a documented no-op.
         """
-        if max_events is not None:
-            warnings.warn(
-                "Computation.run(max_events=...) is deprecated; use max_steps",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if max_steps is None:
-                max_steps = max_events
         steps = 0
         while self.step():
             steps += 1

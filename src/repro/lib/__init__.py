@@ -18,7 +18,6 @@ from .incremental import Collection, consolidate_diffs
 from .pregel import NodeContext, final_states, pregel
 from .stream import (
     FeedbackEdge,
-    Loop,
     LoopScope,
     Probe,
     Stream,
@@ -28,7 +27,6 @@ from .stream import (
 __all__ = [
     "Collection",
     "FeedbackEdge",
-    "Loop",
     "LoopScope",
     "NodeContext",
     "Probe",

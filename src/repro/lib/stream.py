@@ -21,7 +21,6 @@ data-parallel on the distributed runtime without modification
 
 from __future__ import annotations
 
-import warnings
 from typing import Any, Callable, Iterable, List, Optional
 
 from ..core.computation import Computation, InputHandle
@@ -498,26 +497,6 @@ class Stream:
             anchor=self,
         )
 
-    def enter(self, loop: "Loop") -> "Stream":
-        """Deprecated: use :meth:`scoped_loop` / ``loop.enter(stream)``."""
-        warnings.warn(
-            "Stream.enter(loop) is deprecated; build loops with "
-            "stream.scoped_loop(...) or computation.scope(...)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._enter_scope(loop.context)
-
-    def leave(self) -> "Stream":
-        """Deprecated: use ``loop.leave_with(stream)`` on the scope."""
-        warnings.warn(
-            "Stream.leave() is deprecated; take streams out of a scope "
-            "with loop.leave_with(stream)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._leave_scope()
-
     def _enter_scope(self, context: LoopContext) -> "Stream":
         ingress = self.computation.add_ingress(context)
         self.connect_to(ingress, 0)
@@ -745,45 +724,3 @@ class LoopScope:
 
     def __repr__(self) -> str:
         return "LoopScope(%r)" % self.context.name
-
-
-class Loop:
-    """Deprecated loop handle (use :class:`LoopScope` via
-    ``stream.scoped_loop`` / ``computation.scope``).
-
-    Kept as a shim for existing programs: constructing one emits a
-    :class:`DeprecationWarning` but behaves exactly as before.
-    """
-
-    def __init__(
-        self,
-        computation: Computation,
-        parent: Optional[LoopContext] = None,
-        max_iterations: Optional[int] = None,
-        name: str = "loop",
-    ):
-        warnings.warn(
-            "Loop(...) is deprecated; build loops with "
-            "stream.scoped_loop(...) or computation.scope(...)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.computation = computation
-        self.context = computation.new_loop_context(parent, name)
-        self._feedback = computation.add_feedback(self.context, max_iterations)
-        self._feedback_connected = False
-
-    def feedback_stream(self) -> Stream:
-        """The output of the feedback stage (iteration i+1's input)."""
-        return Stream(self.computation, self._feedback, 0)
-
-    def connect_feedback(
-        self, stream: Stream, partitioner: Optional[Callable[[Any], int]] = None
-    ) -> None:
-        """Feed ``stream`` (inside the loop) back around the cycle."""
-        if self._feedback_connected:
-            raise ValueError("feedback input is already connected")
-        if stream.context is not self.context:
-            raise ValueError("feedback must be fed from inside the loop context")
-        stream.connect_to(self._feedback, 0, partitioner)
-        self._feedback_connected = True

@@ -20,7 +20,6 @@ property — never precedes the true global frontier.
 from __future__ import annotations
 
 import os
-import warnings
 from collections import deque
 from dataclasses import dataclass
 from time import perf_counter
@@ -1239,25 +1238,13 @@ class ClusterComputation(Computation):
         self,
         max_steps: Optional[int] = None,
         until: Optional[float] = None,
-        *,
-        max_events: Optional[int] = None,
     ) -> float:
         """Run the simulation until idle; returns virtual elapsed time.
 
         ``max_steps`` bounds delivered simulator events and ``until``
         bounds virtual time — the unified :class:`TimelyRuntime`
-        spellings.  ``max_events`` is the historical name for
-        ``max_steps`` and is deprecated.
+        spellings.
         """
-        if max_events is not None:
-            warnings.warn(
-                "ClusterComputation.run(max_events=...) is deprecated; "
-                "use max_steps",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if max_steps is None:
-                max_steps = max_events
         self._check_built()
         self._ensure_pool()
         start = self.sim.now

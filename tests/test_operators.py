@@ -265,34 +265,6 @@ class TestIterate:
         # Outer iteration 1: inner(2) -> {1}, where(>1) -> {} (loop ends).
         assert sorted(out[0]) == [2]
 
-    def test_leave_outside_loop_rejected(self):
-        comp = Computation()
-        s = Stream.from_input(comp.new_input())
-        with pytest.warns(DeprecationWarning), pytest.raises(ValueError):
-            s.leave()
-
-    def test_feedback_double_connect_rejected(self):
-        from repro.lib import Loop
-
-        comp = Computation()
-        s = Stream.from_input(comp.new_input())
-        with pytest.warns(DeprecationWarning):
-            loop = Loop(comp)
-            entered = s.enter(loop)
-        loop.connect_feedback(entered)
-        with pytest.raises(ValueError):
-            loop.connect_feedback(entered)
-
-    def test_feedback_from_outside_rejected(self):
-        from repro.lib import Loop
-
-        comp = Computation()
-        s = Stream.from_input(comp.new_input())
-        with pytest.warns(DeprecationWarning):
-            loop = Loop(comp)
-        with pytest.raises(ValueError):
-            loop.connect_feedback(s)
-
 
 class TestSubscribeOrdering:
     def test_epochs_notified_in_order(self):

@@ -153,3 +153,98 @@ class TestModes:
             comp = ClusterComputation(progress_mode="bogus")
             comp.new_input()
             comp.build()
+
+
+class TestStandalonePlane:
+    """The progress plane driven on its own: a simulator, a network and
+    a frozen graph — no cluster, no workers, no vertices."""
+
+    @staticmethod
+    def one_loop_graph():
+        from repro import Computation
+        from repro.lib import Stream
+
+        comp = Computation()
+        inp = comp.new_input()
+        Stream.from_input(inp).iterate(
+            lambda body: body.select(lambda x: x - 1)
+        ).subscribe(lambda t, records: None)
+        comp.graph.freeze()
+        return comp.graph
+
+    @pytest.mark.parametrize("mode", PROTOCOL_MODES)
+    def test_views_converge_under_every_mode(self, mode):
+        from repro.runtime.protocol import ProgressPlane
+        from repro.sim.des import Simulator
+        from repro.sim.network import Network, NetworkConfig
+
+        graph = self.one_loop_graph()
+        inp = graph.stages[0]
+        c = graph.connectors  # 0 in->ingress, 1 ingress->concat,
+        # 2 feedback->concat, 3 concat->select, 4 select->feedback,
+        # 5 select->egress, 6 egress->subscribe
+        sim = Simulator(seed=0)
+        plane = ProgressPlane(
+            graph.summaries,
+            lambda stage: False,  # nothing notifies: the loop is summarized
+            sim,
+            Network(sim, 3, NetworkConfig()),
+            [0, 1, 2],
+            mode,
+            250e-6,
+        )
+        assert len(plane.summarized_scopes) == 1
+        plane.apply_all([(Pointstamp(ts(0), inp), +1)])
+
+        def callback(at, process, consumed, produced):
+            """One vertex callback on ``process``: it takes ``consumed``
+            off its queue and sends ``produced`` = [(connector, time,
+            destination process)]."""
+            connector, time = consumed
+
+            def run():
+                plane.note_dequeue(connector, time, process)
+                updates = []
+                for out, out_time, dst in produced:
+                    updates.append((Pointstamp(out_time, out), +1))
+                    plane.note_enqueue(out, out_time, dst)
+                updates.append((Pointstamp(time, connector), -1))
+                plane.submit(process, updates)
+
+            sim.schedule_at(at, run)
+
+        # Epoch 0 is released with one record, which enters the loop on
+        # process 0, goes round once over processes 1 and 2, leaves
+        # through the egress and dies in the second iteration.
+        sim.schedule_at(
+            0.0,
+            lambda: plane.controller_broadcast(
+                [
+                    (Pointstamp(ts(0), c[0]), +1),
+                    (Pointstamp(ts(1), inp), +1),
+                    (Pointstamp(ts(0), inp), -1),
+                ]
+            ),
+        )
+        callback(1e-4, 0, (c[0], ts(0)), [(c[1], ts(0, 0), 1)])
+        callback(2e-4, 1, (c[1], ts(0, 0)), [(c[3], ts(0, 0), 1)])
+        callback(
+            3e-4, 1, (c[3], ts(0, 0)), [(c[4], ts(0, 0), 2), (c[5], ts(0, 0), 2)]
+        )
+        callback(4e-4, 2, (c[5], ts(0, 0)), [(c[6], ts(0), 0)])
+        callback(5e-4, 2, (c[4], ts(0, 0)), [(c[2], ts(0, 1), 0)])
+        callback(6e-4, 0, (c[2], ts(0, 1)), [(c[3], ts(0, 1), 0)])
+        callback(7e-4, 0, (c[3], ts(0, 1)), [])
+        callback(8e-4, 0, (c[6], ts(0)), [])
+        sim.run()
+
+        # The input stays open, so exactly its next epoch is outstanding
+        # — at every view, with nothing left withheld anywhere.
+        open_epoch = Pointstamp(ts(1), inp)
+        for process in range(3):
+            state = plane.view(process).state
+            assert state.occurrence == {open_epoch: 1}, (mode, process)
+            assert state.frontier() == [open_epoch]
+            assert not plane.withholding(process)
+        assert plane.central is None or not plane.central.buffer
+        assert not any(e.queued for e in plane.nodes + [plane.central] if e)

@@ -62,20 +62,6 @@ class TestTimelyRuntimeConformance:
         comp.run()
         assert comp.drained()
 
-    def test_run_max_events_is_deprecated_but_works(self, make):
-        # ``max_events`` is the historical spelling of ``max_steps``;
-        # both runtimes must accept it with a DeprecationWarning and
-        # bound progress identically.
-        comp = make()
-        inp, _ = build_wordcount(comp)
-        inp.on_next(["a b"])
-        with pytest.warns(DeprecationWarning, match="max_events"):
-            comp.run(max_events=1)
-        assert not comp.drained()
-        inp.on_completed()
-        comp.run()
-        assert comp.drained()
-
     def test_step_makes_progress_and_reports_exhaustion(self, make):
         comp = make()
         inp, _ = build_wordcount(comp)

@@ -1,7 +1,5 @@
 """Tests for cluster runtime configuration knobs."""
 
-import pytest
-
 from repro.lib import Stream
 from repro.runtime import (
     ClusterComputation,
@@ -118,18 +116,6 @@ class TestDeterminism:
         comp.run(max_steps=3)  # stop midway
         text = comp.debug_state()
         assert "t=" in text
-        inp.on_completed()
-        comp.run()
-        assert comp.drained()
-
-    def test_max_events_spelling_is_deprecated_but_works(self):
-        comp = ClusterComputation(2, 1)
-        inp = comp.new_input()
-        Stream.from_input(inp).count_by(lambda x: x).subscribe(lambda t, r: None)
-        comp.build()
-        inp.on_next([1, 2, 3])
-        with pytest.warns(DeprecationWarning, match="max_steps"):
-            comp.run(max_events=3)
         inp.on_completed()
         comp.run()
         assert comp.drained()

@@ -1,6 +1,6 @@
 """Scoped hierarchical progress tracking: equivalence, algebra, API.
 
-Four suites back the scoped-progress redesign:
+Three suites back the scoped-progress redesign:
 
 - **Bit-identity matrix.**  ``progress_tracking="scoped"`` (boundary
   projections only) and ``"flat"`` (the paper's every-pointstamp
@@ -11,11 +11,8 @@ Four suites back the scoped-progress redesign:
   collapsed ``ScopeNode`` representation the protocol disseminates.
 - **Eager builder validation.**  The scope-based builder API rejects
   malformed loops at construction time with typed errors.
-- **Deprecation shims.**  The pre-redesign ``Loop`` / ``enter`` /
-  ``leave`` surface still works but warns.
 """
 
-import warnings
 from collections import Counter
 
 import pytest
@@ -30,7 +27,7 @@ from repro.core import (
     UnclosedScopeError,
 )
 from repro.algorithms.connectivity import wcc_oracle, weakly_connected_components
-from repro.lib import Loop, Stream, pregel, final_states
+from repro.lib import Stream, pregel, final_states
 from repro.runtime import ClusterComputation, FaultTolerance
 from repro.workloads.graphs import uniform_random_graph
 
@@ -192,6 +189,24 @@ class TestTrafficAndMemoization:
         assert evals > 0
         assert hits > 0  # the 0.0%-hit-rate regression stays fixed
 
+    def test_hold_scan_is_repeatable(self):
+        """Two fresh builds of one program evaluate and reuse exactly as
+        many hold verdicts: the dirty scan must not follow the address-
+        derived hash order of pointstamps."""
+
+        def counts():
+            comp = ClusterComputation(
+                num_processes=4, workers_per_process=2, progress_mode="local+global"
+            )
+            run_wcc(comp)
+            endpoints = comp.nodes + [comp.central]
+            return (
+                sum(e.hold_evals for e in endpoints),
+                sum(e.hold_memo_hits for e in endpoints),
+            )
+
+        assert counts() == counts()
+
     def test_wcc_scope_is_summarized(self):
         comp = ClusterComputation(2, 2, progress_tracking="scoped")
         inp = comp.new_input()
@@ -338,58 +353,3 @@ class TestEagerValidation:
             with Stream.from_input(inp).scoped_loop() as loop:
                 loop.feed(loop.entered)
                 loop.feed(loop.entered)
-
-
-class TestDeprecationShims:
-    def _run(self, build):
-        comp = Computation()
-        inp = comp.new_input()
-        out = Counter()
-        build(comp, Stream.from_input(inp)).subscribe(
-            lambda t, recs: out.update((t.epoch, r) for r in recs)
-        )
-        comp.build()
-        inp.on_next([7, 4])
-        inp.on_completed()
-        comp.run()
-        assert comp.drained()
-        return out
-
-    def test_old_loop_api_warns_and_still_works(self):
-        def old_style(comp, stream):
-            with pytest.warns(DeprecationWarning):
-                loop = Loop(comp, max_iterations=None, name="legacy")
-            with pytest.warns(DeprecationWarning):
-                entered = stream.enter(loop)
-            body = (
-                entered.concat(loop.feedback_stream())
-                .select(lambda x: x - 1)
-                .where(lambda x: x > 0)
-            )
-            loop.connect_feedback(body)
-            with pytest.warns(DeprecationWarning):
-                return body.leave()
-
-        def new_style(comp, stream):
-            with stream.scoped_loop(name="legacy") as loop:
-                body = (
-                    loop.entered.concat(loop.feedback)
-                    .select(lambda x: x - 1)
-                    .where(lambda x: x > 0)
-                )
-                loop.feed(body)
-                out = loop.leave_with(body)
-            return out
-
-        assert self._run(old_style) == self._run(new_style)
-
-    def test_new_surface_is_warning_free(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            self._run(
-                lambda comp, stream: stream.iterate(
-                    lambda body: body.select(lambda x: x - 2).where(
-                        lambda x: x > 0
-                    )
-                )
-            )
