@@ -93,11 +93,18 @@ def _may_hold_update(
     when a summarized scope's interior updates are projected onto its
     boundary) get a third hold reason: while this endpoint knows of
     interior work still queued for the scope at that projected time
-    (a key of ``queued``), the boundary delta may be withheld — once the
-    interior drains, the final callback's submission dirties the entry
-    and forces the flush.  Holding is always safe (withheld updates only
-    make peers more conservative); the pending test only bounds how long
-    the hold lasts.
+    (a key of ``queued``), the boundary delta may be withheld.  That
+    count is an input of the verdict like any other:
+    :meth:`ProgressPlane.note_dequeue` re-tests the hold when it reaches
+    zero, because the callback that took the last delivery may net to
+    nothing at this endpoint and so never touch the entry again.
+
+    Withholding a *negative* delta only makes peers more conservative.
+    Withholding a positive boundary delta has no such argument: the
+    paper restricts (b) to vertex pointstamps, and a callback's consumed
+    and produced interior pointstamps project onto one boundary
+    pointstamp, so a downstream ``-1`` can reach a peer before the
+    ``+1`` it answers (DESIGN.md, "The progress plane").
     """
     if state.frontier_dominates(pointstamp):
         return True
@@ -821,6 +828,15 @@ class ProgressPlane:
                     endpoint.queued[boundary] = remaining
                 else:
                     endpoint.queued.pop(boundary, None)
+                    if boundary in endpoint.buffer:
+                        # The last queued interior delivery is gone: the
+                        # one hold-verdict input with no other
+                        # invalidation edge.  The callback that took it
+                        # may net to nothing here (and a node's flush
+                        # may never reach the central), so re-test now.
+                        endpoint._hold_cache.pop(boundary, None)
+                        endpoint._dirty[boundary] = None
+                        self.sim.schedule(0.0, endpoint._maybe_flush)
 
     # ------------------------------------------------------------------
     # Control plane.

@@ -226,6 +226,57 @@ class TestTrafficAndMemoization:
         assert comp.summarized_scopes == ()
 
 
+# (nodes, edges, seed, progress_mode): inputs on which a boundary
+# pointstamp stayed withheld after the scope's last queued interior
+# delivery was gone, because that count had no edge into the hold memo.
+# Under "local+global" the run returned undrained with no output (the
+# central accumulator's cluster-wide count is the one no later update
+# touches); under "local" it emitted a label too many.  Needs 64x2, the
+# unfused plan and scoped tracking to show.  The "local" input pins this
+# one schedule only: "local" still emits an early label on other seeds
+# (177, 306 of uniform_random_graph(300, 600), before and after), which
+# is a hole in the hold rules themselves — see DESIGN.md, "The progress
+# plane".
+STALE_HOLD_INPUTS = [
+    (300, 600, 85, "local+global"),
+    (300, 600, 87, "local+global"),
+    (500, 1000, 7000, "local+global"),
+    (300, 600, 90, "local"),
+]
+
+
+class TestQueuedInteriorInvalidatesHolds:
+    @staticmethod
+    def labels(comp, edges):
+        inp = comp.new_input()
+        out = Counter()
+        weakly_connected_components(Stream.from_input(inp)).subscribe(
+            lambda t, recs: out.update((t.epoch, r) for r in recs)
+        )
+        comp.build()
+        inp.on_next(edges)
+        inp.on_completed()
+        comp.run()
+        return out
+
+    @pytest.mark.parametrize("nodes, edges, seed, mode", STALE_HOLD_INPUTS)
+    def test_wcc_on_64x2_drains_with_reference_labels(self, nodes, edges, seed, mode):
+        from repro.runtime import CostModel
+
+        graph = uniform_random_graph(nodes, edges, seed=seed)
+        expected = self.labels(Computation(), graph)
+        comp = ClusterComputation(
+            64,
+            2,
+            cost_model=CostModel(per_record_cost=2e-5, record_bytes=800),
+            progress_mode=mode,
+            optimize=False,
+            backend="inline",
+        )
+        assert self.labels(comp, graph) == expected
+        assert comp.drained()
+
+
 class TestBoundarySummaryAlgebra:
     def _wcc_graph(self):
         comp = Computation()
