@@ -241,14 +241,14 @@ class Accumulator:
         #: §6 micro-benchmark measures the resulting coordination
         #: rounds), and boundary deltas from a summarized scope coalesce
         #: heavily within an interval.  The timer is a simulator event,
-        #: so a pending flush keeps ``run()`` alive: liveness does not
-        #: depend on the hold conditions alone.
+        #: so a pending flush keeps ``run()`` alive.
         self._flush_scheduled = False
         #: Hold-verdict memo with exact invalidation: an entry maps a
         #: pointstamp to ``(frontier version vector, verdict)`` and is
         #: dropped when any input of its verdict changes — its buffered
         #: delta (accumulate), its in-flight total (ledger), its
-        #: occurrence count (view listener) — while a frontier move
+        #: occurrence count (view listener), its queued-interior count
+        #: (``ProgressPlane.note_dequeue``) — while a frontier move
         #: invalidates only the entries whose version vector actually
         #: advanced (inner-iteration churn in *other* scopes leaves a
         #: verdict's vector, and hence its memo entry, intact).
@@ -526,11 +526,11 @@ class ProtocolNode(Accumulator):
                 self.process, central.process, size, "progress", deliver
             )
             return
-        covered = ((self.process, seq),)
+        origin = ((self.process, seq),)
         for dst in list(plane.live_processes):
             node = plane.nodes[dst]
             deliver = plane.fence.register(
-                self.process, dst, lambda node=node: node.receive(updates, covered)
+                self.process, dst, lambda node=node: node.receive(updates, origin)
             )
             plane.network.send(self.process, dst, size, "progress", deliver)
 
@@ -829,13 +829,11 @@ class ProgressPlane:
                 else:
                     endpoint.queued.pop(boundary, None)
                     if boundary in endpoint.buffer:
-                        # The last queued interior delivery is gone: the
-                        # one hold-verdict input with no other
-                        # invalidation edge.  The callback that took it
-                        # may net to nothing here (and a node's flush
-                        # may never reach the central), so re-test now.
-                        endpoint._hold_cache.pop(boundary, None)
-                        endpoint._dirty[boundary] = None
+                        # The last queued interior delivery is gone, and
+                        # the callback that took it may net to nothing
+                        # here (or never reach the central): no later
+                        # update need touch this verdict, so re-test now.
+                        endpoint._holds_invalidated(boundary)
                         self.sim.schedule(0.0, endpoint._maybe_flush)
 
     # ------------------------------------------------------------------
