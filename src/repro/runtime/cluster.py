@@ -366,7 +366,7 @@ class _Worker:
             current = candidates.get(pointstamp.location)
             if current is None or pointstamp.timestamp < current.timestamp:
                 candidates[pointstamp.location] = pointstamp
-        return list(candidates.values()) + loop_stamps
+        return [*candidates.values(), *loop_stamps]
 
     def _deliverable_notification(self) -> Optional[Pointstamp]:
         if not self.pending_notifications:

@@ -41,15 +41,15 @@ EDGES_B = uniform_random_graph(40, 55, seed=4)
 # ----------------------------------------------------------------------
 
 
-def run_wcc(comp):
+def run_wcc(comp, epochs=(EDGES_A, EDGES_B)):
     inp = comp.new_input()
     out = Counter()
     weakly_connected_components(Stream.from_input(inp)).subscribe(
         lambda t, recs: out.update((t.epoch, r) for r in recs)
     )
     comp.build()
-    inp.on_next(EDGES_A)
-    inp.on_next(EDGES_B)
+    for edges in epochs:
+        inp.on_next(edges)
     inp.on_completed()
     comp.run()
     assert comp.drained()
@@ -246,25 +246,12 @@ STALE_HOLD_INPUTS = [
 
 
 class TestQueuedInteriorInvalidatesHolds:
-    @staticmethod
-    def labels(comp, edges):
-        inp = comp.new_input()
-        out = Counter()
-        weakly_connected_components(Stream.from_input(inp)).subscribe(
-            lambda t, recs: out.update((t.epoch, r) for r in recs)
-        )
-        comp.build()
-        inp.on_next(edges)
-        inp.on_completed()
-        comp.run()
-        return out
-
     @pytest.mark.parametrize("nodes, edges, seed, mode", STALE_HOLD_INPUTS)
     def test_wcc_on_64x2_drains_with_reference_labels(self, nodes, edges, seed, mode):
         from repro.runtime import CostModel
 
         graph = uniform_random_graph(nodes, edges, seed=seed)
-        expected = self.labels(Computation(), graph)
+        expected = run_wcc(Computation(), [graph])
         comp = ClusterComputation(
             64,
             2,
@@ -273,8 +260,7 @@ class TestQueuedInteriorInvalidatesHolds:
             optimize=False,
             backend="inline",
         )
-        assert self.labels(comp, graph) == expected
-        assert comp.drained()
+        assert run_wcc(comp, [graph]) == expected  # and drained
 
 
 class TestBoundarySummaryAlgebra:
