@@ -8,7 +8,7 @@ are compared against a failure-free run of the same program: they must
 match exactly — released epochs are never re-released (exactly-once)
 and replayed epochs come out identical.
 
-The program runs with the plan optimizer on (``optimize=True``), so the
+The plan optimizer is on by default, so the
 ``select -> where -> select_many`` prefix executes as one fused
 super-vertex whose composite ``checkpoint()``/``restore()`` is
 exercised by the rollback — the explain() inspector shows what fused.
@@ -53,7 +53,6 @@ def run(kill_process=None, kill_at=None, verbose=False):
             checkpoint_every=2,
             restart_delay=0.02,
         ),
-        optimize=True,
     )
     lines, out = build(comp)
     comp.build()

@@ -16,7 +16,6 @@ examples and correctness tests; the simulated distributed runtime in
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -89,18 +88,12 @@ class Computation(TimelyRuntime):
         max_eager_depth: int = 16,
         optimize: Optional[Any] = None,
     ):
-        # Plan optimization (repro.opt): True compiles the graph through
-        # the default pass pipeline at build() time, a sequence supplies
-        # custom passes, False disables.  None falls back to the
-        # REPRO_FUSION environment variable, so CI and benchmarks flip
-        # the optimizer without touching call sites.
-        if optimize is None:
-            from ..opt.passes import parse_optimize_env
-
-            optimize = parse_optimize_env(os.environ.get("REPRO_FUSION"))
+        # Plan optimization (repro.opt): build() compiles the graph
+        # through the default passes.  ``False`` (the unrewritten graph)
+        # and a pass list exist as the equivalence tests' A/B oracle.
         self.optimize = optimize
         #: The compiled :class:`repro.opt.plan.PhysicalPlan` (None until
-        #: build(), or when optimization is off).
+        #: build(), or with ``optimize=False``).
         self.plan = None
         self.graph = DataflowGraph()
         self.vertices: Dict[Stage, Vertex] = {}
@@ -121,6 +114,9 @@ class Computation(TimelyRuntime):
         #: Number of delivered messages / notifications (for inspection).
         self.delivered_messages = 0
         self.delivered_notifications = 0
+        #: Sends forwarded through a loop plumbing stage inside the
+        #: producing callback (``Connector.cut_through``), not queued.
+        self.cut_through_hops = 0
         #: Attached observability sink (None = tracing off; the hot
         #: paths then perform a single identity test and nothing else).
         self._trace: Optional[TraceSink] = None
@@ -319,11 +315,11 @@ class Computation(TimelyRuntime):
         into vertices.  The resulting :class:`PhysicalPlan` is kept on
         ``self.plan`` for ``explain()``/``to_dot()`` inspection.
         """
-        if not self.optimize or self.graph.frozen:
+        if self.optimize is False or self.graph.frozen:
             return
         from ..opt.passes import compile_plan
 
-        passes = None if self.optimize is True else self.optimize
+        passes = None if self.optimize in (None, True) else self.optimize
         self.plan = compile_plan(
             self.graph,
             total_workers=self.total_workers,
@@ -401,6 +397,10 @@ class Computation(TimelyRuntime):
             self._enforce_causality(timestamp, "send_by")
         self._enqueue_output(stage, output_port, records, timestamp)
 
+    def charge(self, records: List[Any]) -> None:
+        """Fused vertices report constituent hand-offs for the cluster's
+        cost model; the reference runtime has no virtual clock."""
+
     def request_notification(
         self, vertex: Vertex, timestamp: Timestamp, capability: bool = True
     ) -> None:
@@ -438,6 +438,14 @@ class Computation(TimelyRuntime):
     ) -> None:
         out_time = stage.timestamp_action().apply(timestamp)
         for connector in stage.outputs[output_port]:
+            if connector.cut_through:
+                # Plumbing cut-through (repro.opt): run the stateless
+                # hop here — no pointstamp, queue entry or delivery.
+                self.cut_through_hops += 1
+                hop = connector.dst
+                if not self.vertices[hop].drops(out_time):
+                    self._enqueue_output(hop, 0, records, out_time)
+                continue
             self.progress.update(Pointstamp(out_time, connector), +1)
             if self.eager_delivery and self._may_deliver_inline(connector):
                 self._deliver_message(connector, records, out_time)
@@ -639,10 +647,12 @@ class Computation(TimelyRuntime):
             self.delivered_notifications,
             list(frontier),
         )
+        text += " cut_through_hops=%d" % self.cut_through_hops
         return RuntimeDebugState(
             runtime=type(self).__name__,
             delivered_messages=self.delivered_messages,
             delivered_notifications=self.delivered_notifications,
+            cut_through_hops=self.cut_through_hops,
             queued_messages=len(self._message_queue),
             pending_notifications=pending,
             frontier=frontier,

@@ -52,6 +52,13 @@ def _context_depth(context: Optional[LoopContext]) -> int:
     return 0 if context is None else context.depth
 
 
+_ACTIONS = {
+    StageKind.INGRESS: PathSummary.ingress,
+    StageKind.EGRESS: PathSummary.egress,
+    StageKind.FEEDBACK: PathSummary.feedback,
+}
+
+
 class Stage:
     """A logical stage: a factory for identically-programmed vertices.
 
@@ -72,6 +79,7 @@ class Stage:
         "inputs",
         "outputs",
         "opspec",
+        "_action",
     )
 
     def __init__(
@@ -101,6 +109,7 @@ class Stage:
         #: attached by the builder layer; None means "opaque stage" and
         #: the optimizer leaves it untouched.
         self.opspec = None
+        self._action: Optional[PathSummary] = None
 
     # ------------------------------------------------------------------
     # Loop-context bookkeeping.  System stages straddle a context
@@ -133,14 +142,13 @@ class Stage:
         return _context_depth(self.output_context)
 
     def timestamp_action(self) -> PathSummary:
-        """The summary applied to timestamps crossing this stage."""
-        if self.kind is StageKind.INGRESS:
-            return PathSummary.ingress(self.input_depth)
-        if self.kind is StageKind.EGRESS:
-            return PathSummary.egress(self.input_depth)
-        if self.kind is StageKind.FEEDBACK:
-            return PathSummary.feedback(self.input_depth)
-        return PathSummary.identity(self.input_depth)
+        """The summary applied to timestamps crossing this stage (fixed
+        at construction and consulted by every send: computed once)."""
+        if self._action is None:
+            self._action = _ACTIONS.get(self.kind, PathSummary.identity)(
+                self.input_depth
+            )
+        return self._action
 
     def __repr__(self) -> str:
         return "Stage(%d, %s, %s)" % (self.index, self.name, self.kind.value)
@@ -164,6 +172,7 @@ class Connector:
         "dst_port",
         "partitioner",
         "coalesce",
+        "cut_through",
         "columnar",
     )
 
@@ -189,6 +198,11 @@ class Connector:
         #: adjacent same-(connector, timestamp) queue entries into one
         #: callback (see ``_Worker._select``).
         self.coalesce = False
+        #: Set by the optimizer's plumbing pass: the destination is a
+        #: stateless forwarding stage on the sender's own worker, so a
+        #: send is forwarded inside the producing callback instead of
+        #: being queued for the hop (see ``_Worker._cut_through``).
+        self.cut_through = False
         #: Set by ``repro.opt.passes.mark_columnar`` when the columnar
         #: data plane is enabled: the :class:`repro.columnar.Schema`
         #: records on this connector conform to, so senders may encode

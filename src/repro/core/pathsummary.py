@@ -29,6 +29,7 @@ over antichains of summaries.
 from __future__ import annotations
 
 from collections import deque
+from functools import lru_cache
 from typing import Dict, Hashable, Iterable, List, Sequence, Tuple
 
 from .timestamp import Timestamp
@@ -79,20 +80,24 @@ class PathSummary:
         return self
 
     # ------------------------------------------------------------------
-    # Construction helpers for the three system vertices.
+    # Construction helpers for the three system vertices.  Instances
+    # are immutable, so each helper interns one summary per depth.
     # ------------------------------------------------------------------
 
     @staticmethod
+    @lru_cache(maxsize=None)
     def identity(depth: int) -> "PathSummary":
         """The summary of an empty path at nesting depth ``depth``."""
         return PathSummary(depth, 0, ())
 
     @staticmethod
+    @lru_cache(maxsize=None)
     def ingress(depth: int) -> "PathSummary":
         """Entering a loop from depth ``depth``: push a zero counter."""
         return PathSummary(depth, 0, (0,))
 
     @staticmethod
+    @lru_cache(maxsize=None)
     def egress(depth: int) -> "PathSummary":
         """Leaving a loop whose body is at depth ``depth``: pop a counter."""
         if depth < 1:
@@ -100,6 +105,7 @@ class PathSummary:
         return PathSummary(depth - 1, 0, ())
 
     @staticmethod
+    @lru_cache(maxsize=None)
     def feedback(depth: int) -> "PathSummary":
         """Traversing a feedback vertex at depth ``depth``: increment."""
         if depth < 1:
@@ -117,11 +123,14 @@ class PathSummary:
 
     def apply(self, t: Timestamp) -> Timestamp:
         """Adjust ``t`` as a message traversing this path would be."""
-        if len(t.counters) < self.keep:
+        counters = t.counters
+        if len(counters) < self.keep:
             raise ValueError(
                 "summary %r needs at least %d counters, got %r" % (self, self.keep, t)
             )
-        prefix = t.counters[: self.keep]
+        if len(counters) == self.keep and not self.delta and not self.append:
+            return t  # the identity at t's depth; timestamps are immutable
+        prefix = counters[: self.keep]
         if self.keep:
             prefix = prefix[:-1] + (prefix[-1] + self.delta,)
         return Timestamp(t.epoch, prefix + self.append)

@@ -89,6 +89,8 @@ class RuntimeDebugState:
     delivered_messages: int = 0
     #: Notifications delivered so far.
     delivered_notifications: int = 0
+    #: Sends run through a loop plumbing stage inside their producer.
+    cut_through_hops: int = 0
     #: Queued-but-undelivered messages.
     queued_messages: int = 0
     #: Outstanding notification requests.

@@ -205,12 +205,18 @@ class ForwardingVertex(Vertex):
         super().__init__()
         self.max_iterations = max_iterations
 
+    def drops(self, timestamp: Timestamp) -> bool:
+        """True when a bounded feedback stage discards messages at
+        ``timestamp``: the send would increment the innermost counter
+        out of bounds.  The runtimes' cut-through asks this too."""
+        return (
+            self.max_iterations is not None
+            and timestamp.counters[-1] + 1 >= self.max_iterations
+        )
+
     def on_recv(self, input_port: int, records: List[Any], timestamp: Timestamp) -> None:
-        if self.max_iterations is not None:
-            # The runtime will increment the innermost counter on send.
-            if timestamp.counters[-1] + 1 >= self.max_iterations:
-                return
-        self.send_by(0, records, timestamp)
+        if not self.drops(timestamp):
+            self.send_by(0, records, timestamp)
 
     def on_recv_batch(self, input_port: int, batch: Any, timestamp: Timestamp) -> None:
         # Forwarding never inspects records, so a columnar batch passes

@@ -45,6 +45,8 @@ class DESProfile:
     delivered_messages: int = 0
     #: Notifications (and cleanups) delivered by workers.
     delivered_notifications: int = 0
+    #: Sends run through a loop plumbing stage inside their producer.
+    cut_through_hops: int = 0
     #: Network messages by traffic category.
     messages_by_kind: Dict[str, int] = field(default_factory=dict)
     #: Network bytes by traffic category.
@@ -77,8 +79,12 @@ class DESProfile:
             % (self.batch_bytes_calls, self.stage_cost_calls),
             "  progress protocol: %d hold evaluations, %d memo hits (%.1f%%)"
             % (self.hold_evals, self.hold_memo_hits, memo_pct),
-            "  delivered: %d messages, %d notifications"
-            % (self.delivered_messages, self.delivered_notifications),
+            "  delivered: %d messages, %d notifications, %d cut-through hops"
+            % (
+                self.delivered_messages,
+                self.delivered_notifications,
+                self.cut_through_hops,
+            ),
         ]
         for kind in sorted(self.messages_by_kind):
             out.append(
@@ -111,6 +117,7 @@ def collect_profile(comp) -> DESProfile:
     profile = DESProfile(
         delivered_messages=getattr(comp, "delivered_messages", 0),
         delivered_notifications=getattr(comp, "delivered_notifications", 0),
+        cut_through_hops=getattr(comp, "cut_through_hops", 0),
     )
     sim = getattr(comp, "sim", None)
     if sim is not None:

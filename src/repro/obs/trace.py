@@ -12,6 +12,9 @@ Event kinds
 
 ``activation``
     a vertex ``on_recv`` callback: one message delivered and processed.
+    A loop's ingress/egress/feedback stage fed by a vertex has none of
+    its own under the default plan: plumbing cut-through runs the hop
+    inside the producing callback, whose span carries its cost.
 ``notification``
     a frontier notification grant (``on_notify`` with a capability).
 ``cleanup``

@@ -3,8 +3,8 @@
 Sits between program construction (:mod:`repro.lib.stream` builders
 annotate stages with :class:`~repro.opt.plan.OpSpec`) and execution
 (:class:`repro.core.Computation` / :class:`repro.runtime.cluster.
-ClusterComputation` call :func:`compile_plan` before freezing the graph
-when built with ``optimize=True`` or under ``REPRO_FUSION=1``).
+ClusterComputation` call :func:`compile_plan` before freezing the graph;
+``optimize=False`` is the unrewritten oracle the equivalence tests use).
 
 See DESIGN.md ("The plan optimizer") for the fusion legality rules and
 the elision proof obligations.
@@ -16,7 +16,6 @@ from .plan import (
     LogicalPlan,
     OpSpec,
     PhysicalPlan,
-    describe_graph,
     partitioners_agree,
     plan_signature,
 )
@@ -24,6 +23,7 @@ from .passes import (
     BatchingHintPass,
     ExchangeElisionPass,
     FusionPass,
+    PlumbingCutThroughPass,
     compile_plan,
     default_passes,
     parse_optimize_env,
@@ -38,9 +38,9 @@ __all__ = [
     "LogicalPlan",
     "OpSpec",
     "PhysicalPlan",
+    "PlumbingCutThroughPass",
     "compile_plan",
     "default_passes",
-    "describe_graph",
     "parse_optimize_env",
     "partitioners_agree",
     "plan_signature",

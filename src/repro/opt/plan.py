@@ -47,11 +47,6 @@ class OpSpec:
     ``constituents``
         for ``kind == "fused"``: the names of the operators the chain
         absorbed, in pipeline order.
-    ``cost_scale``
-        multiplier on the cost model's per-record cost; a fused stage
-        still executes each constituent's Python per record, so its
-        scale is the chain length (fusion removes per-event overhead,
-        not per-record work).
     ``schema``
         optional :class:`repro.columnar.Schema` declaring the record
         layout this operator consumes (and, for the symmetric library
@@ -67,7 +62,6 @@ class OpSpec:
         "batchable",
         "preserves_partitioning",
         "constituents",
-        "cost_scale",
         "schema",
     )
 
@@ -78,7 +72,6 @@ class OpSpec:
         batchable: bool = False,
         preserves_partitioning: bool = False,
         constituents: Tuple[str, ...] = (),
-        cost_scale: int = 1,
         schema: Optional[Any] = None,
     ):
         self.kind = kind
@@ -86,7 +79,6 @@ class OpSpec:
         self.batchable = batchable
         self.preserves_partitioning = preserves_partitioning
         self.constituents = constituents
-        self.cost_scale = cost_scale
         self.schema = schema
 
     def __repr__(self) -> str:
@@ -191,45 +183,13 @@ class PassResult:
         return "PassResult(%s, %d rewrites)" % (self.name, len(self.rewrites))
 
 
-def describe_graph(graph: DataflowGraph) -> List[str]:
-    """One deterministic line per stage (plus a header), for explain()."""
-    lines = [
-        "%d stages, %d connectors" % (len(graph.stages), len(graph.connectors))
-    ]
-    for stage in graph.stages:
-        spec = stage.opspec
-        suffix = ""
-        if spec is not None and spec.constituents:
-            suffix = " [fused: %s]" % ", ".join(spec.constituents)
-        lines.append("  [%d] %s (%s)%s" % (stage.index, stage.name, stage.kind.value, suffix))
-    for connector in graph.connectors:
-        marks = []
-        if connector.partitioner is not None:
-            marks.append("exchange")
-        if connector.coalesce:
-            marks.append("coalesce")
-        if getattr(connector, "columnar", None) is not None:
-            # Only ever set post-compile by mark_columnar (the columnar
-            # opt-in), so pass-pipeline golden reports never change.
-            marks.append("columnar")
-        lines.append(
-            "  (%d) %s -> %s%s"
-            % (
-                connector.index,
-                connector.src.name,
-                connector.dst.name,
-                " {%s}" % ", ".join(marks) if marks else "",
-            )
-        )
-    return lines
-
-
 def plan_signature(graph: DataflowGraph) -> Tuple:
-    """A structural fingerprint used by the idempotence tests.
+    """A structural fingerprint of the plan: cheap to take, compared by
+    the idempotence tests, and what :meth:`PhysicalPlan.explain` formats.
 
     Two graphs with equal signatures have the same stages (name, kind,
     opspec shape), the same wiring, the same exchange edges and the same
-    coalescing hints — i.e. a pass pipeline that does not change the
+    connector hints — i.e. a pass pipeline that does not change the
     signature performed no rewrite.
     """
     stages = tuple(
@@ -244,8 +204,7 @@ def plan_signature(graph: DataflowGraph) -> Tuple:
                 stage.opspec.fusable,
                 stage.opspec.batchable,
                 stage.opspec.preserves_partitioning,
-                stage.opspec.constituents,
-                stage.opspec.cost_scale,
+                stage.opspec.constituents,  # last: _describe reads it
             ),
         )
         for stage in graph.stages
@@ -259,22 +218,50 @@ def plan_signature(graph: DataflowGraph) -> Tuple:
             connector.dst_port,
             connector.partitioner is not None,
             connector.coalesce,
+            connector.cut_through,
+            # Only ever set post-compile by mark_columnar (the columnar
+            # opt-in), so pass-pipeline golden reports never change.
+            connector.columnar is not None,
         )
         for connector in graph.connectors
     )
     return (stages, connectors)
 
 
+#: Names of the trailing flags of a :func:`plan_signature` connector row.
+_CONNECTOR_MARKS = ("exchange", "coalesce", "cut-through", "columnar")
+
+
+def _describe(signature: Tuple) -> List[str]:
+    """One deterministic line per stage and connector, plus a header."""
+    stages, connectors = signature
+    lines = ["%d stages, %d connectors" % (len(stages), len(connectors))]
+    names = {stage[0]: stage[1] for stage in stages}
+    for index, name, kind, spec in stages:
+        constituents = spec[-1] if spec is not None else ()
+        suffix = " [fused: %s]" % ", ".join(constituents) if constituents else ""
+        lines.append("  [%d] %s (%s)%s" % (index, name, kind, suffix))
+    for index, src, _src_port, dst, _dst_port, *flags in connectors:
+        marks = [mark for mark, on in zip(_CONNECTOR_MARKS, flags) if on]
+        lines.append(
+            "  (%d) %s -> %s%s"
+            % (index, names[src], names[dst], " {%s}" % ", ".join(marks) if marks else "")
+        )
+    return lines
+
+
 class PhysicalPlan:
-    """The compiled plan: the rewritten graph plus the rewrite log."""
+    """The compiled plan: the rewritten graph plus the rewrite log.
+    ``before``/``after`` are :func:`plan_signature` snapshots: every
+    build() compiles a plan, so text is formatted only on explain()."""
 
     __slots__ = ("graph", "before", "after", "results")
 
     def __init__(
         self,
         graph: DataflowGraph,
-        before: List[str],
-        after: List[str],
+        before: Tuple,
+        after: Tuple,
         results: List[PassResult],
     ):
         self.graph = graph
@@ -289,7 +276,7 @@ class PhysicalPlan:
     def explain(self) -> str:
         """A human-readable before/after report with per-pass rewrites."""
         lines = ["== logical plan =="]
-        lines.extend(self.before)
+        lines.extend(_describe(self.before))
         for result in self.results:
             lines.append(
                 "== pass %s: %d rewrite%s =="
@@ -298,7 +285,7 @@ class PhysicalPlan:
             for rewrite in result.rewrites:
                 lines.append("  %s" % rewrite)
         lines.append("== physical plan ==")
-        lines.extend(self.after)
+        lines.extend(_describe(self.after))
         return "\n".join(lines)
 
     def to_dot(self, name: str = "plan") -> str:

@@ -51,6 +51,7 @@ Mechanics:
 from __future__ import annotations
 
 import multiprocessing
+import pickle
 import traceback
 import weakref
 from collections import deque
@@ -157,6 +158,11 @@ class _ChildHarness:
             )
         self._effects.append(("send", output_port, out_time, plan))
 
+    def charge(self, records) -> None:
+        from ..runtime.synthetic import record_count
+
+        self._effects.append(("charge", record_count(records)))
+
     def request_notification(self, vertex, timestamp, capability: bool = True) -> None:
         if not self._frame_capability:
             raise TimestampViolation(
@@ -222,25 +228,18 @@ def _child_main(cluster, rank: int, size: int, offload, conn, ring) -> None:
                     _park_effects(ring, effects)
                 reply = (task_id, "ok", effects, perf_counter() - started)
             except BaseException as exc:
-                reply = (
-                    task_id,
-                    "error",
-                    (type(exc).__name__, str(exc), traceback.format_exc()),
-                    perf_counter() - started,
-                )
+                try:  # the coordinator re-raises it, if it pickles
+                    pickled = pickle.dumps(exc)
+                except Exception:
+                    pickled = None
+                failure = (traceback.format_exc(), pickled)
+                reply = (task_id, "error", failure, perf_counter() - started)
             try:
                 conn.send(reply)
             except (BrokenPipeError, OSError):
                 break
-            except Exception as exc:  # unpicklable effects
-                conn.send(
-                    (
-                        task_id,
-                        "error",
-                        (type(exc).__name__, str(exc), traceback.format_exc()),
-                        0.0,
-                    )
-                )
+            except Exception:  # unpicklable effects
+                conn.send((task_id, "error", (traceback.format_exc(), None), 0.0))
         elif op == "checkpoint":
             states = {
                 (stage.index, worker_index): vertex.checkpoint()
@@ -510,14 +509,21 @@ class VertexPool:
         self.child_wall[claim.pool_rank] += child_wall
         claim.child_wall = child_wall
         if status == "error":
-            name, message, child_traceback = payload
-            if name == "TimestampViolation":
-                raise TimestampViolation(message)
-            raise RuntimeError(
-                "pool worker %d failed executing %r: %s: %s"
+            child_traceback, pickled = payload
+            # Fail fast with the callback's own exception; the child's
+            # stack (the frames that matter) rides along as its cause.
+            failure = RuntimeError(
+                "pool worker %d failed executing sim worker %d"
                 "\n--- child traceback ---\n%s"
-                % (claim.pool_rank, worker, name, message, child_traceback)
+                % (claim.pool_rank, worker.index, child_traceback)
             )
+            try:
+                original = None if pickled is None else pickle.loads(pickled)
+            except Exception:  # e.g. a constructor that rejects its own args
+                original = None
+            if original is None:
+                raise failure
+            raise original from failure
         claim.effects = payload
         return claim
 

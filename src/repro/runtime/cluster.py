@@ -134,10 +134,10 @@ class _Worker:
         "_commit_pending",
         "_pending_updates",
         "_frame_time",
-        "_frame_stage",
         "_frame_capability",
         "_updates",
         "_dispatches",
+        "_charged",
         "delivered_messages",
         "delivered_notifications",
         "_pending_rev",
@@ -171,12 +171,13 @@ class _Worker:
         #: rollback applies its retirements if the worker dies here).
         self._pending_updates: Optional[List[Tuple[Pointstamp, int]]] = None
         self._frame_time: Optional[Timestamp] = None
-        self._frame_stage: Optional[Stage] = None
         self._frame_capability = True
         self._updates: Optional[List[Tuple[Pointstamp, int]]] = None
         #: (connector, dest, batch, out_time) from send(); _step's
         #: serialization pass appends the precomputed remote batch size.
         self._dispatches: Optional[List[Tuple]] = None
+        #: Records charge() billed to the running callback.
+        self._charged = 0
         self.delivered_messages = 0
         self.delivered_notifications = 0
         #: Bumped whenever the pending notification/cleanup tables gain
@@ -213,14 +214,44 @@ class _Worker:
         out_time = stage.timestamp_action().apply(timestamp)
         total = self.cluster.total_workers
         for connector in stage.outputs[output_port]:
-            shares = route(connector, records, total, self.index)
             pointstamp = Pointstamp(out_time, connector)
-            for dest, batch in shares:
-                self._updates.append((pointstamp, +1))
+            for dest, batch in route(connector, records, total, self.index):
                 # -1 size sentinel: "not yet computed"; _step's
                 # serialization pass fills it in.  Pool children record
                 # dispatches with the size precomputed instead.
-                self._dispatches.append((connector, dest, batch, out_time, -1))
+                self._dispatch(pointstamp, dest, batch, -1)
+
+    def _dispatch(self, pointstamp: Pointstamp, dest: int, batch: Any, size: int) -> None:
+        """Record one share of a send: the dispatch and its +1.
+
+        Sender-side batch coalescing: a callback that sends several
+        times to the same (connector, dest, time) — e.g. per-record
+        emission loops feeding a coalescible destination — would be
+        charged per-message network bytes and a +1/-1 occurrence round
+        trip for each, even though the receiver merges them on arrival.
+        Merge into the previous dispatch instead, so per-message costs
+        are paid once per coalesced batch.  Adjacency-only, so ordering
+        relative to other connectors is untouched; shared by send() and
+        _apply_effects, so the inline and mp backends stay identical."""
+        out_time, connector = pointstamp
+        dispatches = self._dispatches
+        if connector.coalesce and dispatches:
+            prev = dispatches[-1]
+            if prev[0] is connector and prev[1] == dest and prev[3] == out_time:
+                payload = combine_payloads([prev[2], batch])
+                size = prev[4] + size if prev[4] >= 0 and size >= 0 else -1
+                dispatches[-1] = (connector, dest, payload, out_time, size)
+                # The receiver will consume one queue entry, not two.
+                self.cluster.sender_merged_dispatches += 1
+                return
+        if not connector.cut_through:  # else no queue entry: see _step
+            self._updates.append((pointstamp, +1))
+        dispatches.append((connector, dest, batch, out_time, size))
+
+    def charge(self, records: Any) -> None:
+        """A fused vertex handed ``records`` to a later constituent
+        inside the running callback: bill them like a delivery."""
+        self._charged += record_count(records)
 
     def request_notification(
         self, vertex: Vertex, timestamp: Timestamp, capability: bool = True
@@ -497,14 +528,37 @@ class _Worker:
                     connector = outputs[conn_pos]
                     pointstamp = Pointstamp(out_time, connector)
                     for dest, batch, nbytes in shares:
-                        self._updates.append((pointstamp, +1))
-                        self._dispatches.append(
-                            (connector, dest, batch, out_time, nbytes)
-                        )
+                        self._dispatch(pointstamp, dest, batch, nbytes)
+            elif effect[0] == "charge":
+                self._charged += effect[1]
             else:
                 # No frame is open while effects replay (the child
                 # already checked them), so this is bookkeeping only.
                 self.request_notification(vertex, effect[1], effect[2])
+
+    def _cut_through(self, connector: Connector, batch: Any, timestamp: Timestamp) -> float:
+        """Run ``connector``'s plumbing hop now, as its ForwardingVertex
+        would on delivery: apply the timestamp action and route onto its
+        outputs (recursively, where marked too), so that only what
+        reaches a real queue is dispatched.  Returns the virtual CPU the
+        hop's own callback would have been charged."""
+        cluster = self.cluster
+        hop = connector.dst
+        cluster.cut_through_hops += 1
+        cost = cluster.stage_record_cost(hop) * record_count(batch)
+        cost += cluster.cost_model.callback_overhead
+        if cluster.vertices[(hop, self.index)].drops(timestamp):
+            return cost
+        out_time = hop.timestamp_action().apply(timestamp)
+        total = cluster.total_workers
+        for downstream in hop.outputs[0]:
+            pointstamp = Pointstamp(out_time, downstream)
+            for dest, share in route(downstream, batch, total, self.index):
+                if downstream.cut_through:
+                    cost += self._cut_through(downstream, share, out_time)
+                else:
+                    self._dispatch(pointstamp, dest, share, -1)
+        return cost
 
     def _step(self) -> None:
         if self.dead:
@@ -546,7 +600,6 @@ class _Worker:
                 self._apply_effects(vertex, claim.effects)
             else:
                 self._frame_time = timestamp
-                self._frame_stage = connector.dst
                 try:
                     if type(records) is ColumnarBatch:
                         vertex.on_recv_batch(connector.dst_port, records, timestamp)
@@ -554,7 +607,6 @@ class _Worker:
                         vertex.on_recv(connector.dst_port, records, timestamp)
                 finally:
                     self._frame_time = None
-                    self._frame_stage = None
             # Every coalesced queue entry carried its own +1 occurrence
             # at dispatch time; retire each one.
             pointstamp = Pointstamp(timestamp, connector)
@@ -582,14 +634,12 @@ class _Worker:
                 self._apply_effects(vertex, claim.effects)
             else:
                 self._frame_time = pointstamp.timestamp
-                self._frame_stage = pointstamp.location
                 if kind == "cleanup":
                     self._frame_capability = False
                 try:
                     vertex.on_notify(pointstamp.timestamp)
                 finally:
                     self._frame_time = None
-                    self._frame_stage = None
                     self._frame_capability = True
             if kind == "notify":
                 self._updates.append((pointstamp, -1))
@@ -603,43 +653,23 @@ class _Worker:
                     (),
                 )
 
-        # Sender-side batch coalescing: a callback that sent several
-        # times to the same (connector, dest, time) — e.g. per-record
-        # emission loops feeding a coalescible destination — produced
-        # adjacent dispatches that would each be charged per-message
-        # network bytes and a +1/-1 occurrence round trip, even though
-        # the receiver merges them on arrival.  Merge them here, before
-        # sizing, so per-message costs are paid once per coalesced batch
-        # (the hot-path accounting fix).  Adjacency-only, so ordering
-        # relative to other connectors is untouched; runs after
-        # _apply_effects, so the inline and mp backends stay identical.
+        if self._charged:
+            cost += cluster.stage_record_cost(vertex.stage) * self._charged
+            self._charged = 0
+
+        # Plumbing cut-through (repro.opt; section 3.2): a dispatch on a
+        # marked connector crosses its ingress/egress/feedback hop here,
+        # inside the producing callback, which pays the hop's cost.
+        # After the callback, so a merged run crosses once, as it would
+        # have been delivered; after _apply_effects, so the inline and
+        # mp backends stay identical.
+        sent, self._dispatches = self._dispatches, []
+        for entry in sent:
+            if entry[0].cut_through:
+                cost += self._cut_through(entry[0], entry[2], entry[3])
+            else:
+                self._dispatches.append(entry)
         dispatches = self._dispatches
-        if len(dispatches) > 1:
-            merged = [dispatches[0]]
-            for entry in dispatches[1:]:
-                prev = merged[-1]
-                connector = entry[0]
-                if (
-                    connector is prev[0]
-                    and connector.coalesce
-                    and entry[1] == prev[1]
-                    and entry[3] == prev[3]
-                ):
-                    payload = combine_payloads([prev[2], entry[2]])
-                    size = (
-                        prev[4] + entry[4]
-                        if prev[4] >= 0 and entry[4] >= 0
-                        else -1
-                    )
-                    merged[-1] = (connector, prev[1], payload, prev[3], size)
-                    # The receiver will consume one queue entry, not two:
-                    # retire the duplicate occurrence at the source.
-                    self._updates.remove((Pointstamp(entry[3], connector), 1))
-                    cluster.sender_merged_dispatches += 1
-                else:
-                    merged.append(entry)
-            if len(merged) != len(dispatches):
-                dispatches = self._dispatches = merged
 
         # Sender-side serialization and (optionally) logging costs.  The
         # batch size is computed once here and carried on the dispatch
@@ -946,13 +976,7 @@ class ClusterComputation(Computation):
         cost = self._stage_costs.get(stage)
         if cost is not None:
             return cost
-        cost = self.cost_model.per_record_cost
-        spec = stage.opspec
-        if spec is not None and spec.cost_scale != 1:
-            # A fused stage still runs every constituent's Python per
-            # record; fusion saves per-event overhead, not CPU work.
-            cost *= spec.cost_scale
-        return cost
+        return self.cost_model.per_record_cost
 
     # ------------------------------------------------------------------
     # Observability (repro.obs).
@@ -1279,6 +1303,7 @@ class ClusterComputation(Computation):
                 else "",
             )
         )
+        lines.append("  plan: cut_through_hops=%d" % self.cut_through_hops)
         if self.recovery is not None:
             lines.extend(self.recovery.describe())
         if self.async_ckpt is not None:
@@ -1348,6 +1373,7 @@ class ClusterComputation(Computation):
             delivered_notifications=sum(
                 w.delivered_notifications for w in self.workers
             ),
+            cut_through_hops=self.cut_through_hops,
             queued_messages=sum(len(w.queue) for w in self.workers),
             pending_notifications=sum(
                 sum(w.pending_notifications.values()) for w in self.workers

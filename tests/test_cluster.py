@@ -356,6 +356,16 @@ class DoubleSendVertex(Vertex):
         self.send_by(0, records[half:], timestamp)
 
 
+class PerRecordSendVertex(Vertex):
+    """One send per record, with a notification request in between."""
+
+    def on_recv(self, input_port, records, timestamp):
+        for position, record in enumerate(records):
+            self.send_by(0, [record], timestamp)
+            if position == 0:
+                self.notify_at(timestamp)
+
+
 class TestSenderSideBatchAccounting:
     """A callback's repeat sends to one coalesced destination must be
     charged per-message wire overhead once, not per constituent send.
@@ -400,6 +410,42 @@ class TestSenderSideBatchAccounting:
         assert comp.sender_merged_dispatches == 1
         assert comp.network.stats.messages("data") == 1
         assert comp.network.stats.bytes("data") == 128
+
+    def test_per_record_sends_merge_as_they_are_sent(self):
+        # n sends merge into one dispatch carrying one occurrence, in
+        # O(1) per send (a post-pass with a list.remove() per merge made
+        # this quadratic): the +1 is the first send's, the later ones
+        # are never recorded.
+        records = list(range(300))
+        comp = ClusterComputation(num_processes=1, workers_per_process=1)
+        inp = comp.new_input()
+        stage = comp.graph.new_stage("each", lambda s, w: PerRecordSendVertex(), 1, 1)
+        Stream.from_input(inp).connect_to(stage, 0)
+        out = []
+        Stream(comp, stage, 0).count_by(lambda r: 0).subscribe(
+            lambda t, recs: out.extend(recs)
+        )
+        comp.build()
+        submitted = []
+        submit = comp.plane.submit
+        comp.plane.submit = lambda process, updates: (
+            submitted.append(list(updates)),
+            submit(process, updates),
+        )
+        inp.on_next(records)
+        inp.on_completed()
+        comp.run()
+        assert comp.drained(), comp.debug_state()
+        assert out == [(0, len(records))]
+        assert comp.sender_merged_dispatches == len(records) - 1
+        batch = next(
+            u for u in submitted if any(p.location is stage and d > 0 for p, d in u)
+        )
+        assert [("each" if p.location is stage else "edge", d) for p, d in batch] == [
+            ("edge", +1),  # the one merged dispatch
+            ("each", +1),  # the notification request
+            ("edge", -1),  # the consumed input message
+        ]
 
     def test_unhinted_plan_still_pays_per_send(self):
         # Without the coalesce hint the two sends stay distinct wire

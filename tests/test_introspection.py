@@ -69,10 +69,8 @@ class TestProbe:
 
 class TestDotRendering:
     def build_loop_graph(self):
-        # The assertions below describe the *unoptimized* graph shape;
-        # pin optimize=False so a REPRO_FUSION=1 environment does not
-        # rewrite the structure under test (test_opt covers the fused
-        # rendering).
+        # The assertions below describe the *unoptimized* graph shape
+        # (test_opt covers the fused rendering).
         comp = Computation(optimize=False)
         inp = comp.new_input("edges")
         out = (

@@ -2,12 +2,14 @@
 
 Covers the rewrite legality rules unit-by-unit (fusion barriers,
 elision proofs, coalescing hints), the golden ``explain()`` report, the
-``FusedVertex`` chain mechanics including the composite checkpoint, and
+``FusedVertex`` chain mechanics including the composite checkpoint, the
+plumbing cut-through hints and their execution on both runtimes, and
 — property-tested over random operator chains — idempotence of the
 whole pass pipeline: compiling an already-compiled plan performs zero
 rewrites and leaves the structural signature unchanged.
 """
 
+import traceback
 from collections import Counter
 
 import pytest
@@ -15,20 +17,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Computation
+from repro.algorithms import weakly_connected_components
 from repro.core.graph import StageKind
 from repro.core.timestamp import Timestamp
 from repro.lib import Stream
 from repro.lib.operators import SelectVertex, UnaryBufferingVertex, WhereVertex
 from repro.lib.stream import hash_partitioner
-from repro.obs import TraceSink
+from repro.obs import TraceSink, collect_profile
 from repro.opt import (
     FusedVertex,
+    FusionPass,
     HashPartitioner,
+    PlumbingCutThroughPass,
     compile_plan,
     parse_optimize_env,
     partitioners_agree,
     plan_signature,
 )
+from repro.parallel import fork_available
+from repro.runtime import ClusterComputation
 
 
 def fresh_graph(build):
@@ -155,20 +162,42 @@ class TestFusionPass:
         kinds = {stage.kind for stage in graph.stages}
         assert StageKind.INGRESS in kinds and StageKind.EGRESS in kinds
 
-    def test_fused_cost_scale_is_chain_length(self):
-        def build(comp):
+    def test_fused_stage_charges_each_constituent_its_own_records(self):
+        """Fusion saves per-event overhead, never per-record work: a
+        chain that expands (select_many) or thins (where) its records
+        is billed, constituent by constituent, what the unfused stages
+        were — minus one callback overhead per delivery it removed."""
+
+        def run(optimize):
+            comp = ClusterComputation(
+                num_processes=1, workers_per_process=1, optimize=optimize
+            )
+            sink = TraceSink()
+            comp.attach_trace_sink(sink)
             inp = comp.new_input("src")
             (
                 Stream.from_input(inp)
-                .select(lambda x: x)
-                .select(lambda x: x)
-                .select(lambda x: x)
+                .select_many(lambda x: [x] * x, name="expand")
+                .where(lambda x: x % 2 == 0, name="even")
+                .select(lambda x: x + 1, name="bump")
                 .subscribe(lambda t, r: None)
             )
+            comp.build()
+            inp.on_next([1, 2, 3, 4])
+            inp.on_next([6])
+            inp.on_completed()
+            comp.run()
+            assert comp.drained()
+            return comp, [e for e in sink.events if e.kind == "activation"]
 
-        comp, graph = fresh_graph(build)
-        plan = compile_plan(graph, total_workers=4)
-        assert plan.fused_stages()[0].opspec.cost_scale == 3
+        _, plain = run(False)
+        comp, fused = run([FusionPass()])
+        assert [s.name for s in comp.plan.fused_stages()] == ["fuse(expand+even+bump)"]
+        assert len(fused) < len(plain)
+        saved = (len(plain) - len(fused)) * comp.cost_model.callback_overhead
+        assert sum(e.dur for e in fused) == pytest.approx(
+            sum(e.dur for e in plain) - saved, abs=1e-12
+        )
 
 
 # ----------------------------------------------------------------------
@@ -291,6 +320,317 @@ class TestBatchingHints:
 
 
 # ----------------------------------------------------------------------
+# Plumbing cut-through: the hints, and both runtimes executing them.
+# ----------------------------------------------------------------------
+
+GOLDEN_WCC_EXPLAIN = """\
+== logical plan ==
+8 stages, 8 connectors
+  [0] edges (input)
+  [1] wcc.arcs (normal)
+  [2] wcc.feedback (feedback)
+  [3] wcc (normal)
+  [4] wcc.ingress (ingress)
+  [5] wcc.egress (egress)
+  [6] wcc.final (normal)
+  [7] subscribe (normal)
+  (0) edges -> wcc.arcs
+  (1) wcc.arcs -> wcc.ingress
+  (2) wcc.ingress -> wcc {exchange}
+  (3) wcc -> wcc.feedback
+  (4) wcc.feedback -> wcc {exchange}
+  (5) wcc -> wcc.egress
+  (6) wcc.egress -> wcc.final {exchange}
+  (7) wcc.final -> subscribe
+== pass exchange-elision: 0 rewrites ==
+== pass operator-fusion: 0 rewrites ==
+== pass batch-coalescing: 8 rewrites ==
+  coalesce hint on (edges -> wcc.arcs)
+  coalesce hint on (wcc.arcs -> wcc.ingress)
+  coalesce hint on (wcc.ingress -> wcc)
+  coalesce hint on (wcc -> wcc.feedback)
+  coalesce hint on (wcc.feedback -> wcc)
+  coalesce hint on (wcc -> wcc.egress)
+  coalesce hint on (wcc.egress -> wcc.final)
+  coalesce hint on (wcc.final -> subscribe)
+== pass plumbing-cut-through: 3 rewrites ==
+  cut-through hint on (wcc.arcs -> wcc.ingress)
+  cut-through hint on (wcc -> wcc.feedback)
+  cut-through hint on (wcc -> wcc.egress)
+== physical plan ==
+8 stages, 8 connectors
+  [0] edges (input)
+  [1] wcc.arcs (normal)
+  [2] wcc.feedback (feedback)
+  [3] wcc (normal)
+  [4] wcc.ingress (ingress)
+  [5] wcc.egress (egress)
+  [6] wcc.final (normal)
+  [7] subscribe (normal)
+  (0) edges -> wcc.arcs {coalesce}
+  (1) wcc.arcs -> wcc.ingress {coalesce, cut-through}
+  (2) wcc.ingress -> wcc {exchange, coalesce}
+  (3) wcc -> wcc.feedback {coalesce, cut-through}
+  (4) wcc.feedback -> wcc {exchange, coalesce}
+  (5) wcc -> wcc.egress {coalesce, cut-through}
+  (6) wcc.egress -> wcc.final {exchange, coalesce}
+  (7) wcc.final -> subscribe {coalesce}"""
+
+
+def wcc(comp, out=None):
+    inp = comp.new_input("edges")
+    weakly_connected_components(Stream.from_input(inp)).subscribe(
+        lambda t, recs: None if out is None else out.extend(recs)
+    )
+    return inp
+
+
+def countdown(comp, out, max_iterations=None):
+    """x -> x - 1 while positive, round a loop fed by a vertex: every
+    hop (ingress, feedback, egress) is behind a pipeline connector."""
+    inp = comp.new_input("src")
+    (
+        Stream.from_input(inp)
+        .select(lambda x: x)
+        .iterate(
+            lambda body: body.select(lambda x: x - 1).where(lambda x: x > 0),
+            max_iterations=max_iterations,
+        )
+        .subscribe(lambda t, recs: out.setdefault(t.epoch, []).extend(recs))
+    )
+    return inp
+
+
+def run_countdown(comp, max_iterations=None):
+    out = {}
+    inp = countdown(comp, out, max_iterations)
+    comp.build()
+    inp.on_next([3, 1, 4])
+    inp.on_next([2, 5])
+    inp.on_completed()
+    comp.run()
+    assert comp.drained()
+    return {epoch: sorted(records) for epoch, records in out.items()}
+
+
+class TestPlumbingCutThrough:
+    def test_golden_wcc_report(self):
+        comp, graph = fresh_graph(wcc)
+        plan = compile_plan(graph, total_workers=8)
+        assert plan.explain() == GOLDEN_WCC_EXPLAIN
+        assert not any(c.cut_through and c.partitioner for c in graph.connectors)
+
+    def test_exchanges_and_ingest_are_never_marked(self):
+        def build(comp):
+            inp = comp.new_input("src")
+            (
+                Stream.from_input(inp)  # the input feeds the ingress directly
+                .iterate(
+                    lambda body: body.where(lambda x: x > 0),
+                    partitioner=hash_partitioner(_key),  # exchange into feedback
+                )
+                .subscribe(lambda t, r: None)
+            )
+
+        comp, graph = fresh_graph(build)
+        compile_plan(graph, total_workers=4, passes=[PlumbingCutThroughPass()])
+        marked = {
+            (c.src.name, c.dst.name) for c in graph.connectors if c.cut_through
+        }
+        assert marked == {("where", "iterate.egress")}
+
+    def test_a_scope_with_a_notifying_vertex_is_left_alone(self):
+        # The progress plane will not summarize such a scope (nor the
+        # ones enclosing it), so its hops' pointstamps are disseminated
+        # and let accumulators hold what the hop sends; a quiet scope
+        # nested inside it is summarized and cut through all the same.
+        def build(comp):
+            inp = comp.new_input("src")
+            (
+                Stream.from_input(inp)
+                .select(lambda x: x)
+                .iterate(
+                    lambda outer: outer.count_by(lambda x: x)  # notifies
+                    .select(lambda kv: kv[0])
+                    .iterate(lambda inner: inner.where(lambda x: x > 9), name="inner"),
+                    max_iterations=2,
+                    name="outer",
+                )
+                .iterate(lambda quiet: quiet.where(lambda x: x > 9), name="quiet")
+                .subscribe(lambda t, r: None)
+            )
+
+        comp, graph = fresh_graph(build)
+        compile_plan(graph, total_workers=4, passes=[PlumbingCutThroughPass()])
+        hops = {c.dst.name for c in graph.connectors if c.cut_through}
+        assert hops == {"inner.ingress", "inner.feedback", "inner.egress"} | {
+            "quiet.ingress", "quiet.feedback", "quiet.egress"
+        }
+
+    @pytest.mark.parametrize("max_iterations", [None, 3])
+    def test_reference_runtime_forwards_inside_the_producer(self, max_iterations):
+        oracle = Computation(optimize=False)
+        expected = run_countdown(oracle, max_iterations)
+        cut = Computation(optimize=[PlumbingCutThroughPass()])
+        assert run_countdown(cut, max_iterations) == expected
+        assert oracle.cut_through_hops == 0
+        # Every delivery the oracle made to a plumbing stage became a hop.
+        assert cut.cut_through_hops > 0
+        assert cut.delivered_messages == (
+            oracle.delivered_messages - cut.cut_through_hops
+        )
+        assert "cut_through_hops=%d" % cut.cut_through_hops in cut.debug_state().text
+        assert cut.debug_state().cut_through_hops == cut.cut_through_hops
+
+    @pytest.mark.parametrize("max_iterations", [None, 3])
+    def test_cluster_charges_the_hop_to_the_producer(self, max_iterations):
+        """The honest-cost rule: same outputs, the same summed callback
+        cost (virtual time moves only through removed queueing, never
+        through dropped CPU), fewer events."""
+
+        def run(optimize):
+            comp = ClusterComputation(
+                num_processes=1, workers_per_process=1, optimize=optimize
+            )
+            sink = TraceSink()
+            comp.attach_trace_sink(sink)
+            out = run_countdown(comp, max_iterations)
+            spans = [e for e in sink.events if e.kind == "activation"]
+            return out, comp, spans
+
+        expected, oracle, oracle_spans = run(False)
+        out, cut, cut_spans = run([PlumbingCutThroughPass()])
+        assert out == expected
+        assert sum(e.dur for e in cut_spans) == pytest.approx(
+            sum(e.dur for e in oracle_spans), abs=1e-9
+        )
+        assert cut.sim.events_executed < oracle.sim.events_executed
+        assert cut.cut_through_hops > 0
+        # Plumbing stages have no spans of their own: their cost sits in
+        # the producer's span.
+        assert {e.stage for e in oracle_spans if e.stage.startswith("iterate.")}
+        assert not {e.stage for e in cut_spans if e.stage.startswith("iterate.")}
+        assert collect_profile(cut).cut_through_hops == cut.cut_through_hops
+        state = cut.debug_state()
+        assert state.cut_through_hops == cut.cut_through_hops
+        assert "cut_through_hops=%d" % cut.cut_through_hops in state.text
+
+    @pytest.mark.parametrize("tracking", ["flat", "scoped"])
+    def test_no_view_ever_holds_a_marked_connector(self, tracking):
+        from repro.workloads import uniform_random_graph
+
+        comp = ClusterComputation(
+            num_processes=4, workers_per_process=2, progress_tracking=tracking
+        )
+        labels = []
+        inp = wcc(comp, labels)
+        comp.build()
+        marked = {c for c in comp.graph.connectors if c.cut_through}
+        assert len(marked) == 3
+        seen = set()
+        for view in comp.views:
+            view.listeners.append(
+                lambda updates: seen.update(p.location for p, _ in updates)
+            )
+        edges = uniform_random_graph(60, 120, seed=5)
+        inp.on_next(edges)
+        inp.on_completed()
+        comp.run()
+        assert comp.drained(), comp.debug_state()
+        assert seen and not seen & marked
+        assert comp.cut_through_hops > 0
+        assert dict(labels) and min(l for _, l in labels) == min(
+            min(edge) for edge in edges
+        )
+
+
+# ----------------------------------------------------------------------
+# Fail fast on the default plan: a raising user function surfaces as
+# itself from inside a fused chain and from under a cut-through send.
+# ----------------------------------------------------------------------
+
+
+def explode(x):
+    return 1 // (x - 7)  # ZeroDivisionError on 7
+
+
+def make_runtime(kind):
+    if kind == "reference":
+        return Computation()
+    return ClusterComputation(
+        num_processes=2,
+        workers_per_process=1,
+        backend="mp" if kind == "mp" else "inline",
+        pool_workers=2,
+    )
+
+
+RUNTIMES = [
+    "reference",
+    "inline",
+    pytest.param(
+        "mp",
+        marks=pytest.mark.skipif(
+            not fork_available(), reason="mp backend requires the fork start method"
+        ),
+    ),
+]
+
+
+def raised_by(comp, inp):
+    comp.build()
+    inp.on_next([3, 7, 9])
+    inp.on_completed()
+    try:
+        with pytest.raises(ZeroDivisionError) as info:
+            comp.run()
+    finally:
+        if hasattr(comp, "close"):
+            comp.close()
+    # The user function's own frame: in the traceback itself, or (mp) in
+    # the child's stack riding along as the cause.
+    chain = "".join(
+        traceback.format_exception(type(info.value), info.value, info.tb)
+    )
+    assert "in explode" in chain and "1 // (x - 7)" in chain
+    return info.value
+
+
+@pytest.mark.parametrize("kind", RUNTIMES)
+class TestFailFast:
+    def test_inside_a_fused_chain(self, kind):
+        comp = make_runtime(kind)
+        inp = comp.new_input("src")
+        (
+            Stream.from_input(inp)
+            .where(lambda x: x > 0, name="positive")
+            .select(explode, name="invert")
+            .where(lambda x: True, name="all")
+            .subscribe(lambda t, r: None)
+        )
+        error = raised_by(comp, inp)
+        (fused,) = comp.plan.fused_stages()
+        assert fused.name == "fuse(positive+invert+all)"
+        # The message names the constituent, not only the fused stage.
+        assert error.operator == "invert"
+        (note,) = error.__notes__
+        assert "'invert'" in note and "fuse(positive+invert+all)" in note
+
+    def test_under_a_cut_through_send(self, kind):
+        comp = make_runtime(kind)
+        inp = comp.new_input("src")
+        (
+            Stream.from_input(inp)
+            .iterate(lambda body: body.select(explode, name="invert"), max_iterations=2)
+            .subscribe(lambda t, r: None)
+        )
+        raised_by(comp, inp)
+        assert any(
+            c.cut_through and c.src.name == "invert" for c in comp.graph.connectors
+        )
+
+
+# ----------------------------------------------------------------------
 # The golden explain() report.
 # ----------------------------------------------------------------------
 
@@ -315,6 +655,7 @@ GOLDEN_EXPLAIN = """\
   coalesce hint on (lines -> fuse(select+where+select_many))
   coalesce hint on (fuse(select+where+select_many) -> count_by)
   coalesce hint on (count_by -> subscribe)
+== pass plumbing-cut-through: 0 rewrites ==
 == physical plan ==
 4 stages, 3 connectors
   [0] lines (input)
@@ -395,9 +736,10 @@ class TestExplain:
             "exchange-elision",
             "operator-fusion",
             "batch-coalescing",
+            "plumbing-cut-through",
         ]
         rewrites = [e.detail[0] for e in plan_events]
-        assert rewrites == [0, 1, 3]
+        assert rewrites == [0, 1, 3, 0]
 
 
 # ----------------------------------------------------------------------
@@ -413,12 +755,16 @@ class _Recorder:
     def __init__(self):
         self.sent = []
         self.notified = []
+        self.charged = 0
 
     def send(self, vertex, port, records, timestamp):
         self.sent.append((port, list(records), timestamp))
 
     def request_notification(self, vertex, timestamp, capability=True):
         self.notified.append(timestamp)
+
+    def charge(self, records):
+        self.charged += len(records)
 
 
 def t(epoch):
@@ -444,6 +790,9 @@ class TestFusedVertex:
         # one outer notification and emitted nothing yet.
         assert harness.sent == []
         assert harness.notified == [t(0)]
+        # The runtime bills the head's three itself; where was handed
+        # [2, 4, 6] and the tail [4, 6].
+        assert harness.charged == 3 + 2
         fused.on_notify(t(0))
         assert harness.sent == [(0, [10], t(0))]  # 2*2 + 3*2
 
@@ -529,6 +878,7 @@ def test_pass_pipeline_is_idempotent(ops, loop_at, workers):
     comp = Computation(optimize=False)
     build_chain(comp, ops, loop_at)
     first = compile_plan(comp.graph, total_workers=workers)
+    assert len(first.results) == 4  # the whole default pipeline
     signature = plan_signature(comp.graph)
     second = compile_plan(comp.graph, total_workers=workers)
     assert second.rewrite_count == 0, second.explain()
@@ -537,11 +887,11 @@ def test_pass_pipeline_is_idempotent(ops, loop_at, workers):
 
 
 # ----------------------------------------------------------------------
-# Environment switch plumbing.
+# The optimizer is the default; only REPRO_COLUMNAR is still parsed.
 # ----------------------------------------------------------------------
 
 
-class TestEnvSwitch:
+class TestDefaultPlan:
     @pytest.mark.parametrize("value,expected", [
         (None, False),
         ("", False),
@@ -555,19 +905,26 @@ class TestEnvSwitch:
     def test_parse_optimize_env(self, value, expected):
         assert parse_optimize_env(value) is expected
 
-    def test_env_enables_optimizer(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FUSION", "1")
+    @pytest.mark.parametrize("value", [None, "0", "1"])
+    def test_repro_fusion_no_longer_changes_the_plan(self, monkeypatch, value):
+        if value is None:
+            monkeypatch.delenv("REPRO_FUSION", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_FUSION", value)
         comp = Computation()
         wordcount(comp)
         comp.build()
-        assert comp.plan is not None and comp.plan.fused_stages()
-
-    def test_explicit_argument_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FUSION", "1")
-        comp = Computation(optimize=False)
-        wordcount(comp)
-        comp.build()
-        assert comp.plan is None
+        assert [result.name for result in comp.plan.results] == [
+            "exchange-elision",
+            "operator-fusion",
+            "batch-coalescing",
+            "plumbing-cut-through",
+        ]
+        assert comp.plan.fused_stages()
+        oracle = Computation(optimize=False)
+        wordcount(oracle)
+        oracle.build()
+        assert oracle.plan is None
 
 
 # ----------------------------------------------------------------------

@@ -117,9 +117,9 @@ class TestBackendEquivalence:
 class TestChildErrorPropagation:
     def test_failing_udf_surfaces_its_real_traceback(self):
         # A UDF crashing inside a pool child must surface on the
-        # coordinator with the child's own stack — exception type,
-        # message, the UDF's frame and its actual line number — not
-        # just a flattened "something failed in the pool".
+        # coordinator as itself, with the child's own stack — the UDF's
+        # frame and its actual line number — as its cause, not just a
+        # flattened "something failed in the pool".
         from repro.lib import Stream
         from repro.runtime import ClusterComputation
 
@@ -138,9 +138,10 @@ class TestChildErrorPropagation:
         comp.build()
         inp.on_next([7])
         inp.on_completed()
-        with pytest.raises(RuntimeError) as info:
+        with pytest.raises(ValueError, match="boom 7") as info:
             comp.run()
-        message = str(info.value)
+        assert isinstance(info.value.__cause__, RuntimeError)
+        message = str(info.value.__cause__)
         assert "ValueError" in message
         assert "boom 7" in message
         assert "child traceback" in message
