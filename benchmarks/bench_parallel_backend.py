@@ -24,7 +24,6 @@ event count falling.
 import time
 
 from repro.algorithms import weakly_connected_components
-from repro.columnar import INT64
 from repro.lib import Stream
 from repro.parallel import fork_available
 from repro.runtime import ClusterComputation, CostModel
@@ -38,16 +37,14 @@ GRAPH = uniform_random_graph(2000, 4000, seed=2)
 #: The Figure 6 blocked cost model (see bench_fig6d_strong_scaling).
 BLOCKED = CostModel(per_record_cost=2e-5, record_bytes=800)
 
-#: tag -> (optimize, columnar).  Columnar rides the optimizer's
-#: coalescing hints, so it is benchmarked on top of the fused plan.
+#: tag -> optimize: the unrewritten plan against the default one.
 SETTINGS = {
-    "plain": (False, False),
-    "fused": (True, False),
-    "fused+col": (True, True),
+    "plain": False,
+    "fused": True,
 }
 
 
-def run_wcc(backend: str, optimize: bool = False, columnar: bool = False):
+def run_wcc(backend: str, optimize: bool = False):
     comp = ClusterComputation(
         num_processes=COMPUTERS,
         workers_per_process=2,
@@ -56,7 +53,6 @@ def run_wcc(backend: str, optimize: bool = False, columnar: bool = False):
         backend=backend,
         pool_workers=POOL_WORKERS,
         optimize=optimize,
-        columnar=columnar,
     )
     out = []
     inp = comp.new_input()
@@ -85,9 +81,9 @@ def test_parallel_backend_wcc64(benchmark):
 
     def experiment():
         legs = {}
-        for tag, (optimize, columnar) in SETTINGS.items():
-            legs[tag, "inline"] = run_wcc("inline", optimize, columnar)
-            legs[tag, "mp"] = run_wcc("mp", optimize, columnar)
+        for tag, optimize in SETTINGS.items():
+            legs[tag, "inline"] = run_wcc("inline", optimize)
+            legs[tag, "mp"] = run_wcc("mp", optimize)
         return legs
 
     legs = benchmark.pedantic(experiment, rounds=1, iterations=1)
@@ -104,9 +100,6 @@ def test_parallel_backend_wcc64(benchmark):
     plain_events = legs["plain", "inline"][2][1]
     fused_events = legs["fused", "inline"][2][1]
     assert fused_events < plain_events
-    # The columnar plane is a pure encoding: bit-identical virtual time
-    # and event count against the fused record path.
-    assert legs["fused+col", "inline"][2] == legs["fused", "inline"][2]
 
     rows = []
     for tag in SETTINGS:
@@ -175,7 +168,7 @@ def _burn(x):
     return x + (acc & 1)
 
 
-def run_udf_chain(backend: str, optimize: bool = False, columnar: bool = False):
+def run_udf_chain(backend: str, optimize: bool = False):
     # One pool child: the coordinator blocks on its replies, so the
     # child's wall clock is an uncontended measure of callback CPU even
     # on a single hardware core (4 children time-slicing against each
@@ -187,13 +180,12 @@ def run_udf_chain(backend: str, optimize: bool = False, columnar: bool = False):
         backend=backend,
         pool_workers=1,
         optimize=optimize,
-        columnar=columnar,
     )
     out = []
     inp = comp.new_input()
     stream = Stream.from_input(inp)
     for _ in range(4):
-        stream = stream.select(_burn, schema=INT64)
+        stream = stream.select(_burn)
     stream.subscribe(lambda t, recs: out.extend(recs))
     comp.build()
     for epoch in range(UDF_EPOCHS):
@@ -220,16 +212,16 @@ def test_fusion_raises_f_on_udf_chain(benchmark):
     def experiment():
         legs = {}
         walls = {tag: [] for tag in SETTINGS}
-        for tag, (optimize, columnar) in SETTINGS.items():
-            legs[tag, "inline"] = run_udf_chain("inline", optimize, columnar)
+        for tag, optimize in SETTINGS.items():
+            legs[tag, "inline"] = run_udf_chain("inline", optimize)
             walls[tag].append(legs[tag, "inline"][1])
-            legs[tag, "mp"] = run_udf_chain("mp", optimize, columnar)
+            legs[tag, "mp"] = run_udf_chain("mp", optimize)
         # The f comparison divides stable child CPU by a noisy inline
         # wall clock; repeat the inline legs, interleaved so machine
         # drift hits both settings alike, and keep the minima.
         for _ in range(2):
-            for tag, (optimize, columnar) in SETTINGS.items():
-                walls[tag].append(run_udf_chain("inline", optimize, columnar)[1])
+            for tag, optimize in SETTINGS.items():
+                walls[tag].append(run_udf_chain("inline", optimize)[1])
         return legs, walls
 
     legs, walls = benchmark.pedantic(experiment, rounds=1, iterations=1)
@@ -237,8 +229,6 @@ def test_fusion_raises_f_on_udf_chain(benchmark):
     for tag in SETTINGS:
         assert legs[tag, "inline"][2] == legs[tag, "mp"][2], tag
     assert legs["plain", "inline"][2][2] == legs["fused", "inline"][2][2]
-    # Columnar batches are a pure encoding of the same execution.
-    assert legs["fused+col", "inline"][2] == legs["fused", "inline"][2]
 
     # Both settings execute the identical callback-body work — the same
     # 4 * epochs * records calls of _burn — so calibrate that CPU once
@@ -302,17 +292,15 @@ def test_fusion_raises_f_on_udf_chain(benchmark):
 
 # ----------------------------------------------------------------------
 # CI regression guard (mirrors the progress-traffic budget): the
-# offloadable fraction of the fused+columnar UDF chain must stay above
-# the recorded floor.  Kept separate from the full experiments so the
-# guard leg runs in a couple of minutes (``-k budget``).
+# offloadable fraction of the fused UDF chain must stay above the
+# recorded floor.  Kept separate from the full experiments so the guard
+# leg runs in a couple of minutes (``-k budget``).
 # ----------------------------------------------------------------------
 
-#: Floor for f on the fused+columnar UDF chain.  ISSUE 8 acceptance:
-#: the seed's recorded fused f was 0.76; the columnar plane plus the
-#: location-gated progress tracker must keep the chain past it
-#: (recorded after the change: best-pair f ~0.79-0.83, serial residue
-#: ~0.6 s on a chain whose body CPU is ~2.2 s; the same box measured
-#: ~0.70 before the tracker work).
+#: Floor for f on the fused UDF chain: recorded fused f is 0.80-0.87
+#: (serial residue ~0.4-0.6 s on a chain whose body CPU is ~2.2-2.5 s),
+#: so serial DES or progress-tracking cost creeping back into the hot
+#: path trips it.
 F_BUDGET = 0.76
 
 
@@ -330,21 +318,20 @@ def _calibrated_body_cpu():
 
 
 def test_udf_chain_f_budget():
-    """CI regression guard: fused+columnar f stays above F_BUDGET."""
+    """CI regression guard: fused f stays above F_BUDGET."""
     # The box's CPU rate drifts over tens of seconds, so a calibration
     # taken far from its run understates or overstates the body by more
     # than the margin under test.  Pair each run with calibrations taken
     # immediately around it and take the *best pair*: a noisy box always
     # yields at least one clean pair, while a real serial-cost
     # regression depresses every pair (the residue is paid on each run).
-    fractions, runs = [], []
+    fractions = []
     for _ in range(4):
         before = _calibrated_body_cpu()
-        run = run_udf_chain("inline", optimize=True, columnar=True)
+        run = run_udf_chain("inline", optimize=True)
         after = _calibrated_body_cpu()
-        runs.append(run)
         fractions.append((before + after) / 2.0 / run[1])
     fraction = max(fractions)
     assert fraction > F_BUDGET, (fractions,)
-    # And the encoding is on: the fused chain's exchange carries a schema.
-    assert runs[0][0].columnar_connectors > 0
+    # And the chain really is fused: one stage carries the four selects.
+    assert len(run[0].plan.fused_stages()) == 1

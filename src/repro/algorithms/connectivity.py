@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..columnar import INT64_PAIR, PairSink
 from ..core.timestamp import Timestamp
 from ..core.vertex import Vertex
 from ..lib.stream import Stream, hash_partitioner
@@ -82,51 +81,6 @@ class MinLabelVertex(Vertex):
         if improvements:
             self.send_by(1, improvements, timestamp)
 
-    def on_recv_batch(self, input_port: int, batch: Any, timestamp: Timestamp) -> None:
-        """Columnar kernel: same propagation, straight off the columns.
-
-        Mirrors :meth:`on_recv` decision-for-decision (state mutation
-        order, emission order), reading node/label pairs from the
-        batch's int64 columns and emitting proposals/improvements
-        through :class:`~repro.columnar.PairSink` — so the loop body
-        allocates arrays, not per-record tuples.
-        """
-        if batch.schema != INT64_PAIR:
-            return Vertex.on_recv_batch(self, input_port, batch, timestamp)
-        adjacency, labels = self._epoch_state(timestamp)
-        proposals = PairSink()
-        improvements = PairSink()
-        left, right = batch.columns
-        if input_port == 0:
-            for node, neighbour in zip(left, right):
-                edges = adjacency.get(node)
-                if edges is None:
-                    edges = adjacency[node] = []
-                    labels[node] = node
-                    improvements.emit(node, node)
-                edges.append(neighbour)
-                label = labels[node]
-                if label < neighbour:
-                    proposals.emit(neighbour, label)
-        else:
-            for node, label in zip(left, right):
-                current = labels.get(node)
-                if current is None:
-                    labels[node] = label
-                    adjacency[node] = []
-                    improvements.emit(node, label)
-                elif label < current:
-                    labels[node] = label
-                    improvements.emit(node, label)
-                    for other in adjacency[node]:
-                        proposals.emit(other, label)
-        out = proposals.payload()
-        if out is not None:
-            self.send_by(0, out, timestamp)
-        out = improvements.payload()
-        if out is not None:
-            self.send_by(1, out, timestamp)
-
 
 def weakly_connected_components(
     edges: Stream,
@@ -140,7 +94,6 @@ def weakly_connected_components(
     arcs = edges.select_many(
         lambda edge: [(edge[0], edge[1]), (edge[1], edge[0])],
         name="%s.arcs" % name,
-        schema=INT64_PAIR,
     )
     labels = label_propagation(arcs, max_iterations=max_iterations, name=name)
     return labels.aggregate_by(
@@ -148,9 +101,6 @@ def weakly_connected_components(
         lambda rec: rec[1],
         min,
         name="%s.final" % name,
-        key_col=0,
-        value_col=1,
-        schema=INT64_PAIR,
     )
 
 
@@ -174,15 +124,13 @@ def label_propagation(
         # settles on — declare it batchable so the optimizer's
         # coalescing pass can collapse the proposal fan-in, the
         # dominant source of DES events in the loop.
-        stage.opspec = OpSpec(
-            "minlabel", fusable=False, batchable=True, schema=INT64_PAIR
-        )
+        stage.opspec = OpSpec("minlabel", fusable=False, batchable=True)
         scope.enter(arcs).connect_to(
-            stage, 0, partitioner=hash_partitioner(lambda arc: arc[0], key_col=0)
+            stage, 0, partitioner=hash_partitioner(lambda arc: arc[0])
         )
         scope.feed(Stream(computation, stage, 0))
         scope.feedback.connect_to(
-            stage, 1, partitioner=hash_partitioner(lambda rec: rec[0], key_col=0)
+            stage, 1, partitioner=hash_partitioner(lambda rec: rec[0])
         )
         out = scope.leave_with(Stream(computation, stage, 1))
     return out

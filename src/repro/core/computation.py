@@ -20,7 +20,6 @@ from collections import deque
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..columnar import ColumnarBatch
 from ..obs.trace import TraceEvent, TraceSink, timestamp_tuple
 from .graph import Connector, DataflowGraph, LoopContext, Stage, StageKind
 from .progress import Pointstamp, ProgressState
@@ -77,6 +76,11 @@ class Computation(TimelyRuntime):
     ``n`` nested re-entrant deliveries to itself — useful inside loops
     to coalesce messages instead of flooding the queues.  Recursion is
     bounded by ``max_eager_depth``; deeper sends fall back to queueing.
+
+    ``build()`` compiles the graph through :mod:`repro.opt`'s default
+    passes.  ``optimize=False`` (the unrewritten graph) and a custom
+    pass list are oracle-only: the equivalence tests compare the default
+    plan against them, and programs and benchmarks leave them alone.
     """
 
     #: Parallelism visible to vertices (the reference runtime has one worker).
@@ -472,10 +476,7 @@ class Computation(TimelyRuntime):
         self._frame.append((vertex, timestamp, True))
         self._executing[vertex] = self._executing.get(vertex, 0) + 1
         try:
-            if type(records) is ColumnarBatch:
-                vertex.on_recv_batch(connector.dst_port, records, timestamp)
-            else:
-                vertex.on_recv(connector.dst_port, records, timestamp)
+            vertex.on_recv(connector.dst_port, records, timestamp)
         finally:
             self._frame.pop()
             remaining = self._executing[vertex] - 1

@@ -173,7 +173,6 @@ class Connector:
         "partitioner",
         "coalesce",
         "cut_through",
-        "columnar",
     )
 
     def __init__(
@@ -203,12 +202,6 @@ class Connector:
         #: send is forwarded inside the producing callback instead of
         #: being queued for the hop (see ``_Worker._cut_through``).
         self.cut_through = False
-        #: Set by ``repro.opt.passes.mark_columnar`` when the columnar
-        #: data plane is enabled: the :class:`repro.columnar.Schema`
-        #: records on this connector conform to, so senders may encode
-        #: them as :class:`~repro.columnar.ColumnarBatch` payloads.
-        #: ``None`` keeps the record-list path.
-        self.columnar = None
 
     @property
     def depth(self) -> int:

@@ -82,20 +82,6 @@ class Vertex:
     def on_notify(self, timestamp: Timestamp) -> None:
         """Called once all messages at times <= ``timestamp`` are delivered."""
 
-    def on_recv_batch(self, input_port: int, batch: Any, timestamp: Timestamp) -> None:
-        """Columnar fast path: a :class:`repro.columnar.ColumnarBatch`
-        arrived (only ever under the opt-in columnar data plane).
-
-        The default implementation is the automatic record-list shim —
-        it materializes the batch and calls :meth:`on_recv`, so every
-        existing vertex works unchanged.  Hot operators override this to
-        run directly on the batch's column arrays, skipping per-record
-        tuple construction; an override must be observably identical to
-        the shim (same outputs, same order, same state) because the
-        runtime chooses between batch and record delivery freely.
-        """
-        self.on_recv(input_port, batch.to_records(), timestamp)
-
     # ------------------------------------------------------------------
     # System methods (provided).
     # ------------------------------------------------------------------
@@ -217,8 +203,3 @@ class ForwardingVertex(Vertex):
     def on_recv(self, input_port: int, records: List[Any], timestamp: Timestamp) -> None:
         if not self.drops(timestamp):
             self.send_by(0, records, timestamp)
-
-    def on_recv_batch(self, input_port: int, batch: Any, timestamp: Timestamp) -> None:
-        # Forwarding never inspects records, so a columnar batch passes
-        # through whole — no materialization at scope boundaries.
-        self.on_recv(input_port, batch, timestamp)

@@ -17,7 +17,7 @@ composable with incremental and iterative computation.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Tuple
 
 from ..core.timestamp import Timestamp
 from ..core.vertex import Vertex
@@ -81,10 +81,6 @@ class ConcatVertex(Vertex):
 
     def on_recv(self, input_port: int, records: List[Any], timestamp: Timestamp) -> None:
         self.send_by(0, records, timestamp)
-
-    def on_recv_batch(self, input_port: int, batch: Any, timestamp: Timestamp) -> None:
-        # Concat never inspects records: forward the batch whole.
-        self.send_by(0, batch, timestamp)
 
 
 class DistinctVertex(Vertex):
@@ -199,44 +195,24 @@ class GroupByVertex(UnaryBufferingVertex):
 
 
 class CountByVertex(Vertex):
-    """Emit ``(key, count)`` per timestamp; counts fold incrementally.
+    """Emit ``(key, count)`` per timestamp; counts fold incrementally."""
 
-    ``key_col`` (optional) asserts ``key(record) == record[key_col]``;
-    when set, columnar batches are counted straight off the key column
-    without materializing record tuples.  The kernel must match the
-    record path exactly — same keys, same dict insertion order — which
-    it does because column values round-trip bit-exactly.
-    """
+    _CONFIG_ATTRS = ("key",)
 
-    _CONFIG_ATTRS = ("key", "key_col")
-
-    def __init__(self, key: Callable[[Any], Any], key_col: Optional[int] = None):
+    def __init__(self, key: Callable[[Any], Any]):
         super().__init__()
         self.key = key
-        self.key_col = key_col
         self.counts: Dict[Timestamp, Dict[Any, int]] = {}
 
-    def _counts_at(self, timestamp: Timestamp) -> Dict[Any, int]:
+    def on_recv(self, input_port: int, records: List[Any], timestamp: Timestamp) -> None:
         counts = self.counts.get(timestamp)
         if counts is None:
             counts = self.counts[timestamp] = {}
             self.notify_at(timestamp)
-        return counts
-
-    def on_recv(self, input_port: int, records: List[Any], timestamp: Timestamp) -> None:
-        counts = self._counts_at(timestamp)
         key = self.key
         for record in records:
             k = key(record)
             counts[k] = counts.get(k, 0) + 1
-
-    def on_recv_batch(self, input_port: int, batch: Any, timestamp: Timestamp) -> None:
-        if self.key_col is None or batch.schema.scalar:
-            return Vertex.on_recv_batch(self, input_port, batch, timestamp)
-        counts = self._counts_at(timestamp)
-        get = counts.get
-        for k in batch.columns[self.key_col]:
-            counts[k] = get(k, 0) + 1
 
     def on_notify(self, timestamp: Timestamp) -> None:
         counts = self.counts.pop(timestamp, {})
@@ -251,55 +227,33 @@ class AggregateByVertex(Vertex):
     memory is one accumulator per key rather than the whole group.
     """
 
-    _CONFIG_ATTRS = ("key", "value", "combine", "key_col", "value_col")
+    _CONFIG_ATTRS = ("key", "value", "combine")
 
     def __init__(
         self,
         key: Callable[[Any], Any],
         value: Callable[[Any], Any],
         combine: Callable[[Any, Any], Any],
-        key_col: Optional[int] = None,
-        value_col: Optional[int] = None,
     ):
         super().__init__()
         self.key = key
         self.value = value
         self.combine = combine
-        # Column assertions (key(r) == r[key_col], value(r) == r[value_col])
-        # enabling the columnar kernel; None means record path only.
-        self.key_col = key_col
-        self.value_col = value_col
         self.state: Dict[Timestamp, Dict[Any, Any]] = {}
 
     _MISSING = object()
 
-    def _state_at(self, timestamp: Timestamp) -> Dict[Any, Any]:
+    def on_recv(self, input_port: int, records: List[Any], timestamp: Timestamp) -> None:
         state = self.state.get(timestamp)
         if state is None:
             state = self.state[timestamp] = {}
             self.notify_at(timestamp)
-        return state
-
-    def on_recv(self, input_port: int, records: List[Any], timestamp: Timestamp) -> None:
-        state = self._state_at(timestamp)
         key, value, combine = self.key, self.value, self.combine
         for record in records:
             k = key(record)
             v = value(record)
             acc = state.get(k, self._MISSING)
             state[k] = v if acc is self._MISSING else combine(acc, v)
-
-    def on_recv_batch(self, input_port: int, batch: Any, timestamp: Timestamp) -> None:
-        if self.key_col is None or self.value_col is None or batch.schema.scalar:
-            return Vertex.on_recv_batch(self, input_port, batch, timestamp)
-        state = self._state_at(timestamp)
-        combine = self.combine
-        get = state.get
-        missing = self._MISSING
-        columns = batch.columns
-        for k, v in zip(columns[self.key_col], columns[self.value_col]):
-            acc = get(k, missing)
-            state[k] = v if acc is missing else combine(acc, v)
 
     def on_notify(self, timestamp: Timestamp) -> None:
         state = self.state.pop(timestamp, {})
@@ -314,49 +268,31 @@ class JoinVertex(Vertex):
     shapes the output.  The notification reclaims per-timestamp state.
     """
 
-    _CONFIG_ATTRS = ("left_key", "right_key", "result", "left_key_col", "right_key_col")
+    _CONFIG_ATTRS = ("left_key", "right_key", "result")
 
     def __init__(
         self,
         left_key: Callable[[Any], Any],
         right_key: Callable[[Any], Any],
         result: Callable[[Any, Any], Any],
-        left_key_col: Optional[int] = None,
-        right_key_col: Optional[int] = None,
     ):
         super().__init__()
         self.left_key = left_key
         self.right_key = right_key
         self.result = result
-        self.left_key_col = left_key_col
-        self.right_key_col = right_key_col
         self.state: Dict[Timestamp, Tuple[Dict[Any, List[Any]], Dict[Any, List[Any]]]] = {}
 
-    def _state_at(self, timestamp: Timestamp):
+    def on_recv(self, input_port: int, records: List[Any], timestamp: Timestamp) -> None:
         state = self.state.get(timestamp)
         if state is None:
             state = self.state[timestamp] = ({}, {})
             self.notify_at(timestamp)
-        return state
-
-    def on_recv(self, input_port: int, records: List[Any], timestamp: Timestamp) -> None:
         key = self.left_key if input_port == 0 else self.right_key
-        self._probe(input_port, [key(r) for r in records], records, timestamp)
-
-    def on_recv_batch(self, input_port: int, batch: Any, timestamp: Timestamp) -> None:
-        col = self.left_key_col if input_port == 0 else self.right_key_col
-        if col is None or batch.schema.scalar:
-            return Vertex.on_recv_batch(self, input_port, batch, timestamp)
-        # Keys come straight off the column; matched records still need
-        # tuples (the result shaper and the hash table hold them).
-        self._probe(input_port, batch.columns[col], batch.to_records(), timestamp)
-
-    def _probe(self, input_port, keys, records, timestamp: Timestamp) -> None:
-        state = self._state_at(timestamp)
         mine, theirs = state[input_port], state[1 - input_port]
         result = self.result
         out: List[Any] = []
-        for k, record in zip(keys, records):
+        for record in records:
+            k = key(record)
             mine.setdefault(k, []).append(record)
             for other in theirs.get(k, ()):
                 if input_port == 0:

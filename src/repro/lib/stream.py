@@ -36,18 +36,14 @@ from ..opt.plan import HashPartitioner, OpSpec
 from . import operators as ops
 
 
-def hash_partitioner(
-    key: Callable[[Any], Any], key_col: Optional[int] = None
-) -> HashPartitioner:
+def hash_partitioner(key: Callable[[Any], Any]) -> HashPartitioner:
     """Route records with equal ``key`` to the same downstream vertex.
 
     Returns a :class:`repro.opt.plan.HashPartitioner`, whose structural
     equality (same key selector) lets the optimizer's exchange-elision
-    pass prove when two exchanges route identically.  ``key_col``
-    optionally asserts ``key(record) == record[key_col]`` so the
-    columnar data plane can partition batches by column.
+    pass prove when two exchanges route identically.
     """
-    return HashPartitioner(key, key_col)
+    return HashPartitioner(key)
 
 
 def _identity(record: Any) -> Any:
@@ -83,14 +79,13 @@ _OPSPECS = {
 }
 
 
-def _opspec(kind: str, schema: Optional[Any] = None) -> OpSpec:
+def _opspec(kind: str) -> OpSpec:
     kind, fusable, batchable, preserving = _OPSPECS[kind]
     return OpSpec(
         kind,
         fusable=fusable,
         batchable=batchable,
         preserves_partitioning=preserving,
-        schema=schema,
     )
 
 
@@ -165,36 +160,21 @@ class Stream:
     # Stateless operators (no coordination).
     # ------------------------------------------------------------------
 
-    def select(
-        self,
-        function: Callable[[Any], Any],
-        name: str = "select",
-        schema: Optional[Any] = None,
-    ) -> "Stream":
+    def select(self, function: Callable[[Any], Any], name: str = "select") -> "Stream":
         return self._unary(
-            name, lambda: ops.SelectVertex(function), opspec=_opspec("select", schema)
+            name, lambda: ops.SelectVertex(function), opspec=_opspec("select")
         )
 
-    def where(
-        self,
-        predicate: Callable[[Any], bool],
-        name: str = "where",
-        schema: Optional[Any] = None,
-    ) -> "Stream":
+    def where(self, predicate: Callable[[Any], bool], name: str = "where") -> "Stream":
         return self._unary(
-            name, lambda: ops.WhereVertex(predicate), opspec=_opspec("where", schema)
+            name, lambda: ops.WhereVertex(predicate), opspec=_opspec("where")
         )
 
     def select_many(
-        self,
-        function: Callable[[Any], Iterable[Any]],
-        name: str = "select_many",
-        schema: Optional[Any] = None,
+        self, function: Callable[[Any], Iterable[Any]], name: str = "select_many"
     ) -> "Stream":
         return self._unary(
-            name,
-            lambda: ops.SelectManyVertex(function),
-            opspec=_opspec("select_many", schema),
+            name, lambda: ops.SelectManyVertex(function), opspec=_opspec("select_many")
         )
 
     def concat(self, other: "Stream", name: str = "concat") -> "Stream":
@@ -237,18 +217,12 @@ class Stream:
             opspec=_opspec("group_by"),
         )
 
-    def count_by(
-        self,
-        key: Callable[[Any], Any],
-        name: str = "count_by",
-        key_col: Optional[int] = None,
-        schema: Optional[Any] = None,
-    ) -> "Stream":
+    def count_by(self, key: Callable[[Any], Any], name: str = "count_by") -> "Stream":
         return self._unary(
             name,
-            lambda: ops.CountByVertex(key, key_col=key_col),
-            partitioner=hash_partitioner(key, key_col),
-            opspec=_opspec("count_by", schema),
+            lambda: ops.CountByVertex(key),
+            partitioner=hash_partitioner(key),
+            opspec=_opspec("count_by"),
         )
 
     def aggregate_by(
@@ -257,17 +231,12 @@ class Stream:
         value: Callable[[Any], Any],
         combine: Callable[[Any, Any], Any],
         name: str = "aggregate_by",
-        key_col: Optional[int] = None,
-        value_col: Optional[int] = None,
-        schema: Optional[Any] = None,
     ) -> "Stream":
         return self._unary(
             name,
-            lambda: ops.AggregateByVertex(
-                key, value, combine, key_col=key_col, value_col=value_col
-            ),
-            partitioner=hash_partitioner(key, key_col),
-            opspec=_opspec("aggregate_by", schema),
+            lambda: ops.AggregateByVertex(key, value, combine),
+            partitioner=hash_partitioner(key),
+            opspec=_opspec("aggregate_by"),
         )
 
     def count(self, name: str = "count") -> "Stream":
@@ -286,27 +255,18 @@ class Stream:
         right_key: Callable[[Any], Any],
         result: Callable[[Any, Any], Any],
         name: str = "join",
-        left_key_col: Optional[int] = None,
-        right_key_col: Optional[int] = None,
-        schema: Optional[Any] = None,
     ) -> "Stream":
         if other.context is not self.context:
             raise ValueError("join requires streams in the same loop context")
         stage = self._add_stage(
             name,
-            lambda: ops.JoinVertex(
-                left_key,
-                right_key,
-                result,
-                left_key_col=left_key_col,
-                right_key_col=right_key_col,
-            ),
+            lambda: ops.JoinVertex(left_key, right_key, result),
             2,
             1,
-            opspec=_opspec("join", schema),
+            opspec=_opspec("join"),
         )
-        self.connect_to(stage, 0, hash_partitioner(left_key, left_key_col))
-        other.connect_to(stage, 1, hash_partitioner(right_key, right_key_col))
+        self.connect_to(stage, 0, hash_partitioner(left_key))
+        other.connect_to(stage, 1, hash_partitioner(right_key))
         return Stream(self.computation, stage, 0)
 
     def buffered(
@@ -314,14 +274,13 @@ class Stream:
         transform: Callable[[List[Any]], Iterable[Any]],
         partitioner: Optional[Callable[[Any], int]] = None,
         name: str = "buffered",
-        schema: Optional[Any] = None,
     ) -> "Stream":
         """Generic coordinated unary operator (section 4.2)."""
         return self._unary(
             name,
             lambda: ops.UnaryBufferingVertex(transform),
             partitioner=partitioner,
-            opspec=_opspec("buffered", schema),
+            opspec=_opspec("buffered"),
         )
 
     def binary_buffered(

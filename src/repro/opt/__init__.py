@@ -26,7 +26,6 @@ from .passes import (
     PlumbingCutThroughPass,
     compile_plan,
     default_passes,
-    parse_optimize_env,
 )
 
 __all__ = [
@@ -41,7 +40,6 @@ __all__ = [
     "PlumbingCutThroughPass",
     "compile_plan",
     "default_passes",
-    "parse_optimize_env",
     "partitioners_agree",
     "plan_signature",
 ]

@@ -30,7 +30,6 @@ from __future__ import annotations
 import copy
 from typing import Any, Dict, List, Set, Tuple
 
-from ..columnar import ColumnarBatch
 from ..core.timestamp import Timestamp
 from ..core.vertex import Vertex
 
@@ -59,9 +58,9 @@ class _ChainHarness:
     def total_workers(self) -> int:
         return self.fused._harness.total_workers
 
-    def deliver(self, position: int, records: Any, timestamp: Timestamp) -> None:
-        """Dispatch a payload to a constituent, columnar fast path
-        included; a failure names the constituent before it propagates."""
+    def deliver(self, position: int, records: List[Any], timestamp: Timestamp) -> None:
+        """Dispatch a batch to a constituent; a failure names the
+        constituent before it propagates."""
         fused = self.fused
         target = fused.parts[position]
         if position:
@@ -70,10 +69,7 @@ class _ChainHarness:
             # later constituent for the records it is actually handed.
             fused._harness.charge(records)
         try:
-            if type(records) is ColumnarBatch:
-                target.on_recv_batch(0, records, timestamp)
-            else:
-                target.on_recv(0, records, timestamp)
+            target.on_recv(0, records, timestamp)
         except Exception as exc:
             fused._blame(exc, position)
             raise
@@ -131,13 +127,8 @@ class FusedVertex(Vertex):
     # Callbacks.
     # ------------------------------------------------------------------
 
-    def on_recv(self, input_port: int, records: Any, timestamp: Timestamp) -> None:
-        # A columnar batch reaches the head's own on_recv_batch: it
-        # decides whether it has a column kernel; its default shim
-        # materializes, so semantics are unchanged.
+    def on_recv(self, input_port: int, records: List[Any], timestamp: Timestamp) -> None:
         self._chain.deliver(0, records, timestamp)
-
-    on_recv_batch = on_recv
 
     def on_notify(self, timestamp: Timestamp) -> None:
         positions = self._pending.pop(timestamp, None)

@@ -251,10 +251,6 @@ class FusionPass:
             batchable=all(spec.batchable for spec in specs),
             preserves_partitioning=all(spec.preserves_partitioning for spec in specs),
             constituents=names,
-            # The chain consumes what its head consumed; deliveries
-            # enter through parts[0], so the head's schema is the one
-            # the columnar plane may encode against.
-            schema=specs[0].schema,
         )
         incoming = head.inputs[0]
         if incoming is not None:
@@ -376,49 +372,3 @@ def compile_plan(
             )
     return PhysicalPlan(graph, before, plan_signature(graph), results)
 
-
-def parse_optimize_env(value: Optional[str]) -> bool:
-    """Interpret the ``REPRO_COLUMNAR`` variable."""
-    if value is None:
-        return False
-    return value.strip().lower() in ("1", "true", "yes", "on")
-
-
-def mark_columnar(graph: DataflowGraph) -> int:
-    """Annotate connectors with the columnar schema of their eventual
-    destination; returns the number of connectors marked.
-
-    A connector qualifies when every NORMAL stage reachable from it
-    through system forwarding stages (ingress/egress/feedback, which
-    pass batches through whole) declares the same ``OpSpec.schema``.
-    Senders on a marked connector encode conforming record batches as
-    :class:`~repro.columnar.ColumnarBatch` payloads; everything else is
-    untouched, so marking is a pure opt-in performed by the cluster
-    runtime at build time (after the pass pipeline, before freeze) and
-    never appears in pass-pipeline golden reports.
-    """
-    forwarding = (StageKind.INGRESS, StageKind.EGRESS, StageKind.FEEDBACK)
-
-    def eventual_schema(connector, seen):
-        dst = connector.dst
-        if dst.kind is StageKind.NORMAL:
-            return None if dst.opspec is None else dst.opspec.schema
-        if dst.kind in forwarding:
-            if dst in seen:
-                return None
-            seen = seen | {dst}
-            schemas = set()
-            for outputs in dst.outputs:
-                for downstream in outputs:
-                    schemas.add(eventual_schema(downstream, seen))
-            if len(schemas) == 1:
-                return schemas.pop()
-        return None
-
-    marked = 0
-    for connector in graph.connectors:
-        schema = eventual_schema(connector, frozenset())
-        if schema is not None:
-            connector.columnar = schema
-            marked += 1
-    return marked

@@ -47,13 +47,6 @@ class OpSpec:
     ``constituents``
         for ``kind == "fused"``: the names of the operators the chain
         absorbed, in pipeline order.
-    ``schema``
-        optional :class:`repro.columnar.Schema` declaring the record
-        layout this operator consumes (and, for the symmetric library
-        operators, produces).  Consumed by ``mark_columnar`` when the
-        columnar data plane is enabled; ``None`` means record lists
-        only.  Annotating a schema is a claim about record *shape*, not
-        semantics — non-conforming records still take the list path.
     """
 
     __slots__ = (
@@ -62,7 +55,6 @@ class OpSpec:
         "batchable",
         "preserves_partitioning",
         "constituents",
-        "schema",
     )
 
     def __init__(
@@ -72,14 +64,12 @@ class OpSpec:
         batchable: bool = False,
         preserves_partitioning: bool = False,
         constituents: Tuple[str, ...] = (),
-        schema: Optional[Any] = None,
     ):
         self.kind = kind
         self.fusable = fusable
         self.batchable = batchable
         self.preserves_partitioning = preserves_partitioning
         self.constituents = constituents
-        self.schema = schema
 
     def __repr__(self) -> str:
         flags = [
@@ -104,20 +94,12 @@ class HashPartitioner:
     object* — the conservative identity test under which exchange
     elision is provably safe (equal callables route every record to the
     same worker).
-
-    ``key_col`` optionally names the record field (column index) the
-    selector extracts, i.e. asserts ``key(record) == record[key_col]``.
-    The columnar data plane uses it to hash-partition a
-    :class:`~repro.columnar.ColumnarBatch` by its key column without
-    materializing records; it never affects routing semantics or
-    equality.
     """
 
-    __slots__ = ("key", "key_col")
+    __slots__ = ("key",)
 
-    def __init__(self, key: Callable[[Any], Any], key_col: Optional[int] = None):
+    def __init__(self, key: Callable[[Any], Any]):
         self.key = key
-        self.key_col = key_col
 
     def __call__(self, record: Any) -> int:
         return hash(self.key(record))
@@ -219,9 +201,6 @@ def plan_signature(graph: DataflowGraph) -> Tuple:
             connector.partitioner is not None,
             connector.coalesce,
             connector.cut_through,
-            # Only ever set post-compile by mark_columnar (the columnar
-            # opt-in), so pass-pipeline golden reports never change.
-            connector.columnar is not None,
         )
         for connector in graph.connectors
     )
@@ -229,7 +208,7 @@ def plan_signature(graph: DataflowGraph) -> Tuple:
 
 
 #: Names of the trailing flags of a :func:`plan_signature` connector row.
-_CONNECTOR_MARKS = ("exchange", "coalesce", "cut-through", "columnar")
+_CONNECTOR_MARKS = ("exchange", "coalesce", "cut-through")
 
 
 def _describe(signature: Tuple) -> List[str]:

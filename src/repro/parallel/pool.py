@@ -58,10 +58,9 @@ from collections import deque
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..columnar import ColumnarBatch, route
 from ..core.computation import TimestampViolation
 from ..core.graph import StageKind
-from .shm_ring import EffectRing, RingRef, shared_memory_available
+from ..runtime.synthetic import batch_bytes, record_count, route
 
 #: Pool size when neither the constructor nor REPRO_POOL_WORKERS says.
 DEFAULT_POOL_WORKERS = 4
@@ -110,10 +109,7 @@ class _ChildHarness:
         self._frame_capability = kind != "cleanup"
         try:
             if kind == "recv":
-                if type(records) is ColumnarBatch:
-                    vertex.on_recv_batch(port, records, timestamp)
-                else:
-                    vertex.on_recv(port, records, timestamp)
+                vertex.on_recv(port, records, timestamp)
             else:
                 vertex.on_notify(timestamp)
         finally:
@@ -125,8 +121,6 @@ class _ChildHarness:
     # -- the Vertex.send_by / Vertex.notify_at surface ------------------
 
     def send(self, vertex, output_port: int, records, timestamp) -> None:
-        from ..runtime.synthetic import batch_bytes
-
         stage = vertex.stage
         if not self._frame_capability:
             raise TimestampViolation(
@@ -143,9 +137,8 @@ class _ChildHarness:
         record_bytes = self.record_bytes
         plan = []
         for conn_pos, connector in enumerate(stage.outputs[output_port]):
-            # The shared routing implementation (repro.columnar.route):
-            # identical bucketing to the inline _Worker.send, plus the
-            # columnar encode/partition fast paths on marked connectors.
+            # The shared routing implementation: identical bucketing to
+            # the inline _Worker.send.
             shares = route(connector, records, total, vertex.worker)
             plan.append(
                 (
@@ -159,8 +152,6 @@ class _ChildHarness:
         self._effects.append(("send", output_port, out_time, plan))
 
     def charge(self, records) -> None:
-        from ..runtime.synthetic import record_count
-
         self._effects.append(("charge", record_count(records)))
 
     def request_notification(self, vertex, timestamp, capability: bool = True) -> None:
@@ -177,23 +168,7 @@ class _ChildHarness:
         self._effects.append(("notify", timestamp, capability))
 
 
-def _park_effects(ring: EffectRing, effects: List[Tuple]) -> None:
-    """Move columnar batch payloads out of ``effects`` into the shared
-    arena (in place), leaving :class:`RingRef` stand-ins for the
-    coordinator to hydrate.  Batches the arena cannot hold keep riding
-    the pickle path."""
-    for effect in effects:
-        if effect[0] != "send":
-            continue
-        for _conn_pos, shares in effect[3]:
-            for i, (dest, batch, nbytes) in enumerate(shares):
-                if type(batch) is ColumnarBatch:
-                    ref = ring.put(batch)
-                    if ref is not None:
-                        shares[i] = (dest, ref, nbytes)
-
-
-def _child_main(cluster, rank: int, size: int, offload, conn, ring) -> None:
+def _child_main(cluster, rank: int, size: int, offload, conn) -> None:
     """Pool child event loop: execute callbacks, answer state requests.
 
     Runs in a forked copy of the coordinator process, so ``cluster`` is
@@ -216,16 +191,8 @@ def _child_main(cluster, rank: int, size: int, offload, conn, ring) -> None:
             _, task_id, stage_index, worker_index, kind, port, records, timestamp = msg
             vertex = vertices[(by_index[stage_index], worker_index)]
             started = perf_counter()
-            if ring is not None:
-                # Safe to reclaim the whole arena here: one outstanding
-                # task per child, and the coordinator hydrates every
-                # RingRef at receive time — before pumping the next
-                # task — so nothing points into the arena any more.
-                ring.reset()
             try:
                 effects = harness.invoke(vertex, kind, port, records, timestamp)
-                if ring is not None:
-                    _park_effects(ring, effects)
                 reply = (task_id, "ok", effects, perf_counter() - started)
             except BaseException as exc:
                 try:  # the coordinator re-raises it, if it pickles
@@ -313,7 +280,7 @@ class _Channel:
         self.backlog: deque = deque()
 
 
-def _shutdown(channels, processes, rings) -> None:
+def _shutdown(channels, processes) -> None:
     for channel in channels:
         try:
             channel.conn.send(("exit",))
@@ -327,9 +294,6 @@ def _shutdown(channels, processes, rings) -> None:
         process.join(timeout=2.0)
         if process.is_alive():
             process.terminate()
-    for ring in rings:
-        if ring is not None:
-            ring.close(unlink=True)
 
 
 class VertexPool:
@@ -373,20 +337,6 @@ class VertexPool:
         self.wait_wall = 0.0
         self.child_wall = [0.0] * size
         self.resets = 0
-        self.ring_batches = 0
-        # Shared-memory effect arenas, one per child, created BEFORE the
-        # fork so the children inherit the mappings (nothing is reopened
-        # by name, and fork-context Process args are never pickled).
-        # Any failure to allocate just means effects ride the pipes.
-        self._rings: List[Optional[EffectRing]] = [None] * size
-        if getattr(cluster, "columnar", False) and shared_memory_available():
-            try:
-                self._rings = [EffectRing() for _ in range(size)]
-            except Exception:
-                for ring in self._rings:
-                    if ring is not None:
-                        ring.close(unlink=True)
-                self._rings = [None] * size
         ctx = multiprocessing.get_context("fork")
         self._channels: List[_Channel] = []
         processes = []
@@ -400,7 +350,6 @@ class VertexPool:
                     size,
                     self.offload_stages,
                     child_conn,
-                    self._rings[rank],
                 ),
                 daemon=True,
                 name="repro-pool-%d" % rank,
@@ -409,9 +358,7 @@ class VertexPool:
             child_conn.close()
             self._channels.append(_Channel(rank, parent_conn, process))
             processes.append(process)
-        self._finalizer = weakref.finalize(
-            self, _shutdown, self._channels, processes, self._rings
-        )
+        self._finalizer = weakref.finalize(self, _shutdown, self._channels, processes)
 
     # ------------------------------------------------------------------
     # The Simulator dispatcher hook.
@@ -527,26 +474,6 @@ class VertexPool:
         claim.effects = payload
         return claim
 
-    def _hydrate(self, channel: _Channel, message) -> None:
-        """Replace every :class:`RingRef` in a child's reply with the
-        batch it points at, read out of that child's shared arena.
-
-        Must run at receive time — before the next task is pumped to
-        the child — because the child reclaims the whole arena at the
-        start of each task.
-        """
-        ring = self._rings[channel.rank]
-        if ring is None or message[1] != "ok":
-            return
-        for effect in message[2]:
-            if effect[0] != "send":
-                continue
-            for _conn_pos, shares in effect[3]:
-                for i, entry in enumerate(shares):
-                    if type(entry[1]) is RingRef:
-                        shares[i] = (entry[0], ring.get(entry[1]), entry[2])
-                        self.ring_batches += 1
-
     def _resolve(self, claim: _Claim) -> None:
         channel = claim.channel
         while claim.result is None:
@@ -559,7 +486,6 @@ class VertexPool:
                     "pool protocol error: expected result for task %d, got %r"
                     % (head.task_id, message[0])
                 )
-            self._hydrate(channel, message)
             head.result = message
             channel.outstanding.popleft()
             self._pump(channel)
@@ -595,7 +521,6 @@ class VertexPool:
                     "pool protocol error: expected result for task %d, got %r"
                     % (head.task_id, message[0])
                 )
-            self._hydrate(channel, message)
             head.result = message
             channel.outstanding.popleft()
 

@@ -117,6 +117,9 @@ class AsyncCheckpointManager:
         #: deliveries the destination already received; a replaying
         #: sender's duplicates are suppressed against this ledger.
         self.replay_dedup: Dict[Tuple, Dict[Tuple, int]] = {}
+        #: In-flight keys whose copy must be discarded at delivery: sent
+        #: by a rolled-back worker whose replay sends the records again.
+        self.cancelled: set = set()
         #: (stage_index, worker) keys whose state changed since their
         #: last serialization (the incremental-checkpoint dirty bits).
         self.dirty: set = set()
@@ -704,13 +707,16 @@ class AsyncCheckpointManager:
                         (dst, connector, records, timestamp, remote_bytes, src, tag)
                     )
             elif src in dead_set:
-                # Addressed to a survivor, but the fence advanced the
-                # sender's generation: the copy is discarded at delivery
-                # (never reaching on_delivery, so drop the ledger entry
-                # here) and the sender's replay re-sends it fresh.
-                # Retire the original commit's +1; the replayed send
-                # publishes its own.
+                # Addressed to a survivor: the sender's replay re-sends
+                # it fresh, so this copy must never land.  A kill's fence
+                # discards it by generation; a migration fences nothing
+                # (a donor process keeps running, a departing one leaves
+                # in good standing), so cancel the copy by key instead —
+                # else the survivor receives it twice and its retirement
+                # drives the count negative.  Retire the original
+                # commit's +1; the replayed send publishes its own.
                 del self.inflight[key]
+                self.cancelled.add(key)
                 compensation.append((Pointstamp(timestamp, connector), -1))
 
         # ---- Journal split.
@@ -844,6 +850,7 @@ class AsyncCheckpointManager:
         self.channel_log = []
         self._cycle_write_bytes = {}
         self.inflight = {}
+        self.cancelled = set()
         self._precut_inflight = 0
         self.journal = []
         self.replay_dedup = {}

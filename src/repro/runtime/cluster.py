@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..columnar import ColumnarBatch, combine_payloads, route
 from ..core.computation import Computation, TimestampViolation
 from ..core.graph import Connector, Stage, StageKind
 from ..core.progress import Pointstamp
@@ -42,7 +41,7 @@ from .protocol import (
     ProgressView,
     ProtocolNode,
 )
-from .synthetic import batch_bytes, record_count
+from .synthetic import batch_bytes, record_count, route
 
 
 @dataclass
@@ -238,7 +237,7 @@ class _Worker:
         if connector.coalesce and dispatches:
             prev = dispatches[-1]
             if prev[0] is connector and prev[1] == dest and prev[3] == out_time:
-                payload = combine_payloads([prev[2], batch])
+                payload = [*prev[2], *batch]
                 size = prev[4] + size if prev[4] >= 0 and size >= 0 else -1
                 dispatches[-1] = (connector, dest, payload, out_time, size)
                 # The receiver will consume one queue entry, not two.
@@ -335,6 +334,11 @@ class _Worker:
             return  # message addressed to a lost worker; replay covers it
         ac = self.cluster.async_ckpt
         if ac is not None:
+            if key in ac.cancelled:
+                # Sent by a worker a partial rollback replaced: its
+                # replay sends these records again (see partial_rollback).
+                ac.cancelled.discard(key)
+                return
             # Journal the delivery, settle its in-flight ledger entry,
             # and — during an active cycle — cut this worker first if
             # the message is post-cut, or channel-log it if pre-cut.
@@ -449,47 +453,33 @@ class _Worker:
         cannot change between prefetch and execution within one
         same-instant batch, so both call sites pick identical work.
         """
-        if self.queue:
+        queue = self.queue
+        if queue:
             batches = 1
-            if self.cluster.scheduling == "earliest" and len(self.queue) > 1:
-                # Section 3.2's alternative policy: deliver the message
-                # with the earliest pointstamp to cut end-to-end latency.
-                index = min(
-                    range(len(self.queue)),
-                    key=lambda i: self.queue[i][2],
-                )
-                self.queue.rotate(-index)
-                connector, records, timestamp, remote_bytes, _tag = self.queue.popleft()
-                self.queue.rotate(index)
-            else:
-                connector, records, timestamp, remote_bytes, _tag = self.queue.popleft()
-                if connector.coalesce and self.queue:
-                    # Batch coalescing (repro.opt hints): merge *adjacent*
-                    # queue entries for the same (connector, timestamp)
-                    # into one delivery, paying the callback overhead
-                    # once.  Adjacency preserves the exact interleaving
-                    # of deliveries from other connectors/times, and the
-                    # pass only hints destinations whose record-sequence
-                    # semantics are batching-insensitive.  FIFO only:
-                    # "earliest" reorders the queue between selections.
-                    queue = self.queue
-                    parts = None
-                    while queue:
-                        head = queue[0]
-                        if head[0] is not connector or head[2] != timestamp:
-                            break
-                        if parts is None:
-                            parts = [records]
-                        parts.append(head[1])
-                        remote_bytes += head[3]
-                        queue.popleft()
-                        batches += 1
-                        self.cluster.coalesced_batches += 1
-                    if parts is not None:
-                        # Same-schema columnar parts concatenate without
-                        # materializing records; mixed parts flatten to
-                        # one record list (the pre-columnar behaviour).
-                        records = combine_payloads(parts)
+            connector, records, timestamp, remote_bytes, _tag = queue.popleft()
+            if connector.coalesce and queue:
+                # Batch coalescing (repro.opt hints): merge *adjacent*
+                # queue entries for the same (connector, timestamp) into
+                # one delivery, paying the callback overhead once.
+                # Adjacency preserves the exact interleaving of
+                # deliveries from other connectors/times, and the pass
+                # only hints destinations whose record-sequence
+                # semantics are batching-insensitive.  A fresh list: the
+                # parts are shared with dispatch tuples and ledgers.
+                merged = None
+                while queue:
+                    head = queue[0]
+                    if head[0] is not connector or head[2] != timestamp:
+                        break
+                    if merged is None:
+                        merged = list(records)
+                    merged.extend(head[1])
+                    remote_bytes += head[3]
+                    queue.popleft()
+                    batches += 1
+                    self.cluster.coalesced_batches += 1
+                if merged is not None:
+                    records = merged
             if self.cluster.summarized_scopes:
                 self.cluster.plane.note_dequeue(
                     connector, timestamp, self.process, batches
@@ -601,10 +591,7 @@ class _Worker:
             else:
                 self._frame_time = timestamp
                 try:
-                    if type(records) is ColumnarBatch:
-                        vertex.on_recv_batch(connector.dst_port, records, timestamp)
-                    else:
-                        vertex.on_recv(connector.dst_port, records, timestamp)
+                    vertex.on_recv(connector.dst_port, records, timestamp)
                 finally:
                     self._frame_time = None
             # Every coalesced queue entry carried its own +1 occurrence
@@ -799,6 +786,12 @@ class ClusterComputation(Computation):
     construction, same :class:`repro.lib.Stream` operators — then drive
     inputs and call :meth:`run`.  Time is virtual: :attr:`now` reports
     seconds of modeled cluster time.
+
+    Two constructor switches are oracle-only: ``optimize=False`` (the
+    unrewritten plan) and ``progress_tracking="flat"`` (every interior
+    pointstamp disseminated, the paper's one-big-pile protocol).  They
+    exist so tests can compare the defaults against them; programs and
+    benchmarks leave them alone.
     """
 
     def __init__(
@@ -809,19 +802,14 @@ class ClusterComputation(Computation):
         cost_model: Optional[CostModel] = None,
         progress_mode: str = "local",
         fault_tolerance: Optional[FaultTolerance] = None,
-        scheduling: str = "fifo",
         seed: int = 0,
         backend: Optional[str] = None,
         pool_workers: Optional[int] = None,
         optimize: Optional[Any] = None,
         progress_tracking: str = "scoped",
         progress_batch_interval: float = 250e-6,
-        columnar: Optional[bool] = None,
     ):
         super().__init__(optimize=optimize)
-        if scheduling not in ("fifo", "earliest"):
-            raise ValueError("scheduling must be 'fifo' or 'earliest'")
-        self.scheduling = scheduling
         if progress_tracking not in ("scoped", "flat"):
             raise ValueError(
                 "progress_tracking must be 'scoped' or 'flat' (got %r)"
@@ -830,7 +818,7 @@ class ClusterComputation(Computation):
         # "scoped" (the default) disseminates only boundary projections
         # for loop scopes whose vertices all declare notifies=False;
         # "flat" broadcasts every interior pointstamp (the paper's
-        # one-big-pile protocol), kept for conformance testing.
+        # one-big-pile protocol): oracle-only, for conformance tests.
         self.progress_tracking = progress_tracking
         # Accumulation interval for unholdable boundary deltas under
         # scoped tracking: rather than one dissemination per callback,
@@ -856,17 +844,6 @@ class ClusterComputation(Computation):
             env_workers = os.environ.get("REPRO_POOL_WORKERS")
             pool_workers = int(env_workers) if env_workers else None
         self.pool_workers = pool_workers
-        # The columnar data plane (repro.columnar): schema-marked
-        # connectors move array-backed batches instead of record lists.
-        # Strictly an encoding — outputs and virtual time are
-        # bit-identical with the plane off.  Defaults to REPRO_COLUMNAR.
-        if columnar is None:
-            from ..opt.passes import parse_optimize_env
-
-            columnar = parse_optimize_env(os.environ.get("REPRO_COLUMNAR"))
-        self.columnar = bool(columnar)
-        #: Connectors mark_columnar annotated at build time.
-        self.columnar_connectors = 0
         #: The mp backend's VertexPool; created lazily on the first
         #: run()/step()/checkpoint() after build(), so the fork captures
         #: the fully constructed physical graph.
@@ -1032,13 +1009,6 @@ class ClusterComputation(Computation):
         if self._built:
             return
         self._apply_optimizer()
-        if self.columnar:
-            # After the pass pipeline (fusion settles the final stages
-            # and schemas), before freeze.  Not a compiler pass: marking
-            # is runtime configuration and never appears in explain().
-            from ..opt.passes import mark_columnar
-
-            self.columnar_connectors = mark_columnar(self.graph)
         self.graph.freeze()
         # Vertices first: which stages notify decides which loop scopes
         # the progress plane summarizes, and workers bind to its views.
@@ -1217,17 +1187,7 @@ class ClusterComputation(Computation):
         else:
             for offset, record in enumerate(records):
                 buckets.setdefault(offset % total, []).append(record)
-        shares = list(buckets.items())
-        schema = connector.columnar
-        if schema is not None:
-            # Encode each conforming share at the ingest boundary so the
-            # whole downstream path moves batches.
-            encoded = []
-            for dest, share in shares:
-                batch = ColumnarBatch.from_records(share, schema)
-                encoded.append((dest, share if batch is None else batch))
-            return encoded
-        return shares
+        return list(buckets.items())
 
     def _release_close(self, stage: Stage, next_epoch: int) -> None:
         self.plane.controller_broadcast(

@@ -1,20 +1,19 @@
-"""Synthetic record batches and serialization size models.
+"""Record-list helpers of the data plane: routing, counting, sizing.
 
-The paper's throughput experiments move tens of millions of records per
-computer; materialising each one as a Python object would make the
-simulation intractable.  A :class:`SyntheticRecords` payload stands for
-``count`` records of ``bytes_per_record`` bytes each while remaining a
-single Python object.  The runtime's cost and size models treat it as
-that many records, so exchange benchmarks exercise the full routing,
-progress-tracking and network code paths at the paper's data scales.
+Channel payloads are record lists.  The paper's throughput experiments
+move tens of millions of records per computer; materialising each one
+as a Python object would make the simulation intractable, so a
+:class:`SyntheticRecords` entry stands for ``count`` records of
+``bytes_per_record`` bytes each while remaining a single Python object.
+The runtime's cost and size models treat it as that many records, so
+exchange benchmarks exercise the full routing, progress-tracking and
+network code paths at the paper's data scales.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List
-
-from ..columnar import ColumnarBatch
+from typing import Any, Dict, Iterable, List, Tuple
 
 
 @dataclass(frozen=True)
@@ -35,10 +34,28 @@ class SyntheticRecords:
         return self.count * self.bytes_per_record
 
 
+def route(
+    connector, records: List[Any], total: int, local_index: int
+) -> Iterable[Tuple[int, List[Any]]]:
+    """Partition one send's records across the workers of a connector.
+
+    Yields ``(dest_worker, share)`` pairs: pipeline connectors (no
+    partitioner) keep the records on the local worker; exchanges bucket
+    them by ``partitioner(record) % total``, each share in send order.
+    The single routing implementation behind the inline ``_Worker`` and
+    the pool child's harness, which keeps the two backends bit-identical.
+    """
+    partitioner = connector.partitioner
+    if partitioner is None:
+        return ((local_index, records),)
+    buckets: Dict[int, List[Any]] = {}
+    for record in records:
+        buckets.setdefault(partitioner(record) % total, []).append(record)
+    return buckets.items()
+
+
 def record_count(records: List[Any]) -> int:
     """Number of logical records in a batch."""
-    if type(records) is ColumnarBatch:
-        return len(records)
     total = 0
     for record in records:
         if isinstance(record, SyntheticRecords):
@@ -56,10 +73,6 @@ def batch_bytes(records: List[Any], default_record_bytes: int) -> int:
     vector chunks) report their own serialized size; everything else
     counts as ``default_record_bytes``.
     """
-    if type(records) is ColumnarBatch:
-        # O(1), and identical to the record-list model for the same
-        # records — columnar encoding never changes virtual time.
-        return len(records) * default_record_bytes
     total = 0
     for record in records:
         if isinstance(record, SyntheticRecords):

@@ -1,45 +1,16 @@
-"""The columnar data plane is a pure encoding (opt-in, invisible).
+"""The lossless columnar encoding kept in ``repro.columnar``.
 
-The contract from DESIGN.md "The columnar data plane": with
-``columnar=True`` the runtime moves array-backed batches instead of
-record lists wherever connector schemas allow, but the observable
-execution — per-epoch outputs, virtual time, recovery behaviour — is
-bit-identical to the record path, across backends (inline/mp), plan
-shapes (unfused/fused) and mid-run process kills.  These tests pin that
-sweep, the exact-conformance encoding rules, the automatic record-list
-shim, the kernel accumulator's overflow demotion, and the
-shared-memory effect ring.
+No runtime path moves these batches (channel payloads are record lists);
+the encoding is kept for the benchmark spine's ``columnar.ns_per_record``
+floor.  These tests pin its contract: exact conformance or refusal,
+bit-exact round trips, compact pickling.
 """
 
 import pickle
-import random
-from array import array
 
 import pytest
 
-from repro.columnar import (
-    INT64,
-    INT64_PAIR,
-    ColumnarBatch,
-    PairSink,
-    Schema,
-    combine_payloads,
-)
-from repro import Vertex
-from repro.lib import Stream
-from repro.parallel import fork_available
-from repro.parallel.shm_ring import EffectRing, shared_memory_available
-from repro.runtime import ClusterComputation
-from repro.algorithms import weakly_connected_components
-from repro.algorithms.connectivity import wcc_oracle
-from repro.workloads import uniform_random_graph
-
-from tests.test_recovery import make_ft
-
-
-# ----------------------------------------------------------------------
-# Encoding: exact conformance, bit-exact round trips.
-# ----------------------------------------------------------------------
+from repro.columnar import INT64, INT64_PAIR, ColumnarBatch, Schema
 
 
 class TestBatchEncoding:
@@ -95,263 +66,3 @@ class TestBatchEncoding:
         assert clone == batch
         assert clone.schema == INT64_PAIR
         assert clone.to_records() == [(1, 2), (3, 4)]
-
-    def test_combine_payloads_same_schema_concatenates(self):
-        a = ColumnarBatch.from_records([(1, 2)], INT64_PAIR)
-        b = ColumnarBatch.from_records([(3, 4)], INT64_PAIR)
-        merged = combine_payloads([a, b])
-        assert type(merged) is ColumnarBatch
-        assert merged.to_records() == [(1, 2), (3, 4)]
-
-    def test_combine_payloads_mixed_flattens_to_records(self):
-        a = ColumnarBatch.from_records([(1, 2)], INT64_PAIR)
-        merged = combine_payloads([a, ["x", "y"]])
-        assert merged == [(1, 2), "x", "y"]
-
-    @pytest.mark.parametrize("total", [1, 2, 5])
-    def test_partition_matches_record_hash_routing(self, total):
-        rng = random.Random(7)
-        records = [
-            (rng.randrange(-50, 2**62), rng.randrange(100)) for _ in range(200)
-        ]
-        batch = ColumnarBatch.from_records(records, INT64_PAIR)
-        shares = batch.partition(0, total)
-        expected = {}
-        for rec in records:
-            expected.setdefault(hash(rec[0]) % total, []).append(rec)
-        assert {d: s.to_records() for d, s in shares} == expected
-
-
-class TestPairSink:
-    def test_fast_path_yields_batch(self):
-        sink = PairSink()
-        sink.emit(1, 2)
-        sink.emit(3, 4)
-        payload = sink.payload()
-        assert type(payload) is ColumnarBatch
-        assert payload.to_records() == [(1, 2), (3, 4)]
-
-    def test_empty_sink_yields_none(self):
-        assert PairSink().payload() is None
-
-    def test_overflow_demotes_to_records_without_losing_pairs(self):
-        # The first out-of-int64 value can strike on either column; the
-        # half-appended pair must not be dropped or duplicated.
-        for bad in [(2**63, 5), (5, 2**63)]:
-            sink = PairSink()
-            sink.emit(1, 2)
-            sink.emit(*bad)
-            sink.emit(3, 4)
-            payload = sink.payload()
-            assert type(payload) is list
-            assert payload == [(1, 2), bad, (3, 4)]
-
-
-# ----------------------------------------------------------------------
-# The automatic record-list shim: vertices without a kernel see the
-# exact records the record path would have delivered.
-# ----------------------------------------------------------------------
-
-
-class TestRecordListShim:
-    def test_default_on_recv_batch_materializes_records(self):
-        seen = []
-
-        class Plain(Vertex):
-            def on_recv(self, port, records, timestamp):
-                seen.append((port, records, timestamp))
-
-        batch = ColumnarBatch.from_records([(1, 2), (3, 4)], INT64_PAIR)
-        Plain().on_recv_batch(1, batch, "t0")
-        assert seen == [(1, [(1, 2), (3, 4)], "t0")]
-        assert all(type(r) is tuple for r in seen[0][1])
-
-
-# ----------------------------------------------------------------------
-# The shared-memory effect ring (zero-copy child -> coordinator).
-# ----------------------------------------------------------------------
-
-
-@pytest.mark.skipif(
-    not shared_memory_available(), reason="no multiprocessing.shared_memory"
-)
-class TestEffectRing:
-    def test_put_get_round_trip(self):
-        ring = EffectRing(size=4096)
-        try:
-            batch = ColumnarBatch.from_records([(1, 2), (3, -4)], INT64_PAIR)
-            ref = ring.put(batch)
-            assert ref is not None
-            assert ring.get(ref) == batch
-        finally:
-            ring.close(unlink=True)
-
-    def test_arena_full_falls_back_to_none(self):
-        ring = EffectRing(size=64)
-        try:
-            big = ColumnarBatch.from_records(
-                [(i, i) for i in range(100)], INT64_PAIR
-            )
-            assert ring.put(big) is None  # pickle fallback, not an error
-            small = ColumnarBatch.from_records([(1, 2)], INT64_PAIR)
-            assert ring.put(small) is not None
-        finally:
-            ring.close(unlink=True)
-
-    def test_reset_reclaims_the_arena(self):
-        ring = EffectRing(size=48)
-        try:
-            batch = ColumnarBatch.from_records([(9, 9), (8, 8)], INT64_PAIR)
-            first = ring.put(batch)
-            assert first is not None
-            assert ring.put(batch) is None  # full
-            ring.reset()
-            again = ring.put(batch)
-            assert again is not None and ring.get(again) == batch
-        finally:
-            ring.close(unlink=True)
-
-
-# ----------------------------------------------------------------------
-# The sweep: columnar on/off is invisible across backends, plan shapes
-# and kill points, on the workload whose connectors actually carry
-# schemas (WCC: select_many -> minlabel loop -> aggregate_by).
-# ----------------------------------------------------------------------
-
-EDGES = uniform_random_graph(200, 400, seed=13)
-
-
-def run_wcc(columnar, backend="inline", optimize=False, ft=None, kill=None):
-    comp = ClusterComputation(
-        num_processes=2,
-        workers_per_process=2,
-        backend=backend,
-        pool_workers=2,
-        columnar=columnar,
-        optimize=optimize,
-        fault_tolerance=ft,
-    )
-    out = []
-    inp = comp.new_input()
-    weakly_connected_components(Stream.from_input(inp)).subscribe(
-        lambda t, recs: out.extend(recs)
-    )
-    comp.build()
-    if kill is not None:
-        comp.kill_process(kill[0], at=kill[1])
-    inp.on_next(EDGES)
-    inp.on_completed()
-    comp.run()
-    assert comp.drained(), comp.debug_state()
-    info = {
-        "columnar_connectors": comp.columnar_connectors,
-        "failures": len(comp.recovery.failures),
-        "ring_batches": comp.pool.ring_batches if comp.pool is not None else 0,
-    }
-    result = (sorted(out), comp.now, info)
-    comp.close()
-    return result
-
-
-_MP_PARAMS = [
-    "inline",
-    pytest.param(
-        "mp",
-        marks=pytest.mark.skipif(
-            not fork_available(), reason="mp backend requires fork"
-        ),
-    ),
-]
-
-
-class TestColumnarIsInvisible:
-    @pytest.mark.parametrize("backend", _MP_PARAMS)
-    @pytest.mark.parametrize("optimize", [False, True])
-    def test_outputs_and_virtual_time_identical(self, backend, optimize):
-        plain, plain_now, _ = run_wcc(False, backend=backend, optimize=optimize)
-        cols, cols_now, info = run_wcc(True, backend=backend, optimize=optimize)
-        assert cols == plain == sorted(wcc_oracle(EDGES).items())
-        assert cols_now == plain_now
-        assert info["columnar_connectors"] > 0  # the plane was actually on
-
-    @pytest.mark.parametrize("fraction", [0.3, 0.7])
-    @pytest.mark.parametrize("optimize", [False, True])
-    def test_kill_recovery_identical(self, optimize, fraction):
-        # Schemas survive checkpoint/restore: the recovered execution
-        # keeps delivering columnar batches and the outputs stay equal.
-        expected, duration, _ = run_wcc(False, optimize=optimize)
-        out, _, info = run_wcc(
-            True,
-            optimize=optimize,
-            ft=make_ft("checkpoint"),
-            kill=(1, duration * fraction),
-        )
-        assert out == expected
-        assert info["failures"] == 1
-        assert info["columnar_connectors"] > 0
-
-    @pytest.mark.skipif(
-        not fork_available() or not shared_memory_available(),
-        reason="needs fork and shared memory",
-    )
-    def test_mp_effects_ride_the_shared_ring(self):
-        _, _, info = run_wcc(True, backend="mp", optimize=True)
-        assert info["ring_batches"] > 0
-
-
-# ----------------------------------------------------------------------
-# Kernel-carrying operators agree with the record path on plans that
-# exercise count_by/aggregate_by/join columns.
-# ----------------------------------------------------------------------
-
-
-def run_keyed(columnar, backend="inline", optimize=False):
-    comp = ClusterComputation(
-        num_processes=2,
-        workers_per_process=2,
-        backend=backend,
-        pool_workers=2,
-        columnar=columnar,
-        optimize=optimize,
-    )
-    inp = comp.new_input()
-    out = {}
-    pairs = Stream.from_input(inp).select(
-        lambda x: (x % 11, x), schema=INT64
-    )
-    counted = pairs.count_by(lambda r: r[0], key_col=0, schema=INT64_PAIR)
-    folded = pairs.aggregate_by(
-        lambda r: r[0],
-        lambda r: r[1],
-        max,
-        key_col=0,
-        value_col=1,
-        schema=INT64_PAIR,
-    )
-    joined = counted.join(
-        folded,
-        lambda r: r[0],
-        lambda r: r[0],
-        lambda l, r: (l[0], l[1], r[1]),
-        left_key_col=0,
-        right_key_col=0,
-        schema=INT64_PAIR,
-    )
-    joined.subscribe(lambda t, recs: out.setdefault(t.epoch, sorted(recs)))
-    comp.build()
-    inp.on_next(list(range(64)))
-    inp.on_next([7, 7, 7, 2**62, 5])
-    inp.on_completed()
-    comp.run()
-    assert comp.drained(), comp.debug_state()
-    comp.close()
-    return out
-
-
-class TestKeyedKernels:
-    @pytest.mark.parametrize("backend", _MP_PARAMS)
-    @pytest.mark.parametrize("optimize", [False, True])
-    def test_columnar_matches_record_path(self, backend, optimize):
-        plain = run_keyed(False, backend=backend, optimize=optimize)
-        cols = run_keyed(True, backend=backend, optimize=optimize)
-        assert cols == plain

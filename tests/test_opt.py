@@ -30,7 +30,6 @@ from repro.opt import (
     HashPartitioner,
     PlumbingCutThroughPass,
     compile_plan,
-    parse_optimize_env,
     partitioners_agree,
     plan_signature,
 )
@@ -887,24 +886,35 @@ def test_pass_pipeline_is_idempotent(ops, loop_at, workers):
 
 
 # ----------------------------------------------------------------------
-# The optimizer is the default; only REPRO_COLUMNAR is still parsed.
+# The optimizer is the default and record lists the only payload; no
+# environment variable changes either.
 # ----------------------------------------------------------------------
 
 
-class TestDefaultPlan:
-    @pytest.mark.parametrize("value,expected", [
-        (None, False),
-        ("", False),
-        ("0", False),
-        ("no", False),
-        ("1", True),
-        ("true", True),
-        ("YES", True),
-        (" on ", True),
-    ])
-    def test_parse_optimize_env(self, value, expected):
-        assert parse_optimize_env(value) is expected
+def _run_wcc_recording_payloads():
+    """4x2 WCC with every vertex's ``on_recv`` wrapped to record the
+    type of each payload it receives; returns the observables."""
+    from repro.workloads import uniform_random_graph
 
+    comp = ClusterComputation(num_processes=4, workers_per_process=2, backend="inline")
+    out = []
+    inp = wcc(comp, out)
+    comp.build()
+    payloads = []
+    for vertex in comp.vertices.values():
+        def recording(port, records, timestamp, on_recv=vertex.on_recv):
+            payloads.append(type(records))
+            on_recv(port, records, timestamp)
+
+        vertex.on_recv = recording
+    inp.on_next(uniform_random_graph(80, 160, seed=3))
+    inp.on_completed()
+    comp.run()
+    assert comp.drained(), comp.debug_state()
+    return comp.plan.explain(), sorted(out), comp.now, payloads
+
+
+class TestDefaultPlan:
     @pytest.mark.parametrize("value", [None, "0", "1"])
     def test_repro_fusion_no_longer_changes_the_plan(self, monkeypatch, value):
         if value is None:
@@ -925,6 +935,16 @@ class TestDefaultPlan:
         wordcount(oracle)
         oracle.build()
         assert oracle.plan is None
+
+    @pytest.mark.parametrize("value", [None, "0", "1"])
+    def test_repro_columnar_no_longer_changes_the_payloads(self, monkeypatch, value):
+        monkeypatch.delenv("REPRO_COLUMNAR", raising=False)
+        expected = _run_wcc_recording_payloads()
+        if value is not None:
+            monkeypatch.setenv("REPRO_COLUMNAR", value)
+        explain, out, now, payloads = _run_wcc_recording_payloads()
+        assert (explain, out, now) == expected[:3]
+        assert payloads and set(payloads) == {list}
 
 
 # ----------------------------------------------------------------------

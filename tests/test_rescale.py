@@ -9,21 +9,27 @@ restored from the migration cut; every survivor keeps its live state.
 Also covered here: the eager configuration validation (every rejected
 combination raises an actionable ``ValueError`` at call time, not deep
 inside a migration), the ``rescale`` trace kind and membership
-timeline, and the metrics-driven :class:`repro.runtime.Autoscaler`.
+timeline, the metrics-driven :class:`repro.runtime.Autoscaler`, and
+live rescaling of a looping dataflow (WCC), which must drain as well.
 """
 
 import pytest
 
+from repro.algorithms import weakly_connected_components
+from repro.lib import Stream
 from repro.obs import ACTIVITY_TYPES, TraceSink, membership_timeline
 from repro.runtime import (
     AutoscalePolicy,
     Autoscaler,
     ClusterComputation,
+    CostModel,
     FaultTolerance,
 )
 from repro.sim import NetworkConfig
+from repro.workloads import uniform_random_graph
 from tests.test_recovery import (
     baseline,
+    collect_per_epoch,
     make_ft,
     run_cluster,
     wordcount_program,
@@ -273,6 +279,89 @@ class TestLiveRescale:
         restores = [e for e in trace.events if e.kind == "restore"]
         assert restores and {e.worker for e in restores} <= dead_workers
         assert all(w.process != 1 for w in comp.workers)
+
+
+def run_streamed_wcc(rescale=None, optimize=None):
+    """WCC streamed in six edge epochs over 8x2 workers, on the
+    rescaling benchmark's blocked cost model and checkpoint policy."""
+    comp = ClusterComputation(
+        num_processes=8,
+        workers_per_process=2,
+        progress_mode="local+global",
+        cost_model=CostModel(per_record_cost=2e-5, record_bytes=800),
+        fault_tolerance=FaultTolerance(
+            mode="checkpoint",
+            checkpoint_mode="async",
+            checkpoint_every=2,
+            state_bytes_per_worker=1 << 18,
+            recovery="reassign",
+            restart_delay=0.02,
+        ),
+        optimize=optimize,
+    )
+    outputs = {}
+    inp = comp.new_input("edges")
+    weakly_connected_components(Stream.from_input(inp)).subscribe(
+        collect_per_epoch(outputs)
+    )
+    comp.build()
+    for op in rescale or ():
+        if op[0] == "add":
+            comp.add_process(at=op[2])
+        else:
+            comp.remove_process(op[1], at=op[2])
+    edges = uniform_random_graph(400, 800, seed=2)
+    chunk = -(-len(edges) // 6)
+    for start in range(0, len(edges), chunk):
+        inp.on_next(edges[start : start + chunk])
+    inp.on_completed()
+    comp.run()
+    return outputs, comp
+
+
+_wcc_baselines = {}
+
+
+def streamed_wcc_baseline(optimize):
+    """Per-epoch outputs and duration of the fixed-shape run (cached)."""
+    if optimize not in _wcc_baselines:
+        outputs, comp = run_streamed_wcc(optimize=optimize)
+        assert comp.drained(), comp.debug_state().text
+        _wcc_baselines[optimize] = (outputs, comp.now)
+    return _wcc_baselines[optimize]
+
+
+class TestRescaleLoopingDataflow:
+    """A migration must drain a loop too.  A rolled-back sender's
+    in-flight copies to survivors used to land *and* be re-sent by its
+    replay (only a kill's fence discarded them), leaving a negative
+    count in the views and wrong outputs — on the default plan and on
+    the ``optimize=False`` oracle alike."""
+
+    @pytest.mark.parametrize(
+        "kind,process,fraction,optimize",
+        [
+            ("remove", 2, 0.2, None),
+            ("remove", 7, 0.3, None),
+            ("remove", 4, 0.4, None),
+            ("remove", 5, 0.5, None),
+            ("add", None, 0.4, None),
+            ("add", None, 0.5, None),
+            ("remove", 1, 0.2, False),
+            ("remove", 6, 0.4, False),
+        ],
+    )
+    def test_live_rescale_of_wcc_drains_with_baseline_outputs(
+        self, kind, process, fraction, optimize
+    ):
+        expected, duration = streamed_wcc_baseline(optimize)
+        out, comp = run_streamed_wcc(
+            [(kind, process, duration * fraction)], optimize=optimize
+        )
+        assert comp.drained(), comp.debug_state().text
+        assert out == expected
+        assert [r["kind"] for r in comp.rescales] == [kind]
+        assert not comp.recovery.failures
 
 
 class TestRescaleUnderHostileNetwork:

@@ -189,6 +189,13 @@ def test_config_attrs_really_name_attributes(cls):
         )
 
 
+def test_on_recv_is_the_only_receive_path():
+    # Channel payloads are record lists and nothing else, so no vertex
+    # class carries a second, encoding-specific receive callback.
+    for cls in _all_vertex_classes() | {Vertex}:
+        assert not [name for name in vars(cls) if name.startswith("on_recv_")], cls
+
+
 def test_driver_side_vertices_are_pinned_to_coordinator():
     # Vertices whose callbacks touch driver-side objects (callbacks,
     # probes, subscriptions) must not run in pool children.
