@@ -16,7 +16,12 @@ import pytest
 
 from repro import Computation, Vertex
 from repro.lib import Stream
-from repro.runtime import ClusterComputation, FaultTolerance, SyntheticRecords
+from repro.runtime import (
+    ClusterComputation,
+    CostModel,
+    FaultTolerance,
+    SyntheticRecords,
+)
 from repro.sim import NetworkConfig
 
 MODES = ["none", "local", "global", "local+global"]
@@ -341,6 +346,86 @@ class TestVirtualTime:
             )
             results[mode] = comp.network.stats.bytes("progress")
         assert results["local"] < results["none"] / 2
+
+
+def count_mod7_program(comp, completion=None):
+    inp = comp.new_input()
+    out = []
+
+    def observe(t, recs):
+        out.extend((t.epoch, r) for r in recs)
+        if completion is not None:
+            completion.setdefault(t.epoch, comp.now)
+
+    Stream.from_input(inp).count_by(lambda x: x % 7).subscribe(observe)
+    return inp, out
+
+
+class TestFifoScheduling:
+    """Workers take queued messages first-in first-out (section 3.2's
+    default, and the only policy).  Feeding every epoch before the run
+    starts leaves queues holding a mix of epochs."""
+
+    EPOCHS = [list(range(i, i + 40)) for i in range(5)]
+
+    def test_mixed_epoch_backlog_matches_reference(self):
+        expected = run_reference(count_mod7_program, self.EPOCHS)
+        actual, _ = run_cluster(
+            count_mod7_program, self.EPOCHS, num_processes=2, workers_per_process=1
+        )
+        assert actual == expected
+
+    def test_epochs_complete_in_order(self):
+        completion = {}
+        run_cluster(
+            lambda comp: count_mod7_program(comp, completion),
+            self.EPOCHS,
+            num_processes=2,
+            workers_per_process=1,
+        )
+        assert sorted(completion) == list(range(len(self.EPOCHS)))
+        times = [completion[e] for e in sorted(completion)]
+        assert times == sorted(times)
+
+
+class TestReceiverSideCoalescing:
+    def test_adjacent_deliveries_merge_into_one_list(self):
+        # Four workers' shares fan in to worker 0 on a connector hinted
+        # coalescible.  Worker 0 takes its own share first; while that
+        # callback runs the other three queue up, and reach the next
+        # callback as one record list holding every part, in queue order
+        # (the same-process share, then the two remote ones).
+        comp = ClusterComputation(
+            num_processes=2,
+            workers_per_process=2,
+            optimize=False,
+            cost_model=CostModel(per_record_cost=1e-4),
+        )
+        inp = comp.new_input()
+        deliveries = []
+
+        class Sink(Vertex):
+            coordinator_only = True  # appends to the driver-side list
+            notifies = False
+
+            def on_recv(self, port, records, t):
+                deliveries.append(records)
+
+        stage = comp.graph.new_stage("sink", lambda s, w: Sink(), 1, 0)
+        spread = Stream.from_input(inp).select(lambda x: x)
+        comp.connect(spread.stage, stage, partitioner=lambda r: 0).coalesce = True
+        comp.build()
+        records = list(range(40))
+        inp.on_next(records)
+        inp.on_completed()
+        comp.run()
+        assert comp.drained(), comp.debug_state()
+        assert comp.coalesced_batches == 2
+        assert deliveries == [
+            records[0::4],
+            records[1::4] + records[2::4] + records[3::4],
+        ]
+        assert all(type(part) is list for part in deliveries)
 
 
 class DoubleSendVertex(Vertex):

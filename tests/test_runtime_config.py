@@ -1,5 +1,7 @@
 """Tests for cluster runtime configuration knobs."""
 
+import pytest
+
 from repro.lib import Stream
 from repro.runtime import (
     ClusterComputation,
@@ -56,6 +58,15 @@ class TestCostModel:
             wire_bytes = 4096
 
         assert batch_bytes([Payload()], default_record_bytes=8) == 4096
+
+
+class TestRemovedSwitches:
+    @pytest.mark.parametrize("switch,value", [("columnar", True), ("scheduling", "fifo")])
+    def test_constructor_rejects_removed_switch(self, switch, value):
+        # Record lists are the only payload and FIFO the only worker
+        # policy: neither is a constructor choice any more.
+        with pytest.raises(TypeError):
+            ClusterComputation(**{switch: value})
 
 
 class TestFaultTolerancePolicies:
