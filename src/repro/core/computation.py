@@ -176,6 +176,7 @@ class Computation(TimelyRuntime):
             manager._on_publish(name, epoch)
 
     def _trace_frontier(self, trace: TraceSink) -> None:
+        self.progress.settle()
         if self.progress.version == self._trace_version:
             return
         self._trace_version = self.progress.version

@@ -26,6 +26,14 @@ broadcast ``(pointstamp, delta)`` pairs.  Because broadcasts from
 different workers may interleave, a local occurrence count can transiently
 go negative; any pointstamp with a non-zero count is treated as active
 (and hence blocking), which preserves the protocol's safety property.
+
+Occurrence counts are applied at once, but precursor counts and the
+frontier are *settled lazily*: an update only records the pointstamps
+whose active status may have flipped, and :meth:`ProgressState.settle`
+— run by every frontier read — reconciles precursor bookkeeping with the
+active set.  Precursor counts and the frontier are functions of the
+active set alone, not of the order updates arrived in, so a ``+1``/``-1``
+pair between two reads never touches them.
 """
 
 from __future__ import annotations
@@ -34,6 +42,11 @@ from typing import Dict, Hashable, Iterable, List, NamedTuple, Optional, Tuple
 
 from .pathsummary import Antichain
 from .timestamp import Timestamp
+
+#: ``_scope_memo`` values: a location the scope index does not know,
+#: and (as the ``get`` default) one not looked up yet.
+_UNSCOPED = object()
+_MISSING = object()
 
 
 class Pointstamp(NamedTuple):
@@ -64,7 +77,12 @@ class ProgressState:
     ):
         self._summaries = summaries
         self.occurrence: Dict[Pointstamp, int] = {}
+        #: Precursor counts of the active set as of the last
+        #: :meth:`settle`; its keys are the settled active pointstamps.
         self.precursor: Dict[Pointstamp, int] = {}
+        #: Pointstamps whose active status may differ from
+        #: ``precursor``'s, in update order (a dict for determinism).
+        self._dirty: Dict[Pointstamp, None] = {}
         #: Incrementally maintained set of zero-precursor pointstamps.
         self._frontier: set = set()
         #: Memoised counter-part of could-result-in (epoch-invariant, so
@@ -73,7 +91,8 @@ class ProgressState:
         self._cri_cache: Dict = cri_cache if cri_cache is not None else {}
         #: Bumped only when frontier *membership* changes — occurrence
         #: count churn on existing pointstamps leaves it untouched, which
-        #: is what makes the domination memo below effective.
+        #: is what makes the domination memo below effective.  Current
+        #: only after :meth:`settle`.
         self.version = 0
         #: The hierarchical index (None when built from a plain dict,
         #: as unit tests do); enables per-scope version vectors.
@@ -105,6 +124,14 @@ class ProgressState:
         #: id(scope) -> (version-at-build, vector): version vectors are
         #: rebuilt only after a frontier membership change.
         self._vector_cache: Dict[int, Tuple[int, Tuple]] = {}
+        #: (l1, l2) -> (forward, backward, fwd_trivial, back_trivial):
+        #: whether a summary exists each way and, if so, whether it
+        #: relates two counter-free timestamps.  Entries are non-empty
+        #: tuples, so ``pairs.get(key) or self._pair(...)`` only calls
+        #: on a miss.
+        self._pairs: Dict[Tuple[Hashable, Hashable], Tuple] = {}
+        #: location -> scope (``_UNSCOPED`` if the index lacks it).
+        self._scope_memo: Dict[Hashable, object] = {}
 
     # ------------------------------------------------------------------
     # The could-result-in relation on pointstamps.
@@ -145,52 +172,96 @@ class ProgressState:
             self._cri_cache[key] = cached
         return cached
 
+    def _pair(self, l1, l2) -> Tuple[bool, bool, bool, bool]:
+        """The location-level gate of the scans below, memoised."""
+        summaries = self._summaries
+        forward = summaries.get((l1, l2)) is not None
+        backward = summaries.get((l2, l1)) is not None
+        pair = (
+            forward,
+            backward,
+            forward and self._cri_counters(l1, l2, (), ()),
+            backward and self._cri_counters(l2, l1, (), ()),
+        )
+        self._pairs[(l1, l2)] = pair
+        return pair
+
+    def _scope(self, location):
+        """Fill ``_scope_memo`` for a location (callers look it up
+        first, so a hit costs no call)."""
+        try:
+            scope = self._index.scope_of(location)
+        except KeyError:
+            scope = _UNSCOPED
+        self._scope_memo[location] = scope
+        return scope
+
     # ------------------------------------------------------------------
     # Occurrence-count updates.
     # ------------------------------------------------------------------
 
     def update(self, pointstamp: Pointstamp, delta: int) -> None:
-        """Apply an occurrence-count delta, maintaining precursor counts."""
+        """Apply an occurrence-count delta; precursor counts and the
+        frontier catch up at the next :meth:`settle`."""
         if delta == 0:
             return
-        old = self.occurrence.get(pointstamp, 0)
+        occurrence = self.occurrence
+        old = occurrence.get(pointstamp, 0)
         new = old + delta
         if new == 0:
-            del self.occurrence[pointstamp]
-            self._deactivate(pointstamp)
+            del occurrence[pointstamp]
+            self._dirty[pointstamp] = None
         else:
-            self.occurrence[pointstamp] = new
+            occurrence[pointstamp] = new
             if old == 0:
-                self._activate(pointstamp)
+                self._dirty[pointstamp] = None
 
     def update_many(self, updates: Iterable[Tuple[Pointstamp, int]]) -> None:
         for pointstamp, delta in updates:
             self.update(pointstamp, delta)
+
+    def settle(self) -> None:
+        """Bring precursor counts, the frontier and ``version`` up to
+        date with ``occurrence``.
+
+        Only pointstamps whose active status differs from the last
+        settle are (de)activated.  The result is independent of the
+        order updates arrived in, because precursor counts and the
+        frontier are functions of the active set alone.
+        """
+        dirty = self._dirty
+        if not dirty:
+            return
+        self._dirty = {}
+        occurrence = self.occurrence
+        precursor = self.precursor
+        for pointstamp in dirty:
+            if pointstamp in occurrence:
+                if pointstamp not in precursor:
+                    self._activate(pointstamp)
+            elif pointstamp in precursor:
+                self._deactivate(pointstamp)
 
     def _activate(self, pointstamp: Pointstamp) -> None:
         count = 0
         precursor = self.precursor
         frontier = self._frontier
         cri = self.could_result_in
-        summaries = self._summaries
+        pairs = self._pairs
         location = pointstamp.location
         epoch = pointstamp.timestamp.epoch
         flat_self = not pointstamp.timestamp.counters
         for loc, epochs in self._active_by_loc.items():
-            forward = summaries.get((location, loc)) is not None
-            backward = summaries.get((loc, location)) is not None
+            pair = pairs.get((location, loc)) or self._pair(location, loc)
+            forward, backward, fwd_trivial, back_trivial = pair
             if not forward and not backward:
                 continue
-            fwd_trivial = forward and self._cri_counters(location, loc, (), ())
-            back_trivial = backward and self._cri_counters(loc, location, (), ())
             for other_epoch, group in epochs.items():
                 scan_back = backward and other_epoch <= epoch
                 scan_fwd = forward and epoch <= other_epoch
                 if not scan_back and not scan_fwd:
                     continue
                 for other in group:
-                    if other == pointstamp:
-                        continue
                     flat = flat_self and not other.timestamp.counters
                     if scan_back and (
                         back_trivial if flat else cri(other, pointstamp)
@@ -230,18 +301,17 @@ class ProgressState:
             self._note_membership(pointstamp, False)
         precursor = self.precursor
         cri = self.could_result_in
-        summaries = self._summaries
+        pairs = self._pairs
         flat_self = not pointstamp.timestamp.counters
         for loc, other_epochs in self._active_by_loc.items():
-            if summaries.get((location, loc)) is None:
+            pair = pairs.get((location, loc)) or self._pair(location, loc)
+            if not pair[0]:
                 continue
-            fwd_trivial = self._cri_counters(location, loc, (), ())
+            fwd_trivial = pair[2]
             for other_epoch, group in other_epochs.items():
                 if other_epoch < epoch:
                     continue
                 for other in group:
-                    if other == pointstamp:
-                        continue
                     flat = flat_self and not other.timestamp.counters
                     if fwd_trivial if flat else cri(pointstamp, other):
                         remaining = precursor[other] - 1
@@ -268,9 +338,10 @@ class ProgressState:
         index = self._index
         if index is None:
             return
-        try:
-            scope = index.scope_of(pointstamp.location)
-        except KeyError:
+        scope = self._scope_memo.get(pointstamp.location, _MISSING)
+        if scope is _MISSING:
+            scope = self._scope(pointstamp.location)
+        if scope is _UNSCOPED:
             return
         sid = id(scope)
         self._scope_exact[sid] = self._scope_exact.get(sid, 0) + 1
@@ -300,10 +371,14 @@ class ProgressState:
 
     def in_frontier(self, pointstamp: Pointstamp) -> bool:
         """True iff the pointstamp is active with no active precursors."""
+        if self._dirty:
+            self.settle()
         return pointstamp in self._frontier
 
     def frontier(self) -> List[Pointstamp]:
         """The current frontier of active pointstamps."""
+        if self._dirty:
+            self.settle()
         return list(self._frontier)
 
     def frontier_dominates(self, pointstamp: Pointstamp) -> bool:
@@ -321,6 +396,8 @@ class ProgressState:
         # move, the vector comparison still salvages verdicts whose
         # relevant scopes did not move (inner-iteration churn
         # elsewhere), re-arming the fast path for the next call.
+        if self._dirty:
+            self.settle()
         cached = self._dominated.get(pointstamp)
         if cached is not None and cached[0] == self.version:
             return cached[2]
@@ -329,11 +406,11 @@ class ProgressState:
             self._dominated[pointstamp] = (self.version, vector, cached[2])
             return cached[2]
         cri = self.could_result_in
-        summaries = self._summaries
+        pairs = self._pairs
         location = pointstamp.location
         result = False
         for loc, group in self._frontier_by_loc.items():
-            if summaries.get((loc, location)) is None:
+            if not (pairs.get((loc, location)) or self._pair(loc, location))[0]:
                 continue
             if any(other != pointstamp and cri(other, pointstamp) for other in group):
                 result = True
@@ -349,12 +426,15 @@ class ProgressState:
         projected versions for every other scope.  Equal vectors
         guarantee an unchanged verdict; inner-iteration churn in
         *other* scopes does not move the vector."""
+        if self._dirty:
+            self.settle()
         index = self._index
         if index is None:
             return (self.version,)
-        try:
-            scope = index.scope_of(location)
-        except KeyError:
+        scope = self._scope_memo.get(location, _MISSING)
+        if scope is _MISSING:
+            scope = self._scope(location)
+        if scope is _UNSCOPED:
             return (self.version,)
         sid = id(scope)
         cached = self._vector_cache.get(sid)

@@ -938,6 +938,7 @@ class ClusterComputation(Computation):
         if trace is None:
             return
         state = self.views[0].state
+        state.settle()
         if state.version == self._trace_version:
             return
         self._trace_version = state.version

@@ -165,6 +165,9 @@ class ProgressView:
         before = state.version
         for pointstamp, delta in updates:
             state.update(pointstamp, delta)
+        # Settle once per batch: the listeners and the version test
+        # below read the frontier version.
+        state.settle()
         for listener in self.listeners:
             listener(updates)
         # Deliverability can only change when the frontier moved.

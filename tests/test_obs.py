@@ -9,7 +9,7 @@ with no sink attached the hot paths must not construct a single
 import pytest
 
 import repro.obs.trace as trace_mod
-from repro.core import Computation
+from repro.core import Computation, Vertex
 from repro.lib import Stream
 from repro.obs import (
     TraceEvent,
@@ -116,6 +116,59 @@ class TestTraceRoundTrip:
         path = str(tmp_path / "ref.jsonl")
         sink.dump_jsonl(path)
         assert list(TraceSink.load_jsonl(path)) == list(sink)
+
+
+class _FrontierRecorder(TraceSink):
+    """Records the settled frontier beside every "frontier" event."""
+
+    def __init__(self, comp):
+        super().__init__()
+        self.comp = comp
+        self.frontiers = []
+
+    def emit(self, event):
+        super().emit(event)
+        if event.kind == "frontier":
+            self.frontiers.append(frozenset(self.comp.progress.frontier()))
+
+
+class _Lines(Vertex):
+    """Forwards each record as a message of its own, so one epoch puts
+    several messages on one connector."""
+
+    def on_recv(self, input_port, records, timestamp):
+        for record in records:
+            self.send_by(0, [record], timestamp)
+
+
+class TestReferenceFrontierEvents:
+    def test_word_count_emits_one_event_per_frontier_move(self):
+        # The reference runtime settles before it compares frontier
+        # versions, so an event marks a real membership change.
+        comp = Computation()
+        sink = _FrontierRecorder(comp)
+        comp.attach_trace_sink(sink)
+        inp = comp.new_input()
+        lines = comp.graph.new_stage("lines", lambda s, w: _Lines(), 1, 1)
+        Stream.from_input(inp).connect_to(lines)
+        (
+            Stream(comp, lines, 0)
+            .select_many(str.split)
+            .count_by(lambda w: w)
+            .subscribe(lambda t, recs: None)
+        )
+        comp.build()
+        epochs = 3
+        for epoch in range(epochs):
+            before = len(sink.frontiers)
+            inp.on_next(["a b a", "c", "b"])
+            comp.run()
+            events = [e for e in sink if e.kind == "frontier"][before:]
+            assert events, epoch
+            # The epoch ends with the frontier on the input's next epoch.
+            assert events[-1].detail == (1, 1, epoch + 1)
+        frontiers = sink.frontiers
+        assert all(a != b for a, b in zip(frontiers, frontiers[1:])), frontiers
 
 
 class TestZeroOverheadWhenOff:

@@ -1,13 +1,17 @@
 """Unit tests for repro.core.progress: occurrence/precursor counting."""
 
+from hypothesis import given, settings, strategies as st
 
 from repro.core import (
     Antichain,
+    Computation,
     PathSummary,
     Pointstamp,
     ProgressState,
     Timestamp,
+    Vertex,
 )
+from repro.lib import Stream
 
 
 def ts(epoch, *counters):
@@ -158,3 +162,122 @@ class TestLoopFrontier:
         assert not state.could_result_in(
             Pointstamp(ts(0, 0), "body"), Pointstamp(ts(0, 0), "nowhere")
         )
+
+
+def one_loop_graph():
+    """Input -> one loop around a single stage, built and frozen: the
+    scope-indexed summaries (with per-scope version vectors) and each
+    location's timestamp depth."""
+    comp = Computation()
+    inp = comp.new_input()
+    with comp.scope("loop") as loop:
+        body = loop.stage("body", lambda s, w: Vertex(), 2, 1)
+        loop.enter(Stream.from_input(inp)).connect_to(body, 0)
+        loop.feed(Stream(comp, body, 0))
+        loop.feedback.connect_to(body, 1)
+    comp.build()
+    graph = comp.graph
+    locations = [(graph.stages[0], 0), (body, 1)]
+    locations += [(c, c.depth) for c in graph.connectors]
+    return graph.summaries, locations
+
+
+GRAPHS = {
+    "chain": lambda: (chain_summaries(), [("a", 0), ("b", 0), ("c", 0)]),
+    "one_loop": one_loop_graph,
+}
+
+#: ``("update", location, epoch, counter, delta)``,
+#: ``("pair", location, epoch, counter)`` — a +1 and its cancelling -1 —
+#: or ``("read", kind)``.
+OPS = st.one_of(
+    st.tuples(
+        st.just("update"),
+        st.integers(0, 5),
+        st.integers(0, 2),
+        st.integers(0, 2),
+        st.sampled_from([1, -1]),
+    ),
+    st.tuples(
+        st.just("pair"), st.integers(0, 5), st.integers(0, 2), st.integers(0, 2)
+    ),
+    st.tuples(
+        st.just("read"),
+        st.sampled_from(["in_frontier", "frontier", "dominates", "vector"]),
+    ),
+)
+
+
+def eager_copy(summaries, occurrence):
+    """A fresh state fed ``occurrence``, settled after every update."""
+    fresh = ProgressState(summaries)
+    for pointstamp, count in occurrence.items():
+        fresh.update(pointstamp, count)
+        fresh.settle()
+    return fresh
+
+
+class TestLazySettling:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(graph=st.sampled_from(sorted(GRAPHS)), ops=st.lists(OPS, max_size=40))
+    def test_reads_match_an_eagerly_fed_state(self, graph, ops):
+        summaries, locations = GRAPHS[graph]()
+        state = ProgressState(summaries)
+
+        def stamp(index, epoch, counter):
+            location, depth = locations[index % len(locations)]
+            return Pointstamp(ts(epoch, *[counter] * depth), location)
+
+        touched = {}  # a dict, so the probe below is deterministic
+        for op in ops + [("read", "frontier")]:
+            if op[0] == "update":
+                p = stamp(*op[1:4])
+                touched[p] = None
+                state.update(p, op[4])
+                continue
+            if op[0] == "pair":
+                p = stamp(*op[1:])
+                touched[p] = None
+                state.update(p, +1)
+                state.update(p, -1)
+                continue
+            # The first read settles, through whichever entry point.
+            probe = next(iter(touched), stamp(0, 0, 0))
+            if op[1] == "in_frontier":
+                state.in_frontier(probe)
+            elif op[1] == "frontier":
+                state.frontier()
+            elif op[1] == "dominates":
+                state.frontier_dominates(probe)
+            else:
+                state.frontier_version_vector(probe.location)
+            fresh = eager_copy(summaries, state.occurrence)
+            assert set(state.frontier()) == set(fresh.frontier())
+            assert state.precursor == fresh.precursor
+            for p in touched:
+                assert state.in_frontier(p) == fresh.in_frontier(p), p
+                assert state.frontier_dominates(p) == fresh.frontier_dominates(p), p
+
+    def test_cancelling_pair_between_reads_touches_nothing(self):
+        state = ProgressState(chain_summaries())
+        pa = Pointstamp(ts(0), "a")
+        pc = Pointstamp(ts(0), "c")
+        state.update(pc, +1)
+        assert state.frontier() == [pc]
+        version = state.version
+        state.update(pa, +1)
+        state.update(pa, -1)
+        assert state.frontier() == [pc]
+        assert state.version == version
+        assert state.precursor == {pc: 0}
+
+    def test_updates_defer_until_a_read(self):
+        state = ProgressState(chain_summaries())
+        pa = Pointstamp(ts(0), "a")
+        pc = Pointstamp(ts(0), "c")
+        state.update(pa, +1)
+        state.update(pc, +1)
+        assert state.precursor == {}
+        assert state.is_active(pa) and state.is_active(pc)
+        assert not state.in_frontier(pc)
+        assert state.precursor == {pa: 0, pc: 1}

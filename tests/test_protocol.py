@@ -133,6 +133,32 @@ class TestProgressView:
         view.apply([(Pointstamp(ts(0), a), +1)])
         assert calls == [1]
 
+    def test_on_change_fires_exactly_when_the_frontier_moved(self):
+        # apply() settles once after its batch, so the version test
+        # sees the batch's net effect on frontier membership.
+        g, inp, a, b, c1, c2 = simple_graph()
+        calls = []
+        view = ProgressView(g.summaries, on_change=lambda: calls.append(1))
+        pa = Pointstamp(ts(0), a)
+        pb = Pointstamp(ts(0), b)
+        batches = [
+            [(pa, +1)],  # pa enters the frontier
+            [(pa, +1)],  # count churn only
+            [(pb, +1), (pb, -1)],  # cancels within the batch
+            [(pb, +1)],  # active, but blocked by pa
+            [(pa, -2)],  # pa leaves, pb enters
+            [(pb, +1)],  # count churn only
+        ]
+        fired = []
+        for batch in batches:
+            before = set(view.state.frontier())
+            count = len(calls)
+            view.apply(batch)
+            fired.append(len(calls) - count)
+            moved = set(view.state.frontier()) != before
+            assert fired[-1] == int(moved), batch
+        assert fired == [1, 0, 0, 0, 1, 0]
+
     def test_transient_negative_blocks(self):
         g, inp, a, b, c1, c2 = simple_graph()
         view = ProgressView(g.summaries)

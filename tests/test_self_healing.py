@@ -17,7 +17,6 @@ own CI leg::
     PYTHONPATH=src python -m pytest -m detection -q
 """
 
-import math
 from statistics import NormalDist
 
 import pytest
