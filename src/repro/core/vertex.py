@@ -21,7 +21,10 @@ overhead.
 Vertices optionally implement ``checkpoint()``/``restore(state)``
 (section 3.4); the default implementation snapshots the instance's
 attribute dictionary, which suffices for vertices whose state is plain
-Python data.
+Python data.  Both directions copy with :func:`snapshot_copy`, which
+means what ``copy.deepcopy`` means but shares immutable leaves and
+rebuilds leaf-only dicts, lists and sets with one C-level call each —
+the copy is what a snapshot costs, so it is the part kept cheap.
 
 Checkpoint state must be *picklable*: the section 3.4 durable journal
 ships it across process boundaries.  Configuration a vertex received at
@@ -35,9 +38,102 @@ like the runtime-assigned transient attributes.
 from __future__ import annotations
 
 import copy
-from typing import Any, List, Optional, Tuple
+from itertools import chain
+from operator import is_
+from typing import Any, Dict, List, Optional, Tuple
 
+from .pathsummary import PathSummary
 from .timestamp import Timestamp
+
+#: Immutable types a snapshot shares instead of copying.  Exact types
+#: only: a subclass may add mutable attributes, so it goes to deepcopy.
+_LEAF_TYPES = frozenset(
+    (int, float, complex, str, bytes, bool, type(None), Timestamp, PathSummary)
+)
+_NESTED_LEAVES = frozenset((tuple, frozenset))
+
+
+def _all_leaves(items) -> bool:
+    """True when every item of the collection ``items`` is a leaf: a
+    ``_LEAF_TYPES`` instance, or a tuple/frozenset made only of leaves.
+
+    Works a nesting level at a time with C-level type scans, so a dict
+    keyed by ``(user, tag)`` pairs is checked in two passes rather than
+    one Python call per key.
+    """
+    while True:
+        types = set(map(type, items))
+        if types <= _LEAF_TYPES:
+            return True
+        if not types - _LEAF_TYPES <= _NESTED_LEAVES:
+            return False
+        if types & _LEAF_TYPES:
+            items = [item for item in items if type(item) in _NESTED_LEAVES]
+        items = list(chain.from_iterable(items))
+
+
+def snapshot_copy(obj: Any, memo: Optional[Dict[int, Any]] = None) -> Any:
+    """A copy of ``obj`` with the meaning of ``copy.deepcopy(obj, memo)``.
+
+    Leaves (see :func:`_all_leaves`) are shared, as deepcopy already
+    shares atoms and leaf-only tuples.  Exact ``dict``/``list``/``set``
+    containers are rebuilt — with one ``dict(x)``/``list(x)``/``set(x)``
+    call when every member is a leaf, else member by member — and
+    insertion order is kept.  Everything else (subclasses such as
+    ``Counter``, custom objects, functions) goes to ``copy.deepcopy``
+    with the same ``memo``, so an object reached twice comes back as
+    one copy reached twice, exactly as deepcopy keeps aliasing.
+    """
+    cls = type(obj)
+    if cls in _LEAF_TYPES:
+        return obj
+    if memo is None:
+        memo = {}
+    copied = memo.get(id(obj))
+    if copied is not None:
+        return copied
+    if cls is dict:
+        leaf_keys = _all_leaves(obj)
+        if leaf_keys and _all_leaves(obj.values()):
+            copied = memo[id(obj)] = dict(obj)
+            return copied
+        # Registered before the members, so a cycle back to ``obj``
+        # finds this copy.
+        copied = memo[id(obj)] = {}
+        for key, value in obj.items():
+            if not leaf_keys:
+                key = snapshot_copy(key, memo)
+            copied[key] = snapshot_copy(value, memo)
+        return copied
+    if cls is list:
+        if _all_leaves(obj):
+            copied = memo[id(obj)] = list(obj)
+            return copied
+        copied = memo[id(obj)] = []
+        copied.extend([snapshot_copy(item, memo) for item in obj])
+        return copied
+    if cls is set:
+        copied = memo[id(obj)] = set()
+        if _all_leaves(obj):
+            copied.update(obj)
+        else:
+            copied.update([snapshot_copy(item, memo) for item in obj])
+        return copied
+    if cls is tuple:
+        if _all_leaves(obj):
+            return obj
+        items = [snapshot_copy(item, memo) for item in obj]
+        # A cycle through a mutable member may have copied this tuple.
+        copied = memo.get(id(obj))
+        if copied is not None:
+            return copied
+        if all(map(is_, items, obj)):
+            return obj
+        copied = memo[id(obj)] = tuple(items)
+        return copied
+    if cls is frozenset and _all_leaves(obj):
+        return obj
+    return copy.deepcopy(obj, memo)
 
 
 class Vertex:
@@ -131,7 +227,8 @@ class Vertex:
         return key in self._TRANSIENT_ATTRS or key in self._CONFIG_ATTRS
 
     def checkpoint(self) -> Any:
-        """Return a snapshot of this vertex's state (default: deep copy).
+        """Return a snapshot of this vertex's state (default: a
+        :func:`snapshot_copy` of the attribute dictionary).
 
         The snapshot excludes runtime-transient attributes and the
         immutable configuration named by ``_CONFIG_ATTRS``, and must be
@@ -142,7 +239,7 @@ class Vertex:
             for key, value in self.__dict__.items()
             if not self._checkpoint_excluded(key)
         }
-        return copy.deepcopy(state)
+        return snapshot_copy(state)
 
     def restore(self, state: Any) -> None:
         """Reset this vertex's state from a :meth:`checkpoint` snapshot.
@@ -159,7 +256,7 @@ class Vertex:
         ]
         for key in stale:
             delattr(self, key)
-        for key, value in copy.deepcopy(state).items():
+        for key, value in snapshot_copy(state).items():
             setattr(self, key, value)
 
     def __repr__(self) -> str:

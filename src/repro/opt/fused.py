@@ -26,11 +26,10 @@ machinery works unchanged.
 
 from __future__ import annotations
 
-import copy
 from typing import Any, Dict, List, Set, Tuple
 
 from ..core.timestamp import Timestamp
-from ..core.vertex import Vertex
+from ..core.vertex import Vertex, snapshot_copy
 
 
 class _ChainHarness:
@@ -183,7 +182,7 @@ class FusedVertex(Vertex):
             part.restore(snapshot)
         self._pending = {
             timestamp: set(positions)
-            for timestamp, positions in copy.deepcopy(state["pending"]).items()
+            for timestamp, positions in snapshot_copy(state["pending"]).items()
         }
 
     def __repr__(self) -> str:

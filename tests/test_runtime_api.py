@@ -9,7 +9,8 @@ only the shared control surface: ``run``/``step``/``drained``/``frontier``,
 import pytest
 
 from repro.core import Computation, RuntimeDebugState, TimelyRuntime
-from repro.lib import Stream
+from repro.lib import Collection, Stream
+from repro.lib.incremental import IncrementalDistinctVertex
 from repro.obs import TraceSink
 from repro.runtime import ClusterComputation
 
@@ -98,6 +99,36 @@ class TestTimelyRuntimeConformance:
         comp.run()
         assert comp.drained()
         assert sorted(out) == before  # nothing replays, nothing duplicates
+
+    def test_restoring_one_snapshot_twice(self, make):
+        comp = make()
+        inp = comp.new_input()
+        out = []
+        Collection.from_records(Stream.from_input(inp)).distinct().subscribe(
+            lambda t, diffs: out.extend(diffs)
+        )
+        comp.build()
+        inp.on_next(["a", "b", "a"])
+        comp.run()
+        snapshot = comp.checkpoint()
+        comp.restore(snapshot)
+        distinct = [
+            part
+            for vertex in comp.vertices.values()
+            for part in getattr(vertex, "parts", [vertex])
+            if isinstance(part, IncrementalDistinctVertex)
+        ]
+        assert distinct
+        for vertex in distinct:
+            vertex.counts["poison"] = 1
+        # The second restore must not see the first restore's mutation.
+        comp.restore(snapshot)
+        assert not any("poison" in vertex.counts for vertex in distinct)
+        inp.on_next(["c", "poison"])
+        inp.on_completed()
+        comp.run()
+        assert comp.drained()
+        assert sorted(out) == [("a", 1), ("b", 1), ("c", 1), ("poison", 1)]
 
     def test_attach_trace_sink_records_activity(self, make):
         comp = make()

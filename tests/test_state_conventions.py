@@ -12,11 +12,18 @@ needs no per-class knowledge of what the config attributes are called.
 Construction is registry-driven and the registry is checked for
 completeness against the class tree, so a new vertex class cannot
 silently dodge the audit.
+
+The snapshots themselves are made by ``snapshot_copy``; the second half
+of this file checks it against ``copy.deepcopy``.
 """
 
+import copy
+import operator
 import pickle
+from collections import Counter, OrderedDict, defaultdict
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro.algorithms  # noqa: F401  (populate the subclass tree)
 import repro.lib  # noqa: F401
@@ -25,7 +32,9 @@ from repro.algorithms.hashtag_components import QueryVertex, _ImmediateSink
 from repro.algorithms.logistic import TrainVertex
 from repro.algorithms.pagerank import PageRankVertex, _EdgeBlockVertex, _SfcRankVertex
 from repro.algorithms.shortest_paths import MultiSourceBfsVertex
-from repro.core.vertex import ForwardingVertex, Vertex
+from repro.core.timestamp import Timestamp
+from repro.core.vertex import ForwardingVertex, Vertex, snapshot_copy
+from repro.lib import Stream
 from repro.lib.allreduce import (
     _GatherVertex,
     _ReduceChunkVertex,
@@ -62,6 +71,7 @@ from repro.lib.operators import (
 )
 from repro.lib.pregel import PregelVertex, _AggregatorVertex
 from repro.opt.fused import FusedVertex
+from repro.runtime import ClusterComputation
 from repro.serve.arrangement import ArrangeVertex
 from repro.serve.session import ServeVertex
 
@@ -195,3 +205,197 @@ def test_on_recv_is_the_only_receive_path():
     for cls in _all_vertex_classes() | {Vertex}:
         assert not [name for name in vars(cls) if name.startswith("on_recv_")], cls
 
+
+
+# ----------------------------------------------------------------------
+# snapshot_copy: the copy every checkpoint and restore makes.
+# ----------------------------------------------------------------------
+
+_LEAF_TYPES = (int, float, str, bool, type(None), Timestamp)
+
+
+class _Opaque:
+    """A custom object, which snapshot_copy hands to deepcopy."""
+
+    def __init__(self, payload):
+        self.payload = payload
+
+    def __eq__(self, other):
+        return type(other) is _Opaque and self.payload == other.payload
+
+
+_leaves = st.one_of(
+    st.text(max_size=3),
+    st.integers(),
+    st.floats(allow_nan=False),
+    st.none(),
+    st.booleans(),
+    st.builds(
+        Timestamp,
+        st.integers(0, 5),
+        st.lists(st.integers(0, 3), max_size=2).map(tuple),
+    ),
+)
+_hashables = st.recursive(
+    _leaves,
+    lambda inner: st.tuples(inner, inner) | st.frozensets(inner, max_size=3),
+    max_leaves=4,
+)
+_states = st.recursive(
+    _hashables,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(_hashables, inner, max_size=4),
+        st.sets(_hashables, max_size=4),
+        st.tuples(inner, inner),
+        st.dictionaries(_hashables, st.integers(), max_size=3).map(Counter),
+        st.dictionaries(_hashables, inner, max_size=3).map(
+            lambda d: defaultdict(list, d)
+        ),
+        st.dictionaries(_hashables, inner, max_size=3).map(OrderedDict),
+    ),
+    max_leaves=20,
+)
+
+
+def _is_leaf(value):
+    if type(value) in _LEAF_TYPES:
+        return True
+    return type(value) in (tuple, frozenset) and all(map(_is_leaf, value))
+
+
+def _pairs(original, copied):
+    """Each object of ``original`` with its counterpart in ``copied``,
+    reached through exact dict/list/tuple containers."""
+    yield original, copied
+    if type(original) is dict:
+        for (key, value), (key2, value2) in zip(original.items(), copied.items()):
+            yield from _pairs(key, key2)
+            yield from _pairs(value, value2)
+    elif type(original) in (list, tuple):
+        for item, item2 in zip(original, copied):
+            yield from _pairs(item, item2)
+
+
+def _mutable_parts(obj, found):
+    """Every mutable object reachable from ``obj``, by id."""
+    if isinstance(obj, (dict, list, set, _Opaque)):
+        if id(obj) in found:
+            return
+        found[id(obj)] = obj
+    if isinstance(obj, dict):
+        for value in obj.values():
+            _mutable_parts(value, found)
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            _mutable_parts(item, found)
+    elif isinstance(obj, _Opaque):
+        _mutable_parts(obj.payload, found)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_states)
+def test_snapshot_copy_means_deepcopy(data):
+    shared = [data]
+    pair = (shared, data)
+    clock = lambda: 0  # noqa: E731 — a lambda leaf must be tolerated
+    root = {
+        "data": data,
+        "first": shared,
+        "again": pair,
+        "opaque": _Opaque(shared),
+        "pairs": [pair, pair],
+        "clock": clock,
+    }
+    oracle = copy.deepcopy(root)
+    copied = snapshot_copy(root)
+
+    # Same value, same types and the same dict iteration order as deepcopy.
+    assert copied == oracle
+    for expected, got in _pairs(oracle, copied):
+        assert type(got) is type(expected)
+        assert got == expected
+        if type(expected) is dict:
+            assert list(got) == list(expected)
+
+    # Leaves are shared by identity; exact containers are fresh.
+    for original, got in _pairs(root, copied):
+        if _is_leaf(original):
+            assert got is original
+        elif type(original) in (dict, list, set):
+            assert got is not original
+    assert copied["clock"] is clock
+
+    # One list referenced three times, twice through a container and
+    # once through a deepcopy-handled object, is one list in the copy;
+    # likewise a tuple holding it.
+    assert copied["first"] is copied["again"][0] is copied["opaque"].payload
+    assert copied["first"] is not shared
+    assert copied["again"] is copied["pairs"][0] is copied["pairs"][1]
+
+    # Mutating every container of the copy leaves the source unchanged.
+    found = {}
+    _mutable_parts(copied, found)
+    for part in found.values():
+        if isinstance(part, dict):
+            part[("mutated",)] = 1
+        elif isinstance(part, list):
+            part.append("mutated")
+        elif isinstance(part, set):
+            part.add("mutated")
+        else:
+            part.payload = "mutated"
+    assert root == oracle
+
+
+def test_snapshot_copy_keeps_cycles():
+    state = {"items": [1, 2]}
+    state["self"] = state
+    state["items"].append(state["items"])
+    copied = snapshot_copy(state)
+    assert copied["self"] is copied
+    assert copied["items"][2] is copied["items"] is not state["items"]
+
+
+def test_distinct_snapshot_shares_its_count_keys():
+    # The snapshot rebuilds the dict but keeps the live key objects; a
+    # pickle round-trip would duplicate every one of them.
+    vertex = IncrementalDistinctVertex()
+    vertex.apply([((user, "#t%d" % (user % 3)), 1) for user in range(50)])
+    state = vertex.checkpoint()
+    assert state["counts"] == vertex.counts
+    assert state["counts"] is not vertex.counts
+    assert all(map(operator.is_, state["counts"], vertex.counts))
+
+
+class _ClockedVertex(Vertex):
+    """Keeps a callable in its state without declaring it configuration,
+    as a benchmark vertex holding a clock does."""
+
+    def __init__(self, clock):
+        super().__init__()
+        self.clock = clock
+        self.seen = []
+
+    def on_recv(self, input_port, records, timestamp):
+        self.seen.append(self.clock())
+        self.send_by(0, records, timestamp)
+
+
+def test_cluster_build_snapshots_state_holding_a_lambda():
+    comp = ClusterComputation(num_processes=2, workers_per_process=1)
+    inp = comp.new_input()
+    out = []
+    Stream.from_input(inp)._unary(
+        "clocked", lambda: _ClockedVertex(lambda: comp.now)
+    ).subscribe(lambda t, records: out.extend(records))
+    comp.build()  # snapshots every vertex as the initial rollback target
+    initial = comp.recovery.initial["vertices"]
+    for (stage, worker), vertex in comp.vertices.items():
+        if isinstance(vertex, _ClockedVertex):
+            assert initial[(stage.index, worker)]["clock"] is vertex.clock
+    inp.on_next([1, 2, 3])
+    inp.on_completed()
+    comp.run()
+    assert comp.drained()
+    assert sorted(out) == [1, 2, 3]
