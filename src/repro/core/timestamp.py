@@ -22,39 +22,45 @@ Ingress       ``(e, <c1, ..., ck>)``         ``(e, <c1, ..., ck, 0>)``
 Egress        ``(e, <c1, ..., ck, ck+1>)``   ``(e, <c1, ..., ck>)``
 Feedback      ``(e, <c1, ..., ck>)``         ``(e, <c1, ..., ck + 1>)``
 ============  =============================  ============================
+
+A :class:`Timestamp` *is* the tuple ``(epoch, counters)``: equality,
+hashing and the Python ordering are the tuple's own, run in C, because
+every progress structure is a dict keyed by pointstamps whose first
+field is a timestamp.  The one consequence beyond speed is deliberate:
+a timestamp equals the plain tuple ``(epoch, counters)`` (and hashes
+like it), so ``Timestamp(1, (2,)) == (1, (2,))``.  The partial-order
+methods still accept only timestamps.
 """
 
 from __future__ import annotations
 
-from functools import total_ordering
+from operator import itemgetter
 from typing import Tuple
 
 
-@total_ordering
-class Timestamp:
+class Timestamp(tuple):
     """An immutable logical timestamp ``(epoch, loop counters)``.
 
-    Instances are hashable and totally ordered *as Python objects* by the
-    lexicographic order on ``(epoch, counters)``; this total order refines
-    the timely-dataflow partial order and is convenient for deterministic
-    scheduling.  The semantically meaningful partial order of section 2.1
-    is exposed as :meth:`less_equal` / :meth:`less_than`.
+    A validated ``tuple`` subclass: equality, hash and the Python total
+    order are those of the tuple ``(epoch, counters)`` — lexicographic,
+    which refines the timely-dataflow partial order and is convenient
+    for deterministic scheduling.  The semantically meaningful partial
+    order of section 2.1 is exposed as :meth:`less_equal` /
+    :meth:`less_than`.
     """
 
-    __slots__ = ("epoch", "counters", "_hash")
+    __slots__ = ()
 
-    def __init__(self, epoch: int, counters: Tuple[int, ...] = ()):
+    def __new__(cls, epoch: int, counters: Tuple[int, ...] = ()):
         if epoch < 0:
             raise ValueError("epoch must be non-negative, got %r" % (epoch,))
         counters = tuple(counters)
-        if any(c < 0 for c in counters):
+        if counters and min(counters) < 0:
             raise ValueError("loop counters must be non-negative, got %r" % (counters,))
-        object.__setattr__(self, "epoch", epoch)
-        object.__setattr__(self, "counters", counters)
-        object.__setattr__(self, "_hash", hash((epoch, counters)))
+        return tuple.__new__(cls, (epoch, counters))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Timestamp is immutable")
+    epoch = property(itemgetter(0), doc="The input epoch.")
+    counters = property(itemgetter(1), doc="The loop counters, outermost first.")
 
     def __reduce__(self):
         return (Timestamp, (self.epoch, self.counters))
@@ -137,23 +143,6 @@ class Timestamp:
     def with_epoch(self, epoch: int) -> "Timestamp":
         """A copy of this timestamp with a different epoch."""
         return Timestamp(epoch, self.counters)
-
-    # ------------------------------------------------------------------
-    # Python protocol: total (lexicographic) order for scheduling.
-    # ------------------------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Timestamp):
-            return NotImplemented
-        return self.epoch == other.epoch and self.counters == other.counters
-
-    def __lt__(self, other) -> bool:
-        if not isinstance(other, Timestamp):
-            return NotImplemented
-        return (self.epoch, self.counters) < (other.epoch, other.counters)
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         return "Timestamp(%d, %r)" % (self.epoch, list(self.counters))

@@ -712,7 +712,8 @@ class ProgressPlane:
         #: scope; empty when nothing is summarized (every data-plane
         #: hook is then a single truthiness test).
         self._proj_table: Dict[Any, ScopeNode] = {}
-        #: Pointstamp -> projected Pointstamp memo for :meth:`project`.
+        #: Pointstamp -> projected Pointstamp memo for :meth:`project`
+        #: and the queued-interior counts (:meth:`_boundary`).
         self._proj_cache: Dict[Pointstamp, Pointstamp] = {}
         self._summarize_scopes(summaries, notifies)
         #: Deferred-flush timer shared by all endpoints: called with a
@@ -801,15 +802,39 @@ class ProgressPlane:
         own pointstamps are never disseminated."""
         return stage in self._proj_table
 
-    def note_enqueue(self, connector, timestamp: Timestamp, process: int) -> None:
-        """A delivery on ``connector`` was queued at a worker of
-        ``process``; counts only if it is interior to a summarized scope."""
-        node = self._proj_table.get(connector)
+    def _boundary(self, location, timestamp: Timestamp) -> Optional[Pointstamp]:
+        """The boundary pointstamp ``(timestamp, location)`` projects
+        onto, from :meth:`project`'s memo; None when ``location`` is not
+        interior to a summarized scope."""
+        node = self._proj_table.get(location)
         if node is None:
-            return
+            return None
+        # A Pointstamp equals the plain tuple, so this hits project()'s
+        # entries and project() hits these.
+        key = (timestamp, location)
+        boundary = self._proj_cache.get(key)
+        if boundary is None:
+            boundary = self._memo_projection(key, node)
+        return boundary
+
+    def _memo_projection(self, key, node: ScopeNode) -> Pointstamp:
+        """Project the pointstamp ``key`` onto ``node`` and memoize it."""
+        timestamp = key[0]
         boundary = Pointstamp(
             Timestamp(timestamp.epoch, timestamp.counters[: node.depth]), node
         )
+        cache = self._proj_cache
+        if len(cache) > 100_000:
+            cache.clear()
+        cache[key] = boundary
+        return boundary
+
+    def note_enqueue(self, connector, timestamp: Timestamp, process: int) -> None:
+        """A delivery on ``connector`` was queued at a worker of
+        ``process``; counts only if it is interior to a summarized scope."""
+        boundary = self._boundary(connector, timestamp)
+        if boundary is None:
+            return
         for endpoint in (self.nodes[process], self.central):
             if endpoint is not None:
                 endpoint.queued[boundary] = endpoint.queued.get(boundary, 0) + 1
@@ -818,12 +843,9 @@ class ProgressPlane:
         self, connector, timestamp: Timestamp, process: int, count: int = 1
     ) -> None:
         """``count`` such deliveries left the queue (run, or lost)."""
-        node = self._proj_table.get(connector)
-        if node is None:
+        boundary = self._boundary(connector, timestamp)
+        if boundary is None:
             return
-        boundary = Pointstamp(
-            Timestamp(timestamp.epoch, timestamp.counters[: node.depth]), node
-        )
         for endpoint in (self.nodes[process], self.central):
             if endpoint is not None:
                 remaining = endpoint.queued.get(boundary, 0) - count
@@ -857,13 +879,7 @@ class ProgressPlane:
             if node is not None:
                 projected = cache.get(pointstamp)
                 if projected is None:
-                    t = pointstamp.timestamp
-                    projected = Pointstamp(
-                        Timestamp(t.epoch, t.counters[: node.depth]), node
-                    )
-                    if len(cache) > 100_000:
-                        cache.clear()
-                    cache[pointstamp] = projected
+                    projected = self._memo_projection(pointstamp, node)
                 pointstamp = projected
             out.append((pointstamp, delta))
         return out

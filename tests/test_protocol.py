@@ -198,21 +198,18 @@ class TestStandalonePlane:
         comp.graph.freeze()
         return comp.graph
 
-    @pytest.mark.parametrize("mode", PROTOCOL_MODES)
-    def test_views_converge_under_every_mode(self, mode):
+    @staticmethod
+    def plane_over(graph, mode):
+        """A three-process plane over ``graph`` in which nothing
+        notifies, so its loop is summarized."""
         from repro.runtime.protocol import ProgressPlane
         from repro.sim.des import Simulator
         from repro.sim.network import Network, NetworkConfig
 
-        graph = self.one_loop_graph()
-        inp = graph.stages[0]
-        c = graph.connectors  # 0 in->ingress, 1 ingress->concat,
-        # 2 feedback->concat, 3 concat->select, 4 select->feedback,
-        # 5 select->egress, 6 egress->subscribe
         sim = Simulator(seed=0)
         plane = ProgressPlane(
             graph.summaries,
-            lambda stage: False,  # nothing notifies: the loop is summarized
+            lambda stage: False,
             sim,
             Network(sim, 3, NetworkConfig()),
             [0, 1, 2],
@@ -220,6 +217,16 @@ class TestStandalonePlane:
             250e-6,
         )
         assert len(plane.summarized_scopes) == 1
+        return sim, plane
+
+    @pytest.mark.parametrize("mode", PROTOCOL_MODES)
+    def test_views_converge_under_every_mode(self, mode):
+        graph = self.one_loop_graph()
+        inp = graph.stages[0]
+        c = graph.connectors  # 0 in->ingress, 1 ingress->concat,
+        # 2 feedback->concat, 3 concat->select, 4 select->feedback,
+        # 5 select->egress, 6 egress->subscribe
+        sim, plane = self.plane_over(graph, mode)
         plane.apply_all([(Pointstamp(ts(0), inp), +1)])
 
         def callback(at, process, consumed, produced):
@@ -274,3 +281,43 @@ class TestStandalonePlane:
             assert not plane.withholding(process)
         assert plane.central is None or not plane.central.buffer
         assert not any(e.queued for e in plane.nodes + [plane.central] if e)
+
+    def test_queued_counts_share_the_projection_memo(self):
+        graph = self.one_loop_graph()
+        c = graph.connectors
+        _, plane = self.plane_over(graph, "local+global")
+        endpoints = (plane.nodes[1], plane.central)
+
+        # note_enqueue first: project() hands back the memoized object.
+        plane.note_enqueue(c[3], ts(0, 2), 1)
+        [(projected, _)] = plane.project([(Pointstamp(ts(0, 2), c[3]), +1)])
+        assert projected == Pointstamp(ts(0), projected.location)
+        for endpoint in endpoints:
+            [key] = endpoint.queued
+            assert key is projected
+
+        # project() first: note_enqueue keys queued with its object.
+        [(projected, _)] = plane.project([(Pointstamp(ts(1, 0), c[4]), +1)])
+        plane.note_enqueue(c[4], ts(1, 0), 1)
+        for endpoint in endpoints:
+            assert [k for k in endpoint.queued if k is projected] == [projected]
+
+        plane.note_dequeue(c[3], ts(0, 2), 1)
+        plane.note_dequeue(c[4], ts(1, 0), 1)
+        for _ in range(3):
+            plane.note_enqueue(c[3], ts(2, 1), 1)
+        plane.note_dequeue(c[3], ts(2, 1), 1, count=2)
+        plane.note_dequeue(c[3], ts(2, 1), 1)
+        for endpoint in plane.nodes + [plane.central]:
+            assert not endpoint.queued
+
+    def test_unsummarized_connector_touches_nothing(self):
+        graph = self.one_loop_graph()
+        c = graph.connectors
+        _, plane = self.plane_over(graph, "local+global")
+        assert not plane.is_summarized(c[0]) and not plane.is_summarized(c[6])
+        for connector, time in ((c[0], ts(0)), (c[6], ts(3))):
+            plane.note_enqueue(connector, time, 0)
+            plane.note_dequeue(connector, time, 0)
+        assert not plane._proj_cache
+        assert not any(e.queued for e in plane.nodes + [plane.central])

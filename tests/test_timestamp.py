@@ -1,7 +1,7 @@
 """Unit and property tests for repro.core.timestamp."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.core import Timestamp, ZERO
 
@@ -139,3 +139,80 @@ class TestLoopActions:
 
     def test_with_epoch(self):
         assert ts(2, 7).with_epoch(9) == ts(9, 7)
+
+
+class TestValueContract:
+    """A Timestamp is the tuple ``(epoch, counters)``: equality, hash and
+    order are the tuple's, computed in C."""
+
+    def test_hash_is_the_tuple_hash(self):
+        # Pins dict and set iteration order to what it was before
+        # Timestamp became a tuple.
+        for t in (ZERO, ts(3), ts(1, 2, 3), ts(7, 0, 0, 9)):
+            assert hash(t) == hash((t.epoch, t.counters))
+
+    def test_equals_the_plain_tuple(self):
+        # The one deliberate semantic change of the tuple base.
+        assert ts(1, 2) == (1, (2,))
+        assert (1, (2,)) == ts(1, 2)
+        assert {(1, (2,)): "x"}[ts(1, 2)] == "x"
+        assert ts(1, 2) != (1, (3,))
+
+    def test_pickle_round_trip(self):
+        import pickle
+
+        t = ts(4, 1, 2)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(t, protocol))
+            assert type(back) is Timestamp
+            assert (back.epoch, back.counters) == (4, (1, 2))
+
+    def test_copy_returns_self(self):
+        import copy
+
+        t = ts(4, 1, 2)
+        assert copy.copy(t) is t
+        assert copy.deepcopy(t) is t
+        assert copy.deepcopy([t])[0] is t
+
+    def test_no_attribute_can_be_set(self):
+        t = ts(1, 2)
+        with pytest.raises(AttributeError):
+            t.epoch = 5
+        with pytest.raises(AttributeError):
+            t.counters = ()
+        with pytest.raises(AttributeError):
+            t.extra = 1
+        assert (t.epoch, t.counters) == (1, (2,))
+
+    def test_partial_order_rejects_plain_tuples(self):
+        with pytest.raises(TypeError):
+            ZERO.less_equal((0, ()))
+
+    def test_negative_counter_anywhere_rejected(self):
+        for counters in [(-1,), (0, -1), (3, 0, -5)]:
+            with pytest.raises(ValueError):
+                Timestamp(0, counters)
+        assert Timestamp(0, ()).counters == ()
+
+    @settings(derandomize=True, max_examples=200)
+    @given(
+        st.lists(
+            st.builds(
+                Timestamp,
+                st.integers(min_value=0, max_value=4),
+                st.lists(st.integers(min_value=0, max_value=3), max_size=3).map(tuple),
+            ),
+            max_size=12,
+        )
+    )
+    def test_order_and_equality_are_the_tuples(self, stamps):
+        def key(t):
+            return (t.epoch, t.counters)
+
+        assert [key(t) for t in sorted(stamps)] == sorted(key(t) for t in stamps)
+        for a in stamps:
+            for b in stamps:
+                assert (a == b) == (key(a) == key(b))
+                assert (a < b) == (key(a) < key(b))
+                assert (a <= b) == (key(a) <= key(b))
