@@ -69,7 +69,6 @@ MTTR_BUDGET = 8e-3
 def make_ft():
     return FaultTolerance(
         mode="checkpoint",
-        checkpoint_mode="async",
         checkpoint_every=2,
         state_bytes_per_worker=1 << 18,
         disk_bandwidth=200e6,

@@ -13,13 +13,14 @@ Five runs, identical outputs required across all of them:
 - ``fixed``       — async checkpoints, shape never changes (control);
 - ``add``         — a 65th process joins at mid-run;
 - ``remove``      — a founding process drains out at mid-run;
-- ``barrier``     — barrier checkpointing, fixed shape: what each
-                    periodic stop-the-world pause costs on this
+- ``barrier``     — the stop-the-world baseline
+                    (``repro.baselines.BarrierCheckpoints``), fixed
+                    shape: what each periodic pause costs on this
                     workload;
-- ``barrier-kill`` — barrier checkpointing, the same process lost at
-                    the same point but *unplanned*: the global
-                    rollback a rescale would cost without async-cut
-                    migration (every worker restored, full replay).
+- ``barrier-kill`` — the baseline with the same process lost at the
+                    same point but *unplanned*: the global rollback a
+                    rescale would cost without async-cut migration
+                    (every worker restored, full replay).
 
 The report compares each migration's blip (cut-to-ready, from
 ``comp.rescales``) and the worst inter-output stall it induced against
@@ -31,6 +32,7 @@ restored) and their blips are a small fraction of the global outage.
 from collections import Counter
 
 from repro.algorithms import weakly_connected_components
+from repro.baselines import BarrierCheckpoints
 from repro.lib import Stream
 from repro.obs import TraceSink, checkpoint_pause_stats
 from repro.runtime import ClusterComputation, CostModel, FaultTolerance
@@ -49,11 +51,15 @@ BLOCKED = CostModel(per_record_cost=2e-5, record_bytes=800)
 RESCALE_POINT = 0.5
 
 
-def make_ft(checkpoint_mode):
+#: Epochs between checkpoints, asynchronous or barrier.
+CHECKPOINT_EVERY = 2
+
+
+def make_ft(barrier):
+    """Asynchronous cuts, or mode "none" under the barrier baseline."""
     return FaultTolerance(
-        mode="checkpoint",
-        checkpoint_mode=checkpoint_mode,
-        checkpoint_every=2,
+        mode="none" if barrier else "checkpoint",
+        checkpoint_every=CHECKPOINT_EVERY,
         state_bytes_per_worker=1 << 18,
         disk_bandwidth=200e6,
         recovery="reassign",
@@ -66,14 +72,14 @@ def edge_epochs():
     return [GRAPH[i : i + chunk] for i in range(0, len(GRAPH), chunk)]
 
 
-def run_wcc(checkpoint_mode, rescale=None, kill=None):
+def run_wcc(barrier=False, rescale=None, kill=None):
     """One streamed WCC run; returns outputs and stall measurements."""
     comp = ClusterComputation(
         num_processes=COMPUTERS,
         workers_per_process=WORKERS_PER_PROCESS,
         progress_mode="local+global",
         cost_model=BLOCKED,
-        fault_tolerance=make_ft(checkpoint_mode),
+        fault_tolerance=make_ft(barrier),
     )
     trace = TraceSink()
     comp.attach_trace_sink(trace)
@@ -86,6 +92,8 @@ def run_wcc(checkpoint_mode, rescale=None, kill=None):
 
     inp = comp.new_input("edges")
     weakly_connected_components(Stream.from_input(inp)).subscribe(observe)
+    if barrier:
+        inp = BarrierCheckpoints(comp, CHECKPOINT_EVERY).hold(inp)
     comp.build()
     for op in rescale or ():
         if op[0] == "add":
@@ -113,17 +121,13 @@ def run_wcc(checkpoint_mode, rescale=None, kill=None):
 
 def test_bench_rescale(benchmark):
     def experiment():
-        results = {"fixed": run_wcc("async")}
+        results = {"fixed": run_wcc()}
         duration = results["fixed"]["duration"]
         at = duration * RESCALE_POINT
-        results["add"] = run_wcc("async", rescale=[("add", at)])
-        results["remove"] = run_wcc(
-            "async", rescale=[("remove", COMPUTERS - 1, at)]
-        )
-        results["barrier"] = run_wcc("barrier")
-        results["barrier-kill"] = run_wcc(
-            "barrier", kill=(COMPUTERS - 1, at)
-        )
+        results["add"] = run_wcc(rescale=[("add", at)])
+        results["remove"] = run_wcc(rescale=[("remove", COMPUTERS - 1, at)])
+        results["barrier"] = run_wcc(barrier=True)
+        results["barrier-kill"] = run_wcc(barrier=True, kill=(COMPUTERS - 1, at))
         return results
 
     results = benchmark.pedantic(experiment, rounds=1, iterations=1)

@@ -71,7 +71,6 @@ def run(autoscale=True):
         fault_tolerance=FaultTolerance(
             mode="checkpoint",
             checkpoint_every=2,
-            checkpoint_mode="async",
             recovery="reassign",
             restart_delay=0.02,
         ),

@@ -3,7 +3,7 @@
 The paper's flagship application — streaming connected components over
 user mentions joined with trending hashtags, queried interactively —
 running on the simulated cluster with *asynchronous* checkpoints
-(``FaultTolerance(checkpoint_mode="async")``).  A process is killed
+(``FaultTolerance(mode="checkpoint")``).  A process is killed
 while a query's epoch is still in flight: the marker-based cut lets the
 runtime restore only the lost process's vertices and replay their
 journal suffix while the survivors keep streaming, and the query is
@@ -50,7 +50,6 @@ def run(kill=None, crash=None, supervise=None):
         fault_tolerance=FaultTolerance(
             mode="checkpoint",
             checkpoint_every=2,
-            checkpoint_mode="async",
             restart_delay=0.02,
         ),
     )

@@ -1,9 +1,11 @@
 """Failure injection and recovery on the simulated cluster (section 3.4).
 
 Runs a keyed word-count on a 4-computer cluster with periodic
-checkpointing, kills one process mid-epoch at a chosen virtual time,
-and lets the :class:`RecoveryManager` roll the survivors back to the
-last checkpoint and replay the input journal.  The per-epoch outputs
+asynchronous checkpoints, kills one process mid-epoch at a chosen
+virtual time, and lets the :class:`RecoveryManager` recover it: skip
+the rollback if nothing was lost, else restore only the lost workers
+from the last durable cut and replay what they had received since,
+falling back to a whole-cluster rollback.  The per-epoch outputs
 are compared against a failure-free run of the same program: they must
 match exactly — released epochs are never re-released (exactly-once)
 and replayed epochs come out identical.
@@ -83,11 +85,12 @@ def main():
     out, comp = run(kill_process=2, kill_at=kill_at)
     failure = comp.recovery.failures[0]
     print(
-        "  failure: process %d at %.6f s; rolled back to checkpoint "
-        "taken at %.6f s; replayed %d journal entries; ready at %.6f s"
+        "  failure: process %d at %.6f s; %s recovery from the cut "
+        "taken at %.6f s; replayed %d entries; ready at %.6f s"
         % (
             failure["process"],
             failure["at"],
+            failure["mode"],
             failure["restored_from"],
             failure["replayed_entries"],
             failure["ready"],

@@ -6,6 +6,7 @@ virtual time from a documented cost model.  See DESIGN.md's
 substitution table.
 """
 
+from .barrier import BarrierCheckpoints
 from .batch import DRYADLINQ, PDW, SHS, BatchCosts, BatchIterativeEngine
 from .kineograph import KineographCosts, KineographEngine
 from .powergraph import GasCosts, PowerGraphEngine
@@ -17,6 +18,7 @@ from .vw_allreduce import (
 )
 
 __all__ = [
+    "BarrierCheckpoints",
     "BatchCosts",
     "BatchIterativeEngine",
     "DRYADLINQ",

@@ -95,7 +95,7 @@ class RuntimeDebugState:
     queued_messages: int = 0
     #: Outstanding notification requests.
     pending_notifications: int = 0
-    #: Fault-tolerance facts: mode, recovery policy, draining flag,
+    #: Fault-tolerance facts: mode, recovery policy, membership,
     #: checkpoint/journal counters (empty when FT is not configured).
     fault_tolerance: Dict[str, Any] = field(default_factory=dict)
     #: Processes currently without live workers.

@@ -154,14 +154,16 @@ class IncrementalReduceVertex(_EpochDiffVertex):
 
     def apply(self, diffs: List[Diff]) -> List[Diff]:
         key = self.key
-        touched = set()
+        # Insertion-ordered: changed groups are emitted in first-touch
+        # order, independent of how their keys hash.
+        touched: Dict[Any, None] = {}
         for record, multiplicity in diffs:
             k = key(record)
             group = self.groups.setdefault(k, {})
             group[record] = group.get(record, 0) + multiplicity
             if group[record] == 0:
                 del group[record]
-            touched.add(k)
+            touched[k] = None
         out: List[Diff] = []
         for k in touched:
             group = self.groups.get(k, {})

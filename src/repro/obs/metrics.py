@@ -325,7 +325,8 @@ def detection_stats(events: Iterable[TraceEvent]) -> DetectionStats:
 
 @dataclass
 class CheckpointPauseStats:
-    """Checkpoint-induced pauses, comparable across the two modes.
+    """Checkpoint-induced pauses, comparable between the runtime's
+    asynchronous cuts and the barrier baseline.
 
     A barrier checkpoint pauses the whole cluster for its drain plus
     its synchronous write; an asynchronous cycle pauses each worker

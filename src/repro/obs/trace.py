@@ -31,12 +31,13 @@ Event kinds
 ``input``
     one epoch of external input journaled/introduced.
 ``checkpoint`` / ``restore`` / ``failure``
-    fault-tolerance barriers (section 3.4): checkpoint begin/complete,
-    rollback, and injected process failures.  A barrier ``checkpoint``
-    event's ``detail`` is ``(count, journal_released, drain_duration,
-    write_duration)``; a partial rollback emits one ``restore`` event
-    per restored worker (``worker`` >= 0), a global rollback emits a
-    single cluster-wide event (``worker`` == -1).
+    fault tolerance (section 3.4): a durable checkpoint, a rollback,
+    an injected process failure.  A ``checkpoint`` event's ``detail`` is
+    ``(count, journal_released, drain_duration, write_duration)``; only
+    a quiescent snapshot pauses, so an asynchronous cut's durable
+    commit has zero drain and ``dur``.  A partial rollback emits one
+    ``restore`` event per restored worker (``worker`` >= 0), a global
+    rollback emits a single cluster-wide event (``worker`` == -1).
 ``rescale``
     a completed elastic membership change (``add_process`` /
     ``remove_process``): ``process`` is the process that joined or
@@ -44,7 +45,7 @@ Event kinds
     ready time) and ``detail`` is ``(kind, generation, live_count,
     moved_workers, injected)``.
 ``snapshot``
-    the asynchronous checkpoint protocol (``checkpoint_mode="async"``):
+    the asynchronous checkpoint protocol:
     one span per ``(worker, cycle)`` snapshot whose ``dur`` is the
     copy stall charged to that worker and whose ``detail`` is
     ``(cycle, fresh_vertices, total_vertices)``, plus one cycle

@@ -1,13 +1,14 @@
 """Marker-based asynchronous incremental checkpoints and partial
-rollback for the simulated cluster (``FaultTolerance.checkpoint_mode ==
-"async"``).
+rollback for the simulated cluster: every periodic or rescale cut under
+``FaultTolerance(mode="checkpoint")`` or ``mode="logging"``.
 
-The barrier cycle of :mod:`repro.runtime.checkpoint` stops the world:
-input release pauses, the cluster drains to quiescence, every vertex
-serializes, the write stalls every worker.  This module replaces *how*
-the consistent cut is taken with a Chandy-Lamport-style protocol in the
-spirit of distributed GraphLab's asynchronous snapshots — the dataflow
-never pauses:
+The paper's barrier cycle stops the world: input release pauses, the
+cluster drains to quiescence, every vertex serializes, the write stalls
+every worker (it survives as the comparison baseline
+:class:`repro.baselines.BarrierCheckpoints`).  This module takes the
+consistent cut with a Chandy-Lamport-style protocol in the spirit of
+distributed GraphLab's asynchronous snapshots — the dataflow never
+pauses:
 
 **Markers and message colors.**  A *cycle* begins when the coordinator
 sends one marker (a small control message) to every worker over the
@@ -77,7 +78,7 @@ class AsyncCheckpointManager:
     """Coordinates asynchronous snapshot cycles and partial rollback.
 
     One instance per :class:`ClusterComputation`, created at build time
-    when ``checkpoint_mode == "async"``.  The cluster's hot paths call
+    unless ``FaultTolerance.mode == "none"``.  The cluster's hot paths call
     in via four hooks: :meth:`on_delivery` (every enqueue),
     :meth:`register_inflight` (every network send), the dirty-bit adds
     in ``_Worker._step``, and the deferred-cut checks at step/commit

@@ -1,17 +1,13 @@
-"""Checkpointing, failure injection and recovery for the simulated
+"""Input journal, failure injection and recovery for the simulated
 cluster (paper section 3.4).
 
-Naiad's fault-tolerance cycle is: pause worker threads, flush message
-queues and progress-protocol buffers so every process agrees on the
-occurrence counts, ask each stateful vertex for a checkpoint, log the
-state durably, then resume.  Recovery after a process failure rolls
-*every* process back to the last durable checkpoint, reassigns the
-failed process's vertices to the remaining machines (or to a restarted
-process), rebuilds progress-tracking state on all peers, and replays
-the logged inputs.
-
-:class:`RecoveryManager` implements that cycle on the discrete-event
-cluster of :mod:`repro.runtime.cluster`:
+Recovery after a process failure rolls back to the last durable
+checkpoint, reassigns the failed process's vertices to the remaining
+machines (or to a restarted process), rebuilds progress-tracking state
+and replays the logged inputs.  :class:`RecoveryManager` implements it
+on the discrete-event cluster of :mod:`repro.runtime.cluster`; the
+periodic cuts themselves are asynchronous marker cycles
+(:mod:`repro.runtime.async_checkpoint`).
 
 **Input journal.**  Every epoch the external producer supplies (and
 every input close) is journaled before release.  The journal is the
@@ -23,18 +19,13 @@ every cross-process message batch (charged in ``_Worker._step``); the
 manager accounts those bytes so recovery pays a log-read cost instead
 of recomputing from the most recent full checkpoint only.
 
-**Checkpoint barrier.**  A trigger (every ``checkpoint_every`` released
-epochs, or an explicit :meth:`ClusterComputation.checkpoint` call)
-pauses the release of further input and waits for the cluster to reach
-quiescence: no message in flight on the network, no worker with queued
-messages or an uncommitted callback.  Reaching quiescence is detected
-by a probe event that re-arms itself at the simulator's next event time
-— the virtual-time analogue of the paper's "wait for all workers to
-pause".  At the barrier the withheld updates in every protocol
-accumulator are flushed synchronously (legal precisely because nothing
-is in flight), after which all process views agree and the global state
-is a consistent cut: vertices, pending notifications and one shared set
-of occurrence counts.
+**Quiescent snapshot.**  :meth:`complete_checkpoint` snapshots a
+cluster with nothing in flight (:meth:`quiescent`) once the protocol
+accumulators are flushed, so all views agree: vertices, pending
+notifications and one shared set of occurrence counts.  An explicit
+:meth:`ClusterComputation.checkpoint` under ``mode="none"`` drains to
+it, and so does the paper's stop-the-world barrier, which lives outside
+the runtime (:class:`repro.baselines.BarrierCheckpoints`).
 
 **Failure.**  :meth:`ClusterComputation.kill_process` injects a failure
 at a virtual time.  The network tears down in-flight traffic, all
@@ -49,6 +40,7 @@ each (sink, timestamp) batch exactly once.
 
 from __future__ import annotations
 
+from collections import Counter
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Set, Tuple
 
@@ -76,11 +68,6 @@ class RecoveryManager:
         self.released = 0
         #: Data epochs released so far (the checkpoint trigger counter).
         self.epochs_released = 0
-        #: True while a checkpoint barrier is draining the cluster; new
-        #: journal entries are deferred until the snapshot completes.
-        self.paused = False
-        #: Bumped by every failure/rollback; cancels stale probe events.
-        self._generation = 0
         #: Latest durable checkpoint (None until one is taken).
         self.snapshot: Optional[Dict[str, Any]] = None
         #: Snapshot of the freshly built cluster; the rollback target
@@ -100,9 +87,6 @@ class RecoveryManager:
         #: (stage_index, worker, timestamp) batches already delivered to
         #: external subscribers; replay skips them (exactly-once).
         self._released_outputs: Set[Tuple[int, int, Any]] = set()
-        #: Virtual time the active barrier started draining (None when
-        #: no barrier is active); the drain span lands in the trace.
-        self._barrier_begin: Optional[float] = None
 
     # ------------------------------------------------------------------
     # Input journal and release pump.
@@ -117,14 +101,15 @@ class RecoveryManager:
         self.pump()
 
     def pump(self) -> None:
-        """Release journal entries into the dataflow until paused.
+        """Release journal entries into the dataflow, starting a marker
+        cycle every ``checkpoint_every`` epochs.
 
         Doubles as the replay loop: after a rollback ``released`` points
         back into the journal and pumping re-executes the suffix.
         """
         cluster = self.cluster
         ft = cluster.fault_tolerance
-        while not self.paused and self.released < len(self.journal):
+        while self.released < len(self.journal):
             entry = self.journal[self.released]
             self.released += 1
             if entry[0] == "epoch":
@@ -132,69 +117,25 @@ class RecoveryManager:
                 cluster._release_epoch(stage, records, epoch)
                 self.epochs_released += 1
                 if (
-                    ft.mode in ("checkpoint", "logging")
+                    cluster.async_ckpt is not None
                     and ft.checkpoint_every > 0
                     and self.epochs_released % ft.checkpoint_every == 0
                 ):
-                    if cluster.async_ckpt is not None:
-                        # Asynchronous mode: start a marker cycle; input
-                        # release never pauses.
-                        cluster.async_ckpt.request_cycle()
-                    else:
-                        self.begin_checkpoint()
+                    cluster.async_ckpt.request_cycle()
             else:
                 _, stage, next_epoch = entry
                 cluster._release_close(stage, next_epoch)
 
     # ------------------------------------------------------------------
-    # The checkpoint barrier.
+    # Quiescent snapshots.
     # ------------------------------------------------------------------
-
-    def begin_checkpoint(self) -> None:
-        """Pause input release and start draining toward quiescence."""
-        if self.paused:
-            return
-        self.paused = True
-        self._barrier_begin = self.cluster.sim.now
-        self._schedule_probe()
-
-    def _schedule_probe(self, at: Optional[float] = None) -> None:
-        sim = self.cluster.sim
-        generation = self._generation
-        time = sim.now if at is None else max(at, sim.now)
-        sim.schedule_at(time, lambda: self._probe(generation))
-
-    def _probe(self, generation: int) -> None:
-        if generation != self._generation or not self.paused:
-            return  # a failure rolled the cluster back; cycle abandoned
-        if not self.quiescent():
-            self._rearm_probe()
-            return
-        # Nothing in flight: flush the withheld protocol updates so all
-        # views agree, then re-arm if the flush unblocked more work.
-        self.cluster.plane.flush_all()
-        for worker in self.cluster.workers:
-            worker.activate()
-        if not self.quiescent():
-            self._rearm_probe()
-            return
-        self.complete_checkpoint()
-
-    def _rearm_probe(self) -> None:
-        next_time = self.cluster.sim.next_event_time
-        if next_time is None:
-            raise RuntimeError(
-                "checkpoint barrier cannot reach quiescence; cluster state:\n"
-                + str(self.cluster.debug_state())
-            )
-        self._schedule_probe(at=next_time)
 
     def quiescent(self) -> bool:
         """No message in flight, no worker with undelivered work.
 
         Detector heartbeats are excluded: they flow as long as the
-        computation does, and a barrier that waited for them would
-        never fire."""
+        computation does, and a drain that waited for them would never
+        end."""
         cluster = self.cluster
         if cluster.network.data_in_flight:
             return False
@@ -203,8 +144,20 @@ class RecoveryManager:
                 return False
         return True
 
-    def complete_checkpoint(self) -> Dict[str, Any]:
-        """Snapshot the quiescent cluster, charge the write, resume."""
+    def settle(self) -> bool:
+        """Once quiescent, flush the withheld protocol updates so all views
+        agree; True if that left it quiescent: a snapshot may be taken."""
+        if not self.quiescent():
+            return False
+        self.cluster.plane.flush_all()
+        for worker in self.cluster.workers:
+            worker.activate()
+        return self.quiescent()
+
+    def complete_checkpoint(self, drain: float = 0.0) -> Dict[str, Any]:
+        """Snapshot the quiescent cluster and charge the write to every
+        worker.  ``drain`` is the virtual time the caller spent reaching
+        quiescence; it is reported in the trace beside the write."""
         cluster = self.cluster
         now = cluster.sim.now
         self.snapshot = self.take_snapshot()
@@ -221,8 +174,6 @@ class RecoveryManager:
             # durable; advance the clock to the write's completion even
             # if no further work exists.
             cluster.sim.schedule_at(resume, lambda: None)
-        drain = now - self._barrier_begin if self._barrier_begin is not None else 0.0
-        self._barrier_begin = None
         trace = cluster._trace
         if trace is not None:
             trace.emit(
@@ -238,8 +189,6 @@ class RecoveryManager:
                     (self.checkpoint_count, self.released, drain, duration),
                 )
             )
-        self.paused = False
-        self.pump()
         return self.snapshot
 
     def _write_duration(self) -> float:
@@ -265,7 +214,7 @@ class RecoveryManager:
         for view in views[1:]:
             if view.state.occurrence != occurrence:
                 raise RuntimeError(
-                    "progress views disagree at a checkpoint barrier; "
+                    "progress views disagree at a quiescent checkpoint; "
                     "the protocol flush is incomplete:\n"
                     + str(cluster.debug_state())
                 )
@@ -294,7 +243,7 @@ class RecoveryManager:
         notifications below the input frontier).  Timestamps can only
         move forward in epoch, so sink timestamps below *every* positive
         occurrence entry in the snapshot are final and their dedup
-        entries can be freed.  (At a quiescent barrier only the input
+        entries can be freed.  (At a quiescent snapshot only the input
         frontier is outstanding, so this reduces to the input floor.)
         """
         floors = [
@@ -337,8 +286,7 @@ class RecoveryManager:
         """True when killing ``process`` loses nothing: its workers are
         idle with no queued/in-flight work addressed to them and
         every hosted vertex state equals the rollback snapshot's.  Then
-        a restart needs no rollback at all (satellite: skip the barrier
-        when the restore set is empty)."""
+        a restart needs no rollback at all."""
         cluster = self.cluster
         if cluster.network.data_in_flight:
             return False
@@ -442,41 +390,16 @@ class RecoveryManager:
             for p in cluster.live_processes
             if p != process and p not in self.dead_processes
         ]
-        trace = cluster._trace
         if policy == "restart" and self._restore_set_empty(process, snapshot):
             # Nothing to restore: the process restarts in place with its
-            # state intact; no rollback barrier, no replay, survivors
+            # state intact; no rollback, no replay, survivors
             # untouched.  (Only sound under "restart" — "reassign" must
             # still migrate the workers off the dead process.)
             ready = now + delay
             for worker in cluster.workers:
                 if worker.process == process:
                     worker.busy_until = max(worker.busy_until, ready)
-            if trace is not None:
-                trace.emit(
-                    TraceEvent(
-                        "failure",
-                        now,
-                        ready - now,
-                        perf_counter(),
-                        -1,
-                        process,
-                        "",
-                        (),
-                        (policy, 0, "skip"),
-                    )
-                )
-            self.failures.append(
-                {
-                    "at": now,
-                    "process": process,
-                    "policy": policy,
-                    "mode": "skip",
-                    "ready": ready,
-                    "restored_from": snapshot["time"],
-                    "replayed_entries": 0,
-                }
-            )
+            self._note_failure(process, policy, "skip", ready, snapshot, 0)
             self._notify_sessions()
             return
         ac = cluster.async_ckpt
@@ -489,19 +412,9 @@ class RecoveryManager:
             # (Bail to global recovery while a previous partial replay's
             # dedup ledgers are still draining — overlapping replays
             # would not be distinguishable.)
-            ready = now + delay
-            if ft.mode in ("checkpoint", "logging") and self.snapshot is not None:
-                hosted = sum(
-                    1 for owner in cluster._worker_process if owner == process
-                )
-                ready += ft.state_bytes_per_worker * hosted / ft.disk_bandwidth
-            if ft.mode == "logging":
-                ready += (
-                    self.logged_bytes - self._logged_at_snapshot
-                ) / ft.disk_bandwidth
-            self._generation += 1  # cancel any pending barrier probe
-            self.paused = False
-            self._barrier_begin = None
+            ready = self._read_back(
+                now + delay, cluster._worker_process.count(process)
+            )
             placement = None
             if policy == "reassign":
                 self.dead_processes.add(process)
@@ -518,31 +431,7 @@ class RecoveryManager:
                 process, snapshot, ready, placement=placement,
                 flush_node=process,
             )
-            if trace is not None:
-                trace.emit(
-                    TraceEvent(
-                        "failure",
-                        now,
-                        ready - now,
-                        perf_counter(),
-                        -1,
-                        process,
-                        "",
-                        (),
-                        (policy, injected, "partial"),
-                    )
-                )
-            self.failures.append(
-                {
-                    "at": now,
-                    "process": process,
-                    "policy": policy,
-                    "mode": "partial",
-                    "ready": ready,
-                    "restored_from": snapshot["time"],
-                    "replayed_entries": injected,
-                }
-            )
+            self._note_failure(process, policy, "partial", ready, snapshot, injected)
             self.pump()
             self._notify_sessions()
             return
@@ -557,15 +446,18 @@ class RecoveryManager:
             cluster._worker_process = mapping
         else:
             policy = "restart"
-        ready = now + delay
-        if ft.mode in ("checkpoint", "logging") and self.snapshot is not None:
-            hosted: Dict[int, int] = {}
-            for owner in cluster._worker_process:
-                hosted[owner] = hosted.get(owner, 0) + 1
-            most = max(hosted.values()) if hosted else 0
-            ready += ft.state_bytes_per_worker * most / ft.disk_bandwidth
-        if ft.mode == "logging":
-            ready += (self.logged_bytes - self._logged_at_snapshot) / ft.disk_bandwidth
+        most = max(Counter(cluster._worker_process).values(), default=0)
+        ready = self._read_back(now + delay, most)
+        replayed = len(self.journal) - snapshot["journal_released"]
+        self._note_failure(process, policy, "global", ready, snapshot, replayed)
+        self._restore_and_replay(snapshot, ready)
+        self.pump()
+        self._notify_sessions()
+
+    def _note_failure(self, process, policy, mode, ready, snapshot, replayed) -> None:
+        """Trace and record one recovered failure (``mode`` is its tier)."""
+        now = self.cluster.sim.now
+        trace = self.cluster._trace
         if trace is not None:
             trace.emit(
                 TraceEvent(
@@ -577,27 +469,31 @@ class RecoveryManager:
                     process,
                     "",
                     (),
-                    (
-                        policy,
-                        len(self.journal) - snapshot["journal_released"],
-                        "global",
-                    ),
+                    (policy, replayed, mode),
                 )
             )
-        self._restore_and_replay(snapshot, ready)
         self.failures.append(
             {
                 "at": now,
                 "process": process,
                 "policy": policy,
-                "mode": "global",
+                "mode": mode,
                 "ready": ready,
                 "restored_from": snapshot["time"],
-                "replayed_entries": len(self.journal) - snapshot["journal_released"],
+                "replayed_entries": replayed,
             }
         )
-        self.pump()
-        self._notify_sessions()
+
+    def _read_back(self, ready: float, workers: int) -> float:
+        """``ready`` pushed back by reading ``workers`` workers' state
+        from the durable snapshot (when one exists) and, in "logging"
+        mode, the message log written since it."""
+        ft = self.cluster.fault_tolerance
+        if self.snapshot is not None:
+            ready += ft.state_bytes_per_worker * workers / ft.disk_bandwidth
+        if ft.mode == "logging":
+            ready += (self.logged_bytes - self._logged_at_snapshot) / ft.disk_bandwidth
+        return ready
 
     def _notify_sessions(self) -> None:
         """Tell the serving layer recovery ran: parked queries recheck
@@ -614,9 +510,6 @@ class RecoveryManager:
     def _restore_and_replay(self, snapshot: Dict[str, Any], ready: float) -> None:
         """The global rollback: every process restarts from the cut."""
         cluster = self.cluster
-        self._generation += 1  # cancel any pending checkpoint probe
-        self.paused = False
-        self._barrier_begin = None
         trace = cluster._trace
         if trace is not None:
             trace.emit(

@@ -80,12 +80,12 @@ class FaultTolerance:
     :meth:`ClusterComputation.kill_process` with identical outputs —
     they differ in how much virtual time the run and the recovery cost.
 
-    ``checkpoint_mode`` selects *how* the cut is taken: ``"barrier"``
-    is the paper's stop-the-world pause-drain-snapshot-resume cycle;
-    ``"async"`` is the marker-based asynchronous protocol of
-    :mod:`repro.runtime.async_checkpoint` — vertices snapshot
+    Every cut is taken by the marker-based asynchronous protocol of
+    :mod:`repro.runtime.async_checkpoint`: vertices snapshot
     incrementally on marker arrival while the dataflow keeps running,
     and failures roll back only the lost process (partial rollback).
+    The paper's stop-the-world cycle is the comparison baseline
+    :class:`repro.baselines.BarrierCheckpoints`.
     """
 
     #: "none", "checkpoint" (periodic full checkpoints) or "logging"
@@ -104,9 +104,8 @@ class FaultTolerance:
     recovery: str = "restart"
     #: Failure detection + process restart/failover time, seconds.
     restart_delay: float = 1.0
-    #: "barrier" (stop-the-world section 3.4 cycle) or "async"
-    #: (marker-based incremental snapshots + partial rollback).
-    checkpoint_mode: str = "barrier"
+    #: Accepts only "async", the one cut protocol.
+    checkpoint_mode: str = "async"
     #: Memory bandwidth for the in-place state copy an asynchronous
     #: snapshot charges to the worker (the only pause it ever takes);
     #: the durable disk write happens in the background.
@@ -760,7 +759,6 @@ class ClusterComputation(Computation):
         pool_workers: Optional[int] = None,
         optimize: Optional[Any] = None,
         progress_tracking: str = "scoped",
-        progress_batch_interval: float = 250e-6,
     ):
         super().__init__(optimize=optimize)
         if progress_tracking not in ("scoped", "flat"):
@@ -773,14 +771,6 @@ class ClusterComputation(Computation):
         # "flat" broadcasts every interior pointstamp (the paper's
         # one-big-pile protocol): oracle-only, for conformance tests.
         self.progress_tracking = progress_tracking
-        # Accumulation interval for unholdable boundary deltas under
-        # scoped tracking: rather than one dissemination per callback,
-        # an endpoint flushes at most once per interval (Naiad batches
-        # progress updates the same way; §6 measures the resulting
-        # coordination rounds at a few hundred microseconds).  Zero
-        # disables batching.  Only summarized scopes are affected —
-        # flat tracking and scope-free graphs never defer.
-        self.progress_batch_interval = progress_batch_interval
         # Execution backend: "inline" runs every vertex callback on the
         # DES thread; "mp" maps pure record chains in a fork pool of
         # ``pool_workers`` children, with bit-identical results (see
@@ -826,14 +816,16 @@ class ClusterComputation(Computation):
             raise ValueError(
                 "FaultTolerance.recovery must be one of %r" % (RECOVERY_POLICIES,)
             )
-        if self.fault_tolerance.checkpoint_mode not in ("barrier", "async"):
+        if self.fault_tolerance.checkpoint_mode != "async":
             raise ValueError(
-                "FaultTolerance.checkpoint_mode must be 'barrier' or 'async' "
-                "(got %r)" % (self.fault_tolerance.checkpoint_mode,)
+                "FaultTolerance.checkpoint_mode accepts only 'async' (got %r); "
+                "the stop-the-world barrier is the comparison baseline "
+                "repro.baselines.BarrierCheckpoints"
+                % (self.fault_tolerance.checkpoint_mode,)
             )
         #: The marker-based asynchronous snapshot coordinator; created in
-        #: build() when checkpoint_mode == "async", else stays None and
-        #: every hook in the hot path is a single attribute test.
+        #: build() unless mode == "none", else stays None and every hook
+        #: in the hot path is a single attribute test.
         self.async_ckpt = None
         #: The progress plane (:class:`repro.runtime.protocol
         #: .ProgressPlane`), created in build().  ``views``, ``nodes``,
@@ -995,7 +987,6 @@ class ClusterComputation(Computation):
             self.network,
             self.live_processes,
             self.progress_mode,
-            self.progress_batch_interval,
             on_frontier_change=self._recheck_process,
             on_stale=self._note_stale_progress,
         )
@@ -1020,7 +1011,10 @@ class ClusterComputation(Computation):
         # The rollback target before any checkpoint exists: the freshly
         # built cluster, from which the whole input journal can replay.
         self.recovery.initial = self.recovery.take_snapshot()
-        if self.fault_tolerance.checkpoint_mode == "async":
+        # Mode "none" takes no periodic cuts, so it skips the manager's
+        # per-send in-flight ledger and delivery journal: building it on
+        # the wcc64 spine workload cost +13-24% wall time and +3.6 MB RSS.
+        if self.fault_tolerance.mode != "none":
             from .async_checkpoint import AsyncCheckpointManager
 
             self.async_ckpt = AsyncCheckpointManager(self)
@@ -1083,8 +1077,7 @@ class ClusterComputation(Computation):
 
     def _input_epoch(self, stage: Stage, records: List[Any], epoch: int) -> None:
         # Journal first (the durable replay log), then release through
-        # the recovery manager — which defers the release while a
-        # checkpoint barrier is draining the cluster.
+        # the recovery manager.
         self.recovery.journal_epoch(stage, records, epoch)
 
     def _input_closed(self, stage: Stage, next_epoch: int) -> None:
@@ -1216,16 +1209,7 @@ class ClusterComputation(Computation):
     def debug_state(self) -> RuntimeDebugState:
         lines = ["t=%.6f pending_events=%d" % (self.sim.now, self.sim.pending_events)]
         ft = self.fault_tolerance
-        lines.append(
-            "  fault-tolerance: mode=%s recovery=%s%s"
-            % (
-                ft.mode,
-                ft.recovery,
-                " (checkpoint barrier draining)"
-                if self.recovery is not None and self.recovery.paused
-                else "",
-            )
-        )
+        lines.append("  fault-tolerance: mode=%s recovery=%s" % (ft.mode, ft.recovery))
         lines.append("  plan: cut_through_hops=%d" % self.cut_through_hops)
         if self.recovery is not None:
             lines.extend(self.recovery.describe())
@@ -1259,8 +1243,6 @@ class ClusterComputation(Computation):
         ft_info: Dict[str, Any] = {
             "mode": ft.mode,
             "recovery": ft.recovery,
-            "checkpoint_mode": ft.checkpoint_mode,
-            "draining": bool(recovery is not None and recovery.paused),
             "live_processes": tuple(self.live_processes),
             "rescale_generation": self.rescale_generation,
         }
@@ -1318,21 +1300,23 @@ class ClusterComputation(Computation):
         )
 
     # ------------------------------------------------------------------
-    # Fault tolerance (section 3.4): checkpoint barrier, failure
-    # injection, rollback recovery.  The cycle itself lives in
-    # :class:`repro.runtime.checkpoint.RecoveryManager`.
+    # Fault tolerance (section 3.4): checkpoints, failure injection,
+    # rollback recovery.  Recovery lives in
+    # :class:`repro.runtime.checkpoint.RecoveryManager`, the marker cut
+    # in :class:`repro.runtime.async_checkpoint.AsyncCheckpointManager`.
     # ------------------------------------------------------------------
 
     def checkpoint(self) -> Dict[str, Any]:
         """Take a consistent checkpoint now and return the snapshot.
 
         Same signature as :meth:`repro.core.Computation.checkpoint`.
-        Drives the simulation to quiescence (delivering any outstanding
-        work), flushes the progress-protocol accumulators so every
-        process view agrees, then snapshots vertices, pending
-        notifications and occurrence counts.  The snapshot becomes the
-        durable rollback target for subsequent failures, and the write
-        pause is charged to virtual time.
+        Under ``mode="checkpoint"``/``"logging"`` it drives one marker
+        cycle to durability while the computation keeps running.  Under
+        ``mode="none"`` it drives the simulation to quiescence, flushes
+        the progress-protocol accumulators so every process view agrees,
+        snapshots vertices, pending notifications and occurrence counts,
+        and charges the write to virtual time.  Either way the snapshot
+        becomes the durable rollback target for subsequent failures.
         """
         self._check_built()
         self._check_not_in_event("checkpoint")
@@ -1340,11 +1324,9 @@ class ClusterComputation(Computation):
         recovery = self.recovery
         ac = self.async_ckpt
         if ac is not None:
-            # Marker-based asynchronous cut: start a cycle (unless one is
-            # already in flight) and step the DES — computation keeps
-            # running — until that cut is assembled and durable.
-            if not ac.active:
-                ac.begin_cycle()
+            # Start a cycle (unless one is already in flight) and step
+            # the DES until that cut is assembled and durable.
+            ac.request_cycle()
             target = ac.cycle
             while ac.durable_cycle < target:
                 if not ac.active and ac.completed_cycle < target:
@@ -1361,10 +1343,7 @@ class ClusterComputation(Computation):
             return recovery.snapshot
         while True:
             self.sim.run()
-            self.plane.flush_all()
-            for worker in self.workers:
-                worker.activate()
-            if self.sim.pending_events == 0 and recovery.quiescent():
+            if recovery.settle() and self.sim.pending_events == 0:
                 break
         return recovery.complete_checkpoint()
 
@@ -1536,13 +1515,11 @@ class ClusterComputation(Computation):
         """Eagerly reject configurations that cannot rescale, with the
         reason, instead of failing deep inside a migration cut."""
         ft = self.fault_tolerance
-        if ft.checkpoint_mode != "async":
+        if ft.mode == "none":
             raise ValueError(
-                "%s() requires FaultTolerance(checkpoint_mode='async'): "
-                "migration ships state over a marker-based cut taken "
-                "under live load, which the stop-the-world 'barrier' "
-                "mode cannot provide (got checkpoint_mode=%r)"
-                % (name, ft.checkpoint_mode)
+                "%s() requires FaultTolerance(mode='checkpoint') or "
+                "mode='logging': migration ships state over a marker-based "
+                "cut, and mode='none' takes none" % (name,)
             )
         if ft.recovery != "reassign":
             raise ValueError(
@@ -1566,7 +1543,7 @@ class ClusterComputation(Computation):
         the new process by restoring *only their* cut state there and
         replaying their journal suffix; every other worker keeps its
         live state and keeps running.  Requires
-        ``FaultTolerance(checkpoint_mode="async", recovery="reassign")``.
+        ``FaultTolerance(mode="checkpoint", recovery="reassign")``.
 
         With ``at=None`` the call is synchronous (drives the simulation
         until the migration completes) and returns the new process
@@ -1594,7 +1571,7 @@ class ClusterComputation(Computation):
         survivors (restoring only *their* state, with replay dedup
         keeping deliveries exactly-once), and drops the process from
         the broadcast membership.  Requires
-        ``FaultTolerance(checkpoint_mode="async", recovery="reassign")``.
+        ``FaultTolerance(mode="checkpoint", recovery="reassign")``.
         """
         self._check_built()
         self._check_rescalable("remove_process")

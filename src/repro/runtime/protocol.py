@@ -59,6 +59,13 @@ ProgressUpdate = Tuple[Pointstamp, int]
 
 PROTOCOL_MODES = ("none", "local", "global", "local+global")
 
+#: Accumulation interval for unholdable boundary deltas of summarized
+#: scopes: rather than one dissemination per callback, an endpoint
+#: flushes at most once per interval (Naiad batches progress updates the
+#: same way; §6 measures the resulting coordination rounds at a few
+#: hundred microseconds).  Flat tracking and scope-free graphs never defer.
+PROGRESS_BATCH_INTERVAL = 250e-6
+
 
 def wire_size(updates: List[ProgressUpdate]) -> int:
     return UPDATE_WIRE_BYTES * len(updates)
@@ -693,7 +700,6 @@ class ProgressPlane:
         network: Network,
         live_processes: List[int],
         progress_mode: str,
-        progress_batch_interval: float,
         *,
         on_frontier_change: Optional[Callable[[int], None]] = None,
         on_stale: Optional[Callable[[int, int], None]] = None,
@@ -720,8 +726,8 @@ class ProgressPlane:
         #: thunk to run one accumulation interval later.  Only
         #: summarized scopes batch — scope-free graphs never defer.
         self.defer_flush: Optional[Callable[[Callable[[], None]], None]] = None
-        if self._proj_table and progress_batch_interval > 0:
-            self.defer_flush = partial(sim.schedule, progress_batch_interval)
+        if self._proj_table:
+            self.defer_flush = partial(sim.schedule, PROGRESS_BATCH_INTERVAL)
         #: Processes added at runtime; their views alias process 0's.
         self._mirrors: List[int] = []
         shared_cri_cache: Dict = {}

@@ -1,9 +1,10 @@
 """Asynchronous incremental checkpoints and partial rollback.
 
-The marker protocol (``FaultTolerance(checkpoint_mode="async")``) must
-assemble a consistent global cut *without pausing the cluster*: the only
-per-worker pause is the incremental state copy, orders of magnitude
-smaller than the barrier's stop-the-world drain + synchronous write.
+The marker protocol (every cut under ``FaultTolerance(mode="checkpoint")``)
+must assemble a consistent global cut *without pausing the cluster*: the
+only per-worker pause is the incremental state copy, orders of magnitude
+smaller than the stop-the-world drain + synchronous write of the barrier
+baseline (``repro.baselines.BarrierCheckpoints``).
 Recovery from the asynchronous cut is *partial*: only the killed
 process's workers restore state and replay their journal suffix while
 survivors keep running behind a frontier fence — and the per-epoch
@@ -15,17 +16,20 @@ from collections import Counter
 
 import pytest
 
+from repro.baselines import BarrierCheckpoints
 from repro.lib import Collection, Stream
 from repro.obs import TraceSink, checkpoint_pause_stats
 from repro.runtime import ClusterComputation, FaultTolerance
 
-from tests.test_recovery import CASES, baseline, make_ft, run_cluster
+from tests.test_recovery import (
+    CASES, baseline, iterate_two_kills, make_ft, manual_checkpoint_roundtrip,
+    run_cluster,
+)
 
 
 def make_async_ft(mode="checkpoint", policy="restart", every=2):
     ft = make_ft(mode, policy)
     ft.checkpoint_every = every
-    ft.checkpoint_mode = "async"
     return ft
 
 
@@ -55,7 +59,6 @@ class TestAsyncCycle:
         stats = checkpoint_pause_stats(sink)
         assert stats.barrier_pauses == ()
         assert len(stats.async_max_stalls) >= 1
-        assert not comp.recovery.paused
 
     def test_snapshot_events_schema(self):
         sink = TraceSink()
@@ -82,73 +85,38 @@ class TestAsyncCycle:
         # Epochs are paced so successive triggers start distinct cycles
         # instead of coalescing into one.
         expected, _ = baseline("wordcount", (4, 1))
-        program, epochs = CASES["wordcount"]
-        comp = ClusterComputation(
-            num_processes=4, workers_per_process=1,
-            fault_tolerance=make_async_ft(),
-        )
         sink = TraceSink()
-        comp.attach_trace_sink(sink)
-        inp, out = program(comp)
-        comp.build()
-
-        def inject(index):
-            inp.on_next(epochs[index])
-            if index + 1 == len(epochs):
-                inp.on_completed()
-
-        for index in range(len(epochs)):
-            comp.sim.schedule_at(index * 2e-3, lambda i=index: inject(i))
-        comp.run()
-        assert comp.drained(), comp.debug_state()
+        out, _ = run_cluster(
+            "wordcount", (4, 1), ft=make_async_ft(), trace=sink, pace=2e-3
+        )
         assert out == expected
         stats = checkpoint_pause_stats(sink)
         assert len(stats.async_increments) >= 2
         assert any(reused > 0 for _fresh, reused in stats.async_increments)
 
     def test_manual_checkpoint_restore_roundtrip_async(self):
-        # The async twin of the barrier manual-roundtrip test: an
-        # explicit checkpoint() drives one marker cycle to durability,
+        # The async twin of the quiescent round trip: an explicit
+        # checkpoint() drives one marker cycle (the first) to durability,
         # restore() rolls back to it, and replay is exactly-once.
-        expected, _ = baseline("wordcount", (2, 2))
-        program, epochs = CASES["wordcount"]
-        ft = make_async_ft(every=10 ** 9)  # manual cycles only
-        comp = ClusterComputation(
-            num_processes=2, workers_per_process=2, fault_tolerance=ft
-        )
-        inp, out = program(comp)
-        comp.build()
-        for epoch in epochs[:3]:
-            inp.on_next(epoch)
-        comp.run()
-        snapshot = comp.checkpoint()
-        assert snapshot["journal_released"] == 3
-        assert snapshot["cycle"] == comp.async_ckpt.durable_cycle
-        for epoch in epochs[3:]:
-            inp.on_next(epoch)
-        inp.on_completed()
-        comp.run()
-        assert out == expected
-        comp.restore(snapshot)
-        comp.run()
-        assert comp.drained(), comp.debug_state()
-        assert out == expected
+        snapshot, _ = manual_checkpoint_roundtrip(make_async_ft(every=10 ** 9))
+        assert snapshot["cycle"] == 1
 
 
 # ----------------------------------------------------------------------
-# The headline number: async pauses are >= 5x smaller than the barrier's
-# on the Figure 7c workload (k-exposure under periodic checkpoints).
+# The headline number: async pauses are >= 5x smaller than the barrier
+# baseline's on the Figure 7c workload (k-exposure, periodic checkpoints).
 # ----------------------------------------------------------------------
 
 
-def run_kexposure(checkpoint_mode, sink):
+def run_kexposure(barrier, sink, kill_at=None):
+    """k-exposure with a cut every 4 epochs: asynchronous marker cuts,
+    or (``barrier=True``) the stop-the-world baseline on mode "none"."""
     from repro.algorithms.kexposure import k_exposure_incremental
     from repro.workloads import TweetGenerator, TweetStreamConfig
 
     ft = FaultTolerance(
-        mode="checkpoint",
+        mode="none" if barrier else "checkpoint",
         checkpoint_every=4,
-        checkpoint_mode=checkpoint_mode,
         state_bytes_per_worker=3 << 20,
         disk_bandwidth=200e6,
     )
@@ -165,7 +133,12 @@ def run_kexposure(checkpoint_mode, sink):
     ).subscribe(
         lambda t, diffs: out.setdefault(t.epoch, Counter()).update(diffs)
     )
+    if barrier:
+        cuts = BarrierCheckpoints(comp, every=4)
+        tweets_in, followers_in = cuts.hold(tweets_in), cuts.hold(followers_in)
     comp.build()
+    if kill_at is not None:
+        comp.kill_process(1, at=kill_at)
     generator = TweetGenerator(
         TweetStreamConfig(num_users=400, num_hashtags=40, seed=4)
     )
@@ -173,26 +146,27 @@ def run_kexposure(checkpoint_mode, sink):
         [((generator.query(), generator.query()), +1) for _ in range(600)]
     )
     followers_in.on_completed()
-    for _ in range(12):
-        tweets_in.on_next(
-            [
-                ((tweet.user, tag), +1)
-                for tweet in generator.batch(40)
-                for tag in tweet.hashtags or ("#none",)
-            ]
-        )
+    for epoch in range(12):
+        batch = [
+            ((tweet.user, tag), +1)
+            for tweet in generator.batch(40)
+            for tag in tweet.hashtags or ("#none",)
+        ]
+        assert tweets_in.on_next(batch) == epoch
     tweets_in.on_completed()
+    with pytest.raises(RuntimeError, match="closed"):  # at the call, held or not
+        tweets_in.on_next([])
     comp.run()
     assert comp.drained(), comp.debug_state()
-    return out
+    return out, comp
 
 
 class TestPauseComparison:
     def test_async_pause_at_least_5x_smaller_than_barrier(self):
         barrier_sink, async_sink = TraceSink(), TraceSink()
-        barrier_out = run_kexposure("barrier", barrier_sink)
-        async_out = run_kexposure("async", async_sink)
-        assert async_out == barrier_out  # same cut protocol, same answers
+        barrier_out, _ = run_kexposure(True, barrier_sink)
+        async_out, _ = run_kexposure(False, async_sink)
+        assert async_out == barrier_out  # same answers either way
         barrier = checkpoint_pause_stats(barrier_sink)
         asynchronous = checkpoint_pause_stats(async_sink)
         assert barrier.max_barrier_pause > 0.0
@@ -200,6 +174,19 @@ class TestPauseComparison:
         assert (
             asynchronous.max_async_pause * 5 <= barrier.max_barrier_pause
         ), (asynchronous.max_async_pause, barrier.max_barrier_pause)
+
+    def test_barrier_baseline_survives_a_kill(self):
+        expected, clean = run_kexposure(True, TraceSink())
+        sink = TraceSink()
+        out, comp = run_kexposure(True, sink, kill_at=clean.now / 2)
+        assert out == expected
+        assert [f["mode"] for f in comp.recovery.failures] == ["global"]
+        assert len(checkpoint_pause_stats(sink).barrier_pauses) >= 3
+
+    def test_barrier_baseline_requires_mode_none(self):
+        comp = ClusterComputation(2, 1, fault_tolerance=make_async_ft())
+        with pytest.raises(ValueError, match="mode='none'"):
+            BarrierCheckpoints(comp, every=4)
 
 
 # ----------------------------------------------------------------------
@@ -264,25 +251,9 @@ class TestPartialRollback:
         assert comp.recovery.failures[0]["mode"] == "partial"
 
     def test_second_overlapping_kill_escalates_to_global(self):
-        expected, duration = baseline("iterate", (4, 1))
-        program, epochs = CASES["iterate"]
-        comp = ClusterComputation(
-            num_processes=4, workers_per_process=1,
-            fault_tolerance=make_async_ft(),
-        )
-        inp, out = program(comp)
-        comp.build()
-        comp.kill_process(1, at=duration * 0.25)
-        comp.kill_process(3, at=duration * 0.8)
-        for epoch in epochs:
-            inp.on_next(epoch)
-        inp.on_completed()
-        comp.run()
-        assert comp.drained(), comp.debug_state()
-        assert out == expected
+        comp = iterate_two_kills()
         modes = [f["mode"] for f in comp.recovery.failures]
-        assert modes[0] == "partial"
-        assert modes[1] == "global"  # replay ledgers still draining
+        assert modes == ["partial", "global"]  # replay ledgers still draining
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """The chaos matrix: kill injection across every runtime configuration.
 
-Sweeps {barrier, async} checkpointing x {fused, unfused} plans, killing
+Sweeps {fused, unfused} plans under asynchronous checkpoints, killing
 a process at three schedule points in each configuration, and asserts
 the one invariant that must hold everywhere: the per-epoch output
 multisets are bit-identical to a failure-free run.  This is the
@@ -9,9 +9,9 @@ fused checkpoints and exactly-once journal replay all have to agree.
 The mp backend's share of it lives in tests/test_parallel_backend.py.
 
 These runs are deliberately heavier than the unit suite, so they are
-marked ``chaos`` and run as a separate CI leg::
+marked ``chaos`` and run in CI's marker step with the other sweeps::
 
-    PYTHONPATH=src python -m pytest -m chaos -q
+    PYTHONPATH=src python -m pytest -q -m "chaos or detection or serve_matrix"
 
 Fault schedules (kill/rescale points) are drawn from one seeded RNG so
 a CI failure is reproducible locally: every assertion echoes the seed,
@@ -47,10 +47,7 @@ def kill_points(rng, n=3):
     bands = ((0.15, 0.35), (0.4, 0.6), (0.65, 0.85))
     return [rng.uniform(lo, hi) for lo, hi in bands[:n]]
 
-CHECKPOINT_MODES = ("barrier", "async")
 PLANS = ("unfused", "fused")
-
-MATRIX = [(mode, plan) for mode in CHECKPOINT_MODES for plan in PLANS]
 
 
 def _ids(config):
@@ -58,33 +55,27 @@ def _ids(config):
 
 
 @pytest.mark.chaos
-@pytest.mark.parametrize("mode,plan", MATRIX, ids=_ids)
-def test_kill_matrix_outputs_bit_identical(mode, plan):
+@pytest.mark.parametrize("plan", PLANS)
+def test_kill_matrix_outputs_bit_identical(plan):
     expected, duration = baseline("wordcount", (2, 2))
     kwargs = {}
     if plan == "fused":
         kwargs["optimize"] = True
-    rng = chaos_rng("kill", mode, plan)
+    rng = chaos_rng("kill", plan)
     for frac in kill_points(rng):
-        ft = make_ft("checkpoint")
-        ft.checkpoint_mode = mode
         out, comp = run_cluster(
             "wordcount",
             (2, 2),
-            ft=ft,
+            ft=make_ft("checkpoint"),
             kill=(1, duration * frac),
             **kwargs
         )
-        scenario = (mode, plan, frac, "seed=%d" % CHAOS_SEED)
+        scenario = (plan, frac, "seed=%d" % CHAOS_SEED)
         assert out == expected, scenario
         assert len(comp.recovery.failures) == 1, scenario
-        if mode == "async":
-            # Async recovery must not silently degrade: the single kill
-            # is handled without a whole-cluster rollback.
-            assert comp.recovery.failures[0]["mode"] in (
-                "partial",
-                "skip",
-            ), scenario
+        # Recovery must not silently degrade: the single kill is handled
+        # without a whole-cluster rollback.
+        assert comp.recovery.failures[0]["mode"] in ("partial", "skip"), scenario
 
 
 #: Planned membership changes injected at the same schedule points as
@@ -114,12 +105,10 @@ def test_rescale_matrix_outputs_bit_identical(event, plan):
         kwargs["optimize"] = True
     rng = chaos_rng("rescale", event, plan)
     for frac in kill_points(rng):
-        ft = make_ft("checkpoint", policy="reassign")
-        ft.checkpoint_mode = "async"
         out, comp = run_cluster(
             "wordcount",
             (3, 2),
-            ft=ft,
+            ft=make_ft("checkpoint", policy="reassign"),
             rescale=_rescale_ops(event, duration, frac),
             **kwargs
         )
@@ -160,22 +149,18 @@ def _serving_run(ft, kill=None, rescale=None, shape=(2, 2)):
 
 
 @pytest.mark.chaos
-@pytest.mark.parametrize("mode", CHECKPOINT_MODES)
-def test_kill_matrix_serving_case(mode):
+def test_kill_matrix_serving_case():
     # Open query sessions across a mid-run kill: fresh answers are
     # bit-identical to the failure-free run, stale answers never exceed
     # their measured-staleness bound.
-    def ft():
-        out = make_ft("checkpoint")
-        out.checkpoint_mode = mode
-        return out
-
-    base_fresh, base_stale, comp0 = _serving_run(ft())
+    base_fresh, base_stale, comp0 = _serving_run(make_ft("checkpoint"))
     duration = comp0.sim.now
-    rng = chaos_rng("serving", mode)
+    rng = chaos_rng("serving")
     for frac in kill_points(rng, n=2):
-        scenario = (mode, frac, "seed=%d" % CHAOS_SEED)
-        fresh, stale, comp = _serving_run(ft(), kill=(1, duration * frac))
+        scenario = (frac, "seed=%d" % CHAOS_SEED)
+        fresh, stale, comp = _serving_run(
+            make_ft("checkpoint"), kill=(1, duration * frac)
+        )
         assert len(comp.recovery.failures) == 1, scenario
         assert fresh == base_fresh, scenario
         assert len(stale) == len(base_stale), scenario
@@ -187,9 +172,7 @@ def test_rescale_matrix_serving_case():
     # Live membership changes with open sessions: same invariants, and
     # planned changes never escalate to a failure.
     def ft():
-        out = make_ft("checkpoint", policy="reassign")
-        out.checkpoint_mode = "async"
-        return out
+        return make_ft("checkpoint", policy="reassign")
 
     base_fresh, base_stale, comp0 = _serving_run(ft(), shape=(3, 2))
     duration = comp0.sim.now
@@ -206,17 +189,14 @@ def test_rescale_matrix_serving_case():
 
 
 @pytest.mark.chaos
-@pytest.mark.parametrize("mode", CHECKPOINT_MODES)
-def test_kill_matrix_iteration_case(mode):
+def test_kill_matrix_iteration_case():
     # The loop case exercises in-flight feedback-channel messages in
-    # the cut; one kill point per mode keeps the leg bounded.
+    # the cut; one kill point keeps the leg bounded.
     expected, duration = baseline("iterate", (4, 1))
-    ft = make_ft("checkpoint")
-    ft.checkpoint_mode = mode
-    frac = chaos_rng("iterate", mode).uniform(0.3, 0.7)
+    frac = chaos_rng("iterate").uniform(0.3, 0.7)
     out, comp = run_cluster(
-        "iterate", (4, 1), ft=ft, kill=(2, duration * frac)
+        "iterate", (4, 1), ft=make_ft("checkpoint"), kill=(2, duration * frac)
     )
-    scenario = (mode, frac, "seed=%d" % CHAOS_SEED)
+    scenario = (frac, "seed=%d" % CHAOS_SEED)
     assert out == expected, scenario
     assert len(comp.recovery.failures) == 1, scenario

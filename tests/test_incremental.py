@@ -134,6 +134,14 @@ class TestIncrementalReduce:
         live = run_collection(build, [[(("a", 1), 1)], [(("a", 1), -1)]])
         assert live == {}
 
+    def test_changed_groups_emitted_in_first_touch_order(self):
+        # A set of {1, 8} iterates 8 first; the output must follow the
+        # input, not the hash table.
+        from repro.lib.incremental import IncrementalReduceVertex
+
+        vertex = IncrementalReduceVertex(key=lambda r: r, reducer=lambda k, rs: [k])
+        assert vertex.apply([(1, 1), (8, 1)]) == [(1, 1), (8, 1)]
+
 
 class TestIncrementalJoin:
     @given(diff_epoch_lists(), diff_epoch_lists())

@@ -84,11 +84,9 @@ class TestBackendEquivalence:
         mp, _ = assert_identical(case, (2, 2), ft=make_ft(mode), kill=(0, duration * 0.4))
         assert len(mp["failures"]) == 1
 
-    @pytest.mark.parametrize("checkpoint_mode", ["barrier", "async"])
-    def test_kill_under_reassign_is_bit_identical(self, checkpoint_mode):
+    def test_kill_under_reassign_is_bit_identical(self):
         _, duration = baseline("wordcount", (3, 2))
         ft = make_ft("logging", policy="reassign")
-        ft.checkpoint_mode = checkpoint_mode
         mp, _ = assert_identical("wordcount", (3, 2), ft=ft, kill=(1, duration * 0.5))
         assert len(mp["failures"]) == 1
 
@@ -96,7 +94,6 @@ class TestBackendEquivalence:
     def test_live_rescale_is_bit_identical(self, op):
         _, duration = baseline("wordcount", (3, 2))
         ft = make_ft("checkpoint", policy="reassign")
-        ft.checkpoint_mode = "async"
         at = duration * 0.4
         rescale = [("add", at)] if op == "add" else [("remove", 2, at)]
         mp, _ = assert_identical("wordcount", (3, 2), ft=ft, rescale=rescale)
@@ -118,9 +115,9 @@ class TestBackendEquivalence:
 
         monkeypatch.setattr(AsyncCheckpointManager, "snapshot_worker", spy)
         _, duration = baseline("wordcount", (2, 2))
-        ft = make_ft("checkpoint")
-        ft.checkpoint_mode = "async"
-        assert_identical("wordcount", (2, 2), ft=ft, kill=(1, duration * 0.6))
+        assert_identical(
+            "wordcount", (2, 2), ft=make_ft("checkpoint"), kill=(1, duration * 0.6)
+        )
         assert max(carried) > 0
 
     def test_scoped_and_flat_tracking_agree(self):

@@ -214,7 +214,6 @@ class TestStandalonePlane:
             Network(sim, 3, NetworkConfig()),
             [0, 1, 2],
             mode,
-            250e-6,
         )
         assert len(plane.summarized_scopes) == 1
         return sim, plane

@@ -14,10 +14,12 @@ fixed and randomized dataflow graphs.
 
 import random
 from collections import Counter
+from functools import partial
 
 import pytest
 
 from repro.lib import Stream
+from repro.obs import TraceSink
 from repro.runtime import ClusterComputation, FaultTolerance
 from repro.sim import NetworkConfig
 
@@ -132,7 +134,7 @@ CASES = {
 def run_cluster(
     case, shape, ft=None, kill=None, crash=None, supervise=None,
     autoscale=None, network=None, seed=0, trace=None, rescale=None,
-    partitions=None, epochs=None, **kwargs
+    partitions=None, epochs=None, pace=None, **kwargs
 ):
     program, case_epochs = CASES[case]
     epochs = case_epochs if epochs is None else epochs
@@ -173,9 +175,13 @@ def run_cluster(
         comp.crash_process(process, at=at)
     for spec in partitions or ():
         comp.network.partition(**spec)
-    for epoch in epochs:
-        inp.on_next(epoch)
-    inp.on_completed()
+    # All epochs at once, or one every ``pace`` seconds; then the close.
+    for index, epoch in enumerate(list(epochs) + [None]):
+        release = inp.on_completed if epoch is None else partial(inp.on_next, epoch)
+        if pace is None:
+            release()
+        else:
+            comp.sim.schedule_at(index * pace, release)
     comp.run()
     assert comp.drained(), comp.debug_state()
     return out, comp
@@ -239,21 +245,87 @@ class TestInvariant5:
         assert all(w.process != 1 for w in comp.workers)
 
 
+def manual_checkpoint_roundtrip(ft):
+    """Checkpoint after three epochs, finish the run, restore, replay;
+    returns the snapshot and the cluster."""
+    expected, _ = baseline("wordcount", (2, 2))
+    program, epochs = CASES["wordcount"]
+    comp = ClusterComputation(
+        num_processes=2, workers_per_process=2, fault_tolerance=ft
+    )
+    inp, out = program(comp)
+    comp.build()
+    for epoch in epochs[:3]:
+        inp.on_next(epoch)
+    comp.run()
+    snapshot = comp.checkpoint()
+    assert snapshot["journal_released"] == 3
+    for epoch in epochs[3:]:
+        inp.on_next(epoch)
+    inp.on_completed()
+    comp.run()
+    assert out == expected
+    # Roll back and replay: the journal suffix re-executes, released
+    # outputs are suppressed, and the outputs remain exactly-once.
+    comp.restore(snapshot)
+    comp.run()
+    assert comp.drained(), comp.debug_state()
+    assert out == expected
+    return snapshot, comp
+
+
+def iterate_two_kills():
+    """The loop case on 4x1 with processes 1 and 3 killed at 25% and
+    80% of the unfailed run; returns the drained cluster."""
+    expected, duration = baseline("iterate", (4, 1))
+    program, epochs = CASES["iterate"]
+    comp = ClusterComputation(
+        num_processes=4, workers_per_process=1, fault_tolerance=make_ft("checkpoint")
+    )
+    inp, out = program(comp)
+    comp.build()
+    comp.kill_process(1, at=duration * 0.25)
+    comp.kill_process(3, at=duration * 0.8)
+    for epoch in epochs:
+        inp.on_next(epoch)
+    inp.on_completed()
+    comp.run()
+    assert comp.drained(), comp.debug_state()
+    assert out == expected
+    return comp
+
+
 class TestRecoveryMechanics:
     def test_checkpoint_bounds_replay(self):
         # With periodic checkpoints a late failure rolls back to a
         # mid-run snapshot; without them it replays the whole journal.
-        _, duration = baseline("wordcount", (2, 2))
-        kill = (1, duration * 0.95)
+        # Epochs arrive 1 ms apart so that cuts start mid-run, the state
+        # is sized for each cut to be durable well before the kill, and
+        # the kill lands in the last epoch's work (an idle kill skips
+        # recovery altogether).
+        kill = (1, (len(WORDCOUNT_EPOCHS) - 1) * 1e-3 + 2e-5)
+        ft = make_ft("checkpoint")
+        ft.state_bytes_per_worker = 4 << 10
+        trace = TraceSink()
         _, with_ckpt = run_cluster(
-            "wordcount", (2, 2), ft=make_ft("checkpoint"), kill=kill
+            "wordcount", (2, 2), ft=ft, kill=kill, pace=1e-3, trace=trace
         )
-        _, without = run_cluster("wordcount", (2, 2), ft=make_ft("none"), kill=kill)
+        _, without = run_cluster(
+            "wordcount", (2, 2), ft=make_ft("none"), kill=kill, pace=1e-3
+        )
         ckpt_failure = with_ckpt.recovery.failures[0]
         none_failure = without.recovery.failures[0]
+        assert [ckpt_failure["mode"], none_failure["mode"]] == ["partial", "global"]
         assert ckpt_failure["restored_from"] > 0.0
         assert none_failure["restored_from"] == 0.0
-        assert ckpt_failure["replayed_entries"] < none_failure["replayed_entries"]
+        # Input-journal entries on both sides (a partial rollback's
+        # replayed_entries counts re-injected messages): what the kill
+        # finds journaled, less the prefix the last durable cut covers.
+        at = ckpt_failure["at"]
+        journaled = sum(1 for e in trace if e.kind == "input" and e.t <= at)
+        cut = [e.detail[1] for e in trace if e.kind == "checkpoint" and e.t <= at]
+        assert journaled == none_failure["replayed_entries"]
+        assert journaled - cut[-1] < none_failure["replayed_entries"]
 
     def test_multiple_failures(self):
         expected, duration = baseline("iterate", (4, 1))
@@ -264,22 +336,8 @@ class TestRecoveryMechanics:
         out, comp = run_cluster(
             "iterate", (4, 1), ft=make_ft("checkpoint"), kill=(2, duration * 0.2)
         )
-        comp2 = comp
         # Second scenario: two distinct processes die at different times.
-        program, epochs = CASES["iterate"]
-        comp = ClusterComputation(
-            num_processes=4, workers_per_process=1, fault_tolerance=make_ft("checkpoint")
-        )
-        inp, out = program(comp)
-        comp.build()
-        comp.kill_process(1, at=duration * 0.25)
-        comp.kill_process(3, at=duration * 0.8)
-        for epoch in epochs:
-            inp.on_next(epoch)
-        inp.on_completed()
-        comp.run()
-        assert comp.drained(), comp.debug_state()
-        assert out == expected
+        comp = iterate_two_kills()
         assert [f["process"] for f in comp.recovery.failures] == [1, 3]
 
     def test_kill_central_accumulator_host(self):
@@ -314,27 +372,7 @@ class TestRecoveryMechanics:
         assert out == expected
 
     def test_manual_checkpoint_restore_roundtrip(self):
-        expected, _ = baseline("wordcount", (2, 2))
-        program, epochs = CASES["wordcount"]
-        comp = ClusterComputation(num_processes=2, workers_per_process=2)
-        inp, out = program(comp)
-        comp.build()
-        for epoch in epochs[:3]:
-            inp.on_next(epoch)
-        comp.run()
-        snapshot = comp.checkpoint()
-        assert snapshot["journal_released"] == 3
-        for epoch in epochs[3:]:
-            inp.on_next(epoch)
-        inp.on_completed()
-        comp.run()
-        assert out == expected
-        # Roll back and replay: the journal suffix re-executes, released
-        # outputs are suppressed, and the outputs remain exactly-once.
-        comp.restore(snapshot)
-        comp.run()
-        assert comp.drained(), comp.debug_state()
-        assert out == expected
+        manual_checkpoint_roundtrip(None)
 
     def test_recovery_before_any_checkpoint(self):
         # A kill before the first periodic checkpoint rolls back to the

@@ -61,10 +61,14 @@ class TestCostModel:
 
 
 class TestRemovedSwitches:
-    @pytest.mark.parametrize("switch,value", [("columnar", True), ("scheduling", "fifo")])
+    @pytest.mark.parametrize(
+        "switch,value",
+        [("columnar", True), ("scheduling", "fifo"), ("progress_batch_interval", 0.0)],
+    )
     def test_constructor_rejects_removed_switch(self, switch, value):
-        # Record lists are the only payload and FIFO the only worker
-        # policy: neither is a constructor choice any more.
+        # Record lists are the only payload, FIFO the only worker policy
+        # and the progress batch interval a protocol constant: none is a
+        # constructor choice any more.
         with pytest.raises(TypeError):
             ClusterComputation(**{switch: value})
 

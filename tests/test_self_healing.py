@@ -11,10 +11,10 @@ invariant is the same as everywhere else in this repo: per-epoch output
 multisets bit-identical to a failure-free run — and, stronger, to the
 oracle-driven recovery of the *same* failure.
 
-The heavier scenario tests are marked ``detection`` and run as their
-own CI leg::
+The heavier scenario tests are marked ``detection`` and run in CI's
+marker step::
 
-    PYTHONPATH=src python -m pytest -m detection -q
+    PYTHONPATH=src python -m pytest -q -m "chaos or detection or serve_matrix"
 """
 
 from statistics import NormalDist
@@ -251,7 +251,6 @@ class TestSilentCrashDetection:
         epochs = CASES[case][1] * 3  # stretch the run past the MTTD
         expected, duration = baseline_epochs(case, (3, 2), epochs)
         ft = make_ft("checkpoint", policy="reassign")
-        ft.checkpoint_mode = "async"
         crash_at = duration * 0.4
         out, comp = run_cluster(
             case, (3, 2), ft=ft, crash=[(1, crash_at)],
@@ -385,7 +384,6 @@ class TestPartitions:
         expected, duration = baseline_epochs("iterate", (3, 2), epochs)
         at = duration * 0.3
         ft = make_ft("checkpoint", policy="reassign")
-        ft.checkpoint_mode = "async"
         sink = TraceSink()
         out, comp = run_cluster(
             "iterate", (3, 2), ft=ft, epochs=epochs,
@@ -415,7 +413,6 @@ class TestPartitions:
         expected, duration = baseline_epochs("iterate", (3, 2), epochs)
         at = duration * 0.3
         ft = make_ft("checkpoint", policy="reassign")
-        ft.checkpoint_mode = "async"
         out, comp = run_cluster(
             "iterate", (3, 2), ft=ft, epochs=epochs,
             partitions=[dict(a=1, b=0, at=at, heal_at=at + 2.5e-3)],
@@ -441,7 +438,6 @@ class TestCrashLoopQuarantine:
             disk_bandwidth=200e6,
             recovery="reassign",
             restart_delay=0.0005,
-            checkpoint_mode="async",
         )
         epochs = WORDCOUNT_EPOCHS * 4  # long enough for three cycles
         expected, duration = baseline_epochs("wordcount", (3, 2), epochs)

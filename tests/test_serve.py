@@ -626,7 +626,6 @@ class TestServingRecovery:
         ft = FaultTolerance(
             mode="checkpoint",
             checkpoint_every=2,
-            checkpoint_mode="async",
             restart_delay=0.005,
         )
         manager, _ = serve_run(
@@ -654,7 +653,6 @@ class TestServingRecovery:
         ft = FaultTolerance(
             mode="checkpoint",
             checkpoint_every=2,
-            checkpoint_mode="async",
             restart_delay=0.005,
         )
         probe_manager, _ = serve_run(

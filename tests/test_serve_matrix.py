@@ -8,9 +8,9 @@ arrangement footprint identical across session counts (O(state), not
 O(sessions x state)).
 
 Like the chaos matrix, these runs are heavier than the unit suite and
-form their own CI leg::
+run in CI's marker step::
 
-    PYTHONPATH=src python -m pytest -m serve_matrix -q
+    PYTHONPATH=src python -m pytest -q -m "chaos or detection or serve_matrix"
 """
 
 import pytest
