@@ -68,15 +68,6 @@ class InputHandle:
 class Computation(TimelyRuntime):
     """A timely dataflow computation on the single-threaded runtime.
 
-    ``eager_delivery`` enables section 3.2's cut-through dispatch: a
-    ``send_by`` to a vertex that is not currently executing delivers the
-    message immediately (the sender implicitly yields), keeping system
-    queues small and lowering latency.  A vertex that sets its
-    ``reentrancy`` attribute to ``n > 0`` additionally allows up to
-    ``n`` nested re-entrant deliveries to itself — useful inside loops
-    to coalesce messages instead of flooding the queues.  Recursion is
-    bounded by ``max_eager_depth``; deeper sends fall back to queueing.
-
     ``build()`` compiles the graph through :mod:`repro.opt`'s default
     passes.  ``optimize=False`` (the unrewritten graph) and a custom
     pass list are oracle-only: the equivalence tests compare the default
@@ -86,12 +77,7 @@ class Computation(TimelyRuntime):
     #: Parallelism visible to vertices (the reference runtime has one worker).
     total_workers = 1
 
-    def __init__(
-        self,
-        eager_delivery: bool = False,
-        max_eager_depth: int = 16,
-        optimize: Optional[Any] = None,
-    ):
+    def __init__(self, optimize: Optional[Any] = None):
         # Plan optimization (repro.opt): build() compiles the graph
         # through the default passes.  ``False`` (the unrewritten graph)
         # and a pass list exist as the equivalence tests' A/B oracle.
@@ -107,9 +93,6 @@ class Computation(TimelyRuntime):
         self.arrangements: Dict[str, Any] = {}
         self.session_managers: List[Any] = []
         self.progress: Optional[ProgressState] = None
-        self.eager_delivery = eager_delivery
-        self.max_eager_depth = max_eager_depth
-        self._executing: Dict[Vertex, int] = {}
         self._message_queue: deque = deque()
         self._pending_notifications: Dict[Pointstamp, int] = {}
         self._pending_cleanups: Dict[Pointstamp, int] = {}
@@ -452,21 +435,7 @@ class Computation(TimelyRuntime):
                     self._enqueue_output(hop, 0, records, out_time)
                 continue
             self.progress.update(Pointstamp(out_time, connector), +1)
-            if self.eager_delivery and self._may_deliver_inline(connector):
-                self._deliver_message(connector, records, out_time)
-            else:
-                self._message_queue.append((connector, records, out_time))
-
-    def _may_deliver_inline(self, connector: Connector) -> bool:
-        """Section 3.2: deliver now unless the target is mid-callback
-        beyond its declared re-entrancy bound, or the stack is deep."""
-        if len(self._frame) >= self.max_eager_depth:
-            return False
-        vertex = self.vertices.get(connector.dst)
-        if vertex is None:
-            return False
-        active = self._executing.get(vertex, 0)
-        return active <= getattr(vertex, "reentrancy", 0)
+            self._message_queue.append((connector, records, out_time))
 
     def _deliver_message(
         self, connector: Connector, records: List[Any], timestamp: Timestamp
@@ -475,16 +444,10 @@ class Computation(TimelyRuntime):
         trace = self._trace
         wall = perf_counter() if trace is not None else 0.0
         self._frame.append((vertex, timestamp, True))
-        self._executing[vertex] = self._executing.get(vertex, 0) + 1
         try:
             vertex.on_recv(connector.dst_port, records, timestamp)
         finally:
             self._frame.pop()
-            remaining = self._executing[vertex] - 1
-            if remaining:
-                self._executing[vertex] = remaining
-            else:
-                del self._executing[vertex]
         self.progress.update(Pointstamp(timestamp, connector), -1)
         self.delivered_messages += 1
         if trace is not None:

@@ -79,10 +79,13 @@ def snapshot_copy(obj: Any, memo: Optional[Dict[int, Any]] = None) -> Any:
     shares atoms and leaf-only tuples.  Exact ``dict``/``list``/``set``
     containers are rebuilt — with one ``dict(x)``/``list(x)``/``set(x)``
     call when every member is a leaf, else member by member — and
-    insertion order is kept.  Everything else (subclasses such as
-    ``Counter``, custom objects, functions) goes to ``copy.deepcopy``
-    with the same ``memo``, so an object reached twice comes back as
-    one copy reached twice, exactly as deepcopy keeps aliasing.
+    insertion order is kept.  An instance of a class that sets
+    ``_PLAIN_STATE = True`` is rebuilt as deepcopy rebuilds a plain
+    object, a new instance over a copy of its ``__dict__``.  Everything
+    else (subclasses such as ``Counter``, custom objects, functions)
+    goes to ``copy.deepcopy`` with the same ``memo``, so an object
+    reached twice comes back as one copy reached twice, exactly as
+    deepcopy keeps aliasing.
     """
     cls = type(obj)
     if cls in _LEAF_TYPES:
@@ -133,6 +136,10 @@ def snapshot_copy(obj: Any, memo: Optional[Dict[int, Any]] = None) -> Any:
         return copied
     if cls is frozenset and _all_leaves(obj):
         return obj
+    if getattr(cls, "_PLAIN_STATE", False):
+        copied = memo[id(obj)] = cls.__new__(cls)
+        copied.__dict__.update(snapshot_copy(obj.__dict__, memo))
+        return copied
     return copy.deepcopy(obj, memo)
 
 

@@ -12,7 +12,8 @@ oracles.
 
 Stateful operators maintain indexed state across epochs and are keyed
 (hash-partitioned), so they run data-parallel on the cluster runtime
-unchanged.  :class:`UnionFindVertex` implements the incremental
+unchanged.  That state is one keyed multiset in plain dicts, updated
+by :func:`add_counts` and :func:`index_diffs`.  :class:`UnionFindVertex` implements the incremental
 connected-components kernel used by section 6.4 (edge additions, as in
 the tweet stream of Figure 1, where mentions only accumulate).
 """
@@ -22,7 +23,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Iterable, List, Tuple
 
 from ..core.timestamp import Timestamp
-from ..core.vertex import Vertex
+from .operators import BinaryBufferingVertex, UnaryBufferingVertex
 from .stream import Stream, hash_partitioner
 
 
@@ -37,32 +38,61 @@ def consolidate_diffs(diffs: Iterable[Diff]) -> List[Diff]:
     return [(record, m) for record, m in acc.items() if m != 0]
 
 
-class _EpochDiffVertex(Vertex):
-    """Base for per-epoch incremental operators.
+def add_counts(counts: Dict[Any, int], diffs: Iterable[Diff]) -> Dict[Any, int]:
+    """Add each ``(item, delta)`` into ``counts``; return ``{item: count
+    before the batch}`` in first-touch order.  Items whose count ends
+    at zero leave ``counts`` at the end of the batch.
 
-    Buffers an epoch's diffs, and on notification applies them to the
-    cross-epoch state via :meth:`apply`, emitting output diffs.
+    With :func:`index_diffs`, this is the one keyed multiset under every
+    incremental operator and the shared arrangement.  It stays plain
+    dicts, which ``snapshot_copy`` copies without ``copy.deepcopy``.
     """
+    before: Dict[Any, int] = {}
+    first_touch = before.setdefault
+    zeros = []
+    for item, delta in diffs:
+        old = counts.get(item, 0)
+        first_touch(item, old)
+        new = counts[item] = old + delta
+        if not new:
+            zeros.append(item)
+    for item in zeros:
+        if counts.get(item) == 0:
+            del counts[item]
+    return before
+
+
+def index_diffs(
+    index: Dict[Any, Dict[Any, int]], triples: Iterable[Tuple[Any, Any, int]]
+) -> Dict[Any, None]:
+    """Add each ``(key, record, delta)`` into ``index`` (``key ->
+    {record: multiplicity}``); return the touched keys in first-touch
+    order.  A record whose multiplicity reaches zero leaves at once, a
+    key left with no records at the end of the batch."""
+    touched: Dict[Any, None] = {}
+    for key, record, delta in triples:
+        slot = index.get(key)
+        if slot is None:
+            slot = index[key] = {}
+        total = slot.get(record, 0) + delta
+        if total:
+            slot[record] = total
+        else:
+            slot.pop(record, None)
+        touched[key] = None
+    for key in touched:
+        if not index[key]:
+            del index[key]
+    return touched
+
+
+class _EpochDiffVertex(UnaryBufferingVertex):
+    """Base for per-epoch incremental operators: the buffered epoch's
+    diffs are consolidated and applied to the cross-epoch state by the
+    subclass's ``apply(diffs)``, which returns the output diffs."""
 
     def __init__(self):
-        super().__init__()
-        self.pending: Dict[Timestamp, List[Diff]] = {}
-
-    def on_recv(self, input_port: int, records: List[Diff], timestamp: Timestamp) -> None:
-        pending = self.pending.get(timestamp)
-        if pending is None:
-            pending = self.pending[timestamp] = []
-            self.notify_at(timestamp)
-        pending.extend(records)
-
-    def on_notify(self, timestamp: Timestamp) -> None:
-        diffs = consolidate_diffs(self.pending.pop(timestamp, []))
-        out = self.apply(diffs)
-        if out:
-            self.send_by(0, out, timestamp)
-
-    def apply(self, diffs: List[Diff]) -> List[Diff]:
-        raise NotImplementedError
+        super().__init__(lambda records: self.apply(consolidate_diffs(records)))
 
 
 class IncrementalDistinctVertex(_EpochDiffVertex):
@@ -77,14 +107,10 @@ class IncrementalDistinctVertex(_EpochDiffVertex):
         self.counts: Dict[Any, int] = {}
 
     def apply(self, diffs: List[Diff]) -> List[Diff]:
+        counts = self.counts
         out: List[Diff] = []
-        for record, multiplicity in diffs:
-            old = self.counts.get(record, 0)
-            new = old + multiplicity
-            if new:
-                self.counts[record] = new
-            else:
-                self.counts.pop(record, None)
+        for record, old in add_counts(counts, diffs).items():
+            new = counts.get(record, 0)
             if old <= 0 < new:
                 out.append((record, +1))
             elif new <= 0 < old:
@@ -95,7 +121,7 @@ class IncrementalDistinctVertex(_EpochDiffVertex):
 class IncrementalCountVertex(_EpochDiffVertex):
     """``(key, count)`` maintenance: retract the old count, assert the new."""
 
-    _CONFIG_ATTRS = ("key",)
+    _CONFIG_ATTRS = ("transform", "key")
 
     def __init__(self, key: Callable[[Any], Any]):
         super().__init__()
@@ -103,18 +129,10 @@ class IncrementalCountVertex(_EpochDiffVertex):
         self.counts: Dict[Any, int] = {}
 
     def apply(self, diffs: List[Diff]) -> List[Diff]:
-        key = self.key
-        touched: Dict[Any, int] = {}
-        for record, multiplicity in diffs:
-            k = key(record)
-            if k not in touched:
-                touched[k] = self.counts.get(k, 0)
-            self.counts[k] = self.counts.get(k, 0) + multiplicity
+        key, counts = self.key, self.counts
         out: List[Diff] = []
-        for k, old in touched.items():
-            new = self.counts.get(k, 0)
-            if new == 0:
-                self.counts.pop(k, None)
+        for k, old in add_counts(counts, [(key(r), m) for r, m in diffs]).items():
+            new = counts.get(k, 0)
             if new == old:
                 continue
             if old > 0:
@@ -133,7 +151,7 @@ class IncrementalReduceVertex(_EpochDiffVertex):
     buffering GroupBy of section 4.2.
     """
 
-    _CONFIG_ATTRS = ("key", "reducer")
+    _CONFIG_ATTRS = ("transform", "key", "reducer")
 
     def __init__(
         self,
@@ -146,50 +164,33 @@ class IncrementalReduceVertex(_EpochDiffVertex):
         self.groups: Dict[Any, Dict[Any, int]] = {}
         self.last_output: Dict[Any, List[Any]] = {}
 
-    def _expand(self, group: Dict[Any, int]) -> List[Any]:
-        out: List[Any] = []
-        for record, multiplicity in sorted(group.items(), key=lambda kv: repr(kv[0])):
-            out.extend([record] * multiplicity)
-        return out
-
     def apply(self, diffs: List[Diff]) -> List[Diff]:
-        key = self.key
-        # Insertion-ordered: changed groups are emitted in first-touch
-        # order, independent of how their keys hash.
-        touched: Dict[Any, None] = {}
-        for record, multiplicity in diffs:
-            k = key(record)
-            group = self.groups.setdefault(k, {})
-            group[record] = group.get(record, 0) + multiplicity
-            if group[record] == 0:
-                del group[record]
-            touched[k] = None
+        key, groups, last_output = self.key, self.groups, self.last_output
         out: List[Diff] = []
-        for k in touched:
-            group = self.groups.get(k, {})
-            new_output = list(self.reducer(k, self._expand(group))) if group else []
-            old_output = self.last_output.get(k, [])
+        for k in index_diffs(groups, [(key(r), r, m) for r, m in diffs]):
+            group = sorted(groups.get(k, {}).items(), key=lambda kv: repr(kv[0]))
+            expanded = [record for record, m in group for _ in range(m)]
+            new_output = list(self.reducer(k, expanded)) if group else []
+            old_output = last_output.get(k, [])
             if new_output == old_output:
                 continue
             out.extend((record, -1) for record in old_output)
             out.extend((record, +1) for record in new_output)
             if new_output:
-                self.last_output[k] = new_output
+                last_output[k] = new_output
             else:
-                self.last_output.pop(k, None)
-            if not group:
-                self.groups.pop(k, None)
+                del last_output[k]
         return out
 
 
-class IncrementalJoinVertex(Vertex):
+class IncrementalJoinVertex(BinaryBufferingVertex):
     """Incremental binary equijoin over accumulated inputs.
 
     Output diffs follow the product rule:
     ``d(A ⋈ B) = dA ⋈ B ∪ A ⋈ dB ∪ dA ⋈ dB``.
     """
 
-    _CONFIG_ATTRS = ("left_key", "right_key", "result")
+    _CONFIG_ATTRS = ("transform", "left_key", "right_key", "result")
 
     def __init__(
         self,
@@ -197,58 +198,39 @@ class IncrementalJoinVertex(Vertex):
         right_key: Callable[[Any], Any],
         result: Callable[[Any, Any], Any],
     ):
-        super().__init__()
+        super().__init__(self._join_epoch)
         self.left_key = left_key
         self.right_key = right_key
         self.result = result
-        self.state: Tuple[Dict[Any, Dict[Any, int]], Dict[Any, Dict[Any, int]]] = (
-            {},
-            {},
-        )
-        self.pending: Dict[Timestamp, Tuple[List[Diff], List[Diff]]] = {}
+        #: (left, right) indexes, each key -> {record: multiplicity}.
+        self.state: Tuple[Dict, Dict] = ({}, {})
 
-    def on_recv(self, input_port: int, records: List[Diff], timestamp: Timestamp) -> None:
-        pending = self.pending.get(timestamp)
-        if pending is None:
-            pending = self.pending[timestamp] = ([], [])
-            self.notify_at(timestamp)
-        pending[input_port].extend(records)
-
-    def on_notify(self, timestamp: Timestamp) -> None:
-        left_diffs, right_diffs = self.pending.pop(timestamp, ([], []))
-        left_diffs = consolidate_diffs(left_diffs)
-        right_diffs = consolidate_diffs(right_diffs)
+    def _join_epoch(self, left: List[Diff], right: List[Diff]) -> List[Diff]:
         left_state, right_state = self.state
         result = self.result
         out: List[Diff] = []
-        # dB against old A.
-        for record, multiplicity in right_diffs:
-            k = self.right_key(record)
-            for other, m in left_state.get(k, {}).items():
-                out.append((result(other, record), multiplicity * m))
-            index = right_state.setdefault(k, {})
-            index[record] = index.get(record, 0) + multiplicity
-            if index[record] == 0:
-                del index[record]
-                if not index:
-                    del right_state[k]
+        # dB against old A, then B += dB.
+        right_key = self.right_key
+        right = [(right_key(r), r, m) for r, m in consolidate_diffs(right)]
+        for k, record, multiplicity in right:
+            matches = left_state.get(k)
+            if matches:
+                for other, m in matches.items():
+                    out.append((result(other, record), multiplicity * m))
+        index_diffs(right_state, right)
         # dA against new B (covers A ⋈ dB's missing dA ⋈ dB term).
-        for record, multiplicity in left_diffs:
-            k = self.left_key(record)
-            for other, m in right_state.get(k, {}).items():
-                out.append((result(record, other), multiplicity * m))
-            index = left_state.setdefault(k, {})
-            index[record] = index.get(record, 0) + multiplicity
-            if index[record] == 0:
-                del index[record]
-                if not index:
-                    del left_state[k]
-        out = consolidate_diffs(out)
-        if out:
-            self.send_by(0, out, timestamp)
+        left_key = self.left_key
+        left = [(left_key(r), r, m) for r, m in consolidate_diffs(left)]
+        for k, record, multiplicity in left:
+            matches = right_state.get(k)
+            if matches:
+                for other, m in matches.items():
+                    out.append((result(record, other), multiplicity * m))
+        index_diffs(left_state, left)
+        return consolidate_diffs(out)
 
 
-class UnionFindVertex(Vertex):
+class UnionFindVertex(_EpochDiffVertex):
     """Incremental connected components over streaming edge additions.
 
     Input diffs are ``((u, v), +1)`` edges (retractions are rejected —
@@ -264,14 +246,6 @@ class UnionFindVertex(Vertex):
         self.parent: Dict[Any, Any] = {}
         self.members: Dict[Any, List[Any]] = {}
         self.label: Dict[Any, Any] = {}
-        self.pending: Dict[Timestamp, List[Diff]] = {}
-
-    def on_recv(self, input_port: int, records: List[Diff], timestamp: Timestamp) -> None:
-        pending = self.pending.get(timestamp)
-        if pending is None:
-            pending = self.pending[timestamp] = []
-            self.notify_at(timestamp)
-        pending.extend(records)
 
     def _find(self, node: Any) -> Any:
         root = node
@@ -282,59 +256,59 @@ class UnionFindVertex(Vertex):
             parent[node], node = root, parent[node]
         return root
 
-    def _ensure(self, node: Any, out: List[Diff]) -> None:
-        if node not in self.parent:
-            self.parent[node] = node
-            self.members[node] = [node]
-            self.label[node] = node
-            out.append(((node, node), +1))
+    def union(self, u: Any, v: Any, out: List[Diff]) -> None:
+        """Add the edge ``(u, v)``, appending the label diffs it causes
+        to ``out``."""
+        parent, members, label = self.parent, self.members, self.label
+        for node in (u, v):
+            if node not in parent:
+                parent[node] = label[node] = node
+                members[node] = [node]
+                out.append(((node, node), +1))
+        ru, rv = self._find(u), self._find(v)
+        if ru == rv:
+            return
+        if len(members[ru]) < len(members[rv]):
+            ru, rv = rv, ru
+        # rv's members join ru.
+        new_label = min(label[ru], label[rv])
+        old_big = label[ru]
+        parent[rv] = ru
+        moved = members.pop(rv)
+        old_small = label.pop(rv)
+        if new_label != old_small:
+            for node in moved:
+                out.append(((node, old_small), -1))
+                out.append(((node, new_label), +1))
+        if new_label != old_big:
+            for node in members[ru]:
+                out.append(((node, old_big), -1))
+                out.append(((node, new_label), +1))
+        members[ru].extend(moved)
+        label[ru] = new_label
 
-    def on_notify(self, timestamp: Timestamp) -> None:
+    def apply(self, diffs: List[Diff]) -> List[Diff]:
         out: List[Diff] = []
-        for (u, v), multiplicity in consolidate_diffs(self.pending.pop(timestamp, [])):
+        for (u, v), multiplicity in diffs:
             if multiplicity < 0:
                 raise ValueError(
                     "UnionFindVertex handles edge additions only; use a "
                     "full recompute (repro.algorithms.connectivity) for "
                     "deletions"
                 )
-            self._ensure(u, out)
-            self._ensure(v, out)
-            ru, rv = self._find(u), self._find(v)
-            if ru == rv:
-                continue
-            if len(self.members[ru]) < len(self.members[rv]):
-                ru, rv = rv, ru
-            # rv's members join ru.
-            new_label = min(self.label[ru], self.label[rv])
-            old_big = self.label[ru]
-            self.parent[rv] = ru
-            moved = self.members.pop(rv)
-            old_small = self.label.pop(rv)
-            if new_label != old_small:
-                for node in moved:
-                    out.append(((node, old_small), -1))
-                    out.append(((node, new_label), +1))
-            if new_label != old_big:
-                for node in self.members[ru]:
-                    out.append(((node, old_big), -1))
-                    out.append(((node, new_label), +1))
-            self.members[ru].extend(moved)
-            self.label[ru] = new_label
-        out = consolidate_diffs(out)
-        if out:
-            self.send_by(0, out, timestamp)
+            self.union(u, v, out)
+        return consolidate_diffs(out)
 
 
-class WindowedConnectedComponentsVertex(_EpochDiffVertex):
+class WindowedConnectedComponentsVertex(UnionFindVertex):
     """Connected components under additions *and* retractions.
 
     The paper contrasts Naiad with systems whose cyclic dataflows cannot
     retract records, naming sliding-window connected components as an
     algorithm Naiad supports (section 7).  This vertex maintains the
     live edge multiset; addition-only epochs take the incremental
-    union-find fast path, while epochs containing retractions rebuild
-    the union-find from the surviving edges (cost O(E α) — the standard
+    union-find path, while epochs containing retractions rebuild the
+    union-find from the surviving edges (the standard
     recompute-on-delete strategy) and emit only the label diffs.
     """
 
@@ -342,88 +316,39 @@ class WindowedConnectedComponentsVertex(_EpochDiffVertex):
         super().__init__()
         self.edges: Dict[Any, int] = {}
         self.labels: Dict[Any, Any] = {}
-        self._fast = UnionFindVertex()
 
     def apply(self, diffs: List[Diff]) -> List[Diff]:
-        has_deletion = any(m < 0 for _, m in diffs)
-        for edge, multiplicity in diffs:
-            count = self.edges.get(edge, 0) + multiplicity
-            if count < 0:
-                raise ValueError("retracted edge %r was never added" % (edge,))
-            if count:
-                self.edges[edge] = count
-            else:
-                self.edges.pop(edge, None)
-        if not has_deletion:
-            out: List[Diff] = []
-            for (u, v), multiplicity in diffs:
-                self._fast._ensure(u, out)
-                self._fast._ensure(v, out)
-                ru, rv = self._fast._find(u), self._fast._find(v)
-                if ru == rv:
-                    continue
-                if len(self._fast.members[ru]) < len(self._fast.members[rv]):
-                    ru, rv = rv, ru
-                new_label = min(self._fast.label[ru], self._fast.label[rv])
-                old_big = self._fast.label[ru]
-                old_small = self._fast.label.pop(rv)
-                self._fast.parent[rv] = ru
-                moved = self._fast.members.pop(rv)
-                if new_label != old_small:
-                    for node in moved:
-                        out.append(((node, old_small), -1))
-                        out.append(((node, new_label), +1))
-                if new_label != old_big:
-                    for node in self._fast.members[ru]:
-                        out.append(((node, old_big), -1))
-                        out.append(((node, new_label), +1))
-                self._fast.members[ru].extend(moved)
-                self._fast.label[ru] = new_label
-            for (node, label), multiplicity in consolidate_diffs(out):
+        edges, labels = self.edges, self.labels
+        add_counts(edges, diffs)
+        retracted = [edge for edge, m in diffs if m < 0]
+        if not retracted:
+            out = super().apply(diffs)
+            for (node, label), multiplicity in out:
                 if multiplicity > 0:
-                    self.labels[node] = label
-                elif self.labels.get(node) == label:
-                    del self.labels[node]
-            return consolidate_diffs(out)
+                    labels[node] = label
+                elif labels.get(node) == label:
+                    del labels[node]
+            return out
+        for edge in retracted:
+            if edges.get(edge, 0) < 0:
+                raise ValueError("retracted edge %r was never added" % (edge,))
         # Retraction epoch: rebuild from the surviving multiset.
-        parent: Dict[Any, Any] = {}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for u, v in self.edges:
-            parent.setdefault(u, u)
-            parent.setdefault(v, v)
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[max(ru, rv)] = min(ru, rv)
-        new_labels = {node: find(node) for node in parent}
-        out = []
-        for node, label in self.labels.items():
-            if new_labels.get(node) != label:
-                out.append(((node, label), -1))
-        for node, label in new_labels.items():
-            if self.labels.get(node) != label:
-                out.append(((node, label), +1))
+        self.parent, self.members, self.label = {}, {}, {}
+        ignored: List[Diff] = []
+        for u, v in edges:
+            self.union(u, v, ignored)
+        new_labels = {node: self.label[self._find(node)] for node in self.parent}
+        out = [
+            ((node, label), -1)
+            for node, label in labels.items()
+            if new_labels.get(node) != label
+        ]
+        out.extend(
+            ((node, label), +1)
+            for node, label in new_labels.items()
+            if labels.get(node) != label
+        )
         self.labels = new_labels
-        # Reset the fast path to match the rebuilt state.
-        self._fast = UnionFindVertex()
-        for u, v in self.edges:
-            self._fast._ensure(u, [])
-            self._fast._ensure(v, [])
-            ru, rv = self._fast._find(u), self._fast._find(v)
-            if ru == rv:
-                continue
-            if len(self._fast.members[ru]) < len(self._fast.members[rv]):
-                ru, rv = rv, ru
-            new_label = min(self._fast.label[ru], self._fast.label[rv])
-            self._fast.label.pop(rv)
-            self._fast.parent[rv] = ru
-            self._fast.members[ru].extend(self._fast.members.pop(rv))
-            self._fast.label[ru] = new_label
         return out
 
 
@@ -556,12 +481,4 @@ class Collection:
     def accumulate_into(self, sink: Dict[Any, int], name: str = "inc_accumulate"):
         """Maintain a live multiset view of the collection in ``sink``."""
 
-        def apply(timestamp, diffs):
-            for record, multiplicity in diffs:
-                new = sink.get(record, 0) + multiplicity
-                if new:
-                    sink[record] = new
-                else:
-                    sink.pop(record, None)
-
-        return self.subscribe(apply, name=name)
+        return self.subscribe(lambda t, diffs: add_counts(sink, diffs), name=name)

@@ -8,6 +8,9 @@ privately accumulating the diff stream (O(sessions x state) memory and
 update work, the pre-serving `QueryVertex` design), the maintaining
 :class:`ArrangeVertex` applies each epoch's consolidated diffs to one
 :class:`SharedArrangement` and readers snapshot it at a chosen epoch.
+Its ``base`` and per-epoch ``logs`` are the keyed multiset the
+incremental operators keep (``key -> {record: multiplicity}`` plain
+dicts), updated by the same :func:`repro.lib.incremental.index_diffs`.
 
 The arrangement's contract:
 
@@ -26,7 +29,8 @@ The arrangement's contract:
 - **Single writer.** Only the maintaining :class:`ArrangeVertex`
   mutates the arrangement, and only inside its own callbacks — so the
   state rides the vertex's ordinary checkpoint/restore/migration path
-  (async cuts, partial rollback, rescaling) with no extra machinery.
+  (async cuts, partial rollback, rescaling) with no extra machinery;
+  ``snapshot_copy`` copies it attribute by attribute (``_PLAIN_STATE``).
 
 Build arrangements with :meth:`repro.lib.stream.Stream.arrange_by` /
 :meth:`repro.lib.incremental.Collection.arrange_by`, which return an
@@ -40,7 +44,8 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..core.timestamp import Timestamp
 from ..core.vertex import Vertex
-from ..lib.incremental import Diff, consolidate_diffs
+from ..lib.incremental import consolidate_diffs, index_diffs
+from ..lib.operators import UnaryBufferingVertex
 
 
 class CompactedEpochError(LookupError):
@@ -56,6 +61,9 @@ class SharedArrangement:
     ``published`` is the newest applied epoch.  All methods are O(keys
     touched); ``lookup`` additionally scans the (bounded) log window.
     """
+
+    #: Only plain dicts, strs and ints: snapshots skip ``copy.deepcopy``.
+    _PLAIN_STATE = True
 
     def __init__(self, name: str, retain: int = 4):
         if retain < 1:
@@ -86,10 +94,7 @@ class SharedArrangement:
             )
         if keyed:
             log = self.logs.setdefault(epoch, {})
-            for key, deltas in keyed.items():
-                slot = log.setdefault(key, {})
-                for record, delta in deltas.items():
-                    slot[record] = slot.get(record, 0) + delta
+            index_diffs(log, ((k, r, d) for k, ds in keyed.items() for r, d in ds.items()))
         if epoch > self.published:
             self.published = epoch
         self.publishes += 1
@@ -102,24 +107,15 @@ class SharedArrangement:
         epoch a reader still holds.  Returns the number of epochs folded.
         """
         floor = min(floor, self.published - self.retain)
-        folded = 0
-        for epoch in sorted(e for e in self.logs if e <= floor):
-            for key, deltas in self.logs.pop(epoch).items():
-                slot = self.base.setdefault(key, {})
-                for record, delta in deltas.items():
-                    total = slot.get(record, 0) + delta
-                    if total:
-                        slot[record] = total
-                    else:
-                        del slot[record]
-                if not slot:
-                    del self.base[key]
-            folded += 1
+        folded = sorted(e for e in self.logs if e <= floor)
+        for epoch in folded:
+            deltas = self.logs.pop(epoch).items()
+            index_diffs(self.base, ((k, r, d) for k, ds in deltas for r, d in ds.items()))
         if floor > self.compacted_through:
             self.compacted_through = floor
         if folded:
             self.compactions += 1
-        return folded
+        return len(folded)
 
     # -- reader side ----------------------------------------------------
 
@@ -167,7 +163,7 @@ class SharedArrangement:
         )
 
 
-class ArrangeVertex(Vertex):
+class ArrangeVertex(UnaryBufferingVertex):
     """The maintaining operator of one :class:`SharedArrangement`.
 
     Consumes a diff stream ``(record, multiplicity)`` (single partition,
@@ -185,23 +181,15 @@ class ArrangeVertex(Vertex):
     pending queries for.
     """
 
-    _CONFIG_ATTRS = ("key", "readers")
+    _CONFIG_ATTRS = ("transform", "key", "readers")
 
     def __init__(self, name: str, key: Callable[[Any], Any], retain: int = 4):
-        super().__init__()
+        super().__init__(consolidate_diffs)
         self.key = key
         self.arr = SharedArrangement(name, retain=retain)
-        self.pending: Dict[Timestamp, List[Diff]] = {}
         #: Reader vertices whose pending epochs pin the compaction floor
         #: (transient; re-wired by the session manager after build).
         self.readers: List[Vertex] = []
-
-    def on_recv(self, input_port: int, records: List[Diff], timestamp: Timestamp) -> None:
-        pending = self.pending.get(timestamp)
-        if pending is None:
-            pending = self.pending[timestamp] = []
-            self.notify_at(timestamp)
-        pending.extend(records)
 
     def _reader_floor(self) -> int:
         """The newest epoch safe to fold given outstanding fresh reads:
@@ -214,12 +202,10 @@ class ArrangeVertex(Vertex):
         return floor
 
     def on_notify(self, timestamp: Timestamp) -> None:
-        epoch = timestamp.epoch
-        diffs = consolidate_diffs(self.pending.pop(timestamp, []))
-        key = self.key
+        epoch, key = timestamp.epoch, self.key
+        diffs = self.transform(self.buffers.pop(timestamp, []))
         keyed: Dict[Any, Dict[Any, int]] = {}
-        for record, multiplicity in diffs:
-            keyed.setdefault(key(record), {})[record] = multiplicity
+        index_diffs(keyed, [(key(r), r, m) for r, m in diffs])
         self.arr.apply(epoch, keyed)
         self.arr.compact(self._reader_floor())
         harness = self._harness

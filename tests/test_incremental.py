@@ -5,6 +5,7 @@ operator's output diffs over all epochs equals recomputing the operator
 on the accumulated input.
 """
 
+import copy
 from collections import Counter
 
 import networkx as nx
@@ -12,8 +13,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import Computation
+from repro.core.timestamp import Timestamp
 from repro.lib import Collection, Stream, consolidate_diffs
+from repro.lib.incremental import (
+    IncrementalCountVertex,
+    IncrementalDistinctVertex,
+    IncrementalJoinVertex,
+    IncrementalReduceVertex,
+    UnionFindVertex,
+    WindowedConnectedComponentsVertex,
+)
 from repro.runtime import ClusterComputation
+from repro.serve.arrangement import ArrangeVertex
 
 
 def run_collection(build, diff_epochs, cluster=False):
@@ -133,14 +144,6 @@ class TestIncrementalReduce:
 
         live = run_collection(build, [[(("a", 1), 1)], [(("a", 1), -1)]])
         assert live == {}
-
-    def test_changed_groups_emitted_in_first_touch_order(self):
-        # A set of {1, 8} iterates 8 first; the output must follow the
-        # input, not the hash table.
-        from repro.lib.incremental import IncrementalReduceVertex
-
-        vertex = IncrementalReduceVertex(key=lambda r: r, reducer=lambda k, rs: [k])
-        assert vertex.apply([(1, 1), (8, 1)]) == [(1, 1), (8, 1)]
 
 
 class TestIncrementalJoin:
@@ -341,3 +344,190 @@ class TestUnionFind:
             (6, 5): -1,
             (6, 1): 1,
         }
+
+
+# ----------------------------------------------------------------------
+# One vertex driven epoch by epoch, outside any runtime.
+# ----------------------------------------------------------------------
+
+
+class _Recorder:
+    """A stand-in harness that records what the vertex sends."""
+
+    def __init__(self):
+        self.sent = []
+
+    def send(self, vertex, output_port, records, timestamp):
+        self.sent.append((timestamp.epoch, list(records)))
+
+    def request_notification(self, vertex, timestamp, capability):
+        pass
+
+    def _arrangement_published(self, name, epoch):
+        pass
+
+
+def drive(vertex, epochs):
+    """Feed ``epochs`` (per epoch, one diff list per input port) through
+    ``on_recv``/``on_notify``; return each epoch's output, unsorted."""
+    vertex._harness = _Recorder()
+    for epoch, ports in enumerate(epochs):
+        timestamp = Timestamp(epoch, ())
+        for port, diffs in enumerate(ports):
+            if diffs:
+                vertex.on_recv(port, list(diffs), timestamp)
+        vertex.on_notify(timestamp)
+    out = [[] for _ in epochs]
+    for epoch, records in vertex._harness.sent:
+        out[epoch].extend(records)
+    return out
+
+
+def _join():
+    return IncrementalJoinVertex(
+        lambda lhs: lhs[0], lambda rhs: rhs[0], lambda lhs, rhs: (lhs[1], rhs[1])
+    )
+
+
+JOIN_EPOCHS = [
+    (
+        [(("a", 1), 1), (("b", 2), 1), (("a", 3), 1)],
+        [(("a", "x"), 1), (("b", "y"), 1), (("c", "z"), 1)],
+    ),
+    ([(("a", 1), -1), (("c", 4), 1)], [(("b", "y"), -1), (("a", "w"), 1)]),
+    (
+        [(("a", 3), -1), (("c", 4), -1), (("b", 5), 1)],
+        [(("a", "x"), -1), (("b", "v"), 1), (("c", "z"), -1)],
+    ),
+]
+COUNT_EPOCHS = [
+    ([(("u1", "t1"), 1), (("u2", "t1"), 1), (("u1", "t2"), 1)],),
+    ([(("u2", "t1"), -1), (("u3", "t3"), 1), (("u1", "t1"), -1), (("u1", "t3"), 1)],),
+    ([(("u1", "t2"), -1), (("u1", "t3"), -1), (("u3", "t3"), 1)],),
+]
+DISTINCT_EPOCHS = [
+    ([("b", 1), ("a", 1), ("b", 1)],),
+    ([("a", -1), ("c", 1), ("b", -1)],),
+    ([("b", -1), ("a", 1), ("c", 1)],),
+]
+# Epoch 2 retracts (1, 5): a rebuild epoch.
+WCC_EPOCHS = [
+    ([((5, 6), 1), ((1, 5), 1), ((7, 8), 1), ((2, 3), 1)],),
+    ([((3, 4), 1), ((8, 1), 1)],),
+    ([((1, 5), -1), ((3, 4), 1), ((2, 7), 1)],),
+    ([((9, 2), 1)],),
+]
+
+#: name -> (vertex factory, input epochs, exact per-epoch output).
+ORDER_CASES = {
+    # A set of {1, 8} iterates 8 first; the output must follow the
+    # input, not the hash table.
+    "reduce": (
+        lambda: IncrementalReduceVertex(key=lambda r: r, reducer=lambda k, rs: [k]),
+        [([(1, 1), (8, 1)],)],
+        [[(1, 1), (8, 1)]],
+    ),
+    "count": (
+        lambda: IncrementalCountVertex(lambda r: r[0]),
+        COUNT_EPOCHS,
+        [
+            [(("u1", 2), 1), (("u2", 1), 1)],
+            [(("u2", 1), -1), (("u3", 1), 1)],
+            [(("u1", 2), -1), (("u3", 1), -1), (("u3", 2), 1)],
+        ],
+    ),
+    "distinct": (
+        IncrementalDistinctVertex,
+        DISTINCT_EPOCHS,
+        [[("b", 1), ("a", 1)], [("a", -1), ("c", 1)], [("b", -1), ("a", 1)]],
+    ),
+    # dB against the old A, then dA against the new B.
+    "join": (
+        _join,
+        JOIN_EPOCHS,
+        [
+            [((1, "x"), 1), ((2, "y"), 1), ((3, "x"), 1)],
+            [((2, "y"), -1), ((3, "w"), 1), ((1, "x"), -1), ((4, "z"), 1)],
+            [
+                ((3, "x"), -1),
+                ((2, "v"), 1),
+                ((4, "z"), -1),
+                ((3, "w"), -1),
+                ((5, "v"), 1),
+            ],
+        ],
+    ),
+    # The retraction epoch retracts old labels, then asserts new ones.
+    "windowed_cc": (
+        WindowedConnectedComponentsVertex,
+        WCC_EPOCHS,
+        [
+            [
+                ((1, 1), 1),
+                ((5, 1), 1),
+                ((6, 1), 1),
+                ((7, 7), 1),
+                ((8, 7), 1),
+                ((2, 2), 1),
+                ((3, 2), 1),
+            ],
+            [((4, 2), 1), ((7, 7), -1), ((7, 1), 1), ((8, 7), -1), ((8, 1), 1)],
+            [
+                ((5, 1), -1),
+                ((6, 1), -1),
+                ((2, 2), -1),
+                ((3, 2), -1),
+                ((4, 2), -1),
+                ((5, 5), 1),
+                ((6, 5), 1),
+                ((2, 1), 1),
+                ((3, 1), 1),
+                ((4, 1), 1),
+            ],
+            [((9, 1), 1)],
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORDER_CASES))
+def test_changed_groups_emitted_in_first_touch_order(case):
+    factory, epochs, expected = ORDER_CASES[case]
+    assert drive(factory(), epochs) == expected
+
+
+#: name -> (vertex factory, input epochs) for the snapshot check.
+SNAPSHOT_CASES = {
+    "distinct": (IncrementalDistinctVertex, DISTINCT_EPOCHS),
+    "count": (lambda: IncrementalCountVertex(lambda r: r[0]), COUNT_EPOCHS),
+    "reduce": (
+        lambda: IncrementalReduceVertex(lambda r: r[0], lambda k, rs: [(k, len(rs))]),
+        COUNT_EPOCHS,
+    ),
+    "join": (_join, JOIN_EPOCHS),
+    "union_find": (UnionFindVertex, WCC_EPOCHS[:2]),
+    "windowed_cc": (WindowedConnectedComponentsVertex, WCC_EPOCHS),
+    "arrange": (lambda: ArrangeVertex("arr", lambda r: r[0], retain=1), COUNT_EPOCHS),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SNAPSHOT_CASES))
+def test_checkpoint_never_falls_back_to_deepcopy(case, monkeypatch):
+    # Incremental state is plain dicts and lists, which snapshot_copy
+    # copies itself; deepcopy would cost every checkpoint a full walk.
+    factory, epochs = SNAPSHOT_CASES[case]
+    vertex = factory()
+    drive(vertex, epochs)
+
+    def refuse(obj, memo=None):
+        raise AssertionError("snapshot fell back to deepcopy for %r" % (obj,))
+
+    def plain(state):
+        # The arrangement compares by its attributes.
+        return {key: getattr(value, "__dict__", value) for key, value in state.items()}
+
+    monkeypatch.setattr(copy, "deepcopy", refuse)
+    state = vertex.checkpoint()
+    vertex.restore(state)
+    assert plain(vertex.checkpoint()) == plain(state)
+
