@@ -207,9 +207,10 @@ class AsyncCheckpointManager:
                 worker.process,
                 MARKER_BYTES,
                 "marker",
-                lambda i=worker.index, c=cycle, g=generation: self.on_marker(
-                    i, c, g
-                ),
+                self.on_marker,
+                worker.index,
+                cycle,
+                generation,
             )
         self._maybe_complete()
 
@@ -460,10 +461,12 @@ class AsyncCheckpointManager:
         write_delay = 0.0
         if self._cycle_write_bytes:
             write_delay = max(self._cycle_write_bytes.values()) / ft.disk_bandwidth
-        generation = self.generation
         cluster.sim.schedule_at(
             now + write_delay,
-            lambda: self._commit_durable(snapshot, write_delay, generation),
+            self._commit_durable,
+            snapshot,
+            write_delay,
+            self.generation,
         )
         trace = cluster._trace
         if trace is not None:

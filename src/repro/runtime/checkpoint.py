@@ -50,6 +50,10 @@ from ..obs.trace import TraceEvent
 RECOVERY_POLICIES = ("restart", "reassign")
 
 
+def _write_done() -> None:
+    """A checkpoint write completes; the event only holds the clock."""
+
+
 class RecoveryManager:
     """Orchestrates checkpoints, failure handling and replay.
 
@@ -173,7 +177,7 @@ class RecoveryManager:
             # The computation is not done until the checkpoint is
             # durable; advance the clock to the write's completion even
             # if no further work exists.
-            cluster.sim.schedule_at(resume, lambda: None)
+            cluster.sim.schedule_at(resume, _write_done)
         trace = cluster._trace
         if trace is not None:
             trace.emit(

@@ -677,7 +677,7 @@ class _Worker:
                     span[3],
                 )
             )
-        cluster.sim.schedule_at(finish, lambda: self._commit(updates, dispatches))
+        cluster.sim.schedule_at(finish, self._commit, updates, dispatches)
 
     def _commit(
         self,
@@ -696,6 +696,7 @@ class _Worker:
             # batches the surviving destinations already received.
             ac.filter_replayed(self.index, dispatches, updates)
         tag = self.cut if ac is not None else 0
+        fence = (self.process, cluster.generations[self.process])
         for connector, dest, batch, out_time, size in dispatches:
             dest_worker = cluster.workers[dest]
             if dest == self.index:
@@ -709,14 +710,9 @@ class _Worker:
                         self.index, dest, connector, batch, out_time, size, tag
                     )
                 cluster.network.send(
-                    self.process,
-                    cluster.worker_process(dest),
-                    size,
-                    "data",
-                    lambda w=dest_worker, c=connector, b=batch, t=out_time, s=size, i=self.index, n=now, g=tag, k=key, f=(
-                        self.process,
-                        cluster.generations[self.process],
-                    ): (w.enqueue_message(c, b, t, s, i, n, g, k, f)),
+                    self.process, cluster.worker_process(dest), size, "data",
+                    dest_worker.enqueue_message, connector, batch, out_time, size,
+                    self.index, now, tag, key, fence,
                 )
         cluster.plane.submit(self.process, updates)
         if ac is not None and self._cut_deferred:
@@ -1114,9 +1110,8 @@ class ClusterComputation(Computation):
                         -1, dest, connector, batch, timestamp, 0, tag
                     )
                 self.sim.schedule(
-                    0.0, lambda w=worker, c=connector, b=batch, t=timestamp, g=tag, k=key: (
-                        w.enqueue_message(c, b, t, 0, -1, -1.0, g, k)
-                    )
+                    0.0, worker.enqueue_message,
+                    connector, batch, timestamp, 0, -1, -1.0, tag, key,
                 )
         updates.append((Pointstamp(Timestamp(epoch + 1), stage), +1))
         updates.append((Pointstamp(timestamp, stage), -1))
@@ -1388,7 +1383,7 @@ class ClusterComputation(Computation):
             self._check_not_in_event("kill_process")
             self.recovery.fail_process(process)
         else:
-            self.sim.schedule_at(at, lambda: self.recovery.fail_process(process))
+            self.sim.schedule_at(at, self.recovery.fail_process, process)
 
     # ------------------------------------------------------------------
     # Self-healing: silent crashes, generation fencing and supervised
@@ -1420,7 +1415,7 @@ class ClusterComputation(Computation):
             self._check_not_in_event("crash_process")
             self._crash_now(process)
         else:
-            self.sim.schedule_at(at, lambda: self._crash_now(process))
+            self.sim.schedule_at(at, self._crash_now, process)
 
     def _crash_now(self, process: int) -> None:
         if process in self._removed_processes:
@@ -1606,11 +1601,7 @@ class ClusterComputation(Computation):
         self, op: Tuple[str, Optional[int]], at: Optional[float]
     ) -> Optional[int]:
         if at is not None:
-            def queue_op() -> None:
-                self._rescale_queue.append(op)
-                self._pump_rescales()
-
-            self.sim.schedule_at(at, queue_op)
+            self.sim.schedule_at(at, self._queue_rescale, op)
             return None
         self._check_not_in_event("add_process/remove_process")
         self._ensure_pool()
@@ -1625,6 +1616,11 @@ class ClusterComputation(Computation):
                 )
         record = self.rescales[marker]
         return record["process"] if record["kind"] == "add" else None
+
+    def _queue_rescale(self, op: Tuple[str, Optional[int]]) -> None:
+        """A scheduled ``at=`` submission fires."""
+        self._rescale_queue.append(op)
+        self._pump_rescales()
 
     def _pump_rescales(self) -> None:
         """Drive queued rescale operations forward.
@@ -1707,13 +1703,11 @@ class ClusterComputation(Computation):
         synchronous submission); the token ensures only the most recent
         arming fires, so there is never more than one live pump event.
         """
-        token = self._rescale_pump_token
+        self.sim.schedule_at(time, self._fire_pump, self._rescale_pump_token)
 
-        def fire() -> None:
-            if token == self._rescale_pump_token:
-                self._pump_rescales()
-
-        self.sim.schedule_at(time, fire)
+    def _fire_pump(self, token: int) -> None:
+        if token == self._rescale_pump_token:
+            self._pump_rescales()
 
     def _migration_delay(self, moving: List[int]) -> float:
         """Virtual-time cost of shipping the moving workers' snapshot

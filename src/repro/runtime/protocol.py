@@ -524,25 +524,14 @@ class ProtocolNode(Accumulator):
             return
         plane = self.plane
         seq = self._remember_in_flight(updates)
-        size = wire_size(updates)
         central = plane.central
-        if central is not None:
-            deliver = plane.fence.register(
-                self.process,
-                central.process,
-                lambda: central.accumulate(updates, (self.process, seq)),
-            )
-            plane.network.send(
-                self.process, central.process, size, "progress", deliver
-            )
-            return
-        origin = ((self.process, seq),)
-        for dst in list(plane.live_processes):
-            node = plane.nodes[dst]
-            deliver = plane.fence.register(
-                self.process, dst, lambda node=node: node.receive(updates, origin)
-            )
-            plane.network.send(self.process, dst, size, "progress", deliver)
+        if central is None:
+            dsts, deliver = plane.live_processes, plane._receive
+        else:
+            dsts, deliver = (central.process,), central._absorb
+        plane.fence.broadcast(
+            self.process, dsts, wire_size(updates), deliver, updates, ((self.process, seq),)
+        )
 
     def receive(
         self,
@@ -577,30 +566,29 @@ class CentralAccumulator(Accumulator):
         updates: List[ProgressUpdate],
         covered: Tuple[Tuple[int, int], ...],
     ) -> None:
-        plane = self.plane
         covered = covered + ((-1, self._remember_in_flight(updates)),)
+        plane = self.plane
         size = wire_size(updates)
-        for dst in list(plane.live_processes):
-            node = plane.nodes[dst]
-            deliver = plane.fence.register(
-                self.process,
-                dst,
-                lambda node=node: self._deliver(node, updates, covered),
-            )
-            plane.network.send(self.process, dst, size, "progress", deliver)
+        plane.fence.broadcast(
+            self.process, plane.live_processes, size, self._deliver, updates, covered
+        )
+
+    def _absorb(
+        self, dst: int, updates: List[ProgressUpdate], covered: Tuple[Tuple[int, int], ...]
+    ) -> None:
+        """A node's batch arrived (``dst`` is this endpoint's process);
+        the next flush acknowledges its one origin."""
+        self.accumulate(updates, covered[0])
 
     def _deliver(
-        self,
-        node: ProtocolNode,
-        updates: List[ProgressUpdate],
-        covered: Tuple[Tuple[int, int], ...],
+        self, dst: int, updates: List[ProgressUpdate], covered: Tuple[Tuple[int, int], ...]
     ) -> None:
-        home = node.process == self.process
+        home = dst == self.process
         if home:
             for origin, seq in covered:
                 if origin == -1:
                     self._forget_in_flight(seq)
-        node.receive(updates, covered)
+        self.plane.nodes[dst].receive(updates, covered)
         if home:
             self._maybe_flush()
 
@@ -608,62 +596,70 @@ class CentralAccumulator(Accumulator):
 class _Fence:
     """Generation fencing for the progress plane.
 
-    Every in-flight progress-protocol copy (node broadcast, central
-    accumulate, central deliver, controller broadcast) registers here
-    before entering the network and unregisters as it delivers.  When a
-    process is fenced, :meth:`settle` applies every outstanding copy
-    touching it *synchronously*, in send order — equivalent to the
-    network having been instantaneously fast for exactly those copies
-    (progress updates commute, and occurrence accounting is exact
-    either way) — so all views agree on the fenced incarnation's final
-    effects and no accumulator hold waits on a dead peer forever.  The
-    network copy of a settled entry that straggles in later finds its
-    key gone and is dropped (``on_stale(src, dst)`` is told): that is
-    the deterministic discard of zombie progress traffic.
+    Every progress-protocol broadcast is one :meth:`broadcast`: one
+    entry ``key -> [src, pending destinations in send order, fn, args]``
+    and one :meth:`Network.multicast`.  When a process is fenced,
+    :meth:`settle` applies every pending copy touching it
+    *synchronously*, in send order — equivalent to the network having
+    been instantaneously fast for exactly those copies (progress
+    updates commute, and occurrence accounting is exact either way) —
+    so all views agree on the fenced incarnation's final effects and no
+    accumulator hold waits on a dead peer forever.  The network copy of
+    a settled destination that straggles in later finds it gone and is
+    dropped (``on_stale(src, dst)`` is told): that is the deterministic
+    discard of zombie progress traffic.
     """
 
-    __slots__ = ("_entries", "_next_key", "_on_stale")
+    __slots__ = ("_entries", "_next_key", "_network", "_on_stale")
 
-    def __init__(self, on_stale: Optional[Callable[[int, int], None]]):
-        self._entries: Dict[int, Tuple[int, int, Callable[[], None]]] = {}
+    def __init__(self, network: Network, on_stale: Optional[Callable[[int, int], None]]):
+        #: Insertion order is key order: keys only ever grow.
+        self._entries: Dict[int, List] = {}
         self._next_key = 0
+        self._network = network
         self._on_stale = on_stale
 
-    def register(
-        self, src: int, dst: int, deliver: Callable[[], None]
-    ) -> Callable[[], None]:
+    def broadcast(self, src: int, dsts, size: int, fn: Callable, *args) -> None:
+        """Send one progress message from ``src`` to each of ``dsts``;
+        each copy calls ``fn(dst, *args)`` unless settled first."""
         key = self._next_key
         self._next_key += 1
-        self._entries[key] = (src, dst, deliver)
+        self._entries[key] = [src, dict.fromkeys(dsts), fn, args]
+        self._network.multicast(src, dsts, size, "progress", self._arrive, key, src)
 
-        def wrapped() -> None:
-            entry = self._entries.pop(key, None)
-            if entry is None:
-                # Settled at fence time (or cleared by a global
-                # rollback): this network copy is provably stale.
-                if self._on_stale is not None:
-                    self._on_stale(src, dst)
-                return
-            entry[2]()
+    def _arrive(self, dst: int, key: int, src: int) -> None:
+        if not self._apply(key, dst) and self._on_stale is not None:
+            # Settled at fence time (or cleared by a global rollback):
+            # this network copy is provably stale.
+            self._on_stale(src, dst)
 
-        return wrapped
+    def _apply(self, key: int, dst: int) -> bool:
+        """Apply broadcast ``key``'s copy to ``dst`` if it is pending."""
+        entry = self._entries.get(key)
+        if entry is None or dst not in entry[1]:
+            return False
+        pending = entry[1]
+        del pending[dst]
+        if not pending:
+            del self._entries[key]
+        entry[2](dst, *entry[3])
+        return True
 
     def settle(self, process: int) -> int:
-        """Apply every outstanding copy from or to ``process`` now, in
-        send order; returns how many were settled."""
-        keys = sorted(
-            key
-            for key, (src, dst, _) in self._entries.items()
-            if src == process or dst == process
-        )
-        for key in keys:
-            entry = self._entries.pop(key, None)
-            if entry is not None:
-                # A settled deliver can trigger fresh broadcasts that
-                # register (and even settle) new entries; the snapshot
-                # of keys above keeps this loop over the original set.
-                entry[2]()
-        return len(keys)
+        """Apply every pending copy from or to ``process`` now, in send
+        order; returns how many were settled."""
+        copies = []
+        for key, (src, pending, _, _) in self._entries.items():
+            if src == process:
+                copies.extend((key, dst) for dst in pending)
+            elif process in pending:
+                copies.append((key, process))
+        for key, dst in copies:
+            # A settled copy can trigger fresh broadcasts that add (and
+            # even settle) entries; the snapshot above keeps this loop
+            # over the original copies, skipping any already applied.
+            self._apply(key, dst)
+        return len(copies)
 
     def clear(self) -> None:
         """Forget every entry (a global rollback tore the network down:
@@ -711,7 +707,7 @@ class ProgressPlane:
         self.live_processes = live_processes
         self.accumulates_locally = progress_mode in ("local", "local+global")
         self.on_frontier_change = on_frontier_change
-        self.fence = _Fence(on_stale)
+        self.fence = _Fence(network, on_stale)
         #: Loop contexts whose interior progress is summarized.
         self.summarized_scopes: Tuple = ()
         #: location -> ScopeNode of its outermost summarized enclosing
@@ -913,13 +909,15 @@ class ProgressPlane:
 
     def controller_broadcast(self, updates: List[ProgressUpdate]) -> None:
         """Low-volume control-plane updates from the controller (proc 0)."""
-        size = wire_size(updates)
-        for dst in list(self.live_processes):
-            node = self.nodes[dst]
-            deliver = self.fence.register(
-                0, dst, lambda node=node: node.receive(updates, ())
-            )
-            self.network.send(0, dst, size, "progress", deliver)
+        self.fence.broadcast(
+            0, self.live_processes, wire_size(updates), self._receive, updates, ()
+        )
+
+    def _receive(
+        self, dst: int, updates: List[ProgressUpdate], covered: Tuple[Tuple[int, int], ...]
+    ) -> None:
+        """A progress broadcast arrived at process ``dst``."""
+        self.nodes[dst].receive(updates, covered)
 
     def flush_all(self) -> None:
         """Synchronously disseminate all withheld progress updates.

@@ -348,8 +348,7 @@ class Supervisor:
 
     def _schedule_heartbeat(self, process: int, epoch: int) -> None:
         self.cluster.sim.schedule_background(
-            self.config.heartbeat_interval,
-            lambda: self._send_heartbeat(process, epoch),
+            self.config.heartbeat_interval, self._send_heartbeat, process, epoch
         )
 
     def _send_heartbeat(self, process: int, epoch: int) -> None:
@@ -368,13 +367,14 @@ class Supervisor:
             self._skip_gap.add(process)
             self._schedule_heartbeat(process, epoch)
             return
-        generation = cluster.generations[process]
         cluster.network.send(
             process,
             0,
             self.config.heartbeat_bytes,
             "heartbeat",
-            lambda: self._on_heartbeat(process, generation),
+            self._on_heartbeat,
+            process,
+            cluster.generations[process],
         )
         self._schedule_heartbeat(process, epoch)
 
@@ -430,30 +430,27 @@ class Supervisor:
         if deadline is None:
             return  # nothing monitored
         self._deadline_token += 1
-        token = self._deadline_token
         sim = self.cluster.sim
-        sim.schedule_at(max(sim.now, deadline), lambda: self._check(token))
+        sim.schedule_at(max(sim.now, deadline), self._check, self._deadline_token)
 
     def _park(self) -> None:
         """Nothing outstanding: wait in the background so the run can
         drain; fresh foreground activity wakes the check back up."""
         self._deadline_token += 1
-        token = self._deadline_token
-
-        def wake() -> None:
-            if token != self._deadline_token:
-                return
-            # The idle gap is not silence — restart the arrival clocks
-            # so it cannot be misread as missed heartbeats.
-            now = self.cluster.sim.now
-            for detector in self.detectors.values():
-                if detector.last_arrival is not None:
-                    detector.last_arrival = now
-            self._arm_deadline()
-
         self.cluster.sim.schedule_background(
-            self.config.heartbeat_interval, wake
+            self.config.heartbeat_interval, self._wake, self._deadline_token
         )
+
+    def _wake(self, token: int) -> None:
+        if token != self._deadline_token:
+            return
+        # The idle gap is not silence — restart the arrival clocks so it
+        # cannot be misread as missed heartbeats.
+        now = self.cluster.sim.now
+        for detector in self.detectors.values():
+            if detector.last_arrival is not None:
+                detector.last_arrival = now
+        self._arm_deadline()
 
     def _computation_active(self) -> bool:
         """True while any pointstamp is outstanding anywhere.
@@ -554,29 +551,28 @@ class Supervisor:
             if failure["policy"] == "restart":
                 # Reintegrate: the process comes back at `ready` as a
                 # fresh incarnation; resume monitoring from there.
-                self._remonitor_at(process, failure["ready"])
+                sim = cluster.sim
+                sim.schedule_at(
+                    max(sim.now, failure["ready"]), self._reintegrate, process
+                )
         self._arm_deadline()
 
-    def _remonitor_at(self, process: int, ready: float) -> None:
-        def reintegrate() -> None:
-            if process in self.detectors:
-                return
-            cluster = self.cluster
-            if process in cluster._removed_processes:
-                return
-            recovery = cluster.recovery
-            if recovery is not None and process in recovery.dead_processes:
-                return  # reassigned away in the meantime; nothing to watch
-            # Monitor even if the process crashed *again* while it was
-            # recovering: the fresh (cold) window sends no heartbeats
-            # from a dead process, so the bootstrap deadline re-suspects
-            # it — without this, a crash inside the recovery window
-            # would go unwatched forever.
-            self._monitor(process)
-            self._arm_deadline()
-
-        sim = self.cluster.sim
-        sim.schedule_at(max(sim.now, ready), reintegrate)
+    def _reintegrate(self, process: int) -> None:
+        if process in self.detectors:
+            return
+        cluster = self.cluster
+        if process in cluster._removed_processes:
+            return
+        recovery = cluster.recovery
+        if recovery is not None and process in recovery.dead_processes:
+            return  # reassigned away in the meantime; nothing to watch
+        # Monitor even if the process crashed *again* while it was
+        # recovering: the fresh (cold) window sends no heartbeats from a
+        # dead process, so the bootstrap deadline re-suspects it —
+        # without this, a crash inside the recovery window would go
+        # unwatched forever.
+        self._monitor(process)
+        self._arm_deadline()
 
     def _can_quarantine(self) -> bool:
         cluster = self.cluster

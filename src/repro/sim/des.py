@@ -7,8 +7,11 @@ vertices really execute and exchange real records — while elapsed time
 and bytes are modeled, which is what makes laptop-scale reproduction of
 the paper's cluster experiments possible (see DESIGN.md).
 
-Events scheduled for the same instant fire in schedule order (a stable
-FIFO tie-break), which keeps runs deterministic for a fixed seed.
+An event is data, ``(time, sequence, fn, args)``, fired as ``fn(*args)``:
+callers pass a bound method and its arguments, never a closure, so a
+pending event says what it will do.  Events scheduled for the same
+instant fire in schedule order (a stable FIFO tie-break), which keeps
+runs deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -17,9 +20,11 @@ import heapq
 import random
 from collections import deque
 from time import perf_counter
-from typing import Callable, Deque, List, Optional, Tuple
+from typing import Any, Callable, Deque, List, Optional, Tuple
 
 from ..obs.trace import TraceEvent
+
+Event = Tuple[float, int, Callable[..., None], Tuple[Any, ...]]
 
 
 class Simulator:
@@ -39,12 +44,12 @@ class Simulator:
     def __init__(self, seed: int = 0):
         self.now: float = 0.0
         self.rng = random.Random(seed)
-        self._queue: List[Tuple[float, int, Callable[[], None]]] = []
-        #: Same-time FIFO: entries are (time, sequence, callback) with
-        #: time <= now, pushed in sequence order — so the deque is
-        #: already sorted by the (time, sequence) dispatch key.
-        self._lane: Deque[Tuple[float, int, Callable[[], None]]] = deque()
-        self._background: List[Tuple[float, int, Callable[[], None]]] = []
+        self._queue: List[Event] = []
+        #: Same-time FIFO: entries have time <= now and are pushed in
+        #: sequence order — so the deque is already sorted by the
+        #: (time, sequence) dispatch key.
+        self._lane: Deque[Event] = deque()
+        self._background: List[Event] = []
         self._sequence = 0
         self._events_executed = 0
         self.in_event = False
@@ -56,29 +61,29 @@ class Simulator:
         #: Observability sink (repro.obs.TraceSink); None = tracing off.
         self.trace = None
 
-    def schedule(self, delay: float, callback: Callable[[], None]) -> None:
-        """Run ``callback`` after ``delay`` seconds of virtual time."""
+    def schedule(self, delay: float, fn: Callable, *args: Any) -> None:
+        """Call ``fn(*args)`` after ``delay`` seconds of virtual time."""
         if delay < 0:
             raise ValueError("cannot schedule into the past (delay=%r)" % delay)
-        self.schedule_at(self.now + delay, callback)
+        self.schedule_at(self.now + delay, fn, *args)
 
-    def schedule_at(self, time: float, callback: Callable[[], None]) -> None:
-        """Run ``callback`` at absolute virtual time ``time``."""
+    def schedule_at(self, time: float, fn: Callable, *args: Any) -> None:
+        """Call ``fn(*args)`` at absolute virtual time ``time``."""
         if time < self.now:
             raise ValueError(
                 "cannot schedule at %r; the clock is already at %r" % (time, self.now)
             )
         if time == self.now:
-            self._lane.append((time, self._sequence, callback))
+            self._lane.append((time, self._sequence, fn, args))
             self.lane_pushes += 1
         else:
-            heapq.heappush(self._queue, (time, self._sequence, callback))
+            heapq.heappush(self._queue, (time, self._sequence, fn, args))
             self.heap_pushes += 1
             if len(self._queue) > self.peak_heap:
                 self.peak_heap = len(self._queue)
         self._sequence += 1
 
-    def schedule_background(self, delay: float, callback: Callable[[], None]) -> None:
+    def schedule_background(self, delay: float, fn: Callable, *args: Any) -> None:
         """Schedule an environment event (e.g. a GC pause generator).
 
         Background events fire only while foreground work remains; they
@@ -87,11 +92,11 @@ class Simulator:
         """
         if delay < 0:
             raise ValueError("cannot schedule into the past (delay=%r)" % delay)
-        heapq.heappush(self._background, (self.now + delay, self._sequence, callback))
+        heapq.heappush(self._background, (self.now + delay, self._sequence, fn, args))
         self._sequence += 1
         self.background_pushes += 1
 
-    def _pop_next(self) -> Tuple[float, int, Callable[[], None]]:
+    def _pop_next(self) -> Event:
         """Pop the earliest event by ``(time, sequence)`` across the
         heap and the fast lane.  The caller guarantees one is nonempty."""
         if not self._lane:
@@ -106,21 +111,28 @@ class Simulator:
             return self._lane.popleft()
         return heapq.heappop(self._queue)
 
+    def _fire_background(self, until: float) -> None:
+        """Fire the background events due by ``until`` and by the next
+        foreground event, re-read after each (a background callback may
+        schedule foreground work).  The caller guarantees foreground
+        work is pending and sets :attr:`in_event`."""
+        background = self._background
+        while background and background[0][0] <= min(until, self._peek_time()):
+            time, _, fn, args = heapq.heappop(background)
+            self.now = max(self.now, time)
+            fn(*args)
+
     def step(self) -> bool:
         """Execute the next event; returns False when the queue is empty."""
         if not self._queue and not self._lane:
             return False
-        horizon = self._peek_time()
         self.in_event = True
         try:
-            while self._background and self._background[0][0] <= horizon:
-                time, _, callback = heapq.heappop(self._background)
-                self.now = max(self.now, time)
-                callback()
-                horizon = self._peek_time()
-            time, _, callback = self._pop_next()
+            if self._background:
+                self._fire_background(self._peek_time())
+            time, _, fn, args = self._pop_next()
             self.now = max(self.now, time)
-            callback()
+            fn(*args)
         finally:
             self.in_event = False
         self._events_executed += 1
@@ -151,13 +163,7 @@ class Simulator:
                 if self._background and self._background[0][0] <= until:
                     self.in_event = True
                     try:
-                        while (
-                            self._background
-                            and self._background[0][0] <= until
-                        ):
-                            time, _, callback = heapq.heappop(self._background)
-                            self.now = max(self.now, time)
-                            callback()
+                        self._fire_background(until)
                     finally:
                         self.in_event = False
                     continue

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from ..obs.trace import TraceEvent
 from .des import Simulator
@@ -129,9 +129,9 @@ class TrafficStats:
     bytes_by_kind: Dict[str, int] = field(default_factory=dict)
     messages_by_kind: Dict[str, int] = field(default_factory=dict)
 
-    def record(self, kind: str, size: int) -> None:
-        self.bytes_by_kind[kind] = self.bytes_by_kind.get(kind, 0) + size
-        self.messages_by_kind[kind] = self.messages_by_kind.get(kind, 0) + 1
+    def record(self, kind: str, size: int, copies: int = 1) -> None:
+        self.bytes_by_kind[kind] = self.bytes_by_kind.get(kind, 0) + size * copies
+        self.messages_by_kind[kind] = self.messages_by_kind.get(kind, 0) + copies
 
     def bytes(self, kind: str) -> int:
         return self.bytes_by_kind.get(kind, 0)
@@ -162,14 +162,14 @@ class Network:
         self._ingress_free = [0.0] * num_processes
         self._fifo_last: Dict[Tuple[int, int], float] = {}
         self._gc_busy_until = [0.0] * num_processes
-        #: Messages sent but not yet delivered.  The checkpoint barrier
-        #: waits for this to reach zero; failure injection zeroes it.
+        #: Messages sent but not yet delivered or written off as lost.
+        #: Failure injection zeroes it.
         self.in_flight = 0
         #: The subset of :attr:`in_flight` that is failure-detector
         #: heartbeat traffic.  Heartbeats flow for as long as the
-        #: computation runs, so quiescence checks (checkpoint barriers,
-        #: empty-restore-set probes) use :attr:`data_in_flight` — they
-        #: would otherwise never fire with a supervisor attached.
+        #: computation runs, so quiescence checks
+        #: (``RecoveryManager.quiescent``) use :attr:`data_in_flight` —
+        #: they would otherwise never fire with a supervisor attached.
         self.heartbeat_in_flight = 0
         self._generation = 0
         #: Injected network partitions (see :meth:`partition`): dicts
@@ -191,15 +191,14 @@ class Network:
 
     def _schedule_gc(self, process: int) -> None:
         interval = self.sim.rng.expovariate(1.0 / self.config.gc_interval)
+        self.sim.schedule_background(interval, self._gc_pause, process)
 
-        def pause() -> None:
-            duration = self.sim.rng.expovariate(1.0 / self.config.gc_pause)
-            self._gc_busy_until[process] = max(
-                self._gc_busy_until[process], self.sim.now + duration
-            )
-            self._schedule_gc(process)
-
-        self.sim.schedule_background(interval, pause)
+    def _gc_pause(self, process: int) -> None:
+        duration = self.sim.rng.expovariate(1.0 / self.config.gc_pause)
+        self._gc_busy_until[process] = max(
+            self._gc_busy_until[process], self.sim.now + duration
+        )
+        self._schedule_gc(process)
 
     def process_available_at(self, process: int) -> float:
         """Earliest time the process can do work (after any GC pause)."""
@@ -305,104 +304,91 @@ class Network:
     # Message delivery.
     # ------------------------------------------------------------------
 
-    def send(
-        self,
-        src: int,
-        dst: int,
-        size: int,
-        kind: str,
-        deliver: Callable[[], None],
-    ) -> float:
+    def send(self, src: int, dst: int, size: int, kind: str, fn: Callable, *args) -> float:
         """Model sending ``size`` payload bytes from ``src`` to ``dst``.
 
-        ``deliver`` runs at the (virtual) arrival time, which is also
-        returned.  ``kind`` tags the traffic for accounting.
+        ``fn(*args)`` runs at the (virtual) arrival time, which is also
+        returned — unless a failure tears the channel down first, or a
+        never-healing partition swallows the message, in which case the
+        returned time is when the loss is written off and ``fn`` never
+        runs.  ``kind`` tags the traffic for accounting.
         """
-        config = self.config
-        wire_size = size + config.per_message_bytes
+        wire_size = size + self.config.per_message_bytes
         self.stats.record(kind, wire_size)
+        return self._copy(src, dst, wire_size, kind, self._generation, fn, args)
+
+    def multicast(
+        self, src: int, dsts: List[int], size: int, kind: str, fn: Callable, *args
+    ) -> None:
+        """Send ``size`` payload bytes from ``src`` to each of ``dsts``.
+
+        Exactly one :meth:`send` per destination in ``dsts`` order —
+        the same arrival times, event sequence numbers and random draws
+        — but one stats update; each copy calls ``fn(dst, *args)`` on
+        arrival.
+        """
+        wire_size = size + self.config.per_message_bytes
+        self.stats.record(kind, wire_size, len(dsts))
+        generation = self._generation
+        for dst in dsts:
+            self._copy(src, dst, wire_size, kind, generation, fn, (dst,) + args)
+
+    def _copy(
+        self, src: int, dst: int, wire_size: int, kind: str, generation: int, fn, args
+    ) -> float:
+        """Schedule one copy's arrival: NIC occupancy, Nagle, loss, GC,
+        partitions and per-pair FIFO, in that order."""
+        config = self.config
         now = self.sim.now
         self.in_flight += 1
         heartbeat = kind == "heartbeat"
         if heartbeat:
             self.heartbeat_in_flight += 1
-        generation = self._generation
-
-        def guarded_deliver() -> None:
-            # A failure between send and arrival tears the channel down
-            # (generation bump); the message is lost with the process.
-            if generation != self._generation:
-                return
-            self.in_flight -= 1
-            if heartbeat:
-                self.heartbeat_in_flight -= 1
-            deliver()
-
         if src == dst:
             arrival = now + config.local_latency
-            self.sim.schedule_at(arrival, guarded_deliver)
-            trace = self.trace
-            if trace is not None:
-                trace.emit(
-                    TraceEvent(
-                        "message",
-                        now,
-                        arrival - now,
-                        perf_counter(),
-                        -1,
-                        src,
-                        "",
-                        (),
-                        (src, dst, wire_size, kind),
-                    )
-                )
-            return arrival
-        transfer = wire_size / config.bandwidth
-        start = max(now, self._egress_free[src], self._gc_busy_until[src])
-        self._egress_free[src] = start + transfer
-        # Cut-through: bytes stream, so the receive occupies the ingress
-        # NIC for one transfer time beginning when the first byte lands
-        # (or when the NIC frees up, under incast contention).
-        receive_start = max(start + config.latency, self._ingress_free[dst])
-        arrival = receive_start + transfer
-        self._ingress_free[dst] = arrival
-        if (
-            config.nagle_delay > 0
-            and wire_size < config.small_message_bytes
-        ):
-            arrival += config.nagle_delay
-        if (
-            config.packet_loss_probability > 0
-            and self.sim.rng.random() < config.packet_loss_probability
-        ):
-            arrival += config.retransmit_timeout
-        arrival = max(arrival, self._gc_busy_until[dst])
-        if self.partitions:
-            barrier = self._partition_barrier(src, dst, now)
-            if barrier is not None:
-                if barrier == float("inf"):
-                    # A never-healing cut: the packet and all its
-                    # retransmissions die.  The loss still settles the
-                    # in-flight accounting at the nominal arrival time
-                    # so quiescence checks are not pinned forever.
-                    self.partition_drops += 1
-
-                    def lost() -> None:
-                        if generation != self._generation:
-                            return
-                        self.in_flight -= 1
-                        if heartbeat:
-                            self.heartbeat_in_flight -= 1
-
-                    self.sim.schedule_at(arrival, lost)
-                    return arrival
-                # Retransmissions succeed one latency after the heal.
-                arrival = max(arrival, barrier + config.latency)
-        # FIFO per process pair.
-        key = (src, dst)
-        arrival = max(arrival, self._fifo_last.get(key, 0.0))
-        self._fifo_last[key] = arrival
-        self.sim.schedule_at(arrival, guarded_deliver)
+        else:
+            transfer = wire_size / config.bandwidth
+            start = max(now, self._egress_free[src], self._gc_busy_until[src])
+            self._egress_free[src] = start + transfer
+            # Cut-through: bytes stream, so the receive occupies the
+            # ingress NIC for one transfer time beginning when the first
+            # byte lands (or when the NIC frees up, under incast
+            # contention).
+            receive_start = max(start + config.latency, self._ingress_free[dst])
+            arrival = receive_start + transfer
+            self._ingress_free[dst] = arrival
+            if (
+                config.nagle_delay > 0
+                and wire_size < config.small_message_bytes
+            ):
+                arrival += config.nagle_delay
+            if (
+                config.packet_loss_probability > 0
+                and self.sim.rng.random() < config.packet_loss_probability
+            ):
+                arrival += config.retransmit_timeout
+            arrival = max(arrival, self._gc_busy_until[dst])
+            if self.partitions:
+                barrier = self._partition_barrier(src, dst, now)
+                if barrier is not None:
+                    if barrier == float("inf"):
+                        # A never-healing cut: the packet and all its
+                        # retransmissions die.  The loss still settles
+                        # the in-flight accounting at the nominal
+                        # arrival time so quiescence checks are not
+                        # pinned forever.
+                        self.partition_drops += 1
+                        self.sim.schedule_at(
+                            arrival, self._arrive, generation, heartbeat, None, args
+                        )
+                        return arrival
+                    # Retransmissions succeed one latency after the heal.
+                    arrival = max(arrival, barrier + config.latency)
+            # FIFO per process pair.
+            key = (src, dst)
+            arrival = max(arrival, self._fifo_last.get(key, 0.0))
+            self._fifo_last[key] = arrival
+        self.sim.schedule_at(arrival, self._arrive, generation, heartbeat, fn, args)
         trace = self.trace
         if trace is not None:
             trace.emit(
@@ -419,6 +405,18 @@ class Network:
                 )
             )
         return arrival
+
+    def _arrive(self, generation: int, heartbeat: bool, fn, args: Tuple) -> None:
+        """One copy reaches its destination (``fn`` None: it was lost)."""
+        # A failure between send and arrival tears the channel down
+        # (generation bump); the message is lost with the process.
+        if generation != self._generation:
+            return
+        self.in_flight -= 1
+        if heartbeat:
+            self.heartbeat_in_flight -= 1
+        if fn is not None:
+            fn(*args)
 
     # ------------------------------------------------------------------
     # Failure injection (section 3.4).

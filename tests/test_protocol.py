@@ -320,3 +320,47 @@ class TestStandalonePlane:
             plane.note_dequeue(connector, time, 0)
         assert not plane._proj_cache
         assert not any(e.queued for e in plane.nodes + [plane.central])
+
+    def test_fence_settles_pending_copies_once(self):
+        from repro.runtime.protocol import ProgressPlane
+        from repro.sim.des import Simulator
+        from repro.sim.network import Network, NetworkConfig
+
+        graph, inp, _, _, _, _ = simple_graph()
+        sim = Simulator(seed=0)
+        stale = []
+        plane = ProgressPlane(
+            graph.summaries,
+            lambda stage: False,
+            sim,
+            Network(sim, 3, NetworkConfig()),
+            [0, 1, 2],
+            "none",
+            on_stale=lambda src, dst: stale.append((src, dst)),
+        )
+        applied = []
+        for process in range(3):
+            plane.view(process).listeners.append(
+                lambda updates, process=process: applied.append(process)
+            )
+        epoch = Pointstamp(ts(0), inp)
+
+        # One broadcast from process 0 in flight to all three.
+        plane.controller_broadcast([(epoch, +1)])
+        assert plane.settle(1) == 1  # only the copy addressed to 1
+        assert applied == [1]
+        assert plane.settle(0) == 2  # what is left, in destination order
+        assert applied == [1, 0, 2]
+        for process in range(3):
+            assert plane.view(process).state.occurrence == {epoch: 1}
+        sim.run()
+        # The network copies straggle in and are each dropped once.
+        assert applied == [1, 0, 2]
+        assert sorted(stale) == [(0, 0), (0, 1), (0, 2)]
+
+        # A global rollback forgets every entry: nothing left to settle.
+        plane.controller_broadcast([(epoch, -1)])
+        plane.reset({epoch: 1})
+        del applied[:]
+        assert plane.settle(0) == 0
+        assert applied == []

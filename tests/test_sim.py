@@ -186,6 +186,59 @@ class TestNetwork:
         assert sim.now == 1.0
         assert net._gc_busy_until[0] > 0  # at least one pause occurred
 
+    def test_multicast_matches_one_send_per_destination(self):
+        """A multicast is exactly one send per destination, in order —
+        arrivals, accounting, partition drops, random draws and trace —
+        under loss, Nagle, GC pauses and both kinds of partition."""
+        from repro.obs.trace import TraceSink
+
+        def drive(multicast):
+            sim, net = self.make(
+                procs=4,
+                packet_loss_probability=0.2,
+                nagle_delay=1e-3,
+                gc_interval=2e-3,
+                gc_pause=1e-3,
+            )
+            net.partition(0, 2, at=0.0, heal_at=4e-3)
+            net.partition(1, 3, at=2e-3)
+            net.trace = TraceSink()
+            arrivals = []
+
+            def arrive(dst, tag):
+                arrivals.append((sim.now, dst, tag))
+
+            def burst(round_):
+                src = round_ % 4
+                dsts = [(src + k) % 4 for k in range(4)]
+                kind = "heartbeat" if round_ % 3 == 0 else "progress"
+                size = 40 * (round_ % 5)
+                if multicast:
+                    net.multicast(src, dsts, size, kind, arrive, round_)
+                else:
+                    for dst in dsts:
+                        net.send(src, dst, size, kind, arrive, dst, round_)
+
+            for round_ in range(24):
+                sim.schedule_at(round_ * 5e-4, burst, round_)
+            sim.run()
+            trace = [event._replace(wall=0.0) for event in net.trace.events]
+            return (
+                arrivals,
+                net.stats,
+                (net.in_flight, net.heartbeat_in_flight),
+                net.partition_drops,
+                sim.rng.random(),
+                trace,
+            )
+
+        multicast, sends = drive(True), drive(False)
+        assert multicast == sends
+        arrivals, _, _, drops, _, trace = multicast
+        assert drops > 0
+        # Every copy either arrives (and is traced) or is dropped.
+        assert len(arrivals) == len(trace) == 24 * 4 - drops
+
     def test_background_events_do_not_keep_sim_alive(self):
         sim = Simulator()
         ticks = []
