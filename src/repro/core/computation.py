@@ -483,80 +483,42 @@ class Computation(TimelyRuntime):
         return self._deliver_notification()
 
     def _deliver_notification(self) -> bool:
-        if not self._pending_notifications:
-            return self._deliver_cleanup()
-        ready = [
-            p for p in self._pending_notifications if self.progress.in_frontier(p)
-        ]
-        if not ready:
-            return self._deliver_cleanup()
-        pointstamp = min(ready, key=lambda p: (p.timestamp, p.location.index))
-        remaining = self._pending_notifications[pointstamp] - 1
-        if remaining:
-            self._pending_notifications[pointstamp] = remaining
-        else:
-            del self._pending_notifications[pointstamp]
-        vertex = self.vertices[pointstamp.location]
-        trace = self._trace
-        wall = perf_counter() if trace is not None else 0.0
-        self._frame.append((vertex, pointstamp.timestamp, True))
-        try:
-            vertex.on_notify(pointstamp.timestamp)
-        finally:
-            self._frame.pop()
-        self.progress.update(pointstamp, -1)
-        self.delivered_notifications += 1
-        if trace is not None:
-            trace.emit(
-                TraceEvent(
-                    "notification",
-                    self._logical_time(),
-                    perf_counter() - wall,
-                    wall,
-                    0,
-                    0,
-                    pointstamp.location.name,
-                    timestamp_tuple(pointstamp.timestamp),
-                    (),
-                )
-            )
-            self._trace_frontier(trace)
-        return True
+        """Deliver one frontier notification, or else one guarantee-only
+        (capability-free) cleanup.
 
-    def _deliver_cleanup(self) -> bool:
-        """Deliver a guarantee-only (capability-free) notification.
-
-        Deliverable once no active pointstamp could-result-in it; since
-        it holds no occurrence count, it never blocks anything else.
+        A notification is deliverable once its pointstamp is in the
+        frontier; a cleanup once no active pointstamp could-result-in
+        it.  A cleanup holds no occurrence count, so it never blocks
+        anything else and retires nothing.
         """
-        if not self._pending_cleanups:
-            return False
-        ready = [
-            p
-            for p in self._pending_cleanups
-            if not self.progress.frontier_dominates(p)
-        ]
+        table, capability = self._pending_notifications, True
+        ready = [p for p in table if self.progress.in_frontier(p)]
         if not ready:
-            return False
+            table, capability = self._pending_cleanups, False
+            ready = [p for p in table if not self.progress.frontier_dominates(p)]
+            if not ready:
+                return False
         pointstamp = min(ready, key=lambda p: (p.timestamp, p.location.index))
-        remaining = self._pending_cleanups[pointstamp] - 1
+        remaining = table[pointstamp] - 1
         if remaining:
-            self._pending_cleanups[pointstamp] = remaining
+            table[pointstamp] = remaining
         else:
-            del self._pending_cleanups[pointstamp]
+            del table[pointstamp]
         vertex = self.vertices[pointstamp.location]
         trace = self._trace
         wall = perf_counter() if trace is not None else 0.0
-        self._frame.append((vertex, pointstamp.timestamp, False))
+        self._frame.append((vertex, pointstamp.timestamp, capability))
         try:
             vertex.on_notify(pointstamp.timestamp)
         finally:
             self._frame.pop()
+        if capability:
+            self.progress.update(pointstamp, -1)
         self.delivered_notifications += 1
         if trace is not None:
             trace.emit(
                 TraceEvent(
-                    "cleanup",
+                    "notification" if capability else "cleanup",
                     self._logical_time(),
                     perf_counter() - wall,
                     wall,
@@ -567,6 +529,8 @@ class Computation(TimelyRuntime):
                     (),
                 )
             )
+            if capability:
+                self._trace_frontier(trace)
         return True
 
     def run(

@@ -134,21 +134,6 @@ class SummarySet:
         return "SummarySet(%r)" % (self.elements,)
 
 
-def location_scope(location) -> ScopeKey:
-    """The scope owning ``location``'s pointstamps.
-
-    Stages belong to their input-side context (ingress stages to the
-    parent), connectors to their destination's input context, and
-    ``ScopeNode`` pseudo-locations to the collapsed scope's parent.
-    """
-    if isinstance(location, ScopeNode):
-        return location.context.parent
-    dst = getattr(location, "dst", None)
-    if dst is not None:  # a Connector
-        return dst.input_context
-    return location.input_context  # a Stage
-
-
 class SummaryIndex:
     """Hierarchical could-result-in tables with the dict-like interface
     of the old global summary table.

@@ -30,13 +30,14 @@ protocol ever charges is the in-memory state copy
 background and gates only when the cut becomes the rollback target.
 
 **Channel state.**  A pre-cut message delivered to an already-cut
-worker crossed the cut in flight; it is appended to the cycle's channel
-log.  The cycle completes when every live worker has cut and no pre-cut
-message remains in flight (tracked exactly via an in-flight ledger);
-the coordinator then assembles vertices + pending tables + channel
-messages and *reconstructs* the occurrence counts from them — no
-progress-protocol flush is needed, because the reconstruction counts
-exactly the work the restored cluster will hold.
+worker crossed the cut in flight; it joins that worker's channel share,
+after the messages its queue held at the cut.  The cycle completes when
+every live worker has cut and no pre-cut message remains in flight
+(tracked exactly via an in-flight ledger); the coordinator then
+assembles vertices + pending tables + channel messages and
+*reconstructs* the occurrence counts from them — no progress-protocol
+flush is needed, because the reconstruction counts exactly the work the
+restored cluster will hold.
 
 **Why this is a consistent cut.**  See DESIGN.md ("Asynchronous
 checkpoints") for the full argument; in one line: every event is either
@@ -63,7 +64,7 @@ from __future__ import annotations
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..core.graph import Stage
+from ..core.graph import Stage, StageKind
 from ..core.progress import Pointstamp
 from ..core.timestamp import Timestamp
 from ..obs.trace import TraceEvent
@@ -95,24 +96,25 @@ class AsyncCheckpointManager:
         #: Bumped by every rollback; cancels stale markers and stale
         #: background durable-commit events.
         self.generation = 0
-        #: Delivery sequence counter (total order over the journal).
-        self.seq = 0
         self._next_key = 0
         #: Journal-position / epoch metadata captured at cycle start.
         self.cut_meta: Dict[str, Any] = {}
-        #: worker -> (pending, cleanups, captured pre-cut queue entries).
+        #: worker -> (pending, cleanups, its share of the cut's channel:
+        #: the pre-cut messages queued at its cut, then the ones that
+        #: crossed the cut after it, as delivery records).
         self.staged: Dict[int, Tuple[Dict, Dict, List[Tuple]]] = {}
-        #: Pre-cut messages delivered to already-cut workers this cycle.
-        self.channel_log: List[Tuple] = []
         self.completed_cycle = 0
         self.durable_cycle = 0
         #: Pre-cut messages still in flight for the active cycle.
         self._precut_inflight = 0
-        #: Every message currently in flight (or scheduled for delivery):
-        #: key -> (src, dst, connector, records, timestamp, bytes, tag).
+        #: Every message currently in flight (or scheduled for delivery),
+        #: key -> its *delivery record*
+        #: ``(dst, connector, records, timestamp, remote_bytes, src, tag)``
+        #: (``src`` is -1 for the input controller).  The delivery
+        #: journal, the snapshot's ``"channel"`` (whose records carry tag
+        #: 0) and re-injection (:meth:`_reinject`) use the same layout.
         self.inflight: Dict[int, Tuple] = {}
-        #: Delivery journal since the durable cut:
-        #: (seq, dst, connector, records, timestamp, bytes, src, tag).
+        #: Delivery journal since the durable cut, in delivery order.
         self.journal: List[Tuple] = []
         #: (src, dst, connector) -> {(timestamp, repr(record)): count} of
         #: deliveries the destination already received; a replaying
@@ -138,8 +140,6 @@ class AsyncCheckpointManager:
         self._cycle_max_stall = 0.0
         #: process -> fresh bytes this cycle (background write sizing).
         self._cycle_write_bytes: Dict[int, int] = {}
-        from ..core.graph import StageKind
-
         self._stage_indices = [
             stage.index
             for stage in cluster.graph.stages
@@ -188,7 +188,6 @@ class AsyncCheckpointManager:
             "worker_process": list(cluster._worker_process),
         }
         self.staged = {}
-        self.channel_log = []
         self._cycle_fresh = 0
         self._cycle_reused = 0
         self._cycle_max_stall = 0.0
@@ -287,15 +286,15 @@ class AsyncCheckpointManager:
         self._cycle_reused += total - n_fresh
         if stall > self._cycle_max_stall:
             self._cycle_max_stall = stall
-        capture = [
-            (index, 0, order, entry[0], list(entry[1]), entry[2], entry[3], -1)
-            for order, entry in enumerate(worker.queue)
+        channel = [
+            (index, entry[0], list(entry[1]), entry[2], entry[3], -1, 0)
+            for entry in worker.queue
             if entry[4] < cycle
         ]
         self.staged[index] = (
             dict(worker.pending_notifications),
             dict(worker.pending_cleanups),
-            capture,
+            channel,
         )
         trace = cluster._trace
         if trace is not None:
@@ -318,21 +317,13 @@ class AsyncCheckpointManager:
     # ------------------------------------------------------------------
 
     def register_inflight(
-        self, src, dest, connector, records, timestamp, remote_bytes, tag
+        self, dst, connector, records, timestamp, remote_bytes, src, tag
     ) -> int:
         """Ledger a message leaving a sender (network send or scheduled
         input delivery); returns the key the delivery hook settles."""
         self._next_key += 1
         key = self._next_key
-        self.inflight[key] = (
-            src,
-            dest,
-            connector,
-            records,
-            timestamp,
-            remote_bytes,
-            tag,
-        )
+        self.inflight[key] = (dst, connector, records, timestamp, remote_bytes, src, tag)
         if self.active and tag < self.cycle:
             self._precut_inflight += 1
         return key
@@ -348,18 +339,8 @@ class AsyncCheckpointManager:
                 self._precut_inflight -= 1
                 check = True
         if self._journal_deliveries:
-            self.seq += 1
             self.journal.append(
-                (
-                    self.seq,
-                    worker.index,
-                    connector,
-                    records,
-                    timestamp,
-                    remote_bytes,
-                    src,
-                    tag,
-                )
+                (worker.index, connector, records, timestamp, remote_bytes, src, tag)
             )
         if self.active and not worker.dead:
             cycle = self.cycle
@@ -374,18 +355,8 @@ class AsyncCheckpointManager:
                         check = True
             elif tag < cycle:
                 # Pre-cut message crossing the cut: channel state.
-                self.channel_log.append(
-                    (
-                        worker.index,
-                        1,
-                        self.seq,
-                        connector,
-                        list(records),
-                        timestamp,
-                        remote_bytes,
-                        src,
-                    )
-                )
+                record = (worker.index, connector, list(records), timestamp)
+                self.staged[worker.index][2].append(record + (remote_bytes, src, 0))
         if check:
             self._maybe_complete()
 
@@ -411,29 +382,27 @@ class AsyncCheckpointManager:
 
     def _assemble(self) -> None:
         """Every worker cut and no pre-cut message in flight: merge the
-        per-worker cuts and the channel log into one snapshot, schedule
-        the background durable write, and close the cycle."""
+        per-worker cuts into one snapshot, schedule the background
+        durable write, and close the cycle."""
         cluster = self.cluster
         now = cluster.sim.now
         cycle = self.cycle
         vertices = dict(self._last_states)
         pending: Dict[int, Dict] = {}
         cleanups: Dict[int, Dict] = {}
-        channel: List[Tuple] = []
-        for index, (pend, clean, capture) in self.staged.items():
+        for index, (pend, clean, _) in self.staged.items():
             if pend:
                 pending[index] = dict(pend)
             if clean:
                 cleanups[index] = dict(clean)
-            channel.extend(capture)
-        channel.extend(self.channel_log)
-        # Queue captures (phase 0, queue order) before crossing messages
-        # (phase 1, delivery order), per destination worker — the FIFO
-        # order a restore must re-inject them in.
-        channel.sort(key=lambda e: (e[0], e[1], e[2]))
+        # Worker by worker, queue captures before crossing messages: the
+        # FIFO order a restore re-injects them in.
+        channel: List[Tuple] = []
+        for index in sorted(self.staged):
+            channel.extend(self.staged[index][2])
         occurrence: Dict[Pointstamp, int] = {}
         for entry in channel:
-            pointstamp = Pointstamp(entry[5], entry[3])
+            pointstamp = Pointstamp(entry[3], entry[1])
             occurrence[pointstamp] = occurrence.get(pointstamp, 0) + 1
         for index, pend in pending.items():
             for pointstamp, count in pend.items():
@@ -493,7 +462,6 @@ class AsyncCheckpointManager:
         self.completed_cycle = cycle
         self.active = False
         self.staged = {}
-        self.channel_log = []
         self._cycle_write_bytes = {}
 
     def _commit_durable(self, snapshot, write_delay, generation) -> None:
@@ -501,45 +469,18 @@ class AsyncCheckpointManager:
         rollback target and the journal prefix it covers is pruned."""
         if generation != self.generation:
             return  # a rollback invalidated this cut before it hit disk
-        cluster = self.cluster
-        recovery = cluster.recovery
-        recovery.snapshot = snapshot
-        recovery.checkpoint_count += 1
-        recovery.last_checkpoint_time = cluster.sim.now
-        recovery._logged_at_snapshot = recovery.logged_bytes
-        recovery._prune_released_outputs(snapshot)
+        self.cluster.recovery.install(snapshot, 0.0, 0.0, write_delay)
         cycle = snapshot["cycle"]
         # Deliveries at or past the cut stay (partial rollback replays
         # them); everything pre-cut is covered by states + channel.
-        self.journal = [entry for entry in self.journal if entry[7] >= cycle]
+        self.journal = [entry for entry in self.journal if entry[6] >= cycle]
         self.durable_cycle = cycle
-        trace = cluster._trace
-        if trace is not None:
-            trace.emit(
-                TraceEvent(
-                    "checkpoint",
-                    cluster.sim.now,
-                    0.0,
-                    perf_counter(),
-                    -1,
-                    -1,
-                    "",
-                    (),
-                    (
-                        recovery.checkpoint_count,
-                        snapshot["journal_released"],
-                        0.0,
-                        write_delay,
-                    ),
-                )
-            )
 
     def abandon_cycle(self) -> None:
         """A rollback arrived mid-cut: drop the partial cycle."""
         self.generation += 1
         self.active = False
         self.staged = {}
-        self.channel_log = []
         self._cycle_write_bytes = {}
         for worker in self.cluster.workers:
             worker._cut_deferred = False
@@ -603,37 +544,32 @@ class AsyncCheckpointManager:
 
     def partial_rollback(
         self,
-        process: int,
+        moving: List[int],
         snapshot,
         ready: float,
-        moving: Optional[List[int]] = None,
         placement: Optional[Dict[int, int]] = None,
         reason: str = "partial",
         flush_node: Optional[int] = None,
     ) -> int:
-        """Roll back only a set of workers from ``snapshot`` while the
-        survivors keep running; returns the number of re-injected
+        """Roll back only the workers ``moving`` from ``snapshot`` while
+        the survivors keep running; returns the number of re-injected
         messages.
 
-        The default (``moving=None``) rolls back the workers hosted on
-        ``process`` — the failure path, where the caller
-        (:meth:`RecoveryManager.fail_process`) has already decided
-        partial recovery applies.  Elastic rescaling reuses the same
-        machinery as a *migration*: ``moving`` names the workers that
-        change home, ``placement`` maps each to its new process (applied
-        before the replacement workers are constructed, so they come up
-        on the new home), ``reason`` tags the per-worker restore trace
-        events (``"rescale"`` for planned moves), and ``flush_node``
-        names a node whose withheld progress updates must be force-
-        flushed because it is dying or departing (None when every
-        involved node survives, as in ``add_process``)."""
+        The failure path (:meth:`RecoveryManager.fail_process`) names the
+        workers of the lost process, once it has decided partial recovery
+        applies.  Elastic rescaling reuses the same machinery as a
+        *migration*: ``moving`` names the workers that change home,
+        ``placement`` maps each to its new process (applied before the
+        replacement workers are constructed, so they come up on the new
+        home), ``reason`` tags the per-worker restore trace events
+        (``"rescale"`` for planned moves), and ``flush_node`` names a
+        node whose withheld progress updates must be force-flushed
+        because it is dying or departing (None when every involved node
+        survives, as in ``add_process``)."""
         cluster = self.cluster
         now = cluster.sim.now
         self.abandon_cycle()
-        if moving is None:
-            dead = [w.index for w in cluster.workers if w.process == process]
-        else:
-            dead = list(moving)
+        dead = list(moving)
         dead_set = set(dead)
 
         # ---- Occurrence compensation: every contribution the dying
@@ -662,10 +598,8 @@ class AsyncCheckpointManager:
 
         # ---- In-flight ledger sweep.
         reinject_inflight: List[Tuple] = []
-        for key in list(self.inflight):
-            src, dst, connector, records, timestamp, remote_bytes, tag = (
-                self.inflight[key]
-            )
+        for key, record in list(self.inflight.items()):
+            dst, connector, _, timestamp, _, src, _ = record
             if dst in dead_set:
                 del self.inflight[key]
                 if src in dead_set:
@@ -675,9 +609,7 @@ class AsyncCheckpointManager:
                 else:
                     # A survivor (or the input controller) sent it and
                     # will not resend: re-inject, keeping its +1.
-                    reinject_inflight.append(
-                        (dst, connector, records, timestamp, remote_bytes, src, tag)
-                    )
+                    reinject_inflight.append(record)
             elif src in dead_set:
                 # Addressed to a survivor: the sender's replay re-sends
                 # it fresh, so this copy must never land.  A kill's fence
@@ -694,34 +626,31 @@ class AsyncCheckpointManager:
         # ---- Journal split.
         inject_journal: List[Tuple] = []
         kept_journal: List[Tuple] = []
-        for entry in self.journal:
-            dst = entry[1]
-            src = entry[6]
+        for record in self.journal:
+            dst, connector, records, timestamp, _, src, _ = record
             if dst in dead_set:
                 if src not in dead_set:
                     # Survivor-sent delivery the dead worker loses;
-                    # re-injecting re-journals it under a fresh seq.
-                    inject_journal.append(entry)
+                    # re-injecting re-journals it.
+                    inject_journal.append(record)
                 # else: the replayed sender regenerates it.
             else:
-                kept_journal.append(entry)
+                kept_journal.append(record)
                 if src in dead_set:
-                    self._dedup_add(src, dst, entry[2], entry[4], entry[3])
+                    self._dedup_add(src, dst, connector, timestamp, records)
         self.journal = kept_journal
 
         # ---- The dead workers' share of the durable cut's channel.
         cut_channel = [
-            entry for entry in snapshot.get("channel", ()) if entry[0] in dead_set
+            record for record in snapshot.get("channel", ()) if record[0] in dead_set
         ]
 
         # ---- Frontier fence: +1 for every unit of work being handed
         # back to the replacements.  (Re-injected in-flight messages
         # keep the +1 their original send committed.)
         fence: List[Tuple[Pointstamp, int]] = []
-        for entry in cut_channel:
-            fence.append((Pointstamp(entry[5], entry[3]), +1))
-        for entry in inject_journal:
-            fence.append((Pointstamp(entry[4], entry[2]), +1))
+        for record in cut_channel + inject_journal:
+            fence.append((Pointstamp(record[3], record[1]), +1))
         for index in dead:
             for pointstamp, count in snapshot["pending"].get(index, {}).items():
                 fence.append((pointstamp, count))
@@ -748,43 +677,25 @@ class AsyncCheckpointManager:
             cluster._worker_process = mapping
 
         # ---- Replace only the dead workers; survivors keep running.
-        cluster._replace_workers(dead, busy_until=ready)
-        by_index = self._stage_by_index
+        if cluster.summarized_scopes:
+            # The dying workers' queued interior deliveries vanish;
+            # their re-injections re-increment through enqueue_message.
+            for index in dead:
+                worker = cluster.workers[index]
+                for entry in worker.queue:
+                    cluster.plane.note_dequeue(entry[0], entry[2], worker.process)
+        cluster._restore_workers(snapshot, dead, ready)
         for key, state in snapshot["vertices"].items():
             if key[1] in dead_set:
-                cluster.vertices[(by_index[key[0]], key[1])].restore(state)
                 self._last_states[key] = state
                 self.dirty.discard(key)
         for index in dead:
-            worker = cluster.workers[index]
-            worker.cut = self.cycle
-            worker.pending_notifications = dict(
-                snapshot["pending"].get(index, {})
-            )
-            worker.pending_cleanups = dict(snapshot["cleanups"].get(index, {}))
+            cluster.workers[index].cut = self.cycle
 
-        # ---- Re-inject: the cut's channel messages (already part of
-        # the snapshot — never re-journaled), then the journal suffix in
-        # delivery order, then the in-flight strays.
-        self._journal_deliveries = False
-        try:
-            for entry in cut_channel:
-                cluster.workers[entry[0]].enqueue_message(
-                    entry[3], list(entry[4]), entry[5], entry[6], entry[7], -1.0, 0
-                )
-        finally:
-            self._journal_deliveries = True
-        for entry in sorted(inject_journal):
-            cluster.workers[entry[1]].enqueue_message(
-                entry[2], list(entry[3]), entry[4], entry[5], entry[6], -1.0,
-                entry[7],
-            )
-        for dst, connector, records, timestamp, remote_bytes, src, tag in (
-            reinject_inflight
-        ):
-            cluster.workers[dst].enqueue_message(
-                connector, list(records), timestamp, remote_bytes, src, -1.0, tag
-            )
+        # ---- Re-inject: the cut's channel messages, then the journal
+        # suffix in delivery order, then the in-flight strays.
+        self._reinject(cut_channel, journal=False)
+        self._reinject(inject_journal + reinject_inflight)
         for index in dead:
             cluster.workers[index].activate()
         injected = len(cut_channel) + len(inject_journal) + len(reinject_inflight)
@@ -807,16 +718,26 @@ class AsyncCheckpointManager:
                 )
         return injected
 
+    def _reinject(self, records: List[Tuple], journal: bool = True) -> None:
+        """Deliver ``records`` (delivery records) again, in order.  The
+        cut's channel passes ``journal=False``: it is part of the
+        snapshot already, and a later rollback re-injects it from
+        there."""
+        workers = self.cluster.workers
+        self._journal_deliveries = journal
+        try:
+            for dst, connector, batch, timestamp, remote_bytes, src, tag in records:
+                workers[dst].enqueue_message(
+                    connector, list(batch), timestamp, remote_bytes, src, -1.0, tag
+                )
+        finally:
+            self._journal_deliveries = True
+
     def note_global_restore(self, snapshot) -> None:
         """A whole-cluster rollback happened (explicit restore, or a
         failure partial recovery couldn't handle): resynchronize all
-        protocol state with the restored cut."""
-        cluster = self.cluster
-        self.generation += 1
-        self.active = False
-        self.staged = {}
-        self.channel_log = []
-        self._cycle_write_bytes = {}
+        protocol state with the restored cut and re-inject its channel."""
+        self.abandon_cycle()
         self.inflight = {}
         self.cancelled = set()
         self._precut_inflight = 0
@@ -824,20 +745,9 @@ class AsyncCheckpointManager:
         self.replay_dedup = {}
         self._last_states = dict(snapshot["vertices"])
         self.dirty.clear()
-        for worker in cluster.workers:
+        for worker in self.cluster.workers:
             worker.cut = self.cycle
-            worker._cut_deferred = False
-        channel = snapshot.get("channel")
-        if channel:
-            self._journal_deliveries = False
-            try:
-                for entry in sorted(channel, key=lambda e: (e[0], e[1], e[2])):
-                    cluster.workers[entry[0]].enqueue_message(
-                        entry[3], list(entry[4]), entry[5], entry[6], entry[7],
-                        -1.0, 0,
-                    )
-            finally:
-                self._journal_deliveries = True
+        self._reinject(snapshot.get("channel", ()), journal=False)
 
     # ------------------------------------------------------------------
     # Introspection.

@@ -25,17 +25,37 @@ accumulators are flushed, so all views agree: vertices, pending
 notifications and one shared set of occurrence counts.  An explicit
 :meth:`ClusterComputation.checkpoint` under ``mode="none"`` drains to
 it, and so does the paper's stop-the-world barrier, which lives outside
-the runtime (:class:`repro.baselines.BarrierCheckpoints`).
+the runtime (:class:`repro.baselines.BarrierCheckpoints`).  Quiescent
+and asynchronous cuts alike become the rollback target through
+:meth:`RecoveryManager.install`.
 
 **Failure.**  :meth:`ClusterComputation.kill_process` injects a failure
-at a virtual time.  The network tears down in-flight traffic, all
-workers are discarded (global rollback — survivors' state past the
-checkpoint is invalidated by the lost process's messages), vertices are
-restored from the latest durable snapshot, progress views are rebuilt
-from the checkpointed occurrence counts, and the journal suffix
-replays.  Outputs already released to external subscribers are
-remembered and suppressed during replay, so a recovered run releases
-each (sink, timestamp) batch exactly once.
+at a virtual time; :meth:`RecoveryManager.fail_process` fences the
+failed incarnation and recovers through the first of three tiers that
+applies:
+
+- **skip**: under ``recovery="restart"``, when the process loses
+  nothing (its workers are idle, nothing is addressed to them, and
+  their states equal the rollback snapshot's), it restarts in place;
+  no rollback, no replay, survivors untouched.
+- **partial**: with asynchronous cuts (``mode="checkpoint"`` or
+  ``"logging"``), a surviving process and no earlier partial replay
+  still draining, only the lost process's workers restart from the
+  durable cut (:meth:`AsyncCheckpointManager.partial_rollback`, which
+  elastic rescaling reuses to move workers); their share of the cut's
+  channel and their journal suffix are re-injected while the survivors
+  keep running behind a frontier fence.
+- **global**: otherwise, the paper's whole-cluster rollback (and what
+  an explicit :meth:`ClusterComputation.restore` does): the network
+  tears down in-flight traffic, every worker restarts from the durable
+  snapshot, progress views are rebuilt from its occurrence counts, and
+  the input journal suffix replays.
+
+Both rollbacks restart workers through
+``ClusterComputation._restore_workers`` and re-inject messages through
+``AsyncCheckpointManager._reinject``.  Outputs already released to
+external subscribers are remembered and suppressed during replay, so a
+recovered run releases each (sink, timestamp) batch exactly once.
 """
 
 from __future__ import annotations
@@ -44,6 +64,7 @@ from collections import Counter
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Set, Tuple
 
+from ..core.graph import StageKind
 from ..obs.trace import TraceEvent
 
 #: Recovery placement policies.
@@ -163,37 +184,46 @@ class RecoveryManager:
         worker.  ``drain`` is the virtual time the caller spent reaching
         quiescence; it is reported in the trace beside the write."""
         cluster = self.cluster
-        now = cluster.sim.now
-        self.snapshot = self.take_snapshot()
-        self.checkpoint_count += 1
-        self.last_checkpoint_time = now
-        self._logged_at_snapshot = self.logged_bytes
-        self._prune_released_outputs(self.snapshot)
         duration = self._write_duration()
+        self.install(self.take_snapshot(), duration, drain, duration)
         if duration > 0:
-            resume = now + duration
+            resume = cluster.sim.now + duration
             for worker in cluster.workers:
                 worker.busy_until = max(worker.busy_until, resume)
             # The computation is not done until the checkpoint is
             # durable; advance the clock to the write's completion even
             # if no further work exists.
             cluster.sim.schedule_at(resume, _write_done)
-        trace = cluster._trace
+        return self.snapshot
+
+    def install(
+        self, snapshot: Dict[str, Any], pause: float, drain: float, write: float
+    ) -> None:
+        """Make ``snapshot`` the rollback target: count it, prune the
+        exactly-once ledger below it and trace it.  ``pause`` is the
+        stall it charged every worker, ``drain`` the time spent reaching
+        it and ``write`` its disk write."""
+        now = self.cluster.sim.now
+        self.snapshot = snapshot
+        self.checkpoint_count += 1
+        self.last_checkpoint_time = now
+        self._logged_at_snapshot = self.logged_bytes
+        self._prune_released_outputs(snapshot)
+        trace = self.cluster._trace
         if trace is not None:
             trace.emit(
                 TraceEvent(
                     "checkpoint",
                     now,
-                    duration,
+                    pause,
                     perf_counter(),
                     -1,
                     -1,
                     "",
                     (),
-                    (self.checkpoint_count, self.released, drain, duration),
+                    (self.checkpoint_count, snapshot["journal_released"], drain, write),
                 )
             )
-        return self.snapshot
 
     def _write_duration(self) -> float:
         """Checkpoint write time: processes write their workers' state
@@ -315,10 +345,8 @@ class RecoveryManager:
         dead_indices = {w.index for w in dead}
         if ac is not None:
             for entry in ac.inflight.values():
-                if entry[1] in dead_indices:
+                if entry[0] in dead_indices:
                     return False
-        from ..core.graph import StageKind
-
         stages = [
             stage
             for stage in cluster.graph.stages
@@ -342,13 +370,10 @@ class RecoveryManager:
     ) -> None:
         """Kill a process now: lose its workers, recover.
 
-        Recovery escalates through three tiers: **skip** (the restore
-        set is empty — nothing was lost, the process just restarts in
-        place), **partial** (async mode: restore only the lost workers
-        from the durable cut and replay their journal suffix while
-        survivors keep running behind a frontier fence), **global** (the
-        paper's whole-cluster rollback).  Placement of the dead
-        process's workers follows ``FaultTolerance.recovery``:
+        Recovery takes the first of three tiers (skip, partial, global)
+        that applies; the module docstring states when each does.
+        Placement of the dead process's workers follows
+        ``FaultTolerance.recovery``:
         ``"restart"`` brings the process back after ``restart_delay``
         (same worker placement); ``"reassign"`` spreads its workers
         round-robin over the survivors (the dead process stays dead, as
@@ -416,24 +441,21 @@ class RecoveryManager:
             # (Bail to global recovery while a previous partial replay's
             # dedup ledgers are still draining — overlapping replays
             # would not be distinguishable.)
-            ready = self._read_back(
-                now + delay, cluster._worker_process.count(process)
-            )
+            moving = [
+                index
+                for index, owner in enumerate(cluster._worker_process)
+                if owner == process
+            ]
+            ready = self._read_back(now + delay, len(moving))
             placement = None
             if policy == "reassign":
                 self.dead_processes.add(process)
-                moving = [
-                    index
-                    for index, owner in enumerate(cluster._worker_process)
-                    if owner == process
-                ]
                 placement = {
                     index: survivors[cursor % len(survivors)]
                     for cursor, index in enumerate(moving)
                 }
             injected = ac.partial_rollback(
-                process, snapshot, ready, placement=placement,
-                flush_node=process,
+                moving, snapshot, ready, placement=placement, flush_node=process
             )
             self._note_failure(process, policy, "partial", ready, snapshot, injected)
             self.pump()
@@ -530,8 +552,7 @@ class RecoveryManager:
                 )
             )
         cluster.network.teardown_inflight()
-        cluster._rebuild_workers(busy_until=ready)
-        cluster._restore_snapshot(snapshot)
+        cluster._restore_snapshot(snapshot, ready)
         self.released = snapshot["journal_released"]
         self.epochs_released = snapshot["epochs_released"]
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.computation import Computation, TimestampViolation
 from ..core.graph import Connector, Stage, StageKind
@@ -707,7 +707,7 @@ class _Worker:
                 key = None
                 if ac is not None:
                     key = ac.register_inflight(
-                        self.index, dest, connector, batch, out_time, size, tag
+                        dest, connector, batch, out_time, size, self.index, tag
                     )
                 cluster.network.send(
                     self.process, cluster.worker_process(dest), size, "data",
@@ -1107,7 +1107,7 @@ class ClusterComputation(Computation):
                 if ac is not None:
                     tag = ac.cycle
                     key = ac.register_inflight(
-                        -1, dest, connector, batch, timestamp, 0, tag
+                        dest, connector, batch, timestamp, 0, -1, tag
                     )
                 self.sim.schedule(
                     0.0, worker.enqueue_message,
@@ -1367,10 +1367,12 @@ class ClusterComputation(Computation):
     def kill_process(self, process: int, at: Optional[float] = None) -> None:
         """Inject a process failure (now, or at virtual time ``at``).
 
-        The process's workers, queues and in-flight messages are lost;
-        every peer rolls back to the latest durable checkpoint (the
-        built state if none was taken) and the journaled input replays.
-        Placement of the dead process's workers follows
+        The process's workers, queues and in-flight messages are lost.
+        Recovery skips the rollback, restores only the lost workers, or
+        rolls every worker back to the latest durable checkpoint (the
+        built state if none was taken) and replays the journaled input:
+        the three tiers of :mod:`repro.runtime.checkpoint`.  Placement
+        of the dead process's workers follows
         ``FaultTolerance.recovery``.
         """
         self._check_built()
@@ -1479,14 +1481,6 @@ class ClusterComputation(Computation):
                 )
             )
         return settled
-
-    def _evict_process(self, process: int) -> None:
-        """Drop a quarantined process from the membership for good.
-
-        Only valid after a reassign recovery already moved its workers:
-        eviction is then the pure-bookkeeping branch of the
-        ``remove_process`` path (membership drop + rescale record)."""
-        self._execute_remove(process)
 
     def attach_supervisor(self, config=None, autoscaler=None):
         """Attach and start a self-healing supervisor on process 0.
@@ -1717,7 +1711,7 @@ class ClusterComputation(Computation):
         moving_set = set(moving)
         state_bytes = ft.state_bytes_per_worker * len(moving)
         ledger_entries = sum(
-            1 for entry in self.async_ckpt.journal if entry[1] in moving_set
+            1 for entry in self.async_ckpt.journal if entry[0] in moving_set
         )
         return (
             state_bytes / ft.disk_bandwidth
@@ -1753,13 +1747,11 @@ class ClusterComputation(Computation):
         snapshot = self.recovery.snapshot or self.recovery.initial
         ready = now + self._migration_delay(moving)
         injected = self.async_ckpt.partial_rollback(
-            -1,
+            moving,
             snapshot,
             ready,
-            moving=moving,
             placement={index: process for index in moving},
             reason="rescale",
-            flush_node=None,
         )
         self._note_rescale("add", process, moving, ready, injected)
 
@@ -1790,10 +1782,9 @@ class ClusterComputation(Computation):
         snapshot = self.recovery.snapshot or self.recovery.initial
         ready = now + self._migration_delay(moving)
         injected = self.async_ckpt.partial_rollback(
-            process,
+            moving,
             snapshot,
             ready,
-            moving=moving,
             placement=placement,
             reason="rescale",
             flush_node=process,
@@ -1853,64 +1844,38 @@ class ClusterComputation(Computation):
                 "use sim.schedule_at() or call it between run()s" % name
             )
 
-    def _rebuild_workers(self, busy_until: float = 0.0) -> None:
-        """Replace every worker object (global rollback after a kill).
-
-        Old workers are flagged dead so their already-scheduled events
-        become no-ops; vertices are re-bound to the replacements, which
-        start idle at ``busy_until`` (the recovery-ready time).
-        """
-        for worker in self.workers:
-            worker.dead = True
-        # Every queue dies with its worker (the plane's reset forgets
-        # them); re-injected deliveries pass through enqueue_message.
-        self.workers = [_Worker(self, index) for index in range(self.total_workers)]
-        for worker in self.workers:
-            worker.busy_until = busy_until
-        self._rebuild_process_index()
-        for (stage, index), vertex in self.vertices.items():
-            vertex._harness = self.workers[index]
-
-    def _replace_workers(
-        self, indices: List[int], busy_until: float = 0.0
+    def _restore_workers(
+        self, snapshot: Dict[str, Any], indices: Sequence[int], busy_until: float
     ) -> None:
-        """Replace only ``indices``'s worker objects (partial rollback).
+        """Restart the workers ``indices`` from ``snapshot``: global
+        rollback names every worker, partial rollback the moving ones.
 
-        The survivors' workers — queues, pending notifications — are
-        left untouched; the named workers are
-        flagged dead (their scheduled events become no-ops) and fresh
-        replacements take their place, idle until ``busy_until``.
+        The old worker objects are flagged dead, so their scheduled
+        events become no-ops and their queues die with them; each
+        replacement starts idle at ``busy_until`` (the recovery-ready
+        time) with the cut's pending tables, and its vertices are
+        re-bound to it and reloaded from the cut.
         """
-        replaced = set(indices)
-        if self.summarized_scopes:
-            # The dying workers' queued interior deliveries vanish;
-            # their re-injections re-increment through enqueue_message.
-            for index in indices:
-                worker = self.workers[index]
-                for entry in worker.queue:
-                    self.plane.note_dequeue(entry[0], entry[2], worker.process)
+        restored = set(indices)
         for index in indices:
             self.workers[index].dead = True
-            self.workers[index] = _Worker(self, index)
-            self.workers[index].busy_until = busy_until
+            worker = self.workers[index] = _Worker(self, index)
+            worker.busy_until = busy_until
+            worker.pending_notifications = dict(snapshot["pending"].get(index, {}))
+            worker.pending_cleanups = dict(snapshot["cleanups"].get(index, {}))
         self._rebuild_process_index()
         for (stage, index), vertex in self.vertices.items():
-            if index in replaced:
+            if index in restored:
                 vertex._harness = self.workers[index]
-
-    def _restore_snapshot(self, snapshot: Dict[str, Any]) -> None:
-        """Load a consistent cut into the (freshly rebuilt) cluster."""
         by_index = {stage.index: stage for stage in self.graph.stages}
-        for (stage_index, worker_index), state in snapshot["vertices"].items():
-            self.vertices[(by_index[stage_index], worker_index)].restore(state)
-        for worker in self.workers:
-            worker.pending_notifications = dict(
-                snapshot["pending"].get(worker.index, {})
-            )
-            worker.pending_cleanups = dict(
-                snapshot["cleanups"].get(worker.index, {})
-            )
-            worker._pending_rev += 1
+        for (stage_index, index), state in snapshot["vertices"].items():
+            if index in restored:
+                self.vertices[(by_index[stage_index], index)].restore(state)
+
+    def _restore_snapshot(self, snapshot: Dict[str, Any], busy_until: float) -> None:
+        """The global rollback: every worker restarts from the cut, and
+        the progress views restart from its occurrence counts."""
+        self._restore_workers(snapshot, range(self.total_workers), busy_until)
         self.plane.reset(snapshot["occurrence"])
         if self.async_ckpt is not None:
             self.async_ckpt.note_global_restore(snapshot)

@@ -184,7 +184,7 @@ class Autoscaler:
 
     def backfill(self, reason: str = "backfill") -> bool:
         """Replace an evicted host immediately (the supervisor's
-        crash-loop quarantine calls this after ``_evict_process``).
+        crash-loop quarantine calls this after evicting one).
 
         Bypasses the utilization hysteresis — the fleet just lost a
         host through no fault of the load — but still respects the

@@ -12,14 +12,19 @@ outputs stay bit-identical to a failure-free run (DESIGN.md
 invariant 5, unchanged).
 """
 
+import hashlib
 from collections import Counter
+from contextlib import contextmanager
 
 import pytest
 
 from repro.baselines import BarrierCheckpoints
 from repro.lib import Collection, Stream
 from repro.obs import TraceSink, checkpoint_pause_stats
+from repro.obs.trace import timestamp_tuple
 from repro.runtime import ClusterComputation, FaultTolerance
+from repro.runtime.async_checkpoint import AsyncCheckpointManager
+from repro.runtime.cluster import _Worker
 
 from tests.test_recovery import (
     CASES, baseline, iterate_two_kills, make_ft, manual_checkpoint_roundtrip,
@@ -31,6 +36,35 @@ def make_async_ft(mode="checkpoint", policy="restart", every=2):
     ft = make_ft(mode, policy)
     ft.checkpoint_every = every
     return ft
+
+
+@contextmanager
+def reinjections(monkeypatch):
+    """Log every ``_Worker.enqueue_message`` call made inside the block
+    as (dst, stage, timestamp, src, tag, record count)."""
+    calls = []
+    enqueue = _Worker.enqueue_message
+
+    def logged(self, connector, records, timestamp, remote_bytes=0, src=-1,
+               sent=-1.0, tag=0, *rest, **kwargs):
+        calls.append((
+            self.index, connector.dst.name, timestamp_tuple(timestamp), src,
+            tag, len(records),
+        ))
+        return enqueue(
+            self, connector, records, timestamp, remote_bytes, src, sent, tag,
+            *rest, **kwargs
+        )
+
+    monkeypatch.setattr(_Worker, "enqueue_message", logged)
+    try:
+        yield calls
+    finally:
+        monkeypatch.setattr(_Worker, "enqueue_message", enqueue)
+
+
+def digest(calls):
+    return len(calls), hashlib.sha256(repr(calls).encode()).hexdigest()[:16]
 
 
 # ----------------------------------------------------------------------
@@ -254,6 +288,68 @@ class TestPartialRollback:
         comp = iterate_two_kills()
         modes = [f["mode"] for f in comp.recovery.failures]
         assert modes == ["partial", "global"]  # replay ledgers still draining
+
+    def test_reinjection_order_is_pinned(self, monkeypatch):
+        # Paced epochs and a cut every epoch leave a pre-cut message in
+        # the durable cut's channel for the killed worker; the kill lands
+        # after it, so the restore re-injects that channel share first,
+        # then the journal suffix in delivery order.  The int-keyed loop
+        # case routes the same way under every hash seed.
+        expected, duration = baseline("iterate", (4, 1))
+        seen = {}
+        rollback = AsyncCheckpointManager.partial_rollback
+
+        def recording_rollback(self, *args, **kwargs):
+            seen["snapshot"] = args[1]
+            seen["journal"] = list(self.journal)
+            with reinjections(monkeypatch) as seen["calls"]:
+                return rollback(self, *args, **kwargs)
+
+        monkeypatch.setattr(
+            AsyncCheckpointManager, "partial_rollback", recording_rollback
+        )
+        sink = TraceSink()
+        out, comp = run_cluster(
+            "iterate",
+            (4, 1),
+            ft=make_async_ft(every=1),
+            kill=(1, duration * 1.95),
+            trace=sink,
+            pace=duration / 2,
+        )
+        assert out == expected
+        assert comp.recovery.failures[0]["mode"] == "partial"
+        moving = {1}
+        share = [e for e in seen["snapshot"]["channel"] if e[0] in moving]
+        # A delivery record ends (dst, connector, records, timestamp,
+        # remote_bytes, src, tag); anything before dst is ignored.
+        suffix = [
+            entry for entry in seen["journal"]
+            if entry[-7] in moving and entry[-2] not in moving
+        ]
+        assert share and suffix
+        injected = [e.detail[2] for e in sink if e.kind == "restore"]
+        reinjected = seen["calls"]
+        assert injected == [len(reinjected)] == [len(share) + len(suffix)]
+        assert digest(reinjected) == (14, "37d9f44223648a1e")
+
+    def test_global_restore_reinjects_the_cut_channel(self, monkeypatch):
+        # restore() to the latest durable cut, whose channel holds a
+        # queued message and a crossing one for worker 0 and a crossing
+        # one for worker 1: all of it re-enters, in the cut's order.
+        expected, duration = baseline("iterate", (4, 1))
+        out, comp = run_cluster(
+            "iterate", (4, 1), ft=make_async_ft(every=1), pace=duration / 6
+        )
+        snapshot = comp.recovery.snapshot
+        assert snapshot["channel"]
+        with reinjections(monkeypatch) as reinjected:
+            comp.restore(snapshot)
+        assert len(reinjected) == len(snapshot["channel"])
+        assert digest(reinjected) == (3, "9c35c6d1ddb2a80d")
+        comp.run()
+        assert comp.drained(), comp.debug_state()
+        assert out == expected
 
 
 # ----------------------------------------------------------------------
