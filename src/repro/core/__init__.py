@@ -8,7 +8,7 @@ contexts, the vertex programming model, and a single-threaded scheduler
 in the frontier of active pointstamps.
 """
 
-from .computation import Computation, InputHandle, TimestampViolation
+from .computation import Computation, InputHandle
 from .dot import to_dot
 from .runtime_api import RuntimeDebugState, TimelyRuntime
 from .graph import (
@@ -27,6 +27,7 @@ from .pointstamp import could_result_in
 from .progress import Pointstamp, ProgressState
 from .timestamp import Timestamp, ZERO
 from .vertex import ForwardingVertex, Vertex
+from .worker import TimestampViolation
 
 __all__ = [
     "Antichain",

@@ -3,20 +3,16 @@
 :class:`Computation` plays the role of Naiad's controller plus a single
 worker: programs define a dataflow graph (inputs, stages, loop contexts,
 connectors), call :meth:`Computation.build`, and then repeatedly supply
-epochs of input via :class:`InputHandle.on_next`.  The scheduler delivers
-messages before notifications (section 3.2) and delivers a notification
-only when its pointstamp is in the frontier maintained by
-:class:`repro.core.progress.ProgressState` — the paper's guarantee that
-``on_notify(t)`` follows all deliveries at times ``t' <= t``.
-
-This runtime executes programs for real and is the substrate for the
-examples and correctness tests; the simulated distributed runtime in
-:mod:`repro.runtime` reuses the same graphs and vertices.
+epochs of input via :class:`InputHandle.on_next`.  It runs one
+:class:`repro.core.worker.Worker` — the simulated cluster of
+:mod:`repro.runtime` runs many — and commits each callback at once to its
+:class:`repro.core.progress.ProgressState` and queue.  This runtime
+executes programs for real and is the substrate for the examples and
+correctness tests.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -26,10 +22,7 @@ from .progress import Pointstamp, ProgressState
 from .runtime_api import RuntimeDebugState, TimelyRuntime
 from .timestamp import Timestamp
 from .vertex import ForwardingVertex, Vertex
-
-
-class TimestampViolation(RuntimeError):
-    """A callback tried to send or request notification in the past."""
+from .worker import Worker
 
 
 class InputHandle:
@@ -86,29 +79,41 @@ class Computation(TimelyRuntime):
         #: build(), or with ``optimize=False``).
         self.plan = None
         self.graph = DataflowGraph()
-        self.vertices: Dict[Stage, Vertex] = {}
+        #: ``(stage, worker index) -> vertex``, filled by build().
+        self.vertices: Dict[Tuple[Stage, int], Vertex] = {}
         self.inputs: List[InputHandle] = []
         #: Serving layer (repro.serve): registered shared arrangements by
         #: name, and the session managers notified on every publish.
         self.arrangements: Dict[str, Any] = {}
         self.session_managers: List[Any] = []
         self.progress: Optional[ProgressState] = None
-        self._message_queue: deque = deque()
-        self._pending_notifications: Dict[Pointstamp, int] = {}
-        self._pending_cleanups: Dict[Pointstamp, int] = {}
-        self._frame: List[Tuple[Vertex, Timestamp, bool]] = []
+        #: The workers (one here), created by build().
+        self.workers: List[Worker] = []
         self._built = False
-        #: Number of delivered messages / notifications (for inspection).
-        self.delivered_messages = 0
-        self.delivered_notifications = 0
         #: Sends forwarded through a loop plumbing stage inside the
         #: producing callback (``Connector.cut_through``), not queued.
         self.cut_through_hops = 0
+        #: Queue entries merged away by batch coalescing (the
+        #: optimizer's ``Connector.coalesce`` hints; see Worker._select).
+        self.coalesced_batches = 0
+        #: Same-callback dispatches to one (connector, dest, time) merged
+        #: into a single dispatch (see Worker._dispatch).
+        self.sender_merged_dispatches = 0
         #: Attached observability sink (None = tracing off; the hot
         #: paths then perform a single identity test and nothing else).
         self._trace: Optional[TraceSink] = None
         #: Frontier version at the last emitted frontier event.
         self._trace_version = -1
+
+    @property
+    def delivered_messages(self) -> int:
+        """Messages delivered so far, over all workers."""
+        return sum(worker.delivered_messages for worker in self.workers)
+
+    @property
+    def delivered_notifications(self) -> int:
+        """Notifications and cleanups delivered so far, over all workers."""
+        return sum(worker.delivered_notifications for worker in self.workers)
 
     # ------------------------------------------------------------------
     # Observability (repro.obs).
@@ -158,24 +163,27 @@ class Computation(TimelyRuntime):
         for manager in self.session_managers:
             manager._on_publish(name, epoch)
 
-    def _trace_frontier(self, trace: TraceSink) -> None:
-        self.progress.settle()
-        if self.progress.version == self._trace_version:
+    def _trace_frontier(
+        self, trace: TraceSink, state: ProgressState, now: float, worker: int
+    ) -> None:
+        """Emit a ``frontier`` event if ``state``'s frontier moved."""
+        state.settle()
+        if state.version == self._trace_version:
             return
-        self._trace_version = self.progress.version
-        frontier = self.progress.frontier()
+        self._trace_version = state.version
+        frontier = state.frontier()
         epochs = [p.timestamp.epoch for p in frontier]
         trace.emit(
             TraceEvent(
                 "frontier",
-                self._logical_time(),
+                now,
                 0.0,
                 perf_counter(),
-                0,
+                worker,
                 0,
                 "",
                 (),
-                (len(self.progress), len(frontier), min(epochs) if epochs else -1),
+                (len(state), len(frontier), min(epochs) if epochs else -1),
             )
         )
 
@@ -322,20 +330,28 @@ class Computation(TimelyRuntime):
         self._apply_optimizer()
         self.graph.freeze()
         self.progress = ProgressState(self.graph.summaries)
-        for stage in self.graph.stages:
-            if stage.kind is StageKind.INPUT:
-                continue
-            vertex = stage.factory(stage, 0)
-            vertex.stage = stage
-            vertex.worker = 0
-            vertex._harness = self
-            self.vertices[stage] = vertex
+        self._expand()
+        worker = Worker(self, 0)
+        self.workers = [worker]
+        for vertex in self.vertices.values():
+            worker.bind(vertex)
         for handle in self.inputs:
             # Section 2.3: one active pointstamp per input, first epoch.
             self.progress.update(Pointstamp(Timestamp(0), handle.stage), +1)
         for manager in self.session_managers:
             manager._attach(self)
         self._built = True
+
+    def _expand(self) -> None:
+        """Section 3.1: one vertex per (stage, worker)."""
+        for stage in self.graph.stages:
+            if stage.kind is StageKind.INPUT:
+                continue
+            for index in range(self.total_workers):
+                vertex = stage.factory(stage, index)
+                vertex.stage = stage
+                vertex.worker = index
+                self.vertices[(stage, index)] = vertex
 
     def _check_built(self) -> None:
         if not self._built:
@@ -365,7 +381,10 @@ class Computation(TimelyRuntime):
                 )
             )
         if records:
-            self._enqueue_output(stage, 0, records, timestamp)
+            queue = self.workers[0].queue
+            for connector in stage.outputs[0]:
+                self.progress.update(Pointstamp(timestamp, connector), +1)
+                queue.append((connector, records, timestamp, 0, 0, None))
         self.progress.update(Pointstamp(Timestamp(epoch + 1), stage), +1)
         self.progress.update(Pointstamp(timestamp, stage), -1)
 
@@ -374,163 +393,34 @@ class Computation(TimelyRuntime):
         self.progress.update(Pointstamp(Timestamp(next_epoch), stage), -1)
 
     # ------------------------------------------------------------------
-    # Harness interface used by Vertex.send_by / Vertex.notify_at.
-    # ------------------------------------------------------------------
-
-    def send(
-        self, vertex: Vertex, output_port: int, records: List[Any], timestamp: Timestamp
-    ) -> None:
-        stage = vertex.stage
-        if stage.kind is StageKind.NORMAL:
-            self._enforce_causality(timestamp, "send_by")
-        self._enqueue_output(stage, output_port, records, timestamp)
-
-    def charge(self, records: List[Any]) -> None:
-        """Fused vertices report constituent hand-offs for the cluster's
-        cost model; the reference runtime has no virtual clock."""
-
-    def request_notification(
-        self, vertex: Vertex, timestamp: Timestamp, capability: bool = True
-    ) -> None:
-        stage = vertex.stage
-        self._enforce_causality(timestamp, "notify_at")
-        pointstamp = Pointstamp(timestamp, stage)
-        if capability:
-            self.progress.update(pointstamp, +1)
-            self._pending_notifications[pointstamp] = (
-                self._pending_notifications.get(pointstamp, 0) + 1
-            )
-        else:
-            # Section 2.4: guarantee-only (capability = ⊤) request; it
-            # holds no pointstamp and so cannot delay anything.
-            self._pending_cleanups[pointstamp] = (
-                self._pending_cleanups.get(pointstamp, 0) + 1
-            )
-
-    def _enforce_causality(self, timestamp: Timestamp, what: str) -> None:
-        if not self._frame:
-            return
-        _, current, capability = self._frame[-1]
-        if not capability:
-            raise TimestampViolation(
-                "%s from a capability-free (state purging) notification" % (what,)
-            )
-        if current.depth == timestamp.depth and not current.less_equal(timestamp):
-            raise TimestampViolation(
-                "%s at %r from a callback at %r sends backwards in time"
-                % (what, timestamp, current)
-            )
-
-    def _enqueue_output(
-        self, stage: Stage, output_port: int, records: List[Any], timestamp: Timestamp
-    ) -> None:
-        out_time = stage.timestamp_action().apply(timestamp)
-        for connector in stage.outputs[output_port]:
-            if connector.cut_through:
-                # Plumbing cut-through (repro.opt): run the stateless
-                # hop here — no pointstamp, queue entry or delivery.
-                self.cut_through_hops += 1
-                hop = connector.dst
-                if not self.vertices[hop].drops(out_time):
-                    self._enqueue_output(hop, 0, records, out_time)
-                continue
-            self.progress.update(Pointstamp(out_time, connector), +1)
-            self._message_queue.append((connector, records, out_time))
-
-    def _deliver_message(
-        self, connector: Connector, records: List[Any], timestamp: Timestamp
-    ) -> None:
-        vertex = self.vertices[connector.dst]
-        trace = self._trace
-        wall = perf_counter() if trace is not None else 0.0
-        self._frame.append((vertex, timestamp, True))
-        try:
-            vertex.on_recv(connector.dst_port, records, timestamp)
-        finally:
-            self._frame.pop()
-        self.progress.update(Pointstamp(timestamp, connector), -1)
-        self.delivered_messages += 1
-        if trace is not None:
-            trace.emit(
-                TraceEvent(
-                    "activation",
-                    self._logical_time(),
-                    perf_counter() - wall,
-                    wall,
-                    0,
-                    0,
-                    connector.dst.name,
-                    timestamp_tuple(timestamp),
-                    (len(records), connector.dst_port),
-                )
-            )
-            self._trace_frontier(trace)
-
-    # ------------------------------------------------------------------
     # Scheduling.
     # ------------------------------------------------------------------
 
     def step(self) -> bool:
-        """Deliver one message or one frontier notification.
+        """Run one unit of work — a message, or else a deliverable
+        notification or cleanup — and commit it.
 
         Returns False when no work can currently be performed.
         """
         self._check_built()
-        if self._message_queue:
-            connector, records, timestamp = self._message_queue.popleft()
-            self._deliver_message(connector, records, timestamp)
-            return True
-        return self._deliver_notification()
-
-    def _deliver_notification(self) -> bool:
-        """Deliver one frontier notification, or else one guarantee-only
-        (capability-free) cleanup.
-
-        A notification is deliverable once its pointstamp is in the
-        frontier; a cleanup once no active pointstamp could-result-in
-        it.  A cleanup holds no occurrence count, so it never blocks
-        anything else and retires nothing.
-        """
-        table, capability = self._pending_notifications, True
-        ready = [p for p in table if self.progress.in_frontier(p)]
-        if not ready:
-            table, capability = self._pending_cleanups, False
-            ready = [p for p in table if not self.progress.frontier_dominates(p)]
-            if not ready:
-                return False
-        pointstamp = min(ready, key=lambda p: (p.timestamp, p.location.index))
-        remaining = table[pointstamp] - 1
-        if remaining:
-            table[pointstamp] = remaining
-        else:
-            del table[pointstamp]
-        vertex = self.vertices[pointstamp.location]
+        worker = self.workers[0]
         trace = self._trace
         wall = perf_counter() if trace is not None else 0.0
-        self._frame.append((vertex, pointstamp.timestamp, capability))
-        try:
-            vertex.on_notify(pointstamp.timestamp)
-        finally:
-            self._frame.pop()
-        if capability:
-            self.progress.update(pointstamp, -1)
-        self.delivered_notifications += 1
+        ran = worker.run_one()
+        if ran is None:
+            return False
+        work, _, updates, dispatches = ran
+        update = self.progress.update
+        for pointstamp, delta in updates:
+            update(pointstamp, delta)
+        append = worker.queue.append
+        for connector, _dest, batch, out_time in dispatches:
+            append((connector, batch, out_time, 0, 0, None))
         if trace is not None:
-            trace.emit(
-                TraceEvent(
-                    "notification" if capability else "cleanup",
-                    self._logical_time(),
-                    perf_counter() - wall,
-                    wall,
-                    0,
-                    0,
-                    pointstamp.location.name,
-                    timestamp_tuple(pointstamp.timestamp),
-                    (),
-                )
-            )
-            if capability:
-                self._trace_frontier(trace)
+            now = self._logical_time()
+            worker._trace_span(trace, work, len, now, perf_counter() - wall, wall)
+            if work[0] != "cleanup":
+                self._trace_frontier(trace, self.progress, now, 0)
         return True
 
     def run(
@@ -554,7 +444,11 @@ class Computation(TimelyRuntime):
 
     def drained(self) -> bool:
         """True when no events remain anywhere in the computation."""
-        return self.progress is not None and len(self.progress) == 0
+        return (
+            self.progress is not None
+            and len(self.progress) == 0
+            and not self.workers[0].has_work()
+        )
 
     def frontier(self) -> List[Pointstamp]:
         self._check_built()
@@ -563,29 +457,27 @@ class Computation(TimelyRuntime):
     def debug_state(self) -> RuntimeDebugState:
         """A structured snapshot of runtime state (``str()``-able)."""
         self._check_built()
-        pending = sum(self._pending_notifications.values()) + sum(
-            self._pending_cleanups.values()
+        state = self._debug_state()
+        state.text = (
+            f"queued={state.queued_messages} "
+            f"pending_notifications={state.pending_notifications} "
+            f"delivered={state.delivered_messages}+{state.delivered_notifications} "
+            f"frontier={list(state.frontier)!r} cut_through_hops={state.cut_through_hops}"
         )
-        frontier = tuple(
-            sorted(timestamp_tuple(p.timestamp) for p in self.progress.frontier())
-        )
-        text = "queued=%d pending_notifications=%d delivered=%d+%d frontier=%r" % (
-            len(self._message_queue),
-            pending,
-            self.delivered_messages,
-            self.delivered_notifications,
-            list(frontier),
-        )
-        text += " cut_through_hops=%d" % self.cut_through_hops
+        return state
+
+    def _debug_state(self, **fields) -> RuntimeDebugState:
+        """The fields both runtimes report, plus ``fields``."""
+        frontier = self.frontier() if self._built else ()
         return RuntimeDebugState(
             runtime=type(self).__name__,
             delivered_messages=self.delivered_messages,
             delivered_notifications=self.delivered_notifications,
             cut_through_hops=self.cut_through_hops,
-            queued_messages=len(self._message_queue),
-            pending_notifications=pending,
-            frontier=frontier,
-            text=text,
+            queued_messages=sum(len(worker.queue) for worker in self.workers),
+            pending_notifications=sum(worker.pending_requests for worker in self.workers),
+            frontier=tuple(sorted(timestamp_tuple(p.timestamp) for p in frontier)),
+            **fields,
         )
 
     # ------------------------------------------------------------------
@@ -600,14 +492,14 @@ class Computation(TimelyRuntime):
         and the progress-tracking state.
         """
         self._check_built()
-        if self._frame:
+        worker = self.workers[0]
+        if worker._frame_time is not None:
             raise RuntimeError(
                 "checkpoint() called from inside a vertex callback; "
                 "a consistent snapshot requires the worker to be paused"
             )
-        while self._message_queue:
-            connector, records, timestamp = self._message_queue.popleft()
-            self._deliver_message(connector, records, timestamp)
+        while worker.queue:
+            self.step()
         trace = self._trace
         if trace is not None:
             trace.emit(
@@ -624,33 +516,43 @@ class Computation(TimelyRuntime):
                 )
             )
         return {
-            "vertices": {
-                stage.index: vertex.checkpoint()
-                for stage, vertex in self.vertices.items()
-            },
+            "vertices": self.checkpoint_vertex_states(),
             "occurrence": dict(self.progress.occurrence),
-            "pending": dict(self._pending_notifications),
-            "cleanups": dict(self._pending_cleanups),
+            "pending": dict(worker.pending_notifications),
+            "cleanups": dict(worker.pending_cleanups),
             "epochs": [(h.next_epoch, h.closed) for h in self.inputs],
         }
+
+    def checkpoint_vertex_states(self) -> Dict[Tuple[int, int], Any]:
+        """Snapshot every vertex's state, keyed ``(stage.index, worker)``.
+        The caller guarantees quiescence."""
+        return {
+            (stage.index, index): vertex.checkpoint()
+            for (stage, index), vertex in self.vertices.items()
+        }
+
+    def _restore_vertex_states(self, states: Dict[Tuple[int, int], Any], workers) -> None:
+        """Reload the vertices of ``workers`` from ``states``."""
+        by_index = {stage.index: stage for stage in self.graph.stages}
+        for (stage_index, index), state in states.items():
+            if index in workers:
+                self.vertices[(by_index[stage_index], index)].restore(state)
 
     def restore(self, snapshot: Dict[str, Any]) -> None:
         """Reset the computation to a :meth:`checkpoint` snapshot."""
         self._check_built()
-        if self._frame:
+        worker = self.workers[0]
+        if worker._frame_time is not None:
             raise RuntimeError(
                 "restore() called from inside a vertex callback; "
                 "rollback requires the worker to be paused"
             )
-        self._message_queue.clear()
-        by_index = {stage.index: stage for stage in self.graph.stages}
-        for index, state in snapshot["vertices"].items():
-            self.vertices[by_index[index]].restore(state)
+        worker.queue.clear()
+        self._restore_vertex_states(snapshot["vertices"], (0,))
         self.progress = ProgressState(self.graph.summaries)
         for pointstamp, count in snapshot["occurrence"].items():
             self.progress.update(pointstamp, count)
-        self._pending_notifications = dict(snapshot["pending"])
-        self._pending_cleanups = dict(snapshot.get("cleanups", {}))
+        worker.load_pending(snapshot["pending"], snapshot.get("cleanups", {}))
         for handle, (epoch, closed) in zip(self.inputs, snapshot["epochs"]):
             handle.next_epoch = epoch
             handle.closed = closed
@@ -670,7 +572,7 @@ class Computation(TimelyRuntime):
                 )
             )
             self._trace_version = -1
-            self._trace_frontier(trace)
+            self._trace_frontier(trace, self.progress, self._logical_time(), 0)
 
     def __repr__(self) -> str:
         return "Computation(%r, built=%s)" % (self.graph, self._built)

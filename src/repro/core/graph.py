@@ -195,12 +195,12 @@ class Connector:
         #: Set by the optimizer's batching pass: the destination vertex
         #: tolerates merged deliveries, so the runtime may coalesce
         #: adjacent same-(connector, timestamp) queue entries into one
-        #: callback (see ``_Worker._select``).
+        #: callback (see ``repro.core.worker.Worker._select``).
         self.coalesce = False
         #: Set by the optimizer's plumbing pass: the destination is a
         #: stateless forwarding stage on the sender's own worker, so a
         #: send is forwarded inside the producing callback instead of
-        #: being queued for the hop (see ``_Worker._cut_through``).
+        #: being queued for the hop (see ``Worker._cut_through``).
         self.cut_through = False
 
     @property

@@ -381,6 +381,14 @@ class ProgressState:
             self.settle()
         return list(self._frontier)
 
+    def unblocked(self, pointstamp: Pointstamp) -> bool:
+        """True when no *other* active pointstamp could-result-in it: the
+        delivery test for a request, which need not be active here (its
+        ``+1`` may still be held in an accumulator elsewhere)."""
+        if self._dirty:
+            self.settle()
+        return pointstamp in self._frontier or not self.frontier_dominates(pointstamp)
+
     def frontier_dominates(self, pointstamp: Pointstamp) -> bool:
         """True iff some *other* frontier element could-result-in it.
 

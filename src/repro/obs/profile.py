@@ -126,12 +126,6 @@ def collect_profile(comp) -> DESProfile:
     if central is not None:
         profile.hold_evals += central.hold_evals
         profile.hold_memo_hits += central.hold_memo_hits
-    workers = getattr(comp, "workers", None)
-    if workers:
-        profile.delivered_messages = sum(w.delivered_messages for w in workers)
-        profile.delivered_notifications = sum(
-            w.delivered_notifications for w in workers
-        )
     pool = getattr(comp, "pool", None)
     if pool is not None:
         profile.pool_size = pool.size

@@ -3,7 +3,7 @@
 A delivery whose destination is a *pure record map* (``select``,
 ``where``, ``select_many``, or a fused chain of only those) is submitted
 to a fork pool when it is enqueued, unless the window of tasks in flight
-is full.  Its ``_Worker._step`` takes the result in DES order instead of
+is full.  ``Worker.run_one`` takes the result in DES order instead of
 calling ``on_recv``, as PaPy's ``NuMap`` orders results.  All other work
 and all state stay on the coordinator; a task belongs to its queue entry
 and is dropped with it.  See DESIGN.md ("Parallel execution").

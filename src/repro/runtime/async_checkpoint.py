@@ -82,7 +82,7 @@ class AsyncCheckpointManager:
     unless ``FaultTolerance.mode == "none"``.  The cluster's hot paths call
     in via four hooks: :meth:`on_delivery` (every enqueue),
     :meth:`register_inflight` (every network send), the dirty-bit adds
-    in ``_Worker._step``, and the deferred-cut checks at step/commit
+    in ``_Worker._ran``, and the deferred-cut checks at step/commit
     boundaries.
     """
 

@@ -334,12 +334,7 @@ class RecoveryManager:
             w for w in cluster.workers if w.process == process and not w.dead
         ]
         for worker in dead:
-            if (
-                worker.queue
-                or worker.pending_notifications
-                or worker.pending_cleanups
-                or worker._commit_pending
-            ):
+            if worker.has_work() or worker._commit_pending:
                 return False
         ac = cluster.async_ckpt
         dead_indices = {w.index for w in dead}

@@ -24,12 +24,13 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..core.computation import Computation, TimestampViolation
-from ..core.graph import Connector, Stage, StageKind
+from ..core.computation import Computation
+from ..core.graph import Connector, Stage
 from ..core.progress import Pointstamp
 from ..core.runtime_api import RuntimeDebugState
 from ..core.timestamp import Timestamp
 from ..core.vertex import Vertex
+from ..core.worker import TimestampViolation, Worker
 from ..obs.trace import TraceEvent, TraceSink, timestamp_tuple
 from ..sim.des import Simulator
 from ..sim.network import Network, NetworkConfig
@@ -40,7 +41,7 @@ from .protocol import (
     ProgressView,
     ProtocolNode,
 )
-from .synthetic import batch_bytes, record_count, route
+from .synthetic import batch_bytes, record_count
 
 
 @dataclass
@@ -112,17 +113,13 @@ class FaultTolerance:
     snapshot_copy_bandwidth: float = 5e9
 
 
-class _Worker:
-    """One Naiad worker: a partition of vertices plus an event queue."""
+class _Worker(Worker):
+    """A :class:`repro.core.worker.Worker` on the simulated cluster: plus DES
+    scheduling, cost, async-checkpoint hooks, mp pool tasks, fencing and
+    the network commit."""
 
     __slots__ = (
-        "cluster",
-        "index",
-        "process",
         "view",
-        "queue",
-        "pending_notifications",
-        "pending_cleanups",
         "busy_until",
         "dead",
         "cut",
@@ -130,26 +127,13 @@ class _Worker:
         "_scheduled",
         "_commit_pending",
         "_pending_updates",
-        "_frame_time",
-        "_frame_capability",
-        "_updates",
-        "_dispatches",
         "_charged",
-        "delivered_messages",
-        "delivered_notifications",
-        "_pending_rev",
-        "_notif_memo",
-        "_cleanup_memo",
     )
 
     def __init__(self, cluster: "ClusterComputation", index: int):
-        self.cluster = cluster
-        self.index = index
+        super().__init__(cluster, index)
         self.process = cluster.worker_process(index)
         self.view = cluster.plane.view(self.process)
-        self.queue: deque = deque()
-        self.pending_notifications: Dict[Pointstamp, int] = {}
-        self.pending_cleanups: Dict[Pointstamp, int] = {}
         self.busy_until = 0.0
         #: Set when the hosting process is killed; scheduled events that
         #: still reference this object become no-ops.
@@ -167,119 +151,34 @@ class _Worker:
         #: The update list of the uncommitted callback (async partial
         #: rollback applies its retirements if the worker dies here).
         self._pending_updates: Optional[List[Tuple[Pointstamp, int]]] = None
-        self._frame_time: Optional[Timestamp] = None
-        self._frame_capability = True
-        self._updates: Optional[List[Tuple[Pointstamp, int]]] = None
-        #: (connector, dest, batch, out_time) from send(); _step's
-        #: serialization pass appends the remote batch size.
-        self._dispatches: Optional[List[Tuple]] = None
         #: Records charge() billed to the running callback.
         self._charged = 0
-        self.delivered_messages = 0
-        self.delivered_notifications = 0
-        #: Bumped whenever the pending notification/cleanup tables gain
-        #: or lose a key; with the progress view's frontier version it
-        #: keys the deliverability memos below — ``activate()`` runs the
-        #: full unblocked() scan once per (frontier, pending-set) state
-        #: instead of once per delivery.
-        self._pending_rev = 0
-        self._notif_memo: Optional[Tuple] = None
-        self._cleanup_memo: Optional[Tuple] = None
+
+    def progress_state(self):
+        return self.view.state
 
     # ------------------------------------------------------------------
-    # Harness interface (Vertex.send_by / Vertex.notify_at).
+    # Harness interface: the cluster's additions.
     # ------------------------------------------------------------------
-
-    @property
-    def total_workers(self) -> int:
-        return self.cluster.total_workers
-
-    def send(
-        self, vertex: Vertex, output_port: int, records: List[Any], timestamp: Timestamp
-    ) -> None:
-        stage = vertex.stage
-        if not self._frame_capability:
-            raise TimestampViolation(
-                "send_by from a capability-free (state purging) notification"
-            )
-        if stage.kind is StageKind.NORMAL and self._frame_time is not None:
-            current = self._frame_time
-            if current.depth == timestamp.depth and not current.less_equal(timestamp):
-                raise TimestampViolation(
-                    "send_by at %r from a callback at %r" % (timestamp, current)
-                )
-        out_time = stage.timestamp_action().apply(timestamp)
-        total = self.cluster.total_workers
-        for connector in stage.outputs[output_port]:
-            pointstamp = Pointstamp(out_time, connector)
-            for dest, batch in route(connector, records, total, self.index):
-                self._dispatch(pointstamp, dest, batch)
-
-    def _dispatch(self, pointstamp: Pointstamp, dest: int, batch: Any) -> None:
-        """Record one share of a send: the dispatch and its +1.
-
-        Sender-side batch coalescing: a callback that sends several
-        times to the same (connector, dest, time) — e.g. per-record
-        emission loops feeding a coalescible destination — would be
-        charged per-message network bytes and a +1/-1 occurrence round
-        trip for each, even though the receiver merges them on arrival.
-        Merge into the previous dispatch instead, so per-message costs
-        are paid once per coalesced batch.  Adjacency-only, so ordering
-        relative to other connectors is untouched."""
-        out_time, connector = pointstamp
-        dispatches = self._dispatches
-        if connector.coalesce and dispatches:
-            prev = dispatches[-1]
-            if prev[0] is connector and prev[1] == dest and prev[3] == out_time:
-                dispatches[-1] = (connector, dest, [*prev[2], *batch], out_time)
-                # The receiver will consume one queue entry, not two.
-                self.cluster.sender_merged_dispatches += 1
-                return
-        if not connector.cut_through:  # else no queue entry: see _step
-            self._updates.append((pointstamp, +1))
-        dispatches.append((connector, dest, batch, out_time))
 
     def charge(self, records: Any) -> None:
-        """A fused vertex handed ``records`` to a later constituent
-        inside the running callback: bill them like a delivery."""
         self._charged += record_count(records)
 
     def request_notification(
         self, vertex: Vertex, timestamp: Timestamp, capability: bool = True
     ) -> None:
-        if not self._frame_capability:
-            raise TimestampViolation(
-                "notify_at from a capability-free (state purging) notification"
-            )
-        if self._frame_time is not None:
-            current = self._frame_time
-            if current.depth == timestamp.depth and not current.less_equal(timestamp):
-                raise TimestampViolation(
-                    "notify_at at %r from a callback at %r" % (timestamp, current)
-                )
+        cluster = self.computation
         stage = vertex.stage
-        pointstamp = Pointstamp(timestamp, stage)
-        if capability:
-            cluster = self.cluster
-            if cluster.summarized_scopes and cluster.plane.is_summarized(stage):
-                raise TimestampViolation(
-                    "notify_at(%r) with a capability on stage %r, which "
-                    "lives inside a summarized loop scope: its vertex "
-                    "class declares notifies=False, so interior "
-                    "pointstamps are never disseminated and the "
-                    "notification could not be coordinated. Set "
-                    "notifies=True on the vertex class, or build the "
-                    "cluster with progress_tracking='flat'"
-                    % (timestamp, stage.name)
-                )
-            self._updates.append((pointstamp, +1))
-            table = self.pending_notifications
-        else:
-            # Section 2.4: guarantee-only request — no pointstamp, no
-            # protocol traffic, cannot delay anything anywhere.
-            table = self.pending_cleanups
-        table[pointstamp] = table.get(pointstamp, 0) + 1
-        self._pending_rev += 1
+        if capability and cluster.summarized_scopes and cluster.plane.is_summarized(stage):
+            raise TimestampViolation(
+                "notify_at(%r) with a capability on stage %r, which "
+                "lives inside a summarized loop scope: its vertex "
+                "class declares notifies=False, so interior "
+                "pointstamps are never disseminated and the "
+                "notification could not be coordinated. Set "
+                "notifies=True on the vertex class" % (timestamp, stage.name)
+            )
+        Worker.request_notification(self, vertex, timestamp, capability)
 
     # ------------------------------------------------------------------
     # Scheduling.
@@ -297,13 +196,13 @@ class _Worker:
         key: Optional[int] = None,
         fence: Optional[Tuple[int, int]] = None,
     ) -> None:
+        cluster = self.computation
         if fence is not None:
             # Generation fencing: the sender stamped its (process,
             # incarnation); a mismatch means the sender was fenced while
             # this message was in flight — it is provably stale and is
             # discarded before any journaling or delivery side effect.
             src_process, generation = fence
-            cluster = self.cluster
             if cluster.generations[src_process] != generation:
                 cluster.fenced_drops += 1
                 trace = cluster._trace
@@ -324,7 +223,7 @@ class _Worker:
                 return
         if self.dead:
             return  # message addressed to a lost worker; replay covers it
-        ac = self.cluster.async_ckpt
+        ac = cluster.async_ckpt
         if ac is not None:
             if key in ac.cancelled:
                 # Sent by a worker a partial rollback replaced: its
@@ -337,16 +236,16 @@ class _Worker:
             ac.on_delivery(self, connector, records, timestamp, remote_bytes, src, tag, key)
         # The mp backend starts a pure map's work now; the entry carries
         # the task, so whatever drops the entry drops the task with it.
-        pool = self.cluster.pool
+        pool = cluster.pool
         task = None
         if pool is not None:
             task = pool.submit(self.index, connector, records, timestamp)
         self.queue.append((connector, records, timestamp, remote_bytes, tag, task))
-        if self.cluster.summarized_scopes:
-            self.cluster.plane.note_enqueue(connector, timestamp, self.process)
-        trace = self.cluster._trace
+        if cluster.summarized_scopes:
+            cluster.plane.note_enqueue(connector, timestamp, self.process)
+        trace = cluster._trace
         if trace is not None:
-            now = self.cluster.sim.now
+            now = cluster.sim.now
             trace.emit(
                 TraceEvent(
                     "deliver",
@@ -367,171 +266,66 @@ class _Worker:
             return
         if (
             not self.queue
-            and self._deliverable_notification() is None
-            and self._deliverable_cleanup() is None
+            and self._deliverable(self.pending_notifications, True) is None
+            and self._deliverable(self.pending_cleanups, False) is None
         ):
             return
         self._scheduled = True
+        cluster = self.computation
         start = max(
-            self.cluster.sim.now,
+            cluster.sim.now,
             self.busy_until,
-            self.cluster.network.process_available_at(self.process),
+            cluster.network.process_available_at(self.process),
         )
-        self.cluster.sim.schedule_at(start, self._step)
-
-    def _delivery_candidates(self, pending: Dict[Pointstamp, int]) -> List[Pointstamp]:
-        """The pending pointstamps whose delivery test decides the table.
-
-        Delivery tests are needed only for per-location *minima* of
-        flat (counter-free) pointstamps: two flat requests at the same
-        location share the counter part of every could-result-in
-        verdict, so a frontier element blocking the earlier epoch
-        blocks every later one too (it cannot *be* the later one — its
-        epoch is <= the earlier's).  Loop timestamps don't share
-        verdicts this way and are tested individually.
-        """
-        candidates: Dict[Any, Pointstamp] = {}
-        loop_stamps: List[Pointstamp] = []
-        for pointstamp in pending:
-            if pointstamp.timestamp.counters:
-                loop_stamps.append(pointstamp)
-                continue
-            current = candidates.get(pointstamp.location)
-            if current is None or pointstamp.timestamp < current.timestamp:
-                candidates[pointstamp.location] = pointstamp
-        return [*candidates.values(), *loop_stamps]
-
-    def _deliverable_notification(self) -> Optional[Pointstamp]:
-        if not self.pending_notifications:
-            return None
-        view = self.view
-        key = (id(view.state), view.state.version, self._pending_rev)
-        memo = self._notif_memo
-        if memo is not None and memo[0] == key:
-            return memo[1]
-        best = None
-        for pointstamp in self._delivery_candidates(self.pending_notifications):
-            if view.unblocked(pointstamp):
-                if best is None or (pointstamp.timestamp, pointstamp.location.index) < (
-                    best.timestamp,
-                    best.location.index,
-                ):
-                    best = pointstamp
-        self._notif_memo = (key, best)
-        return best
-
-    def _deliverable_cleanup(self) -> Optional[Pointstamp]:
-        if not self.pending_cleanups:
-            return None
-        view = self.view
-        key = (id(view.state), view.state.version, self._pending_rev)
-        memo = self._cleanup_memo
-        if memo is not None and memo[0] == key:
-            return memo[1]
-        # Any unblocked one will do: if a flat group's earliest member
-        # is blocked the whole group is.
-        found = None
-        for pointstamp in self._delivery_candidates(self.pending_cleanups):
-            if view.unblocked(pointstamp):
-                found = pointstamp
-                break
-        self._cleanup_memo = (key, found)
-        return found
+        cluster.sim.schedule_at(start, self._step)
 
     def _select(self) -> Optional[Tuple]:
-        """Dequeue this worker's next unit of work, or None if idle.
+        work = Worker._select(self)
+        if work is not None and work[0] == "activation":
+            cluster = self.computation
+            if cluster.summarized_scopes:
+                cluster.plane.note_dequeue(work[1], work[3], self.process, work[5])
+        return work
 
-        Returns ``("recv", connector, records, timestamp, remote_bytes,
-        batches, tasks)`` (``batches`` = queue entries consumed, > 1 when
-        batch coalescing merged adjacent deliveries; ``tasks`` = the
-        entries' mp tasks, or None if the first has none),
-        ``("notify", pointstamp)`` or ``("cleanup", pointstamp)``, with
-        the queue / pending tables already decremented.
-        """
-        queue = self.queue
-        if queue:
-            batches = 1
-            connector, records, timestamp, remote_bytes, _tag, task = queue.popleft()
-            tasks = None if task is None else [task]
-            if connector.coalesce and queue:
-                # Batch coalescing (repro.opt hints): merge *adjacent*
-                # queue entries for the same (connector, timestamp) into
-                # one delivery, paying the callback overhead once.
-                # Adjacency preserves the exact interleaving of
-                # deliveries from other connectors/times, and the pass
-                # only hints destinations whose record-sequence
-                # semantics are batching-insensitive.  A fresh list: the
-                # parts are shared with dispatch tuples and ledgers.
-                merged = None
-                while queue:
-                    head = queue[0]
-                    if head[0] is not connector or head[2] != timestamp:
-                        break
-                    if merged is None:
-                        merged = list(records)
-                    merged.extend(head[1])
-                    remote_bytes += head[3]
-                    if tasks is not None:
-                        tasks.append(head[5])
-                    queue.popleft()
-                    batches += 1
-                    self.cluster.coalesced_batches += 1
-                if merged is not None:
-                    records = merged
-            if self.cluster.summarized_scopes:
-                self.cluster.plane.note_dequeue(
-                    connector, timestamp, self.process, batches
-                )
-            return ("recv", connector, records, timestamp, remote_bytes, batches, tasks)
-        pointstamp = self._deliverable_notification()
-        if pointstamp is not None:
-            remaining = self.pending_notifications[pointstamp] - 1
-            if remaining:
-                self.pending_notifications[pointstamp] = remaining
-            else:
-                del self.pending_notifications[pointstamp]
-            self._pending_rev += 1
-            return ("notify", pointstamp)
-        pointstamp = self._deliverable_cleanup()
-        if pointstamp is None:
-            return None
-        remaining = self.pending_cleanups[pointstamp] - 1
-        if remaining:
-            self.pending_cleanups[pointstamp] = remaining
+    def _take_results(self, vertex: Vertex, timestamp: Timestamp, tasks: List) -> None:
+        # A pure map a pool child already ran: take its result here, in
+        # DES order, as if on_recv had just run.
+        output, handed = self.computation.pool.results(tasks)
+        self._charged += handed
+        if output is not None:
+            self.send(vertex, 0, output, timestamp)
+
+    def _ran(self, work: Tuple, vertex: Vertex) -> float:
+        """Mark the vertex dirty for the next async cut and charge the
+        callback: overhead, records handled, bytes deserialized, and
+        what a fused vertex handed on inside it."""
+        cluster = self.computation
+        if cluster.async_ckpt is not None:
+            cluster.async_ckpt.dirty.add((vertex.stage.index, self.index))
+        cost_model = cluster.cost_model
+        if work[0] == "activation":
+            cost = (
+                cost_model.callback_overhead
+                + cluster.stage_record_cost(work[1].dst) * record_count(work[2])
+                + cost_model.deserialize_per_byte * work[4]
+            )
         else:
-            del self.pending_cleanups[pointstamp]
-        self._pending_rev += 1
-        return ("cleanup", pointstamp)
-
-    def _cut_through(self, connector: Connector, batch: Any, timestamp: Timestamp) -> float:
-        """Run ``connector``'s plumbing hop now, as its ForwardingVertex
-        would on delivery: apply the timestamp action and route onto its
-        outputs (recursively, where marked too), so that only what
-        reaches a real queue is dispatched.  Returns the virtual CPU the
-        hop's own callback would have been charged."""
-        cluster = self.cluster
-        hop = connector.dst
-        cluster.cut_through_hops += 1
-        cost = cluster.stage_record_cost(hop) * record_count(batch)
-        cost += cluster.cost_model.callback_overhead
-        if cluster.vertices[(hop, self.index)].drops(timestamp):
-            return cost
-        out_time = hop.timestamp_action().apply(timestamp)
-        total = cluster.total_workers
-        for downstream in hop.outputs[0]:
-            pointstamp = Pointstamp(out_time, downstream)
-            for dest, share in route(downstream, batch, total, self.index):
-                if downstream.cut_through:
-                    cost += self._cut_through(downstream, share, out_time)
-                else:
-                    self._dispatch(pointstamp, dest, share)
+            cost = cost_model.notification_cost
+        if self._charged:
+            cost += cluster.stage_record_cost(vertex.stage) * self._charged
+            self._charged = 0
         return cost
+
+    def _hop_cost(self, hop: Stage, batch: Any) -> float:
+        cluster = self.computation
+        cost = cluster.stage_record_cost(hop) * record_count(batch)
+        return cost + cluster.cost_model.callback_overhead
 
     def _step(self) -> None:
         if self.dead:
             return
         self._scheduled = False
-        cluster = self.cluster
+        cluster = self.computation
         now = cluster.sim.now
         if self._cut_deferred and cluster.async_ckpt is not None:
             # Take the owed async cut before selecting more work; the
@@ -542,94 +336,13 @@ class _Worker:
             self._scheduled = True
             cluster.sim.schedule_at(start, self._step)
             return
-        work = self._select()
-        if work is None:
-            return
-        cost_model = cluster.cost_model
-        self._updates = []
-        self._dispatches = []
-        cost = 0.0
         trace = cluster._trace
         wall = perf_counter() if trace is not None else 0.0
-        span = None
-        async_ckpt = cluster.async_ckpt
-        if work[0] == "recv":
-            _, connector, records, timestamp, remote_bytes, batches, tasks = work
-            vertex = cluster.vertices[(connector.dst, self.index)]
-            if async_ckpt is not None:
-                async_ckpt.dirty.add((connector.dst.index, self.index))
-            if tasks is not None and None not in tasks:
-                # A pure map a pool child already ran: take its result
-                # here, in DES order, as if on_recv had just run.
-                output, handed = cluster.pool.results(tasks)
-                self._charged += handed
-                if output is not None:
-                    self.send(vertex, 0, output, timestamp)
-            else:
-                self._frame_time = timestamp
-                try:
-                    vertex.on_recv(connector.dst_port, records, timestamp)
-                finally:
-                    self._frame_time = None
-            # Every coalesced queue entry carried its own +1 occurrence
-            # at dispatch time; retire each one.
-            pointstamp = Pointstamp(timestamp, connector)
-            for _ in range(batches):
-                self._updates.append((pointstamp, -1))
-            self.delivered_messages += 1
-            cost += (
-                cost_model.callback_overhead
-                + cluster.stage_record_cost(connector.dst) * record_count(records)
-                + cost_model.deserialize_per_byte * remote_bytes
-            )
-            if trace is not None:
-                span = (
-                    "activation",
-                    connector.dst.name,
-                    timestamp,
-                    (record_count(records), connector.dst_port),
-                )
-        else:
-            kind, pointstamp = work
-            vertex = cluster.vertices[(pointstamp.location, self.index)]
-            if async_ckpt is not None:
-                async_ckpt.dirty.add((pointstamp.location.index, self.index))
-            self._frame_time = pointstamp.timestamp
-            if kind == "cleanup":
-                self._frame_capability = False
-            try:
-                vertex.on_notify(pointstamp.timestamp)
-            finally:
-                self._frame_time = None
-                self._frame_capability = True
-            if kind == "notify":
-                self._updates.append((pointstamp, -1))
-            self.delivered_notifications += 1
-            cost += cost_model.notification_cost
-            if trace is not None:
-                span = (
-                    "notification" if kind == "notify" else "cleanup",
-                    pointstamp.location.name,
-                    pointstamp.timestamp,
-                    (),
-                )
-
-        if self._charged:
-            cost += cluster.stage_record_cost(vertex.stage) * self._charged
-            self._charged = 0
-
-        # Plumbing cut-through (repro.opt; section 3.2): a dispatch on a
-        # marked connector crosses its ingress/egress/feedback hop here,
-        # inside the producing callback, which pays the hop's cost.
-        # After the callback, so a merged run crosses once, as it would
-        # have been delivered.
-        sent, self._dispatches = self._dispatches, []
-        for entry in sent:
-            if entry[0].cut_through:
-                cost += self._cut_through(entry[0], entry[2], entry[3])
-            else:
-                self._dispatches.append(entry)
-        dispatches = self._dispatches
+        ran = self.run_one()
+        if ran is None:
+            return
+        work, cost, updates, dispatches = ran
+        cost_model = cluster.cost_model
 
         # Sender-side serialization and (optionally) logging costs.  The
         # batch size is computed once here and carried on the dispatch
@@ -654,29 +367,14 @@ class _Worker:
 
         finish = start + cost
         self.busy_until = finish
-        updates = self._updates
-        self._updates = None
-        self._dispatches = None
         self._commit_pending = True
         # The async snapshot protocol needs the uncommitted retirements
         # if this worker dies between _step and _commit (its dispatches
         # and notify requests died with it, but the retirements it was
         # about to publish must still be compensated).
         self._pending_updates = updates
-        if trace is not None and span is not None:
-            trace.emit(
-                TraceEvent(
-                    span[0],
-                    start,
-                    cost,
-                    wall,
-                    self.index,
-                    self.process,
-                    span[1],
-                    timestamp_tuple(span[2]),
-                    span[3],
-                )
-            )
+        if trace is not None:
+            self._trace_span(trace, work, record_count, start, cost, wall)
         cluster.sim.schedule_at(finish, self._commit, updates, dispatches)
 
     def _commit(
@@ -688,7 +386,7 @@ class _Worker:
             return  # the callback's effects died with the process
         self._commit_pending = False
         self._pending_updates = None
-        cluster = self.cluster
+        cluster = self.computation
         now = cluster.sim.now
         ac = cluster.async_ckpt
         if ac is not None and ac.replay_dedup:
@@ -718,13 +416,6 @@ class _Worker:
         if ac is not None and self._cut_deferred:
             ac.commit_hook(self)
         self.activate()
-
-    def has_work(self) -> bool:
-        return (
-            bool(self.queue)
-            or bool(self.pending_notifications)
-            or bool(self.pending_cleanups)
-        )
 
 
 class ClusterComputation(Computation):
@@ -832,8 +523,6 @@ class ClusterComputation(Computation):
         self.nodes: List[ProtocolNode] = []
         self.central: Optional[CentralAccumulator] = None
         self.summarized_scopes: Tuple = ()
-        self.workers: List[_Worker] = []
-        self.vertices: Dict[Tuple[Stage, int], Vertex] = {}
         self._stage_costs: Dict[Stage, float] = {}
         #: Worker index -> hosting process.  Initially the contiguous
         #: block layout; failure recovery with the "reassign" policy
@@ -878,13 +567,6 @@ class ClusterComputation(Computation):
         #: DES self-profiling counters (see repro.obs.profile).
         self.batch_bytes_calls = 0
         self.stage_cost_calls = 0
-        #: Queue entries merged away by batch coalescing (the
-        #: optimizer's ``Connector.coalesce`` hints; see _Worker._select).
-        self.coalesced_batches = 0
-        #: Same-callback dispatches to one (connector, dest, time) merged
-        #: into a single wire message before serialization (_Worker._step),
-        #: so per-message costs are charged once per coalesced batch.
-        self.sender_merged_dispatches = 0
 
     # ------------------------------------------------------------------
     # Configuration.
@@ -922,29 +604,8 @@ class ClusterComputation(Computation):
     def _trace_cluster_frontier(self, _updates) -> None:
         # Registered on the process-0 view at build time; a single
         # attribute test when tracing is off.
-        trace = self._trace
-        if trace is None:
-            return
-        state = self.views[0].state
-        state.settle()
-        if state.version == self._trace_version:
-            return
-        self._trace_version = state.version
-        frontier = state.frontier()
-        epochs = [p.timestamp.epoch for p in frontier]
-        trace.emit(
-            TraceEvent(
-                "frontier",
-                self.sim.now,
-                0.0,
-                perf_counter(),
-                -1,
-                0,
-                "",
-                (),
-                (len(state), len(frontier), min(epochs) if epochs else -1),
-            )
-        )
+        if self._trace is not None:
+            self._trace_frontier(self._trace, self.views[0].state, self.sim.now, -1)
 
     @property
     def now(self) -> float:
@@ -962,14 +623,7 @@ class ClusterComputation(Computation):
         self.graph.freeze()
         # Vertices first: which stages notify decides which loop scopes
         # the progress plane summarizes, and workers bind to its views.
-        for stage in self.graph.stages:
-            if stage.kind is StageKind.INPUT:
-                continue
-            for index in range(self.total_workers):
-                vertex = stage.factory(stage, index)
-                vertex.stage = stage
-                vertex.worker = index
-                self.vertices[(stage, index)] = vertex
+        self._expand()
         # "scoped" summarizes the loop scopes none of whose vertices
         # notify; "flat" treats every stage as notifying, so every
         # interior pointstamp is disseminated (the paper's one-big-pile
@@ -992,8 +646,8 @@ class ClusterComputation(Computation):
         self.summarized_scopes = plane.summarized_scopes
         self.workers = [_Worker(self, index) for index in range(self.total_workers)]
         self._rebuild_process_index()
-        for (stage, index), vertex in self.vertices.items():
-            vertex._harness = self.workers[index]
+        for (_, index), vertex in self.vertices.items():
+            self.workers[index].bind(vertex)
         self.views[0].listeners.append(self._trace_cluster_frontier)
         plane.apply_all(
             [(Pointstamp(Timestamp(0), handle.stage), +1) for handle in self.inputs]
@@ -1257,27 +911,9 @@ class ClusterComputation(Computation):
                 logged_batches=recovery.logged_batches,
                 logged_bytes=recovery.logged_bytes,
             )
-        frontier: Tuple[Tuple[int, ...], ...] = ()
-        if self._built:
-            frontier = tuple(
-                sorted(
-                    timestamp_tuple(p.timestamp)
-                    for p in self.views[0].state.frontier()
-                )
-            )
-        return RuntimeDebugState(
-            runtime=type(self).__name__,
+        return self._debug_state(
             now=self.sim.now,
             pending_events=self.sim.pending_events,
-            delivered_messages=sum(w.delivered_messages for w in self.workers),
-            delivered_notifications=sum(
-                w.delivered_notifications for w in self.workers
-            ),
-            cut_through_hops=self.cut_through_hops,
-            queued_messages=sum(len(w.queue) for w in self.workers),
-            pending_notifications=sum(
-                sum(w.pending_notifications.values()) for w in self.workers
-            ),
             fault_tolerance=ft_info,
             dead_processes=tuple(sorted(recovery.dead_processes))
             if recovery is not None
@@ -1290,7 +926,6 @@ class ClusterComputation(Computation):
                 for w in self.workers
                 if w.has_work()
             ),
-            frontier=frontier,
             text="\n".join(lines),
         )
 
@@ -1341,14 +976,6 @@ class ClusterComputation(Computation):
             if recovery.settle() and self.sim.pending_events == 0:
                 break
         return recovery.complete_checkpoint()
-
-    def checkpoint_vertex_states(self) -> Dict[Tuple[int, int], Any]:
-        """Snapshot every vertex's state, keyed ``(stage.index, worker)``.
-        The caller guarantees quiescence."""
-        return {
-            (stage.index, index): vertex.checkpoint()
-            for (stage, index), vertex in self.vertices.items()
-        }
 
     def restore(self, snapshot: Dict[str, Any]) -> None:
         """Roll the cluster back to ``snapshot`` and replay the input
@@ -1861,16 +1488,14 @@ class ClusterComputation(Computation):
             self.workers[index].dead = True
             worker = self.workers[index] = _Worker(self, index)
             worker.busy_until = busy_until
-            worker.pending_notifications = dict(snapshot["pending"].get(index, {}))
-            worker.pending_cleanups = dict(snapshot["cleanups"].get(index, {}))
+            worker.load_pending(
+                snapshot["pending"].get(index, {}), snapshot["cleanups"].get(index, {})
+            )
         self._rebuild_process_index()
-        for (stage, index), vertex in self.vertices.items():
+        for (_, index), vertex in self.vertices.items():
             if index in restored:
-                vertex._harness = self.workers[index]
-        by_index = {stage.index: stage for stage in self.graph.stages}
-        for (stage_index, index), state in snapshot["vertices"].items():
-            if index in restored:
-                self.vertices[(by_index[stage_index], index)].restore(state)
+                self.workers[index].bind(vertex)
+        self._restore_vertex_states(snapshot["vertices"], restored)
 
     def _restore_snapshot(self, snapshot: Dict[str, Any], busy_until: float) -> None:
         """The global rollback: every worker restarts from the cut, and

@@ -201,17 +201,8 @@ class ProgressView:
         self.apply([(p, d) for p, d in occurrence.items() if d])
 
     def unblocked(self, pointstamp: Pointstamp) -> bool:
-        """True when no *other* active pointstamp could-result-in it.
-
-        This is the delivery test for notifications: the requesting
-        worker knows its own request exists, so the pointstamp itself
-        need not be visible in the view (its ``+1`` may still be held in
-        an accumulator elsewhere).  Scanning the frontier suffices:
-        could-result-in is transitive and every active pointstamp is
-        dominated by some frontier element, so an active blocker implies
-        a frontier blocker.
-        """
-        return not self.state.frontier_dominates(pointstamp)
+        """:meth:`ProgressState.unblocked` on this view."""
+        return self.state.unblocked(pointstamp)
 
 
 class Accumulator:

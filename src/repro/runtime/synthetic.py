@@ -1,4 +1,4 @@
-"""Record-list helpers of the data plane: routing, counting, sizing.
+"""Record-list helpers of the data plane: counting and sizing.
 
 Channel payloads are record lists.  The paper's throughput experiments
 move tens of millions of records per computer; materialising each one
@@ -13,7 +13,7 @@ network code paths at the paper's data scales.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Tuple
+from typing import Any, List
 
 
 @dataclass(frozen=True)
@@ -32,26 +32,6 @@ class SyntheticRecords:
     @property
     def total_bytes(self) -> int:
         return self.count * self.bytes_per_record
-
-
-def route(
-    connector, records: List[Any], total: int, local_index: int
-) -> Iterable[Tuple[int, List[Any]]]:
-    """Partition one send's records across the workers of a connector.
-
-    Yields ``(dest_worker, share)`` pairs: pipeline connectors (no
-    partitioner) keep the records on the local worker; exchanges bucket
-    them by ``partitioner(record) % total``, each share in send order.
-    The single routing implementation behind ``_Worker.send`` and the
-    cut-through of plumbing hops.
-    """
-    partitioner = connector.partitioner
-    if partitioner is None:
-        return ((local_index, records),)
-    buckets: Dict[int, List[Any]] = {}
-    for record in records:
-        buckets.setdefault(partitioner(record) % total, []).append(record)
-    return buckets.items()
 
 
 def record_count(records: List[Any]) -> int:

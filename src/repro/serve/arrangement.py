@@ -208,9 +208,7 @@ class ArrangeVertex(UnaryBufferingVertex):
         index_diffs(keyed, [(key(r), r, m) for r, m in diffs])
         self.arr.apply(epoch, keyed)
         self.arr.compact(self._reader_floor())
-        harness = self._harness
-        computation = getattr(harness, "cluster", harness)
-        computation._arrangement_published(self.arr.name, epoch)
+        self._harness.computation._arrangement_published(self.arr.name, epoch)
 
 
 class Arrangement:
@@ -233,8 +231,7 @@ class Arrangement:
         self.probe = probe
 
     def vertex(self) -> ArrangeVertex:
-        vertices = self.computation.vertices
-        vertex = vertices.get((self.stage, 0)) or vertices.get(self.stage)
+        vertex = self.computation.vertices.get((self.stage, 0))
         if vertex is None:
             raise RuntimeError(
                 "arrangement %r: call build() before reading" % (self.name,)

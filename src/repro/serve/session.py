@@ -234,8 +234,7 @@ class SessionManager:
             views[0].listeners.append(self._on_frontier)
 
     def _serve_vertex(self) -> ServeVertex:
-        vertices = self.computation.vertices
-        vertex = vertices.get((self.stage, 0)) or vertices.get(self.stage)
+        vertex = self.computation.vertices.get((self.stage, 0))
         if vertex is None:
             raise RuntimeError("call build() before serving queries")
         return vertex

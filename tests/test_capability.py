@@ -62,12 +62,13 @@ class TestReferenceRuntime:
         # the purge has been delivered.
         comp, inp, log, out = build()
         inp.on_next([7])
-        # Deliver the message and the downstream notification only.
-        while comp._message_queue or any(
-            comp.progress.in_frontier(p) for p in comp._pending_notifications
-        ):
-            comp.step()
+        # Step until the downstream epoch completes: the purge is still
+        # pending then, so it held nothing up.
+        while not out:
+            assert comp.step()
         assert [t.epoch for t, _ in out] == [0]
+        assert log == []
+        assert comp.debug_state().pending_notifications == 1
 
     def test_purge_callback_cannot_send(self):
         comp = Computation()
@@ -117,7 +118,7 @@ class TestReferenceRuntime:
         comp, inp, log, out = build()
         inp.on_next([1])
         snapshot = comp.checkpoint()
-        assert snapshot["cleanups"] or comp._pending_cleanups
+        assert snapshot["cleanups"]
         comp.restore(snapshot)
         comp.run()
         assert ("purge", 0, 0, 1) in log
@@ -165,3 +166,64 @@ class TestClusterRuntime:
             return comp.network.stats.bytes("progress")
 
         assert run(capability=False) < run(capability=True)
+
+
+class TestOneWorkerRule:
+    """Both runtimes run the same worker: same choice, same bookkeeping."""
+
+    RUNTIMES = [Computation, lambda: ClusterComputation(1, 1)]
+
+    class Cleaner(Vertex):
+        """Requests a cleanup at ``t + 1``, then at ``t``; logs each."""
+
+        _TRANSIENT_ATTRS = Vertex._TRANSIENT_ATTRS + ("log",)
+
+        def __init__(self, name, log):
+            super().__init__()
+            self.name = name
+            self.log = log
+
+        def on_recv(self, port, records, t):
+            self.notify_at(Timestamp(t.epoch + 1), capability=False)
+            self.notify_at(t, capability=False)
+            self.send_by(0, records, t)
+
+        def on_notify(self, t):
+            self.log.append("%s%d" % (self.name, t.epoch))
+
+    def cleanup_order(self, make):
+        comp = make()
+        inp = comp.new_input()
+        log = []
+        a = comp.add_stage("a", lambda: self.Cleaner("a", log))
+        b = comp.add_stage("b", lambda: self.Cleaner("b", log))
+        Stream.from_input(inp).connect_to(a, 0)
+        Stream(comp, a, 0).connect_to(b, 0)
+        comp.build()
+        inp.on_next([1])
+        inp.on_next([2])
+        inp.on_completed()
+        comp.run()
+        assert comp.drained()
+        return log
+
+    def test_cleanups_deliver_in_one_order(self):
+        # The first unblocked cleanup goes first, on either runtime.
+        orders = [self.cleanup_order(make) for make in self.RUNTIMES]
+        assert orders == [["a0", "a1", "a1", "a2", "b0", "b1", "b1", "b2"]] * 2
+
+    @pytest.mark.parametrize("make", RUNTIMES, ids=["reference", "cluster"])
+    def test_pending_notifications_count_both_kinds(self, make):
+        comp = make()
+        inp = comp.new_input()
+
+        class Later(Vertex):
+            def on_recv(self, port, records, t):
+                self.notify_at(Timestamp(5))
+                self.notify_at(Timestamp(5), capability=False)
+
+        comp.connect(inp.stage, comp.add_stage("later", Later))
+        comp.build()
+        inp.on_next([1])
+        comp.run()
+        assert comp.debug_state().pending_notifications == 2

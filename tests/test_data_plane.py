@@ -20,7 +20,7 @@ from repro.algorithms import weakly_connected_components
 from repro.algorithms.connectivity import wcc_oracle
 from repro.lib import Stream
 from repro.runtime import ClusterComputation
-from repro.runtime.synthetic import route
+from repro.core.worker import route
 from repro.workloads import uniform_random_graph
 
 from tests.test_recovery import make_ft

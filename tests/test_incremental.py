@@ -363,6 +363,11 @@ class _Recorder:
     def request_notification(self, vertex, timestamp, capability):
         pass
 
+    @property
+    def computation(self):
+        # Stands in for the computation too (the publish hook below).
+        return self
+
     def _arrangement_published(self, name, epoch):
         pass
 
