@@ -56,11 +56,12 @@ def _single_partition(record: Any) -> int:
 
 # Operator metadata consumed by repro.opt.  ``fusable`` marks the
 # 1-in/1-out library vertices whose callback discipline the fusion pass
-# relies on; ``batchable`` grants batch coalescing on input connectors;
-# ``preserves_partitioning`` marks subset operators for exchange
-# elision.  ``inspect`` is deliberately neither fusable (its per-batch
-# probe callback is driver-side) nor batchable (the
-# probe observes batch boundaries).
+# relies on, plus ``subscribe``, a sink that may end a chain behind a
+# notifying operator; ``batchable`` grants batch coalescing on input
+# connectors; ``preserves_partitioning`` marks subset operators for
+# exchange elision.  ``inspect`` is deliberately neither fusable (its
+# per-batch probe callback is driver-side) nor batchable (the probe
+# observes batch boundaries), and ``probe`` never fuses either.
 _OPSPECS = {
     "select": ("select", True, True, False),
     "where": ("where", True, True, True),
@@ -75,7 +76,7 @@ _OPSPECS = {
     "binary_buffered": ("binary_buffered", False, True, False),
     "join": ("join", False, True, False),
     "probe": ("probe", False, True, False),
-    "subscribe": ("subscribe", False, True, False),
+    "subscribe": ("subscribe", True, True, False),
 }
 
 

@@ -15,7 +15,11 @@ holds a single outer pointstamp and, when it is granted, dispatches the
 constituents' ``on_notify(t)`` in chain order — upstream first, so a
 buffering constituent's emission at ``t`` reaches its downstream
 neighbours before their own completions run, exactly the order the
-unfused plan guarantees via the frontier.
+unfused plan guarantees via the frontier.  A downstream constituent
+that first requests ``t`` during that grant (its only input at ``t``
+was an upstream completion) runs later in the same grant: the grant
+already proves nothing outside the chain can still reach ``t``, and
+its turn comes only after every constituent upstream of it has run.
 
 Fault tolerance composes: ``checkpoint()`` snapshots every constituent
 (each applying its own ``_CONFIG_ATTRS`` exclusions, so the composite
@@ -26,7 +30,7 @@ machinery works unchanged.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..core.timestamp import Timestamp
 from ..core.vertex import Vertex, snapshot_copy
@@ -44,13 +48,10 @@ class _ChainHarness:
     worker, pool child) without rebinding.
     """
 
-    __slots__ = ("fused", "_position")
+    __slots__ = ("fused",)
 
-    def __init__(self, fused: "FusedVertex", parts: List[Vertex]):
+    def __init__(self, fused: "FusedVertex"):
         self.fused = fused
-        self._position: Dict[int, int] = {
-            id(part): position for position, part in enumerate(parts)
-        }
 
     @property
     def total_workers(self) -> int:
@@ -79,8 +80,11 @@ class _ChainHarness:
             raise ValueError(
                 "fused constituents are single-output (got port %d)" % output_port
             )
-        position = self._position[id(vertex)] + 1
-        if position == len(self.fused.parts):
+        parts = self.fused.parts
+        # Chains are a handful of operators long: a scan by identity
+        # beats building a position index for every fused vertex.
+        position = parts.index(vertex) + 1
+        if position == len(parts):
             self.fused.send_by(0, records, timestamp)
         else:
             self.deliver(position, records, timestamp)
@@ -88,16 +92,17 @@ class _ChainHarness:
     def request_notification(
         self, vertex: Vertex, timestamp: Timestamp, capability: bool = True
     ) -> None:
-        self.fused._request(self._position[id(vertex)], timestamp)
+        self.fused._request(self.fused.parts.index(vertex), timestamp)
 
 
 class FusedVertex(Vertex):
     """A pipeline of unary vertices executing as one physical vertex.
 
-    Constituents must be 1-in/1-out operators that request at most one
-    notification per timestamp and send only at the time of the running
-    callback — the properties the fusion pass checks via ``OpSpec``
-    before building this vertex.
+    Constituents must be 1-in/1-out operators (the tail may be a
+    1-in/0-out sink) that request at most one notification per
+    timestamp and send only at the time of the running callback — the
+    properties the fusion pass checks via ``OpSpec`` before building
+    this vertex.
     """
 
     # The constituent list and chain harness contain user closures and
@@ -111,15 +116,19 @@ class FusedVertex(Vertex):
             raise ValueError("a fused vertex needs at least one constituent")
         self.parts = list(parts)
         self.names = tuple(names)
-        self.notifies = any(
-            getattr(part, "notifies", True) for part in self.parts
-        )
-        self._chain = _ChainHarness(self, self.parts)
+        self._chain = chain = _ChainHarness(self)
+        notifies = False
         for part in self.parts:
-            part._harness = self._chain
+            part._harness = chain
+            notifies = notifies or part.notifies
+        self.notifies = notifies
         #: Timestamp -> constituent positions awaiting on_notify there.
         #: An entry's existence means one outer notification is held.
         self._pending: Dict[Timestamp, Set[int]] = {}
+        #: While on_notify(t) runs: ``(t, positions due in this grant,
+        #: positions held for the next one)``, and the running position.
+        self._grant: Optional[Tuple[Timestamp, Set[int], Set[int]]] = None
+        self._running = 0
 
     # ------------------------------------------------------------------
     # Callbacks.
@@ -129,19 +138,36 @@ class FusedVertex(Vertex):
         self._chain.deliver(0, records, timestamp)
 
     def on_notify(self, timestamp: Timestamp) -> None:
-        positions = self._pending.pop(timestamp, None)
-        if positions is None:
+        due = self._pending.pop(timestamp, None)
+        if due is None:
             return
         parts = self.parts
-        # Chain order: an upstream constituent's completion may emit at
-        # ``timestamp`` into its downstream neighbours, which must
-        # observe those records before their own on_notify runs.
-        for position in sorted(positions):
-            try:
-                parts[position].on_notify(timestamp)
-            except Exception as exc:
-                self._blame(exc, position)
-                raise
+        held: Set[int] = set()
+        self._grant = (timestamp, due, held)
+        try:
+            # Chain order: an upstream constituent's completion may emit
+            # at ``timestamp`` into its downstream neighbours, which must
+            # observe those records before their own on_notify runs.
+            for position in range(min(due), len(parts)):
+                if position not in due:
+                    continue
+                if held:
+                    # An upstream constituent re-requested ``timestamp``
+                    # and may emit into this one again: the rest wait
+                    # for the next grant, as the frontier would have it.
+                    held.update(p for p in due if p >= position)
+                    break
+                self._running = position
+                try:
+                    parts[position].on_notify(timestamp)
+                except Exception as exc:
+                    self._blame(exc, position)
+                    raise
+        finally:
+            self._grant = None
+        if held:
+            self._pending[timestamp] = held
+            self.notify_at(timestamp)
 
     def _blame(self, exc: Exception, position: int) -> None:
         """Fail fast as the original exception, but say which operator
@@ -153,13 +179,22 @@ class FusedVertex(Vertex):
             exc.__notes__ = getattr(exc, "__notes__", []) + [note]
 
     def _request(self, position: int, timestamp: Timestamp) -> None:
+        grant = self._grant
+        if grant is not None and grant[0] == timestamp:
+            # A request at the time being granted: a downstream
+            # constituent is due later in this grant, and whether it
+            # may run is decided when its turn comes; the running one
+            # (or one upstream of it) needs the next grant.
+            if position > self._running:
+                grant[1].add(position)
+            else:
+                grant[2].add(position)
+            return
         waiting = self._pending.get(timestamp)
         if waiting is None:
             self._pending[timestamp] = {position}
             # One outer pointstamp covers every constituent request at
-            # this time; re-requests during on_notify dispatch (a
-            # downstream constituent first touched by an upstream
-            # completion) create a fresh entry and a second grant.
+            # this time.
             self.notify_at(timestamp)
         else:
             waiting.add(position)

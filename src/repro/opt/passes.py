@@ -16,6 +16,8 @@ Four passes ship, applied in order by :func:`compile_plan`:
     collapses maximal chains of fusable 1-in/1-out stages linked by
     pipeline (non-exchange, single-fan-out) connectors into one stage
     whose vertices are :class:`repro.opt.fused.FusedVertex` pipelines.
+    A fusable sink (``subscribe``) ends a chain when the stage before it
+    notifies, so it completes inside its producer's grant.
     Exchanges, loop ingress/egress/feedback, multi-input operators,
     fan-out points and opaque stages are fusion barriers.  Timestamp
     types match within a chain by construction: the graph layer rejects
@@ -169,11 +171,15 @@ class FusionPass:
         rewrites: List[str] = []
         changed = False
         for head in list(graph.stages):
-            if not self._fusable(head) or self._chain_predecessor(head) is not None:
+            if (
+                not self._fusable(head)
+                or not head.num_outputs
+                or self._chain_predecessor(head) is not None
+            ):
                 continue
             chain = [head]
-            while True:
-                successor = self._chain_successor(chain[-1])
+            while chain[-1].num_outputs:
+                successor = self._chain_successor(plan, chain[-1])
                 if successor is None:
                     break
                 chain.append(successor)
@@ -192,10 +198,11 @@ class FusionPass:
 
     @staticmethod
     def _fusable(stage: Stage) -> bool:
+        # A 1-in/0-out sink may only end a chain (_chain_successor).
         return (
             stage.kind is StageKind.NORMAL
             and stage.num_inputs == 1
-            and stage.num_outputs == 1
+            and stage.num_outputs <= 1
             and stage.opspec is not None
             and stage.opspec.fusable
         )
@@ -211,7 +218,7 @@ class FusionPass:
         return src
 
     @classmethod
-    def _chain_successor(cls, stage: Stage) -> Optional[Stage]:
+    def _chain_successor(cls, plan: LogicalPlan, stage: Stage) -> Optional[Stage]:
         if len(stage.outputs[0]) != 1:
             return None
         connector = stage.outputs[0][0]
@@ -219,6 +226,11 @@ class FusionPass:
             return None
         dst = connector.dst
         if not cls._fusable(dst):
+            return None
+        if not dst.num_outputs and not plan.notifies(stage):
+            # A sink joins only to share its producer's grant (it then
+            # completes in the same on_notify).  Behind a pure map it
+            # would save nothing and keep the chain out of the mp pool.
             return None
         return dst
 
@@ -242,7 +254,7 @@ class FusionPass:
             StageKind.NORMAL,
             factory,
             1,
-            1,
+            tail.num_outputs,
             head.context,
         )
         fused.opspec = OpSpec(
@@ -256,10 +268,11 @@ class FusionPass:
         if incoming is not None:
             incoming.dst = fused
             fused.inputs[0] = incoming
-        outgoing = list(tail.outputs[0])
-        for connector in outgoing:
-            connector.src = fused
-        fused.outputs[0] = outgoing
+        if tail.num_outputs:
+            outgoing = list(tail.outputs[0])
+            for connector in outgoing:
+                connector.src = fused
+            fused.outputs[0] = outgoing
         for stage in chain[1:]:
             graph.connectors.remove(stage.inputs[0])
         position = graph.stages.index(head)
@@ -308,7 +321,7 @@ class PlumbingCutThroughPass:
             if (
                 context is not None
                 and stage.kind is StageKind.NORMAL
-                and getattr(stage.factory(stage, 0), "notifies", True)
+                and plan.notifies(stage)
             ):
                 while context is not None:
                     notifying.add(context)

@@ -17,9 +17,9 @@ Nothing in this module mutates a graph; rewrites live in the passes.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..core.graph import DataflowGraph, StageKind
+from ..core.graph import DataflowGraph, Stage, StageKind
 
 
 class OpSpec:
@@ -28,8 +28,9 @@ class OpSpec:
     ``kind``
         the operator name ("select", "where", "fused", ...).
     ``fusable``
-        the stage is a 1-in/1-out NORMAL operator whose ``on_recv`` /
-        ``on_notify`` semantics permit running it synchronously inside a
+        the stage is a 1-in/1-out NORMAL operator (or a 1-in/0-out sink,
+        which may only end a chain) whose ``on_recv`` / ``on_notify``
+        semantics permit running it synchronously inside a
         :class:`repro.opt.fused.FusedVertex` chain.  Requires that the
         vertex requests at most one notification per timestamp and only
         sends at the timestamp of the callback that is running.
@@ -136,13 +137,25 @@ class LogicalPlan:
     rewrites whose safety does not depend on unknown parallelism.
     """
 
-    __slots__ = ("graph", "total_workers")
+    __slots__ = ("graph", "total_workers", "_notifies")
 
     def __init__(self, graph: DataflowGraph, total_workers: Optional[int] = None):
         if graph.frozen:
             raise ValueError("cannot optimize a frozen graph")
         self.graph = graph
         self.total_workers = total_workers
+        self._notifies: Dict[Stage, bool] = {}
+
+    def notifies(self, stage: Stage) -> bool:
+        """Whether ``stage``'s vertices request notifications, asked as
+        the progress plane asks: of a vertex.  The passes share one
+        probe vertex per stage per compilation."""
+        known = self._notifies.get(stage)
+        if known is None:
+            known = self._notifies[stage] = getattr(
+                stage.factory(stage, 0), "notifies", True
+            )
+        return known
 
     def reindex(self) -> None:
         """Restore the ``index == position`` invariant after a rewrite."""

@@ -671,10 +671,14 @@ class ClusterComputation(Computation):
         self._built = True
 
     def _wrap_external_outputs(self) -> None:
-        """Make subscriber callbacks exactly-once across replays."""
+        """Make subscriber callbacks exactly-once across replays,
+        including a subscriber fused behind its producer."""
         from ..lib.operators import SubscribeVertex
+        from ..opt.fused import FusedVertex
 
         for (stage, index), vertex in self.vertices.items():
+            if type(vertex) is FusedVertex:
+                vertex = vertex.parts[-1]  # a sink only ever ends a chain
             if isinstance(vertex, SubscribeVertex):
                 vertex.callback = self._exactly_once(
                     stage.index, index, vertex.callback

@@ -43,7 +43,7 @@ plane and the control plane talk to.
 from __future__ import annotations
 
 from functools import partial
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.graph import Stage
 from ..core.progress import Pointstamp, ProgressState
@@ -56,6 +56,10 @@ from ..sim.network import Network
 UPDATE_WIRE_BYTES = 20
 
 ProgressUpdate = Tuple[Pointstamp, int]
+#: A broadcast's acknowledgements: origin process (``-1`` for the
+#: central accumulator) -> sequence numbers of that origin's batches
+#: the broadcast covers.
+Acks = Dict[int, Sequence[int]]
 
 PROTOCOL_MODES = ("none", "local", "global", "local+global")
 
@@ -516,23 +520,31 @@ class ProtocolNode(Accumulator):
         plane = self.plane
         seq = self._remember_in_flight(updates)
         central = plane.central
+        size = wire_size(updates)
         if central is None:
-            dsts, deliver = plane.live_processes, plane._receive
+            plane.fence.broadcast(
+                self.process,
+                plane.live_processes,
+                size,
+                plane._receive,
+                updates,
+                {self.process: (seq,)},
+            )
         else:
-            dsts, deliver = (central.process,), central._absorb
-        plane.fence.broadcast(
-            self.process, dsts, wire_size(updates), deliver, updates, ((self.process, seq),)
-        )
+            plane.fence.broadcast(
+                self.process,
+                (central.process,),
+                size,
+                central._absorb,
+                updates,
+                (self.process, seq),
+            )
 
-    def receive(
-        self,
-        updates: List[ProgressUpdate],
-        covered: Tuple[Tuple[int, int], ...],
-    ) -> None:
-        """A progress broadcast arrived at this process."""
-        for origin, seq in covered:
-            if origin == self.process:
-                self._forget_in_flight(seq)
+    def receive(self, updates: List[ProgressUpdate], acks: Acks) -> None:
+        """A progress broadcast arrived at this process; ``acks`` maps
+        each origin to the sequence numbers of its batches it covers."""
+        for seq in acks.get(self.process, ()):
+            self._forget_in_flight(seq)
         if not self.mirror:
             # A mirror node's view is another process's object; that
             # process's own delivery applies the updates exactly once.
@@ -548,8 +560,9 @@ class CentralAccumulator(Accumulator):
     Nets updates arriving from process nodes (:meth:`accumulate` with
     the sender's origin) and broadcasts their combined effect, holding
     against the hosting process's view.  Routing: every flush goes to
-    every member, carrying the origins it covers plus its own ``(-1,
-    seq)``, which its home delivery consumes.
+    every member, carrying the origins it covers, grouped by origin once
+    per flush, plus its own ``-1: (seq,)``, which its home delivery
+    consumes.
     """
 
     def _disseminate(
@@ -557,29 +570,28 @@ class CentralAccumulator(Accumulator):
         updates: List[ProgressUpdate],
         covered: Tuple[Tuple[int, int], ...],
     ) -> None:
-        covered = covered + ((-1, self._remember_in_flight(updates)),)
+        acks: Acks = {}
+        for origin, seq in covered:
+            acks.setdefault(origin, []).append(seq)
+        acks[-1] = (self._remember_in_flight(updates),)
         plane = self.plane
         size = wire_size(updates)
         plane.fence.broadcast(
-            self.process, plane.live_processes, size, self._deliver, updates, covered
+            self.process, plane.live_processes, size, self._deliver, updates, acks
         )
 
     def _absorb(
-        self, dst: int, updates: List[ProgressUpdate], covered: Tuple[Tuple[int, int], ...]
+        self, dst: int, updates: List[ProgressUpdate], origin: Tuple[int, int]
     ) -> None:
         """A node's batch arrived (``dst`` is this endpoint's process);
-        the next flush acknowledges its one origin."""
-        self.accumulate(updates, covered[0])
+        the next flush acknowledges its origin ``(process, seq)``."""
+        self.accumulate(updates, origin)
 
-    def _deliver(
-        self, dst: int, updates: List[ProgressUpdate], covered: Tuple[Tuple[int, int], ...]
-    ) -> None:
+    def _deliver(self, dst: int, updates: List[ProgressUpdate], acks: Acks) -> None:
         home = dst == self.process
         if home:
-            for origin, seq in covered:
-                if origin == -1:
-                    self._forget_in_flight(seq)
-        self.plane.nodes[dst].receive(updates, covered)
+            self._forget_in_flight(acks[-1][0])
+        self.plane.nodes[dst].receive(updates, acks)
         if home:
             self._maybe_flush()
 
@@ -901,14 +913,12 @@ class ProgressPlane:
     def controller_broadcast(self, updates: List[ProgressUpdate]) -> None:
         """Low-volume control-plane updates from the controller (proc 0)."""
         self.fence.broadcast(
-            0, self.live_processes, wire_size(updates), self._receive, updates, ()
+            0, self.live_processes, wire_size(updates), self._receive, updates, {}
         )
 
-    def _receive(
-        self, dst: int, updates: List[ProgressUpdate], covered: Tuple[Tuple[int, int], ...]
-    ) -> None:
+    def _receive(self, dst: int, updates: List[ProgressUpdate], acks: Acks) -> None:
         """A progress broadcast arrived at process ``dst``."""
-        self.nodes[dst].receive(updates, covered)
+        self.nodes[dst].receive(updates, acks)
 
     def flush_all(self) -> None:
         """Synchronously disseminate all withheld progress updates.

@@ -412,7 +412,7 @@ def run_buffering_chain(ft=None, kill=None):
         .buffered(lambda rs: sorted(rs))
         .count_by(lambda x: x % 5)
         .aggregate_by(lambda kc: kc[0] % 2, lambda kc: kc[1], max)
-        .subscribe(lambda t, recs: out.setdefault(t.epoch, sorted(recs)))
+        .subscribe(lambda t, recs: out.setdefault(t.epoch, []).append(sorted(recs)))
     )
     comp.build()
     if kill is not None:
@@ -422,7 +422,7 @@ def run_buffering_chain(ft=None, kill=None):
     inp.on_completed()
     comp.run()
     assert comp.drained(), comp.debug_state()
-    return out, comp
+    return {epoch: sorted(batches) for epoch, batches in out.items()}, comp
 
 
 class TestBufferingVerticesSurviveMidEpochKill:

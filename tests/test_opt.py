@@ -20,6 +20,7 @@ from repro import Computation
 from repro.algorithms import weakly_connected_components
 from repro.core.graph import StageKind
 from repro.core.timestamp import Timestamp
+from repro.core.vertex import Vertex
 from repro.lib import Stream
 from repro.lib.operators import SelectVertex, UnaryBufferingVertex, WhereVertex
 from repro.lib.stream import hash_partitioner
@@ -100,14 +101,36 @@ class TestFusionPass:
         fused = plan.fused_stages()
         assert len(fused) == 1
         assert fused[0].opspec.constituents == ("select", "where", "select_many")
-        # The subscribe stage is not fusable (driver-side callback) and
-        # stays outside the chain.
+        # The subscribe stage stays outside the chain: behind a pure map
+        # there is no notification for it to share.
         assert names(graph) == ["src", "fuse(select+where+select_many)", "subscribe"]
         # Stage/connector indices are re-packed after the rewrite.
         assert [s.index for s in graph.stages] == list(range(len(graph.stages)))
         assert [c.index for c in graph.connectors] == list(
             range(len(graph.connectors))
         )
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_sink_fuses_behind_a_notifying_operator(self, workers):
+        def build(comp):
+            inp = comp.new_input("src")
+            Stream.from_input(inp).count_by(lambda x: x).subscribe(lambda t, r: None)
+
+        comp, graph = fresh_graph(build)
+        plan = compile_plan(graph, total_workers=workers)
+        assert names(graph) == ["src", "fuse(count_by+subscribe)"]
+        (fused,) = plan.fused_stages()
+        assert fused.num_outputs == 0 and fused.outputs == []
+
+        # Behind a pure map the sink shares no notification: no fusion.
+        def build(comp):
+            inp = comp.new_input("src")
+            Stream.from_input(inp).select(lambda x: x).subscribe(lambda t, r: None)
+
+        comp, graph = fresh_graph(build)
+        plan = compile_plan(graph, total_workers=workers)
+        assert plan.fused_stages() == []
+        assert names(graph) == ["src", "select", "subscribe"]
 
     def test_exchange_is_a_barrier(self):
         def build(comp):
@@ -121,10 +144,16 @@ class TestFusionPass:
 
         comp, graph = fresh_graph(build)
         plan = compile_plan(graph, total_workers=4)
-        # select alone is a chain of one: nothing to fuse across the
+        # select alone is a chain of one: nothing fuses across the
         # exchange, and count_by's input edge keeps its partitioner.
-        assert plan.fused_stages() == []
-        assert any(c.partitioner is not None for c in graph.connectors)
+        # The only chain starts behind it (the subscriber shares
+        # count_by's grant).
+        assert names(graph) == ["src", "select", "fuse(count_by+subscribe)"]
+        (exchange,) = [c for c in graph.connectors if c.partitioner is not None]
+        assert (exchange.src.name, exchange.dst.name) == (
+            "select",
+            "fuse(count_by+subscribe)",
+        )
 
     def test_fan_out_is_a_barrier(self):
         def build(comp):
@@ -240,8 +269,9 @@ class TestExchangeElision:
         exchanges = [c for c in graph.connectors if c.partitioner is not None]
         assert len(exchanges) == 1
         # The upstream exchange stays; its destination is now the fused
-        # chain the elision unlocked (first+where+second pipeline).
-        assert exchanges[0].dst.name == "fuse(first+where+second)"
+        # chain the elision unlocked (first+where+second pipeline, and
+        # the subscriber behind the notifying second distinct).
+        assert exchanges[0].dst.name == "fuse(first+where+second+subscribe)"
 
     def test_non_preserving_stage_blocks_elision(self):
         def build(comp):
@@ -295,7 +325,7 @@ class TestBatchingHints:
         by_dst = {c.dst.name: c.coalesce for c in graph.connectors}
         assert by_dst["where"] is True
         assert by_dst["inspect"] is False  # users observe batch shapes
-        assert by_dst["count_by"] is True
+        assert by_dst["fuse(count_by+subscribe)"] is True
 
     def test_system_stages_always_coalesce(self):
         def build(comp):
@@ -341,38 +371,36 @@ GOLDEN_WCC_EXPLAIN = """\
   (6) wcc.egress -> wcc.final {exchange}
   (7) wcc.final -> subscribe
 == pass exchange-elision: 0 rewrites ==
-== pass operator-fusion: 0 rewrites ==
-== pass batch-coalescing: 8 rewrites ==
+== pass operator-fusion: 1 rewrite ==
+  fused [wcc.final -> subscribe] into one stage
+== pass batch-coalescing: 7 rewrites ==
   coalesce hint on (edges -> wcc.arcs)
   coalesce hint on (wcc.arcs -> wcc.ingress)
   coalesce hint on (wcc.ingress -> wcc)
   coalesce hint on (wcc -> wcc.feedback)
   coalesce hint on (wcc.feedback -> wcc)
   coalesce hint on (wcc -> wcc.egress)
-  coalesce hint on (wcc.egress -> wcc.final)
-  coalesce hint on (wcc.final -> subscribe)
+  coalesce hint on (wcc.egress -> fuse(wcc.final+subscribe))
 == pass plumbing-cut-through: 3 rewrites ==
   cut-through hint on (wcc.arcs -> wcc.ingress)
   cut-through hint on (wcc -> wcc.feedback)
   cut-through hint on (wcc -> wcc.egress)
 == physical plan ==
-8 stages, 8 connectors
+7 stages, 7 connectors
   [0] edges (input)
   [1] wcc.arcs (normal)
   [2] wcc.feedback (feedback)
   [3] wcc (normal)
   [4] wcc.ingress (ingress)
   [5] wcc.egress (egress)
-  [6] wcc.final (normal)
-  [7] subscribe (normal)
+  [6] fuse(wcc.final+subscribe) (normal) [fused: wcc.final, subscribe]
   (0) edges -> wcc.arcs {coalesce}
   (1) wcc.arcs -> wcc.ingress {coalesce, cut-through}
   (2) wcc.ingress -> wcc {exchange, coalesce}
   (3) wcc -> wcc.feedback {coalesce, cut-through}
   (4) wcc.feedback -> wcc {exchange, coalesce}
   (5) wcc -> wcc.egress {coalesce, cut-through}
-  (6) wcc.egress -> wcc.final {exchange, coalesce}
-  (7) wcc.final -> subscribe {coalesce}"""
+  (6) wcc.egress -> fuse(wcc.final+subscribe) {exchange, coalesce}"""
 
 
 def wcc(comp, out=None):
@@ -637,22 +665,20 @@ GOLDEN_EXPLAIN = """\
   (3) select_many -> count_by {exchange}
   (4) count_by -> subscribe
 == pass exchange-elision: 0 rewrites ==
-== pass operator-fusion: 1 rewrite ==
+== pass operator-fusion: 2 rewrites ==
   fused [select -> where -> select_many] into one stage
-== pass batch-coalescing: 3 rewrites ==
+  fused [count_by -> subscribe] into one stage
+== pass batch-coalescing: 2 rewrites ==
   coalesce hint on (lines -> fuse(select+where+select_many))
-  coalesce hint on (fuse(select+where+select_many) -> count_by)
-  coalesce hint on (count_by -> subscribe)
+  coalesce hint on (fuse(select+where+select_many) -> fuse(count_by+subscribe))
 == pass plumbing-cut-through: 0 rewrites ==
 == physical plan ==
-4 stages, 3 connectors
+3 stages, 2 connectors
   [0] lines (input)
   [1] fuse(select+where+select_many) (normal) [fused: select, where, select_many]
-  [2] count_by (normal)
-  [3] subscribe (normal)
+  [2] fuse(count_by+subscribe) (normal) [fused: count_by, subscribe]
   (0) lines -> fuse(select+where+select_many) {coalesce}
-  (1) fuse(select+where+select_many) -> count_by {exchange, coalesce}
-  (2) count_by -> subscribe {coalesce}"""
+  (1) fuse(select+where+select_many) -> fuse(count_by+subscribe) {exchange, coalesce}"""
 
 
 def wordcount(comp):
@@ -676,7 +702,8 @@ class TestExplain:
 
     def test_explain_via_computation_build(self):
         # The reference runtime is single-worker, so the keyed exchange
-        # elides — which then unlocks fusing count_by into the chain.
+        # elides — which then unlocks fusing count_by into the chain,
+        # and the subscriber behind it.
         comp = Computation(optimize=True)
         wordcount(comp)
         comp.build()
@@ -686,7 +713,8 @@ class TestExplain:
             "elided exchange (select_many -> count_by): single worker" in explain
         )
         assert (
-            "fused [select -> where -> select_many -> count_by] into one stage"
+            "fused [select -> where -> select_many -> count_by -> subscribe] "
+            "into one stage"
             in explain
         )
         (fused,) = comp.plan.fused_stages()
@@ -695,6 +723,7 @@ class TestExplain:
             "where",
             "select_many",
             "count_by",
+            "subscribe",
         )
 
     def test_unoptimized_computation_has_no_plan(self):
@@ -727,7 +756,7 @@ class TestExplain:
             "plumbing-cut-through",
         ]
         rewrites = [e.detail[0] for e in plan_events]
-        assert rewrites == [0, 1, 3, 0]
+        assert rewrites == [0, 2, 2, 0]
 
 
 # ----------------------------------------------------------------------
@@ -797,10 +826,49 @@ class TestFusedVertex:
         assert harness.notified == [t(3)]
         fused.on_notify(t(3))
         # The head's completion pushed records into the tail during
-        # dispatch; the tail's fresh request surfaced as a second grant.
-        assert harness.notified == [t(3), t(3)]
-        fused.on_notify(t(3))
+        # dispatch; the tail's fresh request ran later in the same grant.
+        assert harness.notified == [t(3)]
         assert harness.sent == [(0, [3], t(3))]
+        assert fused._pending == {}
+
+    def test_upstream_rerequest_defers_downstream_completion(self):
+        class EmitTwice(Vertex):
+            """Completes ``t`` in two rounds, re-requesting ``t`` from
+            its first on_notify after it emitted."""
+
+            def __init__(self):
+                super().__init__()
+                self.rounds = 2
+
+            def on_recv(self, input_port, records, timestamp):
+                self.notify_at(timestamp)
+
+            def on_notify(self, timestamp):
+                self.rounds -= 1
+                self.send_by(0, [self.rounds], timestamp)
+                if self.rounds:
+                    self.notify_at(timestamp)
+
+        parts = [
+            EmitTwice(),
+            UnaryBufferingVertex(lambda rs: [sorted(rs)]),
+            UnaryBufferingVertex(lambda rs: rs),
+        ]
+        fused = FusedVertex(parts, ("twice", "b", "c"))
+        harness = _Recorder()
+        fused._harness = harness
+        fused.on_recv(0, ["go"], t(1))
+        fused.on_notify(t(1))
+        # "b" asked before the head re-requested, but the head holds
+        # ``t`` when b's turn comes: it waits for the next grant.
+        assert harness.sent == []
+        assert harness.notified == [t(1), t(1)]
+        fused.on_notify(t(1))
+        # No re-request this time: b completes, and c, first touched by
+        # b's completion, completes in the same grant.
+        assert harness.sent == [(0, [[0, 1]], t(1))]
+        assert harness.notified == [t(1), t(1)]
+        assert fused._pending == {}
 
     def test_checkpoint_restore_roundtrip(self):
         fused, harness = self.make()
@@ -963,3 +1031,32 @@ def test_optimized_reference_run_matches_unoptimized():
         return out
 
     assert run(True) == run(False)
+
+
+def test_fused_subscriber_completes_in_its_producers_grant():
+    # On a cluster, count_by and its subscriber share one notification
+    # per worker and epoch; the unfused plan needs a second grant.
+    def run(optimize):
+        comp = ClusterComputation(
+            num_processes=2, workers_per_process=2, optimize=optimize
+        )
+        inp = comp.new_input()
+        out = []
+        (
+            Stream.from_input(inp)
+            .count_by(lambda x: x % 7)
+            .subscribe(lambda ts, recs: out.append((ts.epoch, sorted(recs))))
+        )
+        comp.build()
+        for epoch in range(3):
+            inp.on_next(list(range(epoch, 40 + epoch)))
+        inp.on_completed()
+        comp.run()
+        assert comp.drained()
+        return sorted(out), comp.delivered_notifications
+
+    fused, fused_grants = run(True)
+    unfused, unfused_grants = run(False)
+    assert fused == unfused
+    assert fused_grants == 4 * 3
+    assert unfused_grants == 2 * fused_grants
