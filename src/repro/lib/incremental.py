@@ -24,7 +24,7 @@ from typing import Any, Callable, Dict, Iterable, List, Tuple
 
 from ..core.timestamp import Timestamp
 from .operators import BinaryBufferingVertex, UnaryBufferingVertex
-from .stream import Stream, hash_partitioner
+from .stream import Stream, _opspec, hash_partitioner
 
 
 Diff = Tuple[Any, int]
@@ -405,20 +405,25 @@ class Collection:
 
     # -- stateful incremental operators ---------------------------------
 
-    def _keyed(self, factory, key, name) -> "Collection":
+    def _keyed(self, factory, key, kind, name) -> "Collection":
         return Collection(
             self.stream._unary(
-                name, factory, partitioner=hash_partitioner(lambda d: key(d[0]))
+                name,
+                factory,
+                partitioner=hash_partitioner(lambda d: key(d[0])),
+                opspec=_opspec(kind),
             )
         )
 
     def distinct(self, name: str = "inc_distinct") -> "Collection":
-        return self._keyed(IncrementalDistinctVertex, lambda r: r, name)
+        return self._keyed(IncrementalDistinctVertex, lambda r: r, "inc_distinct", name)
 
     def count_by(
         self, key: Callable[[Any], Any], name: str = "inc_count"
     ) -> "Collection":
-        return self._keyed(lambda: IncrementalCountVertex(key), key, name)
+        return self._keyed(
+            lambda: IncrementalCountVertex(key), key, "inc_count_by", name
+        )
 
     def reduce_by(
         self,
@@ -426,7 +431,9 @@ class Collection:
         reducer: Callable[[Any, List[Any]], Iterable[Any]],
         name: str = "inc_reduce",
     ) -> "Collection":
-        return self._keyed(lambda: IncrementalReduceVertex(key, reducer), key, name)
+        return self._keyed(
+            lambda: IncrementalReduceVertex(key, reducer), key, "inc_reduce_by", name
+        )
 
     def join(
         self,
@@ -437,7 +444,11 @@ class Collection:
         name: str = "inc_join",
     ) -> "Collection":
         stage = self.stream._add_stage(
-            name, lambda: IncrementalJoinVertex(left_key, right_key, result), 2, 1
+            name,
+            lambda: IncrementalJoinVertex(left_key, right_key, result),
+            2,
+            1,
+            opspec=_opspec("inc_join"),
         )
         self.stream.connect_to(
             stage, 0, hash_partitioner(lambda d: left_key(d[0]))
@@ -463,7 +474,12 @@ class Collection:
             WindowedConnectedComponentsVertex if allow_deletions else UnionFindVertex
         )
         return Collection(
-            self.stream._unary(name, factory, partitioner=lambda d: 0)
+            self.stream._unary(
+                name,
+                factory,
+                partitioner=lambda d: 0,
+                opspec=_opspec("inc_connected_components"),
+            )
         )
 
     # -- outputs ---------------------------------------------------------

@@ -61,7 +61,12 @@ def _single_partition(record: Any) -> int:
 # connectors; ``preserves_partitioning`` marks subset operators for
 # exchange elision.  ``inspect`` is deliberately neither fusable (its
 # per-batch probe callback is driver-side) nor batchable (the probe
-# observes batch boundaries), and ``probe`` never fuses either.
+# observes batch boundaries), and ``probe`` never fuses either; nor does
+# ``arrange``, whose Arrangement handle finds its vertex by its stage.
+# The ``inc_*`` rows are the stateful operators of repro.lib.incremental:
+# buffering vertices like ``buffered``, so the unary ones fuse, but
+# their outputs are new ``(record, diff)`` tuples, so unlike the Stream
+# ``distinct`` none preserves partitioning.
 _OPSPECS = {
     "select": ("select", True, True, False),
     "where": ("where", True, True, True),
@@ -77,6 +82,12 @@ _OPSPECS = {
     "join": ("join", False, True, False),
     "probe": ("probe", False, True, False),
     "subscribe": ("subscribe", True, True, False),
+    "arrange": ("arrange", False, True, False),
+    "inc_distinct": ("inc_distinct", True, True, False),
+    "inc_count_by": ("inc_count_by", True, True, False),
+    "inc_reduce_by": ("inc_reduce_by", True, True, False),
+    "inc_connected_components": ("inc_connected_components", True, True, False),
+    "inc_join": ("inc_join", False, True, False),
 }
 
 
@@ -393,7 +404,11 @@ class Stream:
         from ..serve.arrangement import Arrangement, ArrangeVertex
 
         stage = self._add_stage(
-            name, lambda: ArrangeVertex(name, key, retain=retain), 1, 1
+            name,
+            lambda: ArrangeVertex(name, key, retain=retain),
+            1,
+            1,
+            opspec=_opspec("arrange"),
         )
         self.computation.graph.connect(
             self.stage, self.port, stage, 0, partitioner or (lambda rec: 0)

@@ -21,7 +21,7 @@ from repro.algorithms import weakly_connected_components
 from repro.core.graph import StageKind
 from repro.core.timestamp import Timestamp
 from repro.core.vertex import Vertex
-from repro.lib import Stream
+from repro.lib import Collection, Stream
 from repro.lib.operators import SelectVertex, UnaryBufferingVertex, WhereVertex
 from repro.lib.stream import hash_partitioner
 from repro.obs import TraceSink, collect_profile
@@ -154,6 +154,65 @@ class TestFusionPass:
             "select",
             "fuse(count_by+subscribe)",
         )
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_incremental_operator_fuses_with_its_subscriber(self, workers):
+        def build(comp):
+            inp = comp.new_input("src")
+            Collection(Stream.from_input(inp)).count_by(lambda x: x).subscribe(
+                lambda t, diffs: None
+            )
+
+        comp, graph = fresh_graph(build)
+        plan = compile_plan(graph, total_workers=workers)
+        assert names(graph) == [
+            "src",
+            "fuse(inc_count+inc_subscribe.consolidate+inc_subscribe)",
+        ]
+        (fused,) = plan.fused_stages()
+        assert not fused.opspec.preserves_partitioning
+
+    def test_incremental_exchange_is_a_barrier(self):
+        def build(comp):
+            inp = comp.new_input("src")
+            (
+                Collection(Stream.from_input(inp))
+                .distinct()
+                .count_by(lambda x: x % 3)
+                .subscribe(lambda t, diffs: None)
+            )
+
+        comp, graph = fresh_graph(build)
+        plan = compile_plan(graph, total_workers=4)
+        # distinct emits new (record, diff) tuples: nothing proves them
+        # partitioned by count's key, so its exchange stays and the
+        # chain starts behind it.
+        assert names(graph) == [
+            "src",
+            "inc_distinct",
+            "fuse(inc_count+inc_subscribe.consolidate+inc_subscribe)",
+        ]
+        assert plan.elided_exchanges() == 0
+        (into_count,) = graph.stages[1].outputs[0]
+        assert into_count.partitioner is not None and into_count.coalesce
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_incremental_join_never_fuses(self, workers):
+        def build(comp):
+            left = Collection(Stream.from_input(comp.new_input("left")))
+            right = Collection(Stream.from_input(comp.new_input("right")))
+            left.join(right, lambda r: r, lambda r: r).subscribe(lambda t, diffs: None)
+
+        comp, graph = fresh_graph(build)
+        compile_plan(graph, total_workers=workers)
+        assert names(graph) == [
+            "left",
+            "right",
+            "inc_join",
+            "fuse(inc_subscribe.consolidate+inc_subscribe)",
+        ]
+        join = graph.stages[2]
+        assert [c.coalesce for c in join.inputs] == [True, True]
 
     def test_fan_out_is_a_barrier(self):
         def build(comp):
@@ -1060,3 +1119,87 @@ def test_fused_subscriber_completes_in_its_producers_grant():
     assert fused == unfused
     assert fused_grants == 4 * 3
     assert unfused_grants == 2 * fused_grants
+
+
+def test_incremental_chain_subscriber_adds_no_grant():
+    # On a cluster, consolidate and the subscriber complete inside the
+    # incremental count's grant: the chain pays one grant per operator.
+    def run(optimize, subscribe=True):
+        comp = ClusterComputation(
+            num_processes=2, workers_per_process=2, optimize=optimize
+        )
+        inp = comp.new_input()
+        out = []
+        counts = Collection(Stream.from_input(inp)).distinct().count_by(
+            lambda x: x % 5
+        )
+        if subscribe:
+            counts.subscribe(lambda ts, diffs: out.append((ts.epoch, sorted(diffs))))
+        comp.build()
+        for epoch in range(4):
+            inp.on_next(
+                [(x, +1) for x in range(epoch, 30 + 2 * epoch)]
+                + [(x, -1) for x in range(epoch)]
+            )
+        inp.on_completed()
+        comp.run()
+        assert comp.drained()
+        return sorted(out), comp.delivered_notifications
+
+    fused, grants = run(True)
+    unfused, unfused_grants = run(False)
+    assert fused and fused == unfused
+    assert grants < unfused_grants
+    _, bare_grants = run(True, subscribe=False)
+    assert grants == bare_grants
+
+
+# Operators whose outputs are their input records, unchanged: the only
+# Collection stages that may claim preserves_partitioning.
+_SUBSET_OPERATORS = {"filter", "concat"}
+
+
+# One builder per public Collection method, over two input collections.
+_COLLECTION_OPERATORS = {
+    "from_records": lambda a, b: Collection.from_records(a.stream),
+    "map": lambda a, b: a.map(lambda x: x),
+    "filter": lambda a, b: a.filter(lambda x: True),
+    "flat_map": lambda a, b: a.flat_map(lambda x: [x]),
+    "concat": lambda a, b: a.concat(b),
+    "arrange_by": lambda a, b: a.arrange_by(lambda x: x),
+    "negate": lambda a, b: a.negate(),
+    "distinct": lambda a, b: a.distinct(),
+    "count_by": lambda a, b: a.count_by(lambda x: x),
+    "reduce_by": lambda a, b: a.reduce_by(lambda x: x, lambda k, recs: recs),
+    "join": lambda a, b: a.join(b, lambda x: x, lambda x: x),
+    "connected_components": lambda a, b: a.connected_components(),
+    "subscribe": lambda a, b: a.subscribe(lambda t, diffs: None),
+    "accumulate_into": lambda a, b: a.accumulate_into({}),
+}
+
+
+def test_every_collection_stage_carries_an_opspec():
+    """A Collection method whose stages lack an OpSpec silently drops out
+    of fusion and coalescing; one that claims preserves_partitioning
+    for new (record, diff) tuples would license a wrong exchange
+    elision."""
+    public = {
+        name for name in vars(Collection) if not name.startswith("_") and name != "stream"
+    }
+    assert set(_COLLECTION_OPERATORS) == public
+    for name, build in _COLLECTION_OPERATORS.items():
+        comp = Computation(optimize=False)
+        a = Collection(Stream.from_input(comp.new_input("a")))
+        b = Collection(Stream.from_input(comp.new_input("b")))
+        before = len(comp.graph.stages)
+        build(a, b)
+        added = [
+            stage
+            for stage in comp.graph.stages[before:]
+            if stage.kind is StageKind.NORMAL
+        ]
+        assert added, name
+        for stage in added:
+            assert stage.opspec is not None, (name, stage.name)
+            preserving = stage.opspec.preserves_partitioning
+            assert preserving == (name in _SUBSET_OPERATORS), (name, stage.name)

@@ -18,7 +18,7 @@ from functools import partial
 
 import pytest
 
-from repro.lib import Stream
+from repro.lib import Collection, Stream
 from repro.obs import TraceSink
 from repro.runtime import ClusterComputation, FaultTolerance
 from repro.sim import NetworkConfig
@@ -46,8 +46,9 @@ def collect_per_epoch(out):
 
 
 # ----------------------------------------------------------------------
-# Programs: two fixed shapes (keyed aggregation, a loop) plus randomized
-# operator chains, all deterministic for a given seed.
+# Programs: three fixed shapes (keyed aggregation, a loop, incremental
+# operators over retractions) plus randomized operator chains, all
+# deterministic for a given seed.
 # ----------------------------------------------------------------------
 
 
@@ -123,11 +124,42 @@ def random_case(seed):
     return program, epochs
 
 
+def incremental_program(comp):
+    """Incremental distinct and count over ``(record, diff)`` inputs: the
+    default plan fuses the count with its subscriber, behind two
+    exchanges."""
+    inp = comp.new_input("diffs")
+    out = {}
+    (
+        Collection(Stream.from_input(inp))
+        .map(lambda x: x % 12)
+        .distinct()
+        .count_by(lambda x: x % 3)
+        .subscribe(collect_per_epoch(out))
+    )
+    return inp, out
+
+
+# Each epoch block keeps every running multiplicity non-negative, so the
+# blocks may repeat; the retractions empty some distinct records and
+# move the counts both ways.
+INCREMENTAL_EPOCHS = [
+    [(1, 1), (2, 1), (3, 1), (13, 1), (4, 2)],
+    [(13, -1), (5, 1), (1, 1)],
+    [],
+    [(1, -2), (2, -1), (25, 1), (6, 1)],
+    [(4, -2), (1, 1), (17, 1)],
+]
+
+
+# Kill points are seeded by a case's position here: a new case goes
+# last, so it leaves the other cases' kill points where they were.
 CASES = {
-    "wordcount": (wordcount_program, WORDCOUNT_EPOCHS),
     "iterate": (iterate_program, ITERATE_EPOCHS),
     "random-a": random_case(101),
     "random-b": random_case(202),
+    "wordcount": (wordcount_program, WORDCOUNT_EPOCHS),
+    "incremental": (incremental_program, INCREMENTAL_EPOCHS),
 }
 
 
@@ -216,7 +248,7 @@ class TestInvariant5:
         rng = random.Random(
             1000 * FT_MODES.index(mode)
             + 100 * SHAPES.index(shape)
-            + sorted(CASES).index(case)
+            + list(CASES).index(case)
         )
         process = rng.randrange(shape[0])
         kill_at = duration * rng.uniform(0.1, 0.9)
