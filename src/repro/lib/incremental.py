@@ -20,10 +20,11 @@ the tweet stream of Figure 1, where mentions only accumulate).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..core.timestamp import Timestamp
-from .operators import BinaryBufferingVertex, UnaryBufferingVertex
+from ..core.vertex import Vertex
+from .operators import UnaryBufferingVertex
 from .stream import Stream, _opspec, hash_partitioner
 
 
@@ -183,14 +184,43 @@ class IncrementalReduceVertex(_EpochDiffVertex):
         return out
 
 
-class IncrementalJoinVertex(BinaryBufferingVertex):
-    """Incremental binary equijoin over accumulated inputs.
+class IncrementalJoinVertex(Vertex):
+    """Incremental binary equijoin that emits as its inputs arrive.
 
-    Output diffs follow the product rule:
-    ``d(A ⋈ B) = dA ⋈ B ∪ A ⋈ dB ∪ dA ⋈ dB``.
+    Output diffs follow the product rule
+    ``d(A ⋈ B) = dA ⋈ B ∪ A ⋈ dB ∪ dA ⋈ dB``: each pair of input diffs
+    contributes the product of their multiplicities at the least upper
+    bound of their times ([28]).  The later diff of a pair emits it, at
+    its own time, which is that bound.
+
+    A diff at ``t`` is joined when it arrives, provided every time
+    before ``t`` is known complete.  It meets the other side's compacted
+    index, which holds exactly the earlier times (one output per indexed
+    record), and the other side's diffs at ``t`` (one output per pair).
+    Then it is kept with the diffs at ``t``.  The first touch of ``t``
+    requests a capability-free cleanup at ``t`` (section 2.4), which
+    delays no one.  Every delivery at ``t`` folds the times ``<= t``
+    into the compacted index through :func:`index_diffs`.
+
+    A diff that arrives sooner is buffered under a capability
+    notification at ``t`` and joined there.  This rule keeps a batch-fed
+    run from piling up every epoch's output downstream.  A capability at
+    ``t`` is served before any cleanup at ``t`` or later, so a cleanup
+    never finds a buffered diff it would have to send.
+
+    Outputs are never consolidated across input diffs.  Each output
+    record is then fixed by the input diffs alone, whatever their
+    arrival order, their batching or the timing of cleanups, so a
+    partial rollback's replay regenerates exactly the records that its
+    record-level suppression expects.
+
+    Completeness is tracked by epoch, which is exact for counter-free
+    times: they are totally ordered.  Inside a loop every diff waits for
+    its notification, and folding merges incomparable times, the
+    approximation a time-free join makes.
     """
 
-    _CONFIG_ATTRS = ("transform", "left_key", "right_key", "result")
+    _CONFIG_ATTRS = ("left_key", "right_key", "result")
 
     def __init__(
         self,
@@ -198,36 +228,88 @@ class IncrementalJoinVertex(BinaryBufferingVertex):
         right_key: Callable[[Any], Any],
         result: Callable[[Any, Any], Any],
     ):
-        super().__init__(self._join_epoch)
+        super().__init__()
         self.left_key = left_key
         self.right_key = right_key
         self.result = result
-        #: (left, right) indexes, each key -> {record: multiplicity}.
+        #: (left, right) compacted indexes, each key -> {record: multiplicity}.
         self.state: Tuple[Dict, Dict] = ({}, {})
+        #: Time -> (left, right) diffs joined at that time and not yet
+        #: folded, each key -> [(record, multiplicity)].
+        self.open: Dict[Timestamp, Tuple[Dict, Dict]] = {}
+        #: Time -> [(port, diffs)] waiting for the notification there.
+        self.deferred: Dict[Timestamp, List[Tuple[int, List[Diff]]]] = {}
+        #: The latest time a notification or cleanup was delivered at.
+        self.complete: Optional[Timestamp] = None
 
-    def _join_epoch(self, left: List[Diff], right: List[Diff]) -> List[Diff]:
-        left_state, right_state = self.state
+    def on_recv(self, input_port: int, records: List[Diff], timestamp: Timestamp) -> None:
+        complete = self.complete
+        if timestamp.counters or (
+            timestamp.epoch
+            and (complete is None or complete.epoch < timestamp.epoch - 1)
+        ):
+            deferred = self.deferred.get(timestamp)
+            if deferred is None:
+                deferred = self.deferred[timestamp] = []
+                self.notify_at(timestamp)
+            deferred.append((input_port, records))
+            return
+        if timestamp not in self.open:
+            self.open[timestamp] = ({}, {})
+            self.notify_at(timestamp, capability=False)
+        out = self._join(input_port, records, timestamp)
+        if out:
+            self.send_by(0, out, timestamp)
+
+    def on_notify(self, timestamp: Timestamp) -> None:
+        complete = self.complete
+        if complete is None or complete < timestamp:
+            self.complete = timestamp
+        # A deferred diff meets the earlier times in the compacted index
+        # and the diffs at ``timestamp`` one pair at a time, as it would
+        # have on arrival; ``timestamp`` folds after it.
+        self._fold([time for time in self.open if time.less_than(timestamp)])
+        deferred = self.deferred.pop(timestamp, None)
+        if deferred is not None:
+            self.open.setdefault(timestamp, ({}, {}))
+            out: List[Diff] = []
+            for port, records in deferred:
+                out.extend(self._join(port, records, timestamp))
+            if out:
+                self.send_by(0, out, timestamp)
+        self._fold([time for time in self.open if time.less_equal(timestamp)])
+
+    def _fold(self, times: List[Timestamp]) -> None:
+        """Fold the diffs open at ``times`` into the compacted index."""
+        for time in times:
+            for index, entries in zip(self.state, self.open.pop(time)):
+                index_diffs(
+                    index, [(k, r, m) for k, diffs in entries.items() for r, m in diffs]
+                )
+
+    def _join(self, port: int, records: List[Diff], timestamp: Timestamp) -> List[Diff]:
+        """Join one batch at ``timestamp`` against the other side's
+        compacted index and its diffs at ``timestamp``; add the batch to
+        the latter.  Returns the output diffs, one per matched pair."""
+        key = self.left_key if port == 0 else self.right_key
         result = self.result
+        compacted = self.state[1 - port]
+        mine, same_time = self.open[timestamp][port], self.open[timestamp][1 - port]
         out: List[Diff] = []
-        # dB against old A, then B += dB.
-        right_key = self.right_key
-        right = [(right_key(r), r, m) for r, m in consolidate_diffs(right)]
-        for k, record, multiplicity in right:
-            matches = left_state.get(k)
-            if matches:
-                for other, m in matches.items():
-                    out.append((result(other, record), multiplicity * m))
-        index_diffs(right_state, right)
-        # dA against new B (covers A ⋈ dB's missing dA ⋈ dB term).
-        left_key = self.left_key
-        left = [(left_key(r), r, m) for r, m in consolidate_diffs(left)]
-        for k, record, multiplicity in left:
-            matches = right_state.get(k)
-            if matches:
-                for other, m in matches.items():
-                    out.append((result(record, other), multiplicity * m))
-        index_diffs(left_state, left)
-        return consolidate_diffs(out)
+        # Equal outputs share one tuple: the runtime journals sent batches
+        # until the next durable cut, and on k-exposure one output in seven
+        # repeats another of its batch.
+        shared: Dict[Diff, Diff] = {}
+        for diff in records:
+            record, multiplicity = diff
+            k = key(record)
+            for matches in (compacted.get(k, {}).items(), same_time.get(k, ())):
+                for match, m in matches:
+                    pair = result(record, match) if port == 0 else result(match, record)
+                    output = (pair, multiplicity * m)
+                    out.append(shared.setdefault(output, output))
+            mine.setdefault(k, []).append(diff)
+        return out
 
 
 class UnionFindVertex(_EpochDiffVertex):

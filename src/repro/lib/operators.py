@@ -265,7 +265,9 @@ class JoinVertex(Vertex):
     """Per-timestamp symmetric hash join; emits matches eagerly.
 
     Input 0 is the left relation, input 1 the right.  ``result(l, r)``
-    shapes the output.  The notification reclaims per-timestamp state.
+    shapes the output.  The notification only reclaims per-timestamp
+    state, so it is a capability-free cleanup (section 2.4): the join
+    holds no pointstamp and delays no one downstream.
     """
 
     _CONFIG_ATTRS = ("left_key", "right_key", "result")
@@ -286,7 +288,7 @@ class JoinVertex(Vertex):
         state = self.state.get(timestamp)
         if state is None:
             state = self.state[timestamp] = ({}, {})
-            self.notify_at(timestamp)
+            self.notify_at(timestamp, capability=False)
         key = self.left_key if input_port == 0 else self.right_key
         mine, theirs = state[input_port], state[1 - input_port]
         result = self.result

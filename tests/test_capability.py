@@ -123,6 +123,33 @@ class TestReferenceRuntime:
         comp.run()
         assert ("purge", 0, 0, 1) in log
 
+    def test_stream_join_reclaims_with_a_cleanup(self):
+        # Join emits in on_recv and only reclaims in on_notify, so its
+        # request holds no pointstamp at the epoch it touched.
+        comp = Computation()
+        left, right = comp.new_input(), comp.new_input()
+        out = (
+            Stream.from_input(left)
+            .join(Stream.from_input(right), lambda x: x, lambda y: y, lambda x, y: (x, y))
+            .collect()
+        )
+        comp.build()
+        left.on_next([1, 2])
+        right.on_next([2, 3])
+        (join,) = [v for v in comp.vertices.values() if v.stage.name == "join"]
+        while not join.state:
+            assert comp.step()
+        assert Timestamp(0) in join.state
+        assert not any(
+            p.location is join.stage for p in comp.progress.active_pointstamps()
+        )
+        left.on_completed()
+        right.on_completed()
+        comp.run()
+        assert comp.drained()
+        assert [(t.epoch, recs) for t, recs in out] == [(0, [(2, 2)])]
+        assert join.state == {}
+
 
 class TestClusterRuntime:
     def test_purges_fire_on_every_worker(self):

@@ -54,28 +54,39 @@ def _ids(config):
     return "-".join(config)
 
 
-@pytest.mark.chaos
-@pytest.mark.parametrize("plan", PLANS)
-def test_kill_matrix_outputs_bit_identical(plan):
-    expected, duration = baseline("wordcount", (2, 2))
+def kill_matrix(case, plan, rng):
+    expected, duration = baseline(case, (2, 2))
     kwargs = {}
     if plan == "fused":
         kwargs["optimize"] = True
-    rng = chaos_rng("kill", plan)
     for frac in kill_points(rng):
         out, comp = run_cluster(
-            "wordcount",
+            case,
             (2, 2),
             ft=make_ft("checkpoint"),
             kill=(1, duration * frac),
             **kwargs
         )
-        scenario = (plan, frac, "seed=%d" % CHAOS_SEED)
+        scenario = (case, plan, frac, "seed=%d" % CHAOS_SEED)
         assert out == expected, scenario
         assert len(comp.recovery.failures) == 1, scenario
         # Recovery must not silently degrade: the single kill is handled
         # without a whole-cluster rollback.
         assert comp.recovery.failures[0]["mode"] in ("partial", "skip"), scenario
+
+
+@pytest.mark.chaos
+@pytest.mark.parametrize("plan", PLANS)
+def test_kill_matrix_outputs_bit_identical(plan):
+    kill_matrix("wordcount", plan, chaos_rng("kill", plan))
+
+
+@pytest.mark.chaos
+@pytest.mark.parametrize("plan", PLANS)
+def test_kill_matrix_incremental_join_bit_identical(plan):
+    # The eager join replays through partial rollback: its sends must
+    # match what the survivors already hold, record for record.
+    kill_matrix("incremental-join", plan, chaos_rng("kill", "incremental-join", plan))
 
 
 #: Planned membership changes injected at the same schedule points as

@@ -12,7 +12,8 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import Computation
+from repro import Computation, Vertex
+from repro.algorithms.kexposure import k_exposure_incremental
 from repro.core.timestamp import Timestamp
 from repro.lib import Collection, Stream, consolidate_diffs
 from repro.lib.incremental import (
@@ -23,8 +24,10 @@ from repro.lib.incremental import (
     UnionFindVertex,
     WindowedConnectedComponentsVertex,
 )
+from repro.obs import TraceSink
 from repro.runtime import ClusterComputation
 from repro.serve.arrangement import ArrangeVertex
+from repro.workloads import TweetGenerator, TweetStreamConfig
 
 
 def run_collection(build, diff_epochs, cluster=False):
@@ -177,6 +180,186 @@ class TestIncrementalJoin:
                 if x % 3 == y % 3:
                     expected[(x, y)] += mx * my
         assert live == +expected
+
+
+class _Scatter(Vertex):
+    """Sends each ``(epoch, diffs)`` record of its input at ``epoch``, in
+    input order, so a downstream join sees epochs in any order."""
+
+    notifies = False
+
+    def on_recv(self, input_port, records, timestamp):
+        for epoch, diffs in records:
+            self.send_by(0, list(diffs), Timestamp(epoch))
+
+
+@st.composite
+def scattered_diffs(draw):
+    """``(epochs, left, right)``: per side, ``(round, epoch, diffs)``
+    batches, each released in input round ``round <= epoch``."""
+    epochs = draw(st.integers(1, 4))
+    diffs = st.lists(
+        st.tuples(st.integers(0, 5), st.sampled_from([-2, -1, 1, 2])), max_size=4
+    )
+
+    def side():
+        batches = draw(st.lists(st.tuples(st.integers(0, epochs - 1), diffs), max_size=6))
+        return [(draw(st.integers(0, epoch)), epoch, d) for epoch, d in batches]
+
+    return epochs, side(), side()
+
+
+def run_scattered_join(epochs, left, right, cluster=False):
+    """Join the scattered batches; returns the consolidated output diffs
+    per epoch and the multiset of ``(epoch, record)`` the join sent."""
+    comp = (
+        ClusterComputation(num_processes=2, workers_per_process=2)
+        if cluster
+        else Computation()
+    )
+    inputs, streams = [], []
+    for _ in range(2):
+        inp = comp.new_input()
+        inputs.append(inp)
+        streams.append(Collection(Stream.from_input(inp)._unary("scatter", _Scatter)))
+    out, sent = {}, Counter()
+    joined = streams[0].join(
+        streams[1], lambda x: x % 3, lambda y: y % 3, lambda x, y: (x, y)
+    )
+    joined.stream.inspect(lambda t, diffs: sent.update((t.epoch, d) for d in diffs))
+    joined.subscribe(
+        lambda t, diffs: out.setdefault(t.epoch, Counter()).update(dict(diffs))
+    )
+    comp.build()
+
+    def release(turn):
+        for inp, batches in zip(inputs, (left, right)):
+            inp.on_next([(epoch, d) for r, epoch, d in batches if r == turn])
+            if turn == epochs - 1:
+                inp.on_completed()
+
+    for turn in range(epochs):
+        if cluster:
+            comp.sim.schedule_at(turn * 1e-4, lambda turn=turn: release(turn))
+        else:
+            release(turn)
+            comp.run()
+    comp.run()
+    assert comp.drained()
+    return out, sent
+
+
+def build_kexposure(comp):
+    """Build k-exposure over a small tweet stream and feed it every
+    follower edge; returns the tweets input and eight epochs of tweets."""
+    tweets_in, followers_in = comp.new_input(), comp.new_input()
+    k_exposure_incremental(
+        Collection(Stream.from_input(tweets_in)),
+        Collection(Stream.from_input(followers_in)),
+    ).subscribe(lambda t, diffs: None)
+    comp.build()
+    generator = TweetGenerator(TweetStreamConfig(num_users=100, num_hashtags=10, seed=3))
+    followers_in.on_next([((generator.query(), generator.query()), +1) for _ in range(300)])
+    followers_in.on_completed()
+    epochs = [
+        [
+            ((tweet.user, tag), +1)
+            for tweet in generator.batch(30)
+            for tag in tweet.hashtags or ("#none",)
+        ]
+        for _ in range(8)
+    ]
+    return tweets_in, epochs
+
+
+class TestEagerJoin:
+    """The incremental join emits as its inputs arrive, each pair at the
+    later of its two times."""
+
+    @pytest.mark.parametrize("cluster", [False, True], ids=["reference", "cluster"])
+    @given(scattered_diffs())
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_output_through_each_epoch_is_the_join_so_far(self, cluster, case):
+        epochs, left, right = case
+        out, _ = run_scattered_join(epochs, left, right, cluster)
+        produced = Counter()
+        for epoch in range(epochs):
+            produced.update(out.get(epoch, {}))
+            a, b = Counter(), Counter()
+            for acc, batches in ((a, left), (b, right)):
+                for _, t, diffs in batches:
+                    if t <= epoch:
+                        acc.update(dict(consolidate_diffs(diffs)))
+            expected = Counter()
+            for x, mx in a.items():
+                for y, my in b.items():
+                    if x % 3 == y % 3:
+                        expected[(x, y)] += mx * my
+            nonzero = {k: v for k, v in produced.items() if v}
+            assert nonzero == {k: v for k, v in expected.items() if v}, epoch
+
+    @given(scattered_diffs())
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_sent_records_do_not_depend_on_the_schedule(self, case):
+        # A partial rollback's replay must regenerate exactly the records
+        # the survivors hold.  The same diffs fed all at once, latest
+        # epoch first and merged into one batch per epoch, take the
+        # deferred path instead of the eager one: the join must send the
+        # same records.
+        epochs, left, right = case
+        _, paced = run_scattered_join(epochs, left, right)
+        fed = [
+            [
+                (0, epoch, [d for _, t, ds in reversed(side) if t == epoch for d in ds])
+                for epoch in reversed(range(epochs))
+            ]
+            for side in (left, right)
+        ]
+        _, batch_fed = run_scattered_join(epochs, *fed)
+        assert paced == batch_fed
+
+    def test_batch_fed_run_holds_one_epoch_downstream(self):
+        # Every epoch is queued before the first cleanup: the join defers
+        # them, so distinct never buffers more than one epoch of output.
+        comp = Computation()
+        tweets_in, epochs = build_kexposure(comp)
+        for batch in epochs:
+            tweets_in.on_next(batch)
+        tweets_in.on_completed()
+        # On one worker distinct heads a fused stage.
+        parts = [p for v in comp.vertices.values() for p in getattr(v, "parts", [v])]
+        (distinct,) = [p for p in parts if isinstance(p, IncrementalDistinctVertex)]
+        held = 0
+        while comp.step():
+            held = max(held, len(distinct.buffers))
+        assert comp.drained()
+        assert held == 1
+
+    def test_paced_join_takes_no_grant(self):
+        # One epoch per interval on 4x1: each epoch's batches arrive after
+        # the previous epoch's cleanup, so the join never holds a
+        # capability, and each worker pays two grants per epoch (distinct
+        # and the fused count), not three.
+        comp = ClusterComputation(num_processes=4, workers_per_process=1)
+        sink = TraceSink()
+        comp.attach_trace_sink(sink)
+        tweets_in, epochs = build_kexposure(comp)
+        for epoch, batch in enumerate(epochs):
+
+            def inject(batch=batch, last=epoch == len(epochs) - 1):
+                tweets_in.on_next(batch)
+                if last:
+                    tweets_in.on_completed()
+
+            comp.sim.schedule_at(epoch * 5e-3, inject)
+        comp.run()
+        assert comp.drained()
+        join = Counter(e.kind for e in sink.events if e.stage == "kexposure_inc.join")
+        assert join["notification"] == 0 and join["cleanup"] > 0
+        grants = Counter(
+            (e.worker, e.timestamp) for e in sink.events if e.kind == "notification"
+        )
+        assert max(grants.values()) == 2
 
 
 class TestLinearOperators:
@@ -446,19 +629,31 @@ ORDER_CASES = {
         DISTINCT_EPOCHS,
         [[("b", 1), ("a", 1)], [("a", -1), ("c", 1)], [("b", -1), ("a", 1)]],
     ),
-    # dB against the old A, then dA against the new B.
+    # Eager, in arrival order: each diff's pairs as it arrives (dA, then
+    # dB against A and dA), one record per pair, never consolidated.
     "join": (
         _join,
         JOIN_EPOCHS,
         [
-            [((1, "x"), 1), ((2, "y"), 1), ((3, "x"), 1)],
-            [((2, "y"), -1), ((3, "w"), 1), ((1, "x"), -1), ((4, "z"), 1)],
+            [((1, "x"), 1), ((3, "x"), 1), ((2, "y"), 1)],
+            [
+                ((1, "x"), -1),
+                ((4, "z"), 1),
+                ((2, "y"), -1),
+                ((1, "w"), 1),
+                ((3, "w"), 1),
+                ((1, "w"), -1),
+            ],
             [
                 ((3, "x"), -1),
-                ((2, "v"), 1),
-                ((4, "z"), -1),
                 ((3, "w"), -1),
+                ((4, "z"), -1),
+                ((3, "x"), -1),
+                ((3, "x"), 1),
+                ((2, "v"), 1),
                 ((5, "v"), 1),
+                ((4, "z"), -1),
+                ((4, "z"), 1),
             ],
         ],
     ),

@@ -46,9 +46,9 @@ def collect_per_epoch(out):
 
 
 # ----------------------------------------------------------------------
-# Programs: three fixed shapes (keyed aggregation, a loop, incremental
-# operators over retractions) plus randomized operator chains, all
-# deterministic for a given seed.
+# Programs: four fixed shapes (keyed aggregation, a loop, incremental
+# operators over retractions, an incremental self-join) plus randomized
+# operator chains, all deterministic for a given seed.
 # ----------------------------------------------------------------------
 
 
@@ -140,6 +140,18 @@ def incremental_program(comp):
     return inp, out
 
 
+def incremental_join_program(comp):
+    """A self-join of one diff input: both sides carry every epoch, so the
+    join runs its eager path, its deferral and its cleanups."""
+    inp = comp.new_input("diffs")
+    out = {}
+    diffs = Collection(Stream.from_input(inp))
+    diffs.join(
+        diffs.map(lambda x: x + 1), lambda x: x % 4, lambda y: y % 4
+    ).subscribe(collect_per_epoch(out))
+    return inp, out
+
+
 # Each epoch block keeps every running multiplicity non-negative, so the
 # blocks may repeat; the retractions empty some distinct records and
 # move the counts both ways.
@@ -160,6 +172,7 @@ CASES = {
     "random-b": random_case(202),
     "wordcount": (wordcount_program, WORDCOUNT_EPOCHS),
     "incremental": (incremental_program, INCREMENTAL_EPOCHS),
+    "incremental-join": (incremental_join_program, INCREMENTAL_EPOCHS),
 }
 
 
