@@ -8,6 +8,16 @@ drains when no label can improve.  This "does less work but takes more,
 sparser iterations" — exactly the trade the paper says in-memory state
 makes profitable (Table 1 discussion).
 
+Each callback folds its input before it emits, in the spirit of
+Pregel's combiner ([27]): it applies the whole batch to the labels,
+then offers every destination one label, the smallest, and only when
+that label is below the destination's id; and it reports every node's
+final label for the callback once.  This is safe because labels only
+decrease and a receiver keeps the minimum of what it is offered: a
+superseded offer could never change what it settles on, and a label at
+or above the destination's id never beats the id the destination
+starts from.
+
 The per-epoch graph is the set of edges supplied in that epoch; for
 continuously-growing graphs use
 :meth:`repro.lib.incremental.Collection.connected_components`.
@@ -29,9 +39,10 @@ class MinLabelVertex(Vertex):
     Input 0: directed adjacency arcs ``(node, neighbour)`` (send both
     orientations for an undirected graph), partitioned by ``node``.
     Input 1: label proposals ``(node, label)`` from the feedback edge.
-    Output 0: proposals to neighbours (feeds back).
-    Output 1: label improvements ``(node, label)``; the minimum per node
-    over the epoch is the component label.
+    Output 0: proposals to neighbours (feeds back), one per destination
+    per callback.
+    Output 1: label improvements ``(node, label)``, one per node per
+    callback; the minimum per node over the epoch is the component label.
     """
 
     notifies = False
@@ -49,37 +60,41 @@ class MinLabelVertex(Vertex):
 
     def on_recv(self, input_port: int, records: List[Any], timestamp: Timestamp) -> None:
         adjacency, labels = self._epoch_state(timestamp)
-        proposals: List[Tuple[Any, Any]] = []
-        improvements: List[Tuple[Any, Any]] = []
+        # Apply the whole batch first, then offer each destination one
+        # label and report each node's final label once.  Insertion-
+        # ordered dicts, so the records sent repeat exactly run to run.
+        improved: Dict[Any, Any] = {}
         if input_port == 0:
             for node, neighbour in records:
                 edges = adjacency.get(node)
                 if edges is None:
                     edges = adjacency[node] = []
-                    labels[node] = node
-                    improvements.append((node, node))
+                    labels[node] = improved[node] = node
                 edges.append(neighbour)
-                # Labels flow strictly along the arc: offer this node's
-                # label to the neighbour (whose own label is at most its
-                # id, so only smaller labels can matter).
-                label = labels[node]
-                if label < neighbour:
-                    proposals.append((neighbour, label))
+            arcs = records
         else:
             for node, label in records:
                 current = labels.get(node)
                 if current is None:
-                    labels[node] = label
+                    # A node met first through a proposal still counts
+                    # its own id: its arcs may arrive later.
                     adjacency[node] = []
-                    improvements.append((node, label))
+                    labels[node] = improved[node] = min(node, label)
                 elif label < current:
-                    labels[node] = label
-                    improvements.append((node, label))
-                    proposals.extend((other, label) for other in adjacency[node])
-        if proposals:
-            self.send_by(0, proposals, timestamp)
-        if improvements:
-            self.send_by(1, improvements, timestamp)
+                    labels[node] = improved[node] = label
+            arcs = [(node, other) for node in improved for other in adjacency[node]]
+        # Labels flow strictly along the arcs.  A destination's own label
+        # is at most its id, so only a label below it can matter, and of
+        # several only the smallest.
+        offers: Dict[Any, Any] = {}
+        for node, destination in arcs:
+            label = labels[node]
+            if label < offers.get(destination, destination):
+                offers[destination] = label
+        if offers:
+            self.send_by(0, list(offers.items()), timestamp)
+        if improved:
+            self.send_by(1, list(improved.items()), timestamp)
 
 
 def weakly_connected_components(
@@ -118,12 +133,11 @@ def label_propagation(
     computation = arcs.computation
     with computation.scope(name, max_iterations=max_iterations, parent=arcs.context) as scope:
         stage = scope.stage(name, lambda s, w: MinLabelVertex(), 2, 2)
-        # Label propagation is monotone (labels only decrease) and
-        # processes records one at a time, so merging adjacent
-        # deliveries of arcs or proposals cannot change the labels it
-        # settles on — declare it batchable so the optimizer's
-        # coalescing pass can collapse the proposal fan-in, the
-        # dominant source of DES events in the loop.
+        # Label propagation is monotone (labels only decrease), so
+        # merging adjacent deliveries of arcs or proposals cannot change
+        # the labels it settles on — declare it batchable so the
+        # optimizer's coalescing pass can collapse the proposal fan-in,
+        # the dominant source of DES events in the loop.
         stage.opspec = OpSpec("minlabel", fusable=False, batchable=True)
         scope.enter(arcs).connect_to(
             stage, 0, partitioner=hash_partitioner(lambda arc: arc[0])

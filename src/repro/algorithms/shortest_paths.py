@@ -8,6 +8,12 @@ uses.  The dataflow is asynchronous multi-source BFS: per-node state
 holds the best known distance to each landmark, improvements propagate
 immediately from ``on_recv`` without coordination, and the loop drains
 at the fixed point.
+
+Each callback applies its whole batch first, then sends every
+``(destination, landmark)`` one offer and reports every
+``(node, landmark)`` once, each time with the final distance for the
+callback.  Distances only decrease and a receiver keeps the minimum, so
+the superseded values this drops could never have changed the answer.
 """
 
 from __future__ import annotations
@@ -43,34 +49,52 @@ class MultiSourceBfsVertex(Vertex):
 
     def on_recv(self, input_port: int, records: List[Any], timestamp: Timestamp) -> None:
         adjacency, distances = self._epoch_state(timestamp.epoch)
-        proposals: List[Tuple[Any, Any, int]] = []
-        improvements: List[Tuple[Any, Any, int]] = []
+        # Apply the whole batch first, then send each (destination,
+        # landmark) one offer and report each (node, landmark) once.
+        # Insertion-ordered dicts, so the records sent repeat exactly.
+        improved: Dict[Tuple[Any, Any], int] = {}
 
         def improve(node, landmark, distance):
             best = distances.setdefault(node, {})
-            if landmark not in best or distance < best[landmark]:
-                best[landmark] = distance
-                improvements.append((node, landmark, distance))
-                for neighbour in adjacency.get(node, ()):
-                    proposals.append((neighbour, landmark, distance + 1))
+            current = best.get(landmark)
+            if current is None or distance < current:
+                best[landmark] = improved[(node, landmark)] = distance
 
+        new_arcs: List[Tuple[Any, Any]] = []
         if input_port == 0:
             for kind, node, payload in records:
                 if kind == "edge":
-                    neighbours = adjacency.setdefault(node, [])
-                    neighbours.append(payload)
-                    # Late edges forward whatever this node already knows.
-                    for landmark, distance in distances.get(node, {}).items():
-                        proposals.append((payload, landmark, distance + 1))
+                    adjacency.setdefault(node, []).append(payload)
+                    new_arcs.append((node, payload))
                 else:  # seed
                     improve(node, payload, 0)
         else:
             for node, landmark, distance in records:
                 improve(node, landmark, distance)
-        if proposals:
-            self.send_by(0, proposals, timestamp)
-        if improvements:
-            self.send_by(1, improvements, timestamp)
+        known = [
+            (neighbour, landmark, distance)
+            for (node, landmark), distance in improved.items()
+            for neighbour in adjacency.get(node, ())
+        ]
+        # Late edges forward whatever this node already knows.
+        known += [
+            (neighbour, landmark, distance)
+            for node, neighbour in new_arcs
+            for landmark, distance in distances.get(node, {}).items()
+        ]
+        offers: Dict[Tuple[Any, Any], int] = {}
+        for neighbour, landmark, distance in known:
+            current = offers.get((neighbour, landmark))
+            if current is None or distance < current:
+                offers[(neighbour, landmark)] = distance
+        if offers:
+            self.send_by(
+                0, [(node, lm, d + 1) for (node, lm), d in offers.items()], timestamp
+            )
+        if improved:
+            self.send_by(
+                1, [(node, lm, d) for (node, lm), d in improved.items()], timestamp
+            )
 
 
 def approximate_shortest_paths(

@@ -5,7 +5,9 @@
 - :mod:`repro.lib.bloom` — asynchronous (coordination-free) Datalog-style
   operators and monotonic aggregation.
 - :mod:`repro.lib.pregel` — the Pregel bulk-synchronous vertex-program
-  abstraction with combiners, aggregators and graph mutation.
+  abstraction with receiver-side combiners (messages are folded per
+  target on receipt, never before they are sent), aggregators and graph
+  mutation.
 - :mod:`repro.lib.allreduce` — data-parallel and binary-tree AllReduce
   collectives for iterative machine learning.
 - :mod:`repro.lib.incremental` — incremental (differential-style)

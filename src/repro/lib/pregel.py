@@ -10,7 +10,13 @@ module reproduces that construction:
 - messages flow around a feedback edge, partitioned by target node;
 - an optional global aggregator flows around a second, parallel
   feedback edge and is broadcast to every worker;
-- graph mutations (add/remove edges) travel with messages.
+- graph mutations (add/remove edges) travel with messages;
+- the optional ``combine`` folds messages per target where they are
+  received (``PregelVertex.on_recv``), never before they are sent: the
+  sender ships every message its nodes produce.  Folding ``outgoing``
+  per target in ``on_notify`` was measured and rejected, because it
+  made the Pregel port cheaper than the hand-written vertex, inverting
+  Fig 7a's ordering (DESIGN.md, ``repro.lib``).
 
 The user supplies a *vertex program*::
 

@@ -29,6 +29,9 @@ from repro.algorithms import (
     wordcount,
     wordcount_with_combiner,
 )
+from repro.algorithms.connectivity import MinLabelVertex
+from repro.algorithms.shortest_paths import MultiSourceBfsVertex
+from repro.core.timestamp import Timestamp
 from repro.runtime import ClusterComputation
 from repro.workloads import (
     Tweet,
@@ -195,6 +198,91 @@ class TestASP:
             )
         )
         assert out == asp_oracle(edges, landmarks)
+
+
+class _Recorder:
+    """A stand-in harness that records each ``send_by`` batch."""
+
+    def __init__(self):
+        self.sent = []
+
+    def send(self, vertex, output_port, records, timestamp):
+        self.sent.append((output_port, list(records)))
+
+
+def drive_to_quiet(vertex, batches, rng):
+    """Deliver ``batches`` on input 0 and every offer the vertex sends
+    back on input 1, one pending batch at a time in random order, until
+    nothing is pending.  Returns the ``(port, records)`` batches sent."""
+    harness = vertex._harness = _Recorder()
+    timestamp = Timestamp(0, (0,))
+    pending = [(0, batch) for batch in batches]
+    while pending:
+        port, records = pending.pop(rng.randrange(len(pending)))
+        seen = len(harness.sent)
+        vertex.on_recv(port, records, timestamp)
+        pending.extend((1, recs) for out, recs in harness.sent[seen:] if out == 0)
+    return harness.sent
+
+
+def random_batches(records, rng):
+    records = list(records)
+    rng.shuffle(records)
+    cuts = sorted(rng.sample(range(1, len(records)), rng.randrange(len(records))))
+    return [records[i:j] for i, j in zip([0] + cuts, cuts + [len(records)])]
+
+
+class TestPropagationVertices:
+    """One vertex driven by hand: each callback sends every destination
+    (and reports every node) at most once, and the loop still reaches
+    the oracle's fixed point under any batching and delivery order."""
+
+    @given(edge_lists, st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_min_label_offers_once_per_destination(self, edges, rng):
+        arcs = [(u, v) for u, v in edges] + [(v, u) for u, v in edges]
+        sent = drive_to_quiet(MinLabelVertex(), random_batches(arcs, rng), rng)
+        labels = {}
+        for port, records in sent:
+            keys = [record[0] for record in records]
+            assert len(keys) == len(set(keys)), (port, records)
+            if port == 0:
+                assert all(label < node for node, label in records), records
+            else:
+                for node, label in records:
+                    labels[node] = min(label, labels.get(node, label))
+        assert labels == wcc_oracle(edges)
+
+    @given(
+        edge_lists,
+        st.lists(st.integers(0, 17), min_size=1, max_size=3, unique=True),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_bfs_offers_once_per_destination_and_landmark(self, edges, landmarks, rng):
+        records = [("edge", u, v) for u, v in edges] + [("edge", v, u) for u, v in edges]
+        records += [("seed", landmark, landmark) for landmark in landmarks]
+        sent = drive_to_quiet(MultiSourceBfsVertex(), random_batches(records, rng), rng)
+        distances = {}
+        for port, batch in sent:
+            keys = [(node, landmark) for node, landmark, _ in batch]
+            assert len(keys) == len(set(keys)), (port, batch)
+            if port == 1:
+                for key, distance in zip(keys, (record[2] for record in batch)):
+                    distances[key] = min(distance, distances.get(key, distance))
+        assert distances == asp_oracle(edges, landmarks)
+
+    @pytest.mark.parametrize("proposal_first", [True, False])
+    def test_min_label_ignores_port_order(self, proposal_first):
+        # A node first met through a proposal still counts its own id.
+        deliveries = [(1, [(5, 7)]), (0, [(5, 7), (5, 9)])]
+        if not proposal_first:
+            deliveries.reverse()
+        vertex = MinLabelVertex()
+        vertex._harness = _Recorder()
+        for port, records in deliveries:
+            vertex.on_recv(port, records, Timestamp(0, (0,)))
+        assert vertex.state[0][1] == {5: 5}
 
 
 class TestKExposure:
