@@ -6,6 +6,8 @@ Every algorithm runs unchanged on the reference runtime
 plain-Python oracle used by the tests.
 """
 
+import importlib
+
 from .connectivity import (
     MinLabelVertex,
     label_propagation,
@@ -21,13 +23,6 @@ from .hashtag_components import (
     top_hashtags_by_component,
 )
 from .kexposure import k_exposure
-from .logistic import (
-    TrainVertex,
-    local_gradient,
-    logistic_oracle,
-    logistic_regression,
-    make_dataset,
-)
 from .pagerank import (
     PageRankVertex,
     pagerank_edge,
@@ -73,3 +68,25 @@ __all__ = [
     "wordcount",
     "wordcount_with_combiner",
 ]
+
+#: Exports loaded on first use: :mod:`.logistic` imports numpy, which
+#: nothing else on the spine needs.
+_LAZY = {
+    name: "logistic"
+    for name in (
+        "TrainVertex",
+        "local_gradient",
+        "logistic_oracle",
+        "logistic_regression",
+        "make_dataset",
+    )
+}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    value = getattr(importlib.import_module("." + module, __name__), name)
+    globals()[name] = value
+    return value

@@ -14,7 +14,10 @@
   collections of difference records.
 """
 
-from .allreduce import allreduce, tree_allreduce
+import importlib
+import sys
+import types
+
 from .bloom import async_distinct, async_join, monotonic_aggregate, transitive_closure
 from .incremental import Collection, consolidate_diffs
 from .pregel import NodeContext, final_states, pregel
@@ -44,3 +47,30 @@ __all__ = [
     "transitive_closure",
     "tree_allreduce",
 ]
+
+#: Exports loaded on first use, by module: ``allreduce`` imports numpy,
+#: which nothing else on the spine needs.
+_LAZY = {"allreduce": "allreduce", "tree_allreduce": "allreduce"}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    value = getattr(importlib.import_module("." + module, __name__), name)
+    globals()[name] = value
+    return value
+
+
+class _Package(types.ModuleType):
+    """Keeps ``repro.lib.allreduce`` the function, as an eager ``from
+    .allreduce import allreduce`` would: the import system binds a
+    loaded submodule onto its package under the same name."""
+
+    def __setattr__(self, name, value):
+        if isinstance(value, types.ModuleType) and _LAZY.get(name) == name:
+            value = getattr(value, name)
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

@@ -96,27 +96,121 @@ class _EpochDiffVertex(UnaryBufferingVertex):
         super().__init__(lambda records: self.apply(consolidate_diffs(records)))
 
 
-class IncrementalDistinctVertex(_EpochDiffVertex):
-    """Distinct over the accumulated collection.
+class IncrementalDistinctVertex(Vertex):
+    """Distinct over the accumulated collection, emitting as its input
+    arrives: the eager DistinctCount of section 2.4, over diffs.
 
-    Emits ``(record, +1)`` when a record's multiplicity becomes
-    positive and ``(record, -1)`` when it returns to zero.
+    Its output through each time nets to ``[count > 0]`` per record,
+    where ``count`` is the record's accumulated multiplicity.  A batch
+    at ``t`` is taken on arrival when every epoch before ``t`` is known
+    complete, the rule :class:`IncrementalJoinVertex` follows: then
+    ``counts`` holds exactly the earlier times, and each record's count
+    before ``t`` is kept at its first touch of ``t``.  The first
+    positive diff at ``t`` of a record whose count before ``t`` is 0
+    sends ``(record, +1)`` at once.
+
+    The notification at ``t`` sends ``[count_t > 0] - [count_before >
+    0] - emitted`` per touched record.  Without a retraction or a
+    negative count before ``t`` each of these corrections is 0, so the
+    first touch of ``t`` requests only a capability-free cleanup
+    (section 2.4), which delays no one.  A batch at ``t`` that carries a
+    retraction or touches a negative count requests the capability
+    notification at ``t``, from ``on_recv``, which holds one.
+
+    A batch that arrives sooner, and every batch inside a loop, is
+    buffered under a capability notification at ``t`` and taken there
+    by the same rule.  What is sent at ``t`` is therefore fixed by the
+    diffs alone, whatever their arrival order, their batching or the
+    path they took: ``(record, +1)`` when the count before ``t`` is 0
+    and some diff at ``t`` is positive, then the correction.  The two
+    are never consolidated, so a partial rollback's replay regenerates
+    exactly the records its record-level suppression expects.
     """
 
     def __init__(self):
         super().__init__()
+        #: Record -> multiplicity over every time taken so far.
         self.counts: Dict[Any, int] = {}
+        #: Time -> (record -> count before the time, records sent ``+1``
+        #: at it), for each time taken and not yet notified.
+        self.open: Dict[Timestamp, Tuple[Dict[Any, int], Dict[Any, None]]] = {}
+        #: Time -> diffs waiting for the capability notification there.
+        self.deferred: Dict[Timestamp, List[Diff]] = {}
+        #: Taken times that requested the capability notification.
+        self.held: Dict[Timestamp, None] = {}
+        #: The latest time a notification or cleanup was delivered at.
+        self.complete: Optional[Timestamp] = None
 
-    def apply(self, diffs: List[Diff]) -> List[Diff]:
+    def on_recv(self, input_port: int, records: List[Diff], timestamp: Timestamp) -> None:
+        deferred = self.deferred.get(timestamp)
+        if deferred is None:
+            complete = self.complete
+            if timestamp.counters or (
+                timestamp.epoch
+                and (complete is None or complete.epoch < timestamp.epoch - 1)
+            ):
+                deferred = self.deferred[timestamp] = []
+                self.notify_at(timestamp)
+        if deferred is not None:
+            deferred.extend(records)
+            return
+        entry = self.open.get(timestamp)
+        if entry is None:
+            entry = self.open[timestamp] = ({}, {})
+            self.notify_at(timestamp, capability=False)
+        out, corrects = self._take(entry, records)
+        if corrects and timestamp not in self.held:
+            self.held[timestamp] = None
+            self.notify_at(timestamp)
+        if out:
+            self.send_by(0, out, timestamp)
+
+    def on_notify(self, timestamp: Timestamp) -> None:
+        complete = self.complete
+        if complete is None or complete < timestamp:
+            self.complete = timestamp
+        open_times = self.open
+        # An earlier time still open holds only a cleanup, which has
+        # nothing to send: a capability there is served before this one.
+        for time in [time for time in open_times if time.less_than(timestamp)]:
+            del open_times[time]
+        deferred = self.deferred.pop(timestamp, None)
+        if deferred is not None:
+            out, _ = self._take(open_times.setdefault(timestamp, ({}, {})), deferred)
+        elif timestamp in self.held:
+            del self.held[timestamp]
+            out = []
+        else:
+            open_times.pop(timestamp, None)
+            return
         counts = self.counts
+        before, emitted = open_times.pop(timestamp)
+        for record, old in before.items():
+            correction = (counts.get(record, 0) > 0) - (old > 0) - (record in emitted)
+            if correction:
+                out.append((record, correction))
+        if out:
+            self.send_by(0, out, timestamp)
+
+    def _take(
+        self, entry: Tuple[Dict[Any, int], Dict[Any, None]], records: List[Diff]
+    ) -> Tuple[List[Diff], bool]:
+        """Add a batch at an open time into ``counts``.  Returns the
+        ``(record, +1)`` diffs it emits and whether the time may need a
+        correction (a retraction, or a negative count before it)."""
+        before, emitted = entry
+        for record, old in add_counts(self.counts, records).items():
+            before.setdefault(record, old)
         out: List[Diff] = []
-        for record, old in add_counts(counts, diffs).items():
-            new = counts.get(record, 0)
-            if old <= 0 < new:
+        corrects = False
+        for record, multiplicity in records:
+            old = before[record]
+            if multiplicity < 0 or old < 0:
+                corrects = True
+            elif multiplicity and not old and record not in emitted:
+                emitted[record] = None
                 out.append((record, +1))
-            elif new <= 0 < old:
-                out.append((record, -1))
-        return out
+        return out, corrects
 
 
 class IncrementalCountVertex(_EpochDiffVertex):

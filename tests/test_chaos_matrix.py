@@ -89,6 +89,14 @@ def test_kill_matrix_incremental_join_bit_identical(plan):
     kill_matrix("incremental-join", plan, chaos_rng("kill", "incremental-join", plan))
 
 
+@pytest.mark.chaos
+@pytest.mark.parametrize("plan", PLANS)
+def test_kill_matrix_incremental_bit_identical(plan):
+    # Distinct and count over retractions: distinct's eager +1s and its
+    # notification's corrections replay through partial rollback too.
+    kill_matrix("incremental", plan, chaos_rng("kill", "incremental", plan))
+
+
 #: Planned membership changes injected at the same schedule points as
 #: the kills: grow by one process, drain one out, or both in sequence.
 RESCALE_EVENTS = ("add", "remove", "add-remove")

@@ -209,9 +209,10 @@ def scattered_diffs(draw):
     return epochs, side(), side()
 
 
-def run_scattered_join(epochs, left, right, cluster=False):
-    """Join the scattered batches; returns the consolidated output diffs
-    per epoch and the multiset of ``(epoch, record)`` the join sent."""
+def run_scattered(build, epochs, left, right, cluster=False):
+    """Run ``build(left, right)`` over the scattered batches; returns the
+    consolidated output diffs per epoch and the multiset of ``(epoch,
+    record)`` the built operator sent."""
     comp = (
         ClusterComputation(num_processes=2, workers_per_process=2)
         if cluster
@@ -223,11 +224,9 @@ def run_scattered_join(epochs, left, right, cluster=False):
         inputs.append(inp)
         streams.append(Collection(Stream.from_input(inp)._unary("scatter", _Scatter)))
     out, sent = {}, Counter()
-    joined = streams[0].join(
-        streams[1], lambda x: x % 3, lambda y: y % 3, lambda x, y: (x, y)
-    )
-    joined.stream.inspect(lambda t, diffs: sent.update((t.epoch, d) for d in diffs))
-    joined.subscribe(
+    built = build(*streams)
+    built.stream.inspect(lambda t, diffs: sent.update((t.epoch, d) for d in diffs))
+    built.subscribe(
         lambda t, diffs: out.setdefault(t.epoch, Counter()).update(dict(diffs))
     )
     comp.build()
@@ -247,6 +246,35 @@ def run_scattered_join(epochs, left, right, cluster=False):
     comp.run()
     assert comp.drained()
     return out, sent
+
+
+def run_scattered_join(epochs, left, right, cluster=False):
+    """Join the scattered batches (see :func:`run_scattered`)."""
+    return run_scattered(
+        lambda a, b: a.join(b, lambda x: x % 3, lambda y: y % 3, lambda x, y: (x, y)),
+        epochs,
+        left,
+        right,
+        cluster,
+    )
+
+
+def run_scattered_distinct(epochs, left, right, cluster=False):
+    """Distinct over both sides' scattered batches (see
+    :func:`run_scattered`)."""
+    return run_scattered(lambda a, b: a.concat(b).distinct(), epochs, left, right, cluster)
+
+
+def batch_fed(epochs, left, right):
+    """The scattered batches all released at once, latest epoch first,
+    one merged batch per epoch and side in reverse order."""
+    return [
+        [
+            (0, epoch, [d for _, t, ds in reversed(side) if t == epoch for d in ds])
+            for epoch in reversed(range(epochs))
+        ]
+        for side in (left, right)
+    ]
 
 
 def build_kexposure(comp):
@@ -308,19 +336,13 @@ class TestEagerJoin:
         # same records.
         epochs, left, right = case
         _, paced = run_scattered_join(epochs, left, right)
-        fed = [
-            [
-                (0, epoch, [d for _, t, ds in reversed(side) if t == epoch for d in ds])
-                for epoch in reversed(range(epochs))
-            ]
-            for side in (left, right)
-        ]
-        _, batch_fed = run_scattered_join(epochs, *fed)
-        assert paced == batch_fed
+        _, fed = run_scattered_join(epochs, *batch_fed(epochs, left, right))
+        assert paced == fed
 
     def test_batch_fed_run_holds_one_epoch_downstream(self):
         # Every epoch is queued before the first cleanup: the join defers
-        # them, so distinct never buffers more than one epoch of output.
+        # them, so distinct never holds more than one epoch, taken or
+        # deferred.
         comp = Computation()
         tweets_in, epochs = build_kexposure(comp)
         for batch in epochs:
@@ -331,15 +353,15 @@ class TestEagerJoin:
         (distinct,) = [p for p in parts if isinstance(p, IncrementalDistinctVertex)]
         held = 0
         while comp.step():
-            held = max(held, len(distinct.buffers))
+            held = max(held, len(distinct.open) + len(distinct.deferred))
         assert comp.drained()
         assert held == 1
 
     def test_paced_join_takes_no_grant(self):
         # One epoch per interval on 4x1: each epoch's batches arrive after
-        # the previous epoch's cleanup, so the join never holds a
-        # capability, and each worker pays two grants per epoch (distinct
-        # and the fused count), not three.
+        # the previous epoch's cleanup, so neither the join nor distinct
+        # (whose input carries no retraction) holds a capability, and each
+        # worker pays one grant per epoch, the fused count's.
         comp = ClusterComputation(num_processes=4, workers_per_process=1)
         sink = TraceSink()
         comp.attach_trace_sink(sink)
@@ -354,12 +376,73 @@ class TestEagerJoin:
             comp.sim.schedule_at(epoch * 5e-3, inject)
         comp.run()
         assert comp.drained()
-        join = Counter(e.kind for e in sink.events if e.stage == "kexposure_inc.join")
-        assert join["notification"] == 0 and join["cleanup"] > 0
+        for stage in ("kexposure_inc.join", "kexposure_inc.distinct"):
+            kinds = Counter(e.kind for e in sink.events if e.stage == stage)
+            assert kinds["notification"] == 0 and kinds["cleanup"] > 0, stage
         grants = Counter(
             (e.worker, e.timestamp) for e in sink.events if e.kind == "notification"
         )
-        assert max(grants.values()) == 2
+        assert max(grants.values()) == 1
+
+
+class TestEagerDistinct:
+    """The incremental distinct sends ``(x, +1)`` as ``x`` first arrives
+    at a time and corrects at the notification, only after a retraction
+    or a negative count."""
+
+    @pytest.mark.parametrize("cluster", [False, True], ids=["reference", "cluster"])
+    @given(scattered_diffs())
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_output_through_each_epoch_is_the_distinct_so_far(self, cluster, case):
+        epochs, left, right = case
+        out, _ = run_scattered_distinct(epochs, left, right, cluster)
+        produced, counts = Counter(), Counter()
+        for epoch in range(epochs):
+            produced.update(out.get(epoch, {}))
+            for _, t, diffs in left + right:
+                if t == epoch:
+                    counts.update(dict(consolidate_diffs(diffs)))
+            nonzero = {k: v for k, v in produced.items() if v}
+            assert nonzero == {x: 1 for x, m in counts.items() if m > 0}, epoch
+
+    @given(scattered_diffs())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_sent_records_do_not_depend_on_the_schedule(self, case):
+        # As for the join: the diffs paced, and fed all at once latest
+        # epoch first, take the eager and the deferred paths in different
+        # orders.  Retractions and negative counts put corrections in the
+        # multiset; distinct must send the same records either way.
+        epochs, left, right = case
+        _, paced = run_scattered_distinct(epochs, left, right)
+        _, fed = run_scattered_distinct(epochs, *batch_fed(epochs, left, right))
+        assert paced == fed
+
+    def test_retraction_takes_the_capability(self):
+        # A retraction at epoch 1 arrives eagerly: the +1 of a fresh
+        # record goes at once, and the -1 correction needs a grant.
+        comp = Computation()
+        inp = comp.new_input()
+        sent = []
+        Collection(Stream.from_input(inp)).distinct().stream.inspect(
+            lambda t, diffs: sent.append((t.epoch, list(diffs)))
+        )
+        comp.build()
+        inp.on_next([("a", 1), ("b", 1)])
+        comp.run()
+        (distinct,) = [
+            v for v in comp.vertices.values() if isinstance(v, IncrementalDistinctVertex)
+        ]
+        assert distinct.held == {} and distinct.open == {}
+        inp.on_next([("c", 1), ("a", -1)])
+        while len(sent) < 2:
+            assert comp.step()
+        assert sent == [(0, [("a", 1), ("b", 1)]), (1, [("c", 1)])]
+        assert list(distinct.held) == [Timestamp(1)]
+        inp.on_completed()
+        comp.run()
+        assert comp.drained()
+        assert sent[2:] == [(1, [("a", -1)])]
+        assert distinct.open == {} and distinct.held == {}
 
 
 class TestLinearOperators:
@@ -624,10 +707,12 @@ ORDER_CASES = {
             [(("u1", 2), -1), (("u3", 1), -1), (("u3", 2), 1)],
         ],
     ),
+    # Eager: a fresh record's +1 as it arrives, then the notification's
+    # corrections in first-touch order.
     "distinct": (
         IncrementalDistinctVertex,
         DISTINCT_EPOCHS,
-        [[("b", 1), ("a", 1)], [("a", -1), ("c", 1)], [("b", -1), ("a", 1)]],
+        [[("b", 1), ("a", 1)], [("c", 1), ("a", -1)], [("a", 1), ("b", -1)]],
     ),
     # Eager, in arrival order: each diff's pairs as it arrives (dA, then
     # dB against A and dA), one record per pair, never consolidated.

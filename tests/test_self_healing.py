@@ -17,6 +17,11 @@ marker step::
     PYTHONPATH=src python -m pytest -q -m "chaos or detection or serve_matrix"
 """
 
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 from statistics import NormalDist
 
 import pytest
@@ -213,6 +218,33 @@ class TestPartitionValidation:
 # ----------------------------------------------------------------------
 
 
+def busy_process(case, shape, at, epochs=None):
+    """The crashable process that runs the most activations and
+    notifications after ``at`` in the clean run.
+
+    A silent crash there holds work the run cannot drain without, so the
+    supervisor must notice it.  Hash partitioning places string keys by
+    the hash seed: a fixed victim may hold nothing by ``at`` (under
+    ``PYTHONHASHSEED=168`` process 1 idles after 0.4x the wordcount run)
+    and the run drains with the crash unnoticed.
+    """
+    sink = TraceSink()
+    run_cluster(case, shape, epochs=epochs, trace=sink)
+    work = Counter(
+        e.process
+        for e in sink.events
+        if e.kind in ("activation", "notification") and e.t >= at and e.process > 0
+    )
+    assert work, "no crashable process works after %r" % at
+    return work.most_common(1)[0][0]
+
+
+def assert_engaged(comp, process):
+    """The silent crash of ``process`` was suspected and recovered once."""
+    assert [s["process"] for s in comp.supervisor.suspicions] == [process]
+    assert [f["process"] for f in comp.recovery.failures] == [process]
+
+
 @pytest.mark.detection
 class TestSilentCrashDetection:
     @pytest.mark.parametrize("mode", ["none", "checkpoint", "logging"])
@@ -220,31 +252,54 @@ class TestSilentCrashDetection:
     def test_detector_matches_oracle_and_clean_run(self, mode, policy):
         expected, duration = baseline("wordcount", (3, 2))
         crash_at = duration * 0.4
+        victim = busy_process("wordcount", (3, 2), crash_at)
         oracle, comp_o = run_cluster(
             "wordcount", (3, 2), ft=make_ft(mode, policy=policy),
-            kill=(1, crash_at),
+            kill=(victim, crash_at),
         )
         sink = TraceSink()
         out, comp = run_cluster(
             "wordcount", (3, 2), ft=make_ft(mode, policy=policy),
-            crash=[(1, crash_at)], supervise=sup_cfg(), trace=sink,
+            crash=[(victim, crash_at)], supervise=sup_cfg(), trace=sink,
         )
+        # The crash engaged: it was detected, fenced, and recovered.
+        assert_engaged(comp, victim)
+        (failure,) = comp.recovery.failures
+        assert comp.generations[victim] >= 1
+        sup = comp.supervisor
+        assert sup.suspicions[0]["at"] > crash_at
         assert out == expected
         assert out == oracle
-        # The crash engaged: it was detected, fenced, and recovered.
-        (failure,) = [
-            f for f in comp.recovery.failures if f["process"] == 1
-        ]
-        assert comp.generations[1] >= 1
-        sup = comp.supervisor
-        assert [s["process"] for s in sup.suspicions] == [1]
-        assert sup.suspicions[0]["at"] > crash_at
         stats = detection_stats(sink.events)
         (incident,) = stats.incidents
-        assert incident.process == 1
+        assert incident.process == victim
         assert incident.mttd > 0
         assert incident.mttr >= incident.mttd
         assert incident.recovered_at == pytest.approx(failure["ready"])
+
+    def test_hash_seed_168_reproducer(self):
+        # Under this hash seed the victim the suite used to fix, process
+        # 1, holds no work after 0.4x the run: its crash drains unnoticed.
+        # The busiest process's crash must engage.
+        root = Path(__file__).resolve().parents[1]
+        code = (
+            "from tests.test_recovery import baseline, make_ft, run_cluster\n"
+            "from tests.test_self_healing import assert_engaged, busy_process, sup_cfg\n"
+            "expected, duration = baseline('wordcount', (3, 2))\n"
+            "at = duration * 0.4\n"
+            "def crash(process):\n"
+            "    return run_cluster('wordcount', (3, 2), ft=make_ft('checkpoint'),\n"
+            "                       crash=[(process, at)], supervise=sup_cfg())\n"
+            "out, comp = crash(1)\n"
+            "assert out == expected and comp.supervisor.suspicions == []\n"
+            "victim = busy_process('wordcount', (3, 2), at)\n"
+            "out, comp = crash(victim)\n"
+            "assert_engaged(comp, victim)\n"
+            "assert out == expected\n"
+        )
+        env = dict(os.environ, PYTHONHASHSEED="168")
+        env["PYTHONPATH"] = os.pathsep.join([str(root / "src"), str(root)])
+        subprocess.run([sys.executable, "-c", code], env=env, cwd=root, check=True)
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_async_checkpointing_cases(self, case):
@@ -272,25 +327,28 @@ class TestSilentCrashDetection:
     @pytest.mark.parametrize("plan", ["unfused", "fused"])
     def test_fused_plans(self, plan):
         expected, duration = baseline("wordcount", (3, 2))
+        victim = busy_process("wordcount", (3, 2), duration * 0.4)
         kwargs = {}
         if plan == "fused":
             kwargs["optimize"] = True
         out, comp = run_cluster(
             "wordcount", (3, 2), ft=make_ft("checkpoint"),
-            crash=[(1, duration * 0.4)], supervise=sup_cfg(), **kwargs
+            crash=[(victim, duration * 0.4)], supervise=sup_cfg(), **kwargs
         )
+        assert_engaged(comp, victim)
         assert out == expected, plan
-        assert len(comp.recovery.failures) == 1
 
     def test_crash_traffic_after_fence_is_discarded(self):
         """A fenced generation's messages are provably dropped, not
         applied: the drop counters and the trace agree."""
         expected, duration = baseline("wordcount", (3, 2))
+        victim = busy_process("wordcount", (3, 2), duration * 0.4)
         sink = TraceSink()
         out, comp = run_cluster(
             "wordcount", (3, 2), ft=make_ft("checkpoint"),
-            crash=[(1, duration * 0.4)], supervise=sup_cfg(), trace=sink,
+            crash=[(victim, duration * 0.4)], supervise=sup_cfg(), trace=sink,
         )
+        assert_engaged(comp, victim)
         assert out == expected
         stats = detection_stats(sink.events)
         assert comp.fenced_drops == sum(
@@ -441,6 +499,7 @@ class TestCrashLoopQuarantine:
         )
         epochs = WORDCOUNT_EPOCHS * 4  # long enough for three cycles
         expected, duration = baseline_epochs("wordcount", (3, 2), epochs)
+        victim = busy_process("wordcount", (3, 2), duration * 0.05, epochs)
 
         sink = TraceSink()
         comp = ClusterComputation(
@@ -468,20 +527,20 @@ class TestCrashLoopQuarantine:
             autoscaler=auto,
         )
 
-        # Crash process 1 again each time it comes back, three times:
+        # Crash the victim again each time it comes back, three times:
         # a genuine crash loop, not three independent incidents.
         crashes = []
 
         def maybe_crash():
             alive = any(
-                w.process == 1 and not w.dead for w in comp.workers
+                w.process == victim and not w.dead for w in comp.workers
             )
             if (
                 alive
-                and 1 not in comp._removed_processes
-                and 1 not in comp.recovery.dead_processes
+                and victim not in comp._removed_processes
+                and victim not in comp.recovery.dead_processes
             ):
-                comp._crash_now(1)
+                comp._crash_now(victim)
                 crashes.append(comp.sim.now)
             if len(crashes) < 3:
                 comp.sim.schedule_at(comp.sim.now + 3e-4, maybe_crash)
@@ -493,23 +552,23 @@ class TestCrashLoopQuarantine:
         inp.on_completed()
         comp.run()
         assert comp.drained(), comp.debug_state()
-        assert out == expected
+        # Each crash engaged: two supervised recoveries with growing
+        # backoff, then eviction.
         assert len(crashes) == 3
-
-        # Two supervised recoveries with growing backoff, then eviction.
-        mine = [s for s in sup.suspicions if s["process"] == 1]
+        mine = [s for s in sup.suspicions if s["process"] == victim]
         assert [s["action"] for s in mine] == [
             "recover", "recover", "quarantine",
         ]
+        assert out == expected
         assert [s["deaths_in_window"] for s in mine] == [1, 2, 3]
         assert mine[1]["restart_delay"] > mine[0]["restart_delay"]
-        assert sup.quarantined == [1]
+        assert sup.quarantined == [victim]
 
         # Eviction took the planned-remove bookkeeping path...
-        assert 1 in comp._removed_processes
+        assert victim in comp._removed_processes
         removed = [r["process"] for r in comp.rescales if r["kind"] == "remove"]
-        assert 1 in removed
-        assert all(w.process != 1 for w in comp.workers)
+        assert victim in removed
+        assert all(w.process != victim for w in comp.workers)
         # ...and the autoscaler backfilled a replacement process.
         backfills = [
             d for d in auto.decisions if d.get("reason") == "quarantine"
@@ -519,7 +578,7 @@ class TestCrashLoopQuarantine:
         assert added  # the backfilled process joined the membership
 
         stats = detection_stats(sink.events)
-        assert stats.quarantined == (1,)
+        assert stats.quarantined == (victim,)
         assert len(stats.incidents) == 3
 
     def test_backoff_schedule_is_deterministic_and_capped(self):

@@ -357,11 +357,24 @@ def test_snapshot_copy_keeps_cycles():
     assert copied["items"][2] is copied["items"] is not state["items"]
 
 
+class _NullHarness:
+    """A stand-in harness that drops what a vertex sends or requests."""
+
+    def send(self, vertex, output_port, records, timestamp):
+        pass
+
+    def request_notification(self, vertex, timestamp, capability=True):
+        pass
+
+
 def test_distinct_snapshot_shares_its_count_keys():
     # The snapshot rebuilds the dict but keeps the live key objects; a
     # pickle round-trip would duplicate every one of them.
     vertex = IncrementalDistinctVertex()
-    vertex.apply([((user, "#t%d" % (user % 3)), 1) for user in range(50)])
+    vertex._harness = _NullHarness()
+    diffs = [((user, "#t%d" % (user % 3)), 1) for user in range(50)]
+    vertex.on_recv(0, diffs, Timestamp(0))
+    vertex.on_notify(Timestamp(0))
     state = vertex.checkpoint()
     assert state["counts"] == vertex.counts
     assert state["counts"] is not vertex.counts
