@@ -368,6 +368,40 @@ class TestRescaleLoopingDataflow:
         assert not comp.recovery.failures
 
 
+class TestKillRescaleInterleavings:
+    """A kill that lands while a migration waits.  The migration runs
+    only once no replay is draining and a cut taken after the replay is
+    durable; a rollback that abandons the migration's cut restarts it.
+    The moved workers pin the placement each interleaving produces."""
+
+    @pytest.mark.parametrize(
+        "case,op,kill_at,moved",
+        [
+            # The add arrives while the kill's replay drains and waits.
+            ("incremental-join", ("add", 0.4005), 0.4, (2, 5)),
+            # The kill abandons the cut the migration waits for.
+            ("wordcount", ("add", 0.4), 0.41, (2, 5)),
+            ("wordcount", ("remove", 2, 0.4), 0.41, (3, 4, 5)),
+        ],
+    )
+    def test_migration_waits_out_a_kill(self, case, op, kill_at, moved):
+        expected, duration = baseline(case, (3, 2))
+        scaled = op[:-1] + (op[-1] * duration,)
+        out, comp = run_cluster(
+            case,
+            (3, 2),
+            ft=rescale_ft(),
+            rescale=[scaled],
+            kill=(1, duration * kill_at),
+        )
+        assert out == expected
+        assert comp.drained(), comp.debug_state().text
+        assert [f["mode"] for f in comp.recovery.failures] == ["partial"]
+        (record,) = comp.rescales
+        assert record["kind"] == op[0]
+        assert record["workers"] == moved
+
+
 class TestRescaleUnderHostileNetwork:
     NETWORK = NetworkConfig(
         packet_loss_probability=0.2,
