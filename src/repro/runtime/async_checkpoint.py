@@ -148,6 +148,13 @@ class AsyncCheckpointManager:
         self._stage_by_index = {
             stage.index: stage for stage in cluster.graph.stages
         }
+        #: Planned moves waiting for a fresh durable cut, in arrival
+        #: order: ``(process, placement policy, reason)`` for
+        #: :meth:`RecoveryManager.move` (see :meth:`after_cut`).
+        self.moves: List[Tuple] = []
+        #: The cycle whose durable cut the first move waits for; None
+        #: while it waits for a replay to drain.
+        self._move_cycle: Optional[int] = None
 
     # ------------------------------------------------------------------
     # Cycle lifecycle.
@@ -475,15 +482,65 @@ class AsyncCheckpointManager:
         # them); everything pre-cut is covered by states + channel.
         self.journal = [entry for entry in self.journal if entry[6] >= cycle]
         self.durable_cycle = cycle
+        if self._move_cycle is not None and cycle >= self._move_cycle:
+            self._wake_moves()
 
     def abandon_cycle(self) -> None:
-        """A rollback arrived mid-cut: drop the partial cycle."""
+        """A rollback arrived mid-cut: drop the partial cycle, and any
+        assembled cut still on its way to disk."""
         self.generation += 1
         self.active = False
         self.staged = {}
         self._cycle_write_bytes = {}
         for worker in self.cluster.workers:
             worker._cut_deferred = False
+        if self._move_cycle is not None and self.durable_cycle < self._move_cycle:
+            self._move_cycle = None  # that cut never turns durable: start over
+        self._wake_moves()
+
+    # ------------------------------------------------------------------
+    # Planned moves: a migration runs behind a fresh durable cut.
+    # ------------------------------------------------------------------
+
+    def after_cut(self, process, place, reason) -> None:
+        """Queue a planned move; it runs once no replay is draining and
+        a cut begun after that is durable.
+
+        Migrating mid-replay could not tell replayed duplicates from
+        migrated re-sends, and the fresh cut makes the moving workers'
+        state and exactly-once ledger entries current.  Moves run one
+        at a time, in arrival order, through :meth:`RecoveryManager.move`
+        while the computation keeps running.
+        """
+        self.moves.append((process, place, reason))
+        if len(self.moves) == 1:
+            self._run_moves()
+
+    def _run_moves(self) -> None:
+        """Take the queued moves as far as they can go now.  Re-entered
+        when what the first one waits for happens: the last replay
+        ledger drains, its cut turns durable, or a rollback abandons
+        its cut."""
+        cluster = self.cluster
+        while self.moves:
+            if self.replay_dedup:
+                self._move_cycle = None  # the cut must follow the replay
+                return
+            if self._move_cycle is None:
+                self.request_cycle()
+                self._move_cycle = self.cycle
+            if self.durable_cycle < self._move_cycle:
+                return
+            self._move_cycle = None
+            process, place, reason = self.moves.pop(0)
+            cluster.recovery.move(process, place, reason, cluster.sim.now)
+
+    def _wake_moves(self) -> None:
+        """Re-run :meth:`_run_moves` at the current time, after the
+        events already due: never inside the callback or rollback that
+        woke it."""
+        if self.moves:
+            self.cluster.sim.schedule_at(self.cluster.sim.now, self._run_moves)
 
     # ------------------------------------------------------------------
     # Replay dedup (exactly-once internal deliveries under partial
@@ -527,6 +584,8 @@ class AsyncCheckpointManager:
                     kept.append(record)
             if not ledger:
                 del self.replay_dedup[(src, dest, connector)]
+                if not self.replay_dedup:
+                    self._wake_moves()
             if not dropped:
                 kept_dispatches.append((connector, dest, batch, out_time, size))
             elif kept:
@@ -547,7 +606,7 @@ class AsyncCheckpointManager:
         moving: List[int],
         snapshot,
         ready: float,
-        placement: Optional[Dict[int, int]] = None,
+        placement: Dict[int, int],
         reason: str = "partial",
         flush_node: Optional[int] = None,
     ) -> int:
@@ -555,17 +614,16 @@ class AsyncCheckpointManager:
         the survivors keep running; returns the number of re-injected
         messages.
 
-        The failure path (:meth:`RecoveryManager.fail_process`) names the
-        workers of the lost process, once it has decided partial recovery
-        applies.  Elastic rescaling reuses the same machinery as a
-        *migration*: ``moving`` names the workers that change home,
-        ``placement`` maps each to its new process (applied before the
-        replacement workers are constructed, so they come up on the new
-        home), ``reason`` tags the per-worker restore trace events
-        (``"rescale"`` for planned moves), and ``flush_node`` names a
-        node whose withheld progress updates must be force-flushed
-        because it is dying or departing (None when every involved node
-        survives, as in ``add_process``)."""
+        :meth:`RecoveryManager.move` calls it once it has decided the
+        partial tier applies, for a failure and a migration alike:
+        ``moving`` names the workers that restart, ``placement`` maps
+        each to its host (applied before the replacement workers are
+        constructed, so they come up there), ``reason`` tags the
+        per-worker restore trace events (``"rescale"`` for planned
+        moves), and ``flush_node`` names a node whose withheld progress
+        updates must be force-flushed because it is dying or departing
+        (None when every involved node survives, as in
+        ``add_process``)."""
         cluster = self.cluster
         now = cluster.sim.now
         self.abandon_cycle()
@@ -667,14 +725,11 @@ class AsyncCheckpointManager:
         if flush_node is not None:
             cluster.plane.flush_node(flush_node)
 
-        # ---- Migration placement: rehome the moving workers before the
+        # ---- Placement: rehome the moving workers before the
         # replacements are constructed (a fresh _Worker reads its
         # hosting process from the cluster's placement map).
-        if placement:
-            mapping = list(cluster._worker_process)
-            for index, target in placement.items():
-                mapping[index] = target
-            cluster._worker_process = mapping
+        for index, host in placement.items():
+            cluster._worker_process[index] = host
 
         # ---- Replace only the dead workers; survivors keep running.
         if cluster.summarized_scopes:

@@ -29,9 +29,14 @@ the runtime (:class:`repro.baselines.BarrierCheckpoints`).  Quiescent
 and asynchronous cuts alike become the rollback target through
 :meth:`RecoveryManager.install`.
 
-**Failure.**  :meth:`ClusterComputation.kill_process` injects a failure
-at a virtual time; :meth:`RecoveryManager.fail_process` fences the
-failed incarnation and recovers through the first of three tiers that
+**Membership changes.**  A failure, a reassignment, an elastic add or
+remove and the supervisor's quarantine all go through one
+:meth:`RecoveryManager.move`.  :meth:`ClusterComputation.kill_process`
+injects a failure at a virtual time and
+:meth:`RecoveryManager.fail_process` hands the lost process to ``move``,
+which fences the failed incarnation first.  A placement policy
+(:func:`restart`, :func:`spread` or :func:`share`) says where the moving
+workers go, and ``move`` recovers through the first of three tiers that
 applies:
 
 - **skip**: under ``recovery="restart"``, when the process loses
@@ -40,11 +45,14 @@ applies:
   no rollback, no replay, survivors untouched.
 - **partial**: with asynchronous cuts (``mode="checkpoint"`` or
   ``"logging"``), a surviving process and no earlier partial replay
-  still draining, only the lost process's workers restart from the
-  durable cut (:meth:`AsyncCheckpointManager.partial_rollback`, which
-  elastic rescaling reuses to move workers); their share of the cut's
-  channel and their journal suffix are re-injected while the survivors
-  keep running behind a frontier fence.
+  still draining, only the moving workers restart from the durable
+  cut, on their new hosts
+  (:meth:`AsyncCheckpointManager.partial_rollback`); their share of the
+  cut's channel and their journal suffix are re-injected while the
+  survivors keep running behind a frontier fence.  A planned migration
+  waits for a fresh durable cut and no draining replay
+  (:meth:`AsyncCheckpointManager.after_cut`), so it always takes this
+  tier.
 - **global**: otherwise, the paper's whole-cluster rollback (and what
   an explicit :meth:`ClusterComputation.restore` does): the network
   tears down in-flight traffic, every worker restarts from the durable
@@ -69,6 +77,45 @@ from ..obs.trace import TraceEvent
 
 #: Recovery placement policies.
 RECOVERY_POLICIES = ("restart", "reassign")
+
+
+def restart(cluster, process: int) -> Dict[int, int]:
+    """Placement policy: ``process``'s workers stay where they are."""
+    return {
+        index: owner
+        for index, owner in enumerate(cluster._worker_process)
+        if owner == process
+    }
+
+
+def spread(cluster, process: int) -> Dict[int, int]:
+    """Placement policy: ``process``'s workers round-robin over the other
+    live hosts (or in place, when no other host is left)."""
+    hosts = [p for p in cluster._live_hosts() if p != process] or [process]
+    return {
+        index: hosts[cursor % len(hosts)]
+        for cursor, index in enumerate(restart(cluster, process))
+    }
+
+
+def share(cluster, process: int) -> Dict[int, int]:
+    """Placement policy for a joining ``process``: an even share of the
+    workers.  Repeatedly take the highest-index worker from the
+    most-loaded donor, never draining a donor below one worker."""
+    loads: Dict[int, List[int]] = {
+        p: [] for p in cluster._live_hosts() if p != process
+    }
+    for index, owner in enumerate(cluster._worker_process):
+        if owner in loads:
+            loads[owner].append(index)
+    quota = cluster.total_workers // (len(loads) + 1)
+    moving: List[int] = []
+    while len(moving) < quota:
+        donor = max(loads, key=lambda p: (len(loads[p]), -p))
+        if len(loads[donor]) <= 1:
+            break
+        moving.append(loads[donor].pop())
+    return {index: process for index in sorted(moving)}
 
 
 def _write_done() -> None:
@@ -362,36 +409,27 @@ class RecoveryManager:
         process: int,
         policy: Optional[str] = None,
         restart_delay: Optional[float] = None,
-    ) -> None:
-        """Kill a process now: lose its workers, recover.
+    ) -> Optional[Dict[str, Any]]:
+        """Kill a process now: lose its workers, recover through
+        :meth:`move`; returns the failure's record (None when the process
+        was already dead or gone).
 
-        Recovery takes the first of three tiers (skip, partial, global)
-        that applies; the module docstring states when each does.
         Placement of the dead process's workers follows
         ``FaultTolerance.recovery``:
         ``"restart"`` brings the process back after ``restart_delay``
-        (same worker placement); ``"reassign"`` spreads its workers
-        round-robin over the survivors (the dead process stays dead, as
-        under Naiad's vertex-reassignment recovery).
+        (same worker placement, :func:`restart`); ``"reassign"`` spreads
+        its workers round-robin over the survivors (:func:`spread`; the
+        dead process stays dead, as under Naiad's vertex-reassignment
+        recovery).
 
         ``policy`` / ``restart_delay`` override the configured placement
         and delay for this one failure (the supervisor's quarantine and
         exponential-backoff paths); both default to the
         :class:`FaultTolerance` settings.
-
-        The failed incarnation is *fenced* first: its generation number
-        advances and its outstanding progress copies settle, so any
-        traffic it still has in flight — or keeps emitting, if it was
-        falsely suspected — is provably stale and discarded.  The
-        oracle path (:meth:`ClusterComputation.kill_process`) and the
-        supervisor's detection path share this fence, which is what
-        keeps their outputs bit-identical.
         """
         cluster = self.cluster
-        if process in self.dead_processes:
-            return  # already dead; nothing new to lose
-        if process in cluster._removed_processes:
-            return  # already left the cluster; it hosts nothing
+        if process in self.dead_processes or process in cluster._removed_processes:
+            return None  # already dead, or already left: it hosts nothing
         if policy is not None and policy not in RECOVERY_POLICIES:
             raise ValueError(
                 "fail_process() policy must be one of %r (got %r)"
@@ -402,107 +440,195 @@ class RecoveryManager:
                 "fail_process() restart_delay must be >= 0 (got %r)"
                 % (restart_delay,)
             )
-        cluster._fence_process(process)
-        now = cluster.sim.now
         ft = cluster.fault_tolerance
-        snapshot = self.snapshot or self.initial
         if policy is None:
             policy = ft.recovery
         delay = ft.restart_delay if restart_delay is None else restart_delay
-        survivors = [
-            p
-            for p in cluster.live_processes
-            if p != process and p not in self.dead_processes
-        ]
-        if policy == "restart" and self._restore_set_empty(process, snapshot):
+        place = spread if policy == "reassign" else restart
+        return self.move(process, place, policy, cluster.sim.now + delay)
+
+    def move(
+        self, process: Optional[int], place, reason: str, ready: float
+    ) -> Optional[Dict[str, Any]]:
+        """One membership change: restart or rehome ``process``'s workers,
+        and record it; returns the record.
+
+        ``reason`` is a failure's placement policy (``"restart"`` or
+        ``"reassign"``, recorded in :attr:`failures`) or a planned
+        migration (recorded in the cluster's ``rescales``): ``"add"``
+        (``process`` is None; a new process joins) or ``"remove"``
+        (``process`` leaves the membership before its workers move).
+        ``place(cluster, process)`` maps every moving worker to its host
+        once the membership has changed (:func:`restart`, :func:`spread`,
+        :func:`share`).  ``ready`` is when the hosts can start; reading
+        the moving state back (a failure) or shipping it (a migration)
+        is added to it.
+
+        A failure *fences* the failed incarnation first: its generation
+        number advances and its outstanding progress copies settle, so
+        any traffic it still has in flight — or keeps emitting, if it was
+        falsely suspected — is provably stale and discarded.  The oracle
+        path (:meth:`ClusterComputation.kill_process`) and the
+        supervisor's detection path share this fence, which is what
+        keeps their outputs bit-identical.  A migration fences nothing: a
+        departing node's withheld progress updates are flushed instead.
+
+        The change takes the first of three tiers (skip, partial, global)
+        that applies; the module docstring states when each does.  A
+        migration runs only behind a fresh durable cut with no replay
+        draining (:meth:`AsyncCheckpointManager.after_cut`), so it is
+        always partial.
+        """
+        cluster = self.cluster
+        failure = reason in RECOVERY_POLICIES
+        snapshot = self.snapshot or self.initial
+        if failure:
+            cluster._fence_process(process)
+        elif reason == "add":
+            process = cluster.network.add_process()
+            cluster.num_processes += 1
+            cluster.plane.add_mirror(process)
+            cluster.generations.append(0)
+            cluster.live_processes.append(process)
+            cluster._adds_pending -= 1
+        elif process in cluster.live_processes:
+            # Leave the membership first: the departing node's view goes
+            # stale by design, broadcasts stop targeting it, and agreement
+            # checks (drained, snapshot assembly) no longer count it.
+            cluster.live_processes.remove(process)
+            cluster._removed_processes.add(process)
+        else:
+            return None  # already gone (a queued duplicate); nothing to do
+        placement = place(cluster, process)
+        moving = list(placement)
+        if reason == "restart" and self._restore_set_empty(process, snapshot):
             # Nothing to restore: the process restarts in place with its
             # state intact; no rollback, no replay, survivors
             # untouched.  (Only sound under "restart" — "reassign" must
             # still migrate the workers off the dead process.)
-            ready = now + delay
-            for worker in cluster.workers:
-                if worker.process == process:
-                    worker.busy_until = max(worker.busy_until, ready)
-            self._note_failure(process, policy, "skip", ready, snapshot, 0)
+            for index in moving:
+                worker = cluster.workers[index]
+                worker.busy_until = max(worker.busy_until, ready)
+            record = self._record(process, reason, "skip", ready, snapshot, moving, 0)
             self._notify_sessions()
-            return
-        ac = cluster.async_ckpt
-        if ac is not None and survivors and not ac.replay_dedup:
-            # Partial rollback: restore only the lost process's workers.
-            # Under "reassign" the same rollback doubles as a migration —
-            # the lost workers are rehomed round-robin across the
-            # survivors and only *their* state is restored, with replay
-            # dedup protecting the survivors from duplicate deliveries.
-            # (Bail to global recovery while a previous partial replay's
-            # dedup ledgers are still draining — overlapping replays
-            # would not be distinguishable.)
-            moving = [
-                index
-                for index, owner in enumerate(cluster._worker_process)
-                if owner == process
-            ]
-            ready = self._read_back(now + delay, len(moving))
-            placement = None
-            if policy == "reassign":
+            return record
+        if not (moving or failure):
+            # It hosts nothing (it died under reassign and its workers
+            # already moved): pure bookkeeping.
+            return self._record(process, reason, "", ready, snapshot, moving, 0)
+        survivors = [p for p in cluster._live_hosts() if p != process]
+        if reason == "reassign":
+            if survivors:
                 self.dead_processes.add(process)
-                placement = {
-                    index: survivors[cursor % len(survivors)]
-                    for cursor, index in enumerate(moving)
-                }
-            injected = ac.partial_rollback(
-                moving, snapshot, ready, placement=placement, flush_node=process
-            )
-            self._note_failure(process, policy, "partial", ready, snapshot, injected)
-            self.pump()
-            self._notify_sessions()
-            return
-        if policy == "reassign" and survivors:
-            self.dead_processes.add(process)
-            mapping = list(cluster._worker_process)
-            cursor = 0
-            for index in range(cluster.total_workers):
-                if mapping[index] == process:
-                    mapping[index] = survivors[cursor % len(survivors)]
-                    cursor += 1
-            cluster._worker_process = mapping
+            else:
+                reason = "restart"  # nowhere to go: spread() kept it in place
+        # Partial rollback restores only the moving workers (on their new
+        # hosts), with replay dedup protecting the survivors from
+        # duplicate deliveries.  It bails to the global tier while a
+        # previous partial replay's dedup ledgers are still draining:
+        # overlapping replays would not be distinguishable.
+        ac = cluster.async_ckpt
+        partial = ac is not None and bool(survivors) and not ac.replay_dedup
+        if not partial:
+            for index, host in placement.items():
+                cluster._worker_process[index] = host
+        if not failure:
+            ready += self._migration_delay(moving)
+        elif partial:
+            ready = self._read_back(ready, len(moving))
         else:
-            policy = "restart"
-        most = max(Counter(cluster._worker_process).values(), default=0)
-        ready = self._read_back(now + delay, most)
-        replayed = len(self.journal) - snapshot["journal_released"]
-        self._note_failure(process, policy, "global", ready, snapshot, replayed)
-        self._restore_and_replay(snapshot, ready)
-        self.pump()
-        self._notify_sessions()
-
-    def _note_failure(self, process, policy, mode, ready, snapshot, replayed) -> None:
-        """Trace and record one recovered failure (``mode`` is its tier)."""
-        now = self.cluster.sim.now
-        trace = self.cluster._trace
-        if trace is not None:
-            trace.emit(
-                TraceEvent(
-                    "failure",
-                    now,
-                    ready - now,
-                    perf_counter(),
-                    -1,
-                    process,
-                    "",
-                    (),
-                    (policy, replayed, mode),
-                )
+            most = max(Counter(cluster._worker_process).values(), default=0)
+            ready = self._read_back(ready, most)
+        if partial:
+            injected = ac.partial_rollback(
+                moving,
+                snapshot,
+                ready,
+                placement,
+                reason="partial" if failure else "rescale",
+                flush_node=None if reason == "add" else process,
             )
-        self.failures.append(
-            {
+            record = self._record(
+                process, reason, "partial", ready, snapshot, moving, injected
+            )
+        else:
+            replayed = len(self.journal) - snapshot["journal_released"]
+            record = self._record(
+                process, reason, "global", ready, snapshot, moving, replayed
+            )
+            self._restore_and_replay(snapshot, ready)
+        self.pump()
+        if failure:
+            self._notify_sessions()
+        return record
+
+    def _record(self, process, reason, mode, ready, snapshot, moving, count) -> Dict:
+        """Trace, record and return one membership change: a failure in
+        :attr:`failures` (``mode`` is its tier, ``count`` the messages or
+        journal entries it replays) or a migration in the cluster's
+        ``rescales`` (``count`` the messages it re-injected)."""
+        cluster = self.cluster
+        now = cluster.sim.now
+        if reason in RECOVERY_POLICIES:
+            kind, name, detail = "failure", "", (reason, count, mode)
+            record = {
                 "at": now,
                 "process": process,
-                "policy": policy,
+                "policy": reason,
                 "mode": mode,
                 "ready": ready,
                 "restored_from": snapshot["time"],
-                "replayed_entries": replayed,
+                "replayed_entries": count,
             }
+            self.failures.append(record)
+        else:
+            cluster.rescale_generation += 1
+            kind, name = "rescale", reason
+            live = tuple(cluster.live_processes)
+            detail = (reason, cluster.rescale_generation, len(live), tuple(moving), count)
+            record = {
+                "kind": reason,
+                "process": process,
+                "at": now,
+                "ready": ready,
+                "workers": tuple(moving),
+                "injected": count,
+                "generation": cluster.rescale_generation,
+                "live": live,
+            }
+            cluster.rescales.append(record)
+        trace = cluster._trace
+        if trace is not None:
+            trace.emit(
+                TraceEvent(
+                    kind,
+                    now,
+                    max(0.0, ready - now),
+                    perf_counter(),
+                    -1,
+                    process,
+                    name,
+                    (),
+                    detail,
+                )
+            )
+        return record
+
+    def _migration_delay(self, moving: List[int]) -> float:
+        """Virtual-time cost of shipping the moving workers' snapshot
+        state and exactly-once ledger entries to their new home."""
+        cluster = self.cluster
+        ft = cluster.fault_tolerance
+        net = cluster.network.config
+        moving_set = set(moving)
+        state_bytes = ft.state_bytes_per_worker * len(moving)
+        ledger_entries = sum(
+            1 for entry in cluster.async_ckpt.journal if entry[0] in moving_set
+        )
+        return (
+            state_bytes / ft.disk_bandwidth
+            + (state_bytes + 64 * ledger_entries) / net.bandwidth
+            + 2 * net.latency
         )
 
     def _read_back(self, ready: float, workers: int) -> float:

@@ -34,7 +34,7 @@ from ..core.worker import TimestampViolation, Worker
 from ..obs.trace import TraceEvent, TraceSink, timestamp_tuple
 from ..sim.des import Simulator
 from ..sim.network import Network, NetworkConfig
-from .checkpoint import RECOVERY_POLICIES, RecoveryManager
+from .checkpoint import RECOVERY_POLICIES, RecoveryManager, share, spread
 from .protocol import (
     CentralAccumulator,
     ProgressPlane,
@@ -554,12 +554,12 @@ class ClusterComputation(Computation):
         #: coordinator is *not* told; only a supervisor can notice.
         self.crashes: List[Dict[str, Any]] = []
         #: Monotone counter of completed membership changes, and the
-        #: completed changes themselves (dicts; see :meth:`_note_rescale`).
+        #: completed changes themselves (dicts; see
+        #: :meth:`RecoveryManager.move`).
         self.rescale_generation = 0
         self.rescales: List[Dict[str, Any]] = []
-        self._rescale_queue: List[Tuple[str, Optional[int]]] = []
-        self._rescale_active: Optional[Dict[str, Any]] = None
-        self._rescale_pump_token = 0
+        #: Accepted ``add_process`` calls that have not run yet.
+        self._adds_pending = 0
         self.recovery: Optional[RecoveryManager] = None
         #: The attached self-healing supervisor, if any
         #: (:meth:`attach_supervisor`).
@@ -704,20 +704,7 @@ class ClusterComputation(Computation):
         # The plane's on_stale: a progress copy whose fence entry was
         # settled (or rolled back) straggled in and was discarded.
         self.fenced_drops += 1
-        if self._trace is not None:
-            self._trace.emit(
-                TraceEvent(
-                    "detect",
-                    self.sim.now,
-                    0.0,
-                    perf_counter(),
-                    -1,
-                    dst,
-                    "drop",
-                    (),
-                    ("stale-progress", src, self.generations[src]),
-                )
-            )
+        self._detect("drop", dst, ("stale-progress", src, self.generations[src]))
 
     def _rebuild_process_index(self) -> None:
         index: Dict[int, List[_Worker]] = {}
@@ -842,6 +829,9 @@ class ClusterComputation(Computation):
         self._ensure_pool()
         start = self.sim.now
         self.sim.run(until=until, max_events=max_steps)
+        ac = self.async_ckpt
+        if ac is not None and ac.moves and not self.sim.pending_events:
+            raise self._moves_stalled()
         return self.sim.now - start
 
     def drained(self) -> bool:
@@ -1006,12 +996,7 @@ class ClusterComputation(Computation):
         of the dead process's workers follows
         ``FaultTolerance.recovery``.
         """
-        self._check_built()
-        if not 0 <= process < self.num_processes:
-            raise ValueError(
-                "process %d out of range (cluster has %d)"
-                % (process, self.num_processes)
-            )
+        self._check_process(process)
         if at is None:
             self._check_not_in_event("kill_process")
             self.recovery.fail_process(process)
@@ -1033,12 +1018,7 @@ class ClusterComputation(Computation):
         missing heartbeats, fences the dead incarnation, and drives
         recovery itself.
         """
-        self._check_built()
-        if not 0 <= process < self.num_processes:
-            raise ValueError(
-                "process %d out of range (cluster has %d)"
-                % (process, self.num_processes)
-            )
+        self._check_process(process)
         if process == 0:
             raise ValueError(
                 "process 0 hosts the controller and the supervisor and "
@@ -1070,20 +1050,7 @@ class ClusterComputation(Computation):
                 "generation": self.generations[process],
             }
         )
-        if self._trace is not None:
-            self._trace.emit(
-                TraceEvent(
-                    "detect",
-                    self.sim.now,
-                    0.0,
-                    perf_counter(),
-                    -1,
-                    process,
-                    "crash",
-                    (),
-                    (len(hosted), self.generations[process]),
-                )
-            )
+        self._detect("crash", process, (len(hosted), self.generations[process]))
 
     def _fence_process(self, process: int) -> int:
         """Advance ``process``'s incarnation and settle its outstanding
@@ -1097,6 +1064,12 @@ class ClusterComputation(Computation):
         """
         settled = self.plane.settle(process)
         self.generations[process] += 1
+        self._detect("fence", process, (settled, self.generations[process]))
+        return settled
+
+    def _detect(self, phase: str, process: int, detail: tuple) -> None:
+        """Trace one ``detect`` event about ``process``: a crash, a fence,
+        a stale message dropped, or a supervisor phase."""
         if self._trace is not None:
             self._trace.emit(
                 TraceEvent(
@@ -1106,12 +1079,11 @@ class ClusterComputation(Computation):
                     perf_counter(),
                     -1,
                     process,
-                    "fence",
+                    phase,
                     (),
-                    (settled, self.generations[process]),
+                    detail,
                 )
             )
-        return settled
 
     def attach_supervisor(self, config=None, autoscaler=None):
         """Attach and start a self-healing supervisor on process 0.
@@ -1127,8 +1099,9 @@ class ClusterComputation(Computation):
     # Elastic rescaling: grow or shrink the live process set while the
     # computation keeps running.  Both operations wait for a *fresh*
     # durable asynchronous cut and then migrate only the moving workers
-    # via the partial-rollback machinery — the survivors' live state is
-    # never touched (see DESIGN.md, "Elastic rescaling").
+    # through RecoveryManager.move, the path every failure takes — the
+    # survivors' live state is never touched (see DESIGN.md, "Elastic
+    # rescaling").
     # ------------------------------------------------------------------
 
     def _check_rescalable(self, name: str) -> None:
@@ -1155,6 +1128,12 @@ class ClusterComputation(Computation):
         dead = self.recovery.dead_processes if self.recovery is not None else ()
         return [p for p in self.live_processes if p not in dead]
 
+    def _add_share(self) -> int:
+        """Workers a new process would receive, counting every accepted
+        add that has not run yet as a host already."""
+        hosts = len(self._live_hosts()) + self._adds_pending
+        return self.total_workers // (hosts + 1)
+
     def add_process(self, at: Optional[float] = None) -> Optional[int]:
         """Grow the cluster by one process while the computation runs.
 
@@ -1173,14 +1152,14 @@ class ClusterComputation(Computation):
         """
         self._check_built()
         self._check_rescalable("add_process")
-        hosting = len(self._live_hosts())
-        if self.total_workers // (hosting + 1) < 1:
+        if self._add_share() < 1:
             raise ValueError(
-                "add_process(): %d workers across %d hosts leaves no "
-                "share for a new process; grow workers_per_process "
-                "instead" % (self.total_workers, hosting)
+                "add_process(): %d workers across %d hosts (counting adds "
+                "not yet run) leaves no share for a new process; grow "
+                "workers_per_process instead"
+                % (self.total_workers, len(self._live_hosts()) + self._adds_pending)
             )
-        return self._submit_rescale(("add", None), at)
+        return self._rescale(None, share, "add", at)
 
     def remove_process(self, process: int, at: Optional[float] = None) -> None:
         """Gracefully drain ``process`` out of the cluster.
@@ -1193,22 +1172,14 @@ class ClusterComputation(Computation):
         the broadcast membership.  Requires
         ``FaultTolerance(mode="checkpoint", recovery="reassign")``.
         """
-        self._check_built()
+        self._check_process(process)
         self._check_rescalable("remove_process")
-        if not 0 <= process < self.num_processes:
-            raise ValueError(
-                "process %d out of range (cluster has %d)"
-                % (process, self.num_processes)
-            )
         if process == 0:
             raise ValueError(
                 "process 0 hosts the input controller and the progress "
                 "accumulator and cannot be removed"
             )
-        if (
-            process in self._removed_processes
-            or process not in self.live_processes
-        ):
+        if process not in self.live_processes:
             raise ValueError("process %d has already been removed" % process)
         if process in self.recovery.dead_processes:
             raise ValueError(
@@ -1220,249 +1191,42 @@ class ClusterComputation(Computation):
                 "remove_process(%d) would leave no live process to host "
                 "the workers" % process
             )
-        self._submit_rescale(("remove", process), at)
+        self._rescale(process, spread, "remove", at)
 
-    def _submit_rescale(
-        self, op: Tuple[str, Optional[int]], at: Optional[float]
-    ) -> Optional[int]:
+    def _rescale(self, process, place, reason, at) -> Optional[int]:
+        """Queue a planned move behind a fresh durable cut
+        (:meth:`AsyncCheckpointManager.after_cut`) at virtual time
+        ``at``; with ``at=None``, now, and drive the simulation until it
+        completes."""
+        if at is None:
+            self._check_not_in_event("add_process/remove_process")
+        if reason == "add":
+            self._adds_pending += 1
+        queue = self.async_ckpt.after_cut
         if at is not None:
-            self.sim.schedule_at(at, self._queue_rescale, op)
+            self.sim.schedule_at(at, queue, process, place, reason)
             return None
-        self._check_not_in_event("add_process/remove_process")
         self._ensure_pool()
         marker = len(self.rescales)
-        self._rescale_queue.append(op)
-        self._arm_pump_at(self.sim.now)
+        self.sim.schedule_at(self.sim.now, queue, process, place, reason)
         while len(self.rescales) <= marker:
             if not self.sim.step():
-                raise RuntimeError(
-                    "rescale stalled before completing:\n"
-                    + self.debug_state().text
-                )
+                raise self._moves_stalled()
         record = self.rescales[marker]
         return record["process"] if record["kind"] == "add" else None
 
-    def _queue_rescale(self, op: Tuple[str, Optional[int]]) -> None:
-        """A scheduled ``at=`` submission fires."""
-        self._rescale_queue.append(op)
-        self._pump_rescales()
-
-    def _pump_rescales(self) -> None:
-        """Drive queued rescale operations forward.
-
-        A small state machine re-armed off the DES event stream: wait
-        until no journal-replay dedup is draining (migrating mid-replay
-        could not tell replayed duplicates from migrated re-sends),
-        take a *fresh* durable cut so the moving workers' state and
-        ledger entries are current, re-check, then execute the
-        membership change.  The computation keeps running throughout.
-        """
-        # Invalidate any armed wake-up: this call supersedes it.  Keeping
-        # at most one live pump event matters — two pump events at the
-        # same instant would each see the other as the "next event" when
-        # re-arming and spin at a frozen virtual time forever.
-        self._rescale_pump_token += 1
-        ac = self.async_ckpt
-        while True:
-            state = self._rescale_active
-            if state is None:
-                if not self._rescale_queue:
-                    return
-                state = self._rescale_active = {
-                    "op": self._rescale_queue.pop(0),
-                    "stage": "dedup",
-                    "target": 0,
-                }
-            if state["stage"] == "dedup":
-                if ac.replay_dedup:
-                    # A replay is draining (pending deliveries exist):
-                    # wake up when the system next moves.
-                    self._rearm_rescale()
-                    return
-                if not ac.active:
-                    ac.begin_cycle()
-                state["target"] = ac.cycle
-                state["stage"] = "cut"
-            if ac.durable_cycle < state["target"]:
-                if not ac.active and ac.completed_cycle < state["target"]:
-                    # The cycle was abandoned (a failure rolled back
-                    # mid-cut); start over from a clean point now —
-                    # waiting for an event first could strand the op if
-                    # the abandonment was the last event in the queue.
-                    state["stage"] = "dedup"
-                    continue
-                self._rearm_rescale()
-                return
-            if ac.replay_dedup:
-                # A failure recovered between our cut and now; its
-                # replay must drain before the migration can start.
-                state["stage"] = "dedup"
-                self._rearm_rescale()
-                return
-            kind, process = state["op"]
-            self._rescale_active = None
-            if kind == "add":
-                self._execute_add()
-            else:
-                self._execute_remove(process)
-            # Loop: a queued follow-up op starts its own cut right away
-            # (the just-finished execution may have been the final
-            # pending event, leaving nothing to re-arm against).
-
-    def _rearm_rescale(self) -> None:
-        upcoming = self.sim.next_event_time
-        if upcoming is None:
-            raise RuntimeError(
-                "rescale stalled: no pending events while waiting for "
-                "the migration cut:\n" + self.debug_state().text
-            )
-        # Same-time events run in scheduling order, so the pump fires
-        # after the event it is waiting on.
-        self._arm_pump_at(max(upcoming, self.sim.now))
-
-    def _arm_pump_at(self, time: float) -> None:
-        """Schedule the rescale pump, invalidating any earlier arming.
-
-        The pump can be armed from several places (a re-arm while it
-        waits for the cut, a scheduled ``at=`` submission firing, a
-        synchronous submission); the token ensures only the most recent
-        arming fires, so there is never more than one live pump event.
-        """
-        self.sim.schedule_at(time, self._fire_pump, self._rescale_pump_token)
-
-    def _fire_pump(self, token: int) -> None:
-        if token == self._rescale_pump_token:
-            self._pump_rescales()
-
-    def _migration_delay(self, moving: List[int]) -> float:
-        """Virtual-time cost of shipping the moving workers' snapshot
-        state and exactly-once ledger entries to their new home."""
-        ft = self.fault_tolerance
-        net = self.network.config
-        moving_set = set(moving)
-        state_bytes = ft.state_bytes_per_worker * len(moving)
-        ledger_entries = sum(
-            1 for entry in self.async_ckpt.journal if entry[0] in moving_set
-        )
-        return (
-            state_bytes / ft.disk_bandwidth
-            + (state_bytes + 64 * ledger_entries) / net.bandwidth
-            + 2 * net.latency
+    def _moves_stalled(self) -> RuntimeError:
+        return RuntimeError(
+            "rescale stalled: no pending events while waiting for the "
+            "migration cut:\n" + self.debug_state().text
         )
 
-    def _execute_add(self) -> None:
-        now = self.sim.now
-        process = self.network.add_process()
-        self.num_processes += 1
-        self.plane.add_mirror(process)
-        self.generations.append(0)
-        self.live_processes.append(process)
-        # Pick the migrating share: repeatedly take the highest-index
-        # worker from the most-loaded donor, never draining a donor
-        # below one worker.
-        hosts = [p for p in self._live_hosts() if p != process]
-        loads: Dict[int, List[int]] = {p: [] for p in hosts}
-        for index, owner in enumerate(self._worker_process):
-            if owner in loads:
-                loads[owner].append(index)
-        for owned in loads.values():
-            owned.sort()
-        share = self.total_workers // (len(hosts) + 1)
-        moving: List[int] = []
-        while len(moving) < share:
-            donor = max(loads, key=lambda p: (len(loads[p]), -p))
-            if len(loads[donor]) <= 1:
-                break
-            moving.append(loads[donor].pop())
-        moving.sort()
-        snapshot = self.recovery.snapshot or self.recovery.initial
-        ready = now + self._migration_delay(moving)
-        injected = self.async_ckpt.partial_rollback(
-            moving,
-            snapshot,
-            ready,
-            placement={index: process for index in moving},
-            reason="rescale",
-        )
-        self._note_rescale("add", process, moving, ready, injected)
-
-    def _execute_remove(self, process: int) -> None:
-        now = self.sim.now
-        if process not in self.live_processes:
-            return  # already gone (a queued duplicate); nothing to do
-        moving = [
-            index
-            for index, owner in enumerate(self._worker_process)
-            if owner == process
-        ]
-        survivors = [p for p in self._live_hosts() if p != process]
-        # Leave the membership first: the departing node's view goes
-        # stale by design, broadcasts stop targeting it, and agreement
-        # checks (drained, snapshot assembly) no longer count it.
-        self.live_processes.remove(process)
-        self._removed_processes.add(process)
-        if not moving:
-            # It hosted nothing (e.g. it died earlier under reassign
-            # and its workers already moved): pure bookkeeping.
-            self._note_rescale("remove", process, moving, now, 0)
-            return
-        placement = {
-            index: survivors[cursor % len(survivors)]
-            for cursor, index in enumerate(moving)
-        }
-        snapshot = self.recovery.snapshot or self.recovery.initial
-        ready = now + self._migration_delay(moving)
-        injected = self.async_ckpt.partial_rollback(
-            moving,
-            snapshot,
-            ready,
-            placement=placement,
-            reason="rescale",
-            flush_node=process,
-        )
-        self._note_rescale("remove", process, moving, ready, injected)
-
-    def _note_rescale(
-        self,
-        kind: str,
-        process: int,
-        moving: List[int],
-        ready: float,
-        injected: int,
-    ) -> None:
-        self.rescale_generation += 1
-        now = self.sim.now
-        record = {
-            "kind": kind,
-            "process": process,
-            "at": now,
-            "ready": ready,
-            "workers": tuple(moving),
-            "injected": injected,
-            "generation": self.rescale_generation,
-            "live": tuple(self.live_processes),
-        }
-        self.rescales.append(record)
-        trace = self._trace
-        if trace is not None:
-            trace.emit(
-                TraceEvent(
-                    "rescale",
-                    now,
-                    max(0.0, ready - now),
-                    perf_counter(),
-                    -1,
-                    process,
-                    kind,
-                    (),
-                    (
-                        kind,
-                        self.rescale_generation,
-                        len(self.live_processes),
-                        tuple(moving),
-                        injected,
-                    ),
-                )
+    def _check_process(self, process: int) -> None:
+        self._check_built()
+        if not 0 <= process < self.num_processes:
+            raise ValueError(
+                "process %d out of range (cluster has %d)"
+                % (process, self.num_processes)
             )
 
     def _check_not_in_event(self, name: str) -> None:

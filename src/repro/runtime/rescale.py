@@ -191,25 +191,26 @@ class Autoscaler:
         policy ceiling and the one-migration-at-a-time queue.  Returns
         True when a grow was submitted.
         """
+        return self._grow(None, reason=reason)
+
+    def _grow(self, utilization: Optional[float], **detail: Any) -> bool:
+        """Submit an add unless the policy ceiling or the worker share
+        forbids it; True when it was submitted."""
         cluster = self.cluster
-        now = cluster.sim.now
-        hosting = cluster._live_hosts()
-        if len(hosting) >= self.policy.max_processes:
+        hosts = len(cluster._live_hosts())
+        if hosts >= self.policy.max_processes or cluster._add_share() < 1:
             return False
-        if cluster.total_workers // (len(hosting) + 1) < 1:
-            return False
-        cluster.add_process(at=now)
+        cluster.add_process(at=cluster.sim.now)
+        self._decided("add", utilization, hosts, **detail)
+        return True
+
+    def _decided(self, kind: str, utilization, hosts: int, **detail: Any) -> None:
+        """Record a submitted decision and start the cooldown."""
+        now = self.cluster.sim.now
         self.decisions.append(
-            {
-                "kind": "add",
-                "at": now,
-                "utilization": None,
-                "hosts": len(hosting),
-                "reason": reason,
-            }
+            dict(kind=kind, at=now, utilization=utilization, hosts=hosts, **detail)
         )
         self._cooldown_until = now + self.policy.cooldown
-        return True
 
     def _sample(self) -> None:
         cluster = self.cluster
@@ -219,26 +220,8 @@ class Autoscaler:
         utilization = self._utilization(len(hosting))
         self.samples.append((now, utilization, len(hosting)))
         signal = self._hysteresis.update(utilization)
-        if (
-            now >= self._cooldown_until
-            and cluster._rescale_active is None
-            and not cluster._rescale_queue
-        ):
-            if (
-                signal == "high"
-                and len(hosting) < policy.max_processes
-                and cluster.total_workers // (len(hosting) + 1) >= 1
-            ):
-                cluster.add_process(at=now)
-                self.decisions.append(
-                    {
-                        "kind": "add",
-                        "at": now,
-                        "utilization": utilization,
-                        "hosts": len(hosting),
-                    }
-                )
-                self._cooldown_until = now + policy.cooldown
+        if now >= self._cooldown_until and not cluster.async_ckpt.moves:
+            if signal == "high" and self._grow(utilization):
                 self._hysteresis.acknowledge("high")
             elif signal == "low" and len(hosting) > max(
                 1, policy.min_processes
@@ -249,15 +232,8 @@ class Autoscaler:
                 if candidates:
                     victim = max(candidates)
                     cluster.remove_process(victim, at=now)
-                    self.decisions.append(
-                        {
-                            "kind": "remove",
-                            "process": victim,
-                            "at": now,
-                            "utilization": utilization,
-                            "hosts": len(hosting),
-                        }
+                    self._decided(
+                        "remove", utilization, len(hosting), process=victim
                     )
-                    self._cooldown_until = now + policy.cooldown
                     self._hysteresis.acknowledge("low")
         self._arm()

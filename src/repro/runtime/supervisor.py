@@ -41,9 +41,9 @@ recover -> reintegrate automatically through the *same*
 are bit-identical to oracle-driven recovery.  Restart delays back off
 exponentially with jitter across repeated deaths, and a process that
 dies ``quarantine_deaths`` times inside ``quarantine_window`` is
-evicted from the membership entirely (the planned-departure
-bookkeeping of ``remove_process``) with the :class:`Autoscaler`
-backfilling a replacement.
+evicted from the membership entirely (the same
+:meth:`RecoveryManager.move` a ``remove_process`` makes) with the
+:class:`Autoscaler` backfilling a replacement.
 """
 
 from __future__ import annotations
@@ -53,10 +53,9 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from statistics import NormalDist
-from time import perf_counter
 from typing import Any, Deque, Dict, List, Optional
 
-from ..obs.trace import TraceEvent
+from .checkpoint import spread
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -385,7 +384,7 @@ class Supervisor:
             # A fenced incarnation's heartbeat straggling in (e.g. a
             # one-way partition healed): provably stale, discarded.
             self.heartbeat_drops += 1
-            self._trace("drop", process, ("stale-heartbeat", process, generation))
+            cluster._detect("drop", process, ("stale-heartbeat", process, generation))
             return
         detector = self.detectors.get(process)
         if detector is None:
@@ -519,7 +518,7 @@ class Supervisor:
         recent.append(now)
         self.deaths[process] = recent
         seen = self.heartbeats_seen.get(process, 0)
-        self._trace(
+        cluster._detect(
             "suspect",
             process,
             (phi if math.isfinite(phi) else -1.0, seen, len(recent)),
@@ -534,18 +533,16 @@ class Supervisor:
             "action": "recover",
         }
         self.suspicions.append(record)
-        if len(recent) >= config.quarantine_deaths and self._can_quarantine():
+        quarantine = len(recent) >= config.quarantine_deaths and self._can_quarantine()
+        if quarantine:
             record["action"] = "quarantine"
-            self._quarantine(process, record)
-            return
-        policy = config.placement
-        delay = self._backoff(len(recent))
-        record["restart_delay"] = delay
-        cluster.recovery.fail_process(
-            process, policy=policy, restart_delay=delay
-        )
-        failure = cluster.recovery.failures[-1] if cluster.recovery.failures else None
-        if failure is not None and failure["process"] == process:
+            policy, delay = "reassign", self._backoff(1)
+        else:
+            policy, delay = config.placement, self._backoff(len(recent))
+            record["restart_delay"] = delay
+        recovery = cluster.recovery
+        failure = recovery.fail_process(process, policy=policy, restart_delay=delay)
+        if failure is not None:
             record["mode"] = failure["mode"]
             record["ready"] = failure["ready"]
             if failure["policy"] == "restart":
@@ -555,6 +552,18 @@ class Supervisor:
                 sim.schedule_at(
                     max(sim.now, failure["ready"]), self._reintegrate, process
                 )
+        if quarantine:
+            # Crash loop: the reassign recovery moved every worker off
+            # the process, so its eviction moves nothing — a membership
+            # drop and a rescale record, as remove_process leaves — and
+            # the autoscaler backfills.
+            recovery.move(process, spread, "remove", cluster.sim.now)
+            self.quarantined.append(process)
+            cluster._detect("quarantine", process, (len(recent),))
+            backfilled = False
+            if self.autoscaler is not None:
+                backfilled = self.autoscaler.backfill(reason="quarantine")
+            record["backfilled"] = backfilled
         self._arm_deadline()
 
     def _reintegrate(self, process: int) -> None:
@@ -582,52 +591,6 @@ class Supervisor:
             return False
         # Eviction must leave a live host behind.
         return len(cluster._live_hosts()) > 1
-
-    def _quarantine(self, process: int, record: Dict[str, Any]) -> None:
-        """Crash loop: rehome the workers onto the survivors, drop the
-        process from the membership for good, and backfill."""
-        cluster = self.cluster
-        now = cluster.sim.now
-        cluster.recovery.fail_process(
-            process, policy="reassign", restart_delay=self._backoff(1)
-        )
-        failure = cluster.recovery.failures[-1] if cluster.recovery.failures else None
-        if failure is not None and failure["process"] == process:
-            record["mode"] = failure["mode"]
-            record["ready"] = failure["ready"]
-        # The reassign recovery moved every worker off the process, so
-        # eviction is the pure-bookkeeping branch of the remove_process
-        # path (membership drop + rescale record).
-        cluster._execute_remove(process)
-        self.quarantined.append(process)
-        self._trace("quarantine", process, (len(self.deaths.get(process, ())),))
-        backfilled = False
-        if self.autoscaler is not None:
-            backfilled = self.autoscaler.backfill(reason="quarantine")
-        record["backfilled"] = backfilled
-        self._arm_deadline()
-
-    # ------------------------------------------------------------------
-    # Tracing.
-    # ------------------------------------------------------------------
-
-    def _trace(self, phase: str, process: int, detail: tuple) -> None:
-        trace = self.cluster._trace
-        if trace is None:
-            return
-        trace.emit(
-            TraceEvent(
-                "detect",
-                self.cluster.sim.now,
-                0.0,
-                perf_counter(),
-                -1,
-                process,
-                phase,
-                (),
-                detail,
-            )
-        )
 
     def __repr__(self) -> str:
         return "Supervisor(monitoring=%r, suspicions=%d, quarantined=%r)" % (

@@ -131,8 +131,6 @@ class TestNestedSummaries:
     def test_hierarchy_never_under_approximates_flat(self):
         """Every flat could-result-in verdict is preserved by the
         hierarchical index (it may only add conservative positives)."""
-        from repro.core.timestamp import Timestamp
-
         comp = Computation()
         inp, out = triple_nested_program(comp)
         comp.build()

@@ -106,6 +106,27 @@ class TestRescaleValidation:
         with pytest.raises(ValueError, match="no\\s+share"):
             comp.add_process()
 
+    def test_adds_not_yet_run_count_in_the_worker_share(self):
+        # 4 workers over 2 hosts: two queued adds take the last shares.
+        # A third must be rejected when it is called, not join later as
+        # an empty host that still counts in the membership.
+        expected, duration = baseline("wordcount", (2, 2))
+        comp, inp, out = build_wordcount((2, 2), rescale_ft())
+        comp.add_process(at=duration * 0.4)
+        comp.add_process(at=duration * 0.4)
+        with pytest.raises(ValueError, match="no\\s+share"):
+            comp.add_process(at=duration * 0.4)
+        for epoch in WORDCOUNT_EPOCHS:
+            inp.on_next(epoch)
+        inp.on_completed()
+        comp.run()
+        assert comp.drained(), comp.debug_state().text
+        assert out == expected
+        assert [r["process"] for r in comp.rescales] == [2, 3]
+        assert all(r["workers"] for r in comp.rescales)
+        with pytest.raises(ValueError, match="no\\s+share"):
+            comp.add_process()
+
     def test_remove_rejects_process_zero_and_out_of_range(self):
         comp, _, _ = build_wordcount((2, 2), rescale_ft())
         with pytest.raises(ValueError, match="input controller"):
@@ -400,6 +421,20 @@ class TestKillRescaleInterleavings:
         (record,) = comp.rescales
         assert record["kind"] == op[0]
         assert record["workers"] == moved
+
+    def test_migration_behind_an_unrecovered_crash_reports_the_stall(self):
+        # A silent crash with no supervisor freezes its workers, so no
+        # cut completes; the run runs out of events while the add waits,
+        # and says so instead of returning as if it had finished.
+        _, duration = baseline("wordcount", (3, 2))
+        with pytest.raises(RuntimeError, match="rescale stalled"):
+            run_cluster(
+                "wordcount",
+                (3, 2),
+                ft=rescale_ft(),
+                rescale=[("add", duration * 0.4)],
+                crash=[(1, duration * 0.3)],
+            )
 
 
 class TestRescaleUnderHostileNetwork:

@@ -21,7 +21,6 @@ from repro.obs import ACTIVITY_TYPES, TraceSink, serve_latency_stats
 from repro.runtime import ClusterComputation, FaultTolerance
 from repro.runtime.rescale import Hysteresis
 from repro.serve import (
-    AdmissionController,
     AdmissionPolicy,
     Arrangement,
     CompactedEpochError,
