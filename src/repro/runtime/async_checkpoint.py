@@ -62,7 +62,7 @@ suppressed record-by-record (:meth:`AsyncCheckpointManager
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..core.graph import Stage, StageKind
 from ..core.progress import Pointstamp
@@ -148,11 +148,9 @@ class AsyncCheckpointManager:
         self._stage_by_index = {
             stage.index: stage for stage in cluster.graph.stages
         }
-        #: Planned moves waiting for a fresh durable cut, in arrival
-        #: order: ``(process, placement policy, reason)`` for
-        #: :meth:`RecoveryManager.move` (see :meth:`after_cut`).
-        self.moves: List[Tuple] = []
-        #: The cycle whose durable cut the first move waits for; None
+        #: Waiters for a fresh durable cut (see :meth:`after_cut`).
+        self.moves: List[Callable[[], Any]] = []
+        #: The cycle whose durable cut the first waiter waits for; None
         #: while it waits for a replay to drain.
         self._move_cycle: Optional[int] = None
 
@@ -161,12 +159,10 @@ class AsyncCheckpointManager:
     # ------------------------------------------------------------------
 
     def request_cycle(self) -> None:
-        """The checkpoint trigger (periodic or explicit): start a cycle
-        unless one is already collecting."""
-        if not self.active:
-            self.begin_cycle()
-
-    def begin_cycle(self) -> None:
+        """The checkpoint trigger (periodic, or a waiter's fresh cut):
+        start a cycle unless one is already collecting."""
+        if self.active:
+            return
         cluster = self.cluster
         recovery = cluster.recovery
         now = cluster.sim.now
@@ -243,7 +239,8 @@ class AsyncCheckpointManager:
         self.snapshot_worker(worker)
 
     def try_deferred_cut(self, worker) -> None:
-        """Take an owed cut at a step boundary if nothing blocks it."""
+        """Take an owed cut at a step or commit boundary if nothing
+        blocks it."""
         if not self.active or worker.cut >= self.cycle:
             worker._cut_deferred = False
             return
@@ -251,9 +248,6 @@ class AsyncCheckpointManager:
             return
         self.snapshot_worker(worker)
         self._maybe_complete()
-
-    # An owed cut is also taken the moment the blocking callback commits.
-    commit_hook = try_deferred_cut
 
     def snapshot_worker(self, worker) -> None:
         """Record one worker's part of the cut: vertex states (fresh
@@ -499,29 +493,27 @@ class AsyncCheckpointManager:
         self._wake_moves()
 
     # ------------------------------------------------------------------
-    # Planned moves: a migration runs behind a fresh durable cut.
+    # Waiters: a migration or an explicit checkpoint, behind a fresh cut.
     # ------------------------------------------------------------------
 
-    def after_cut(self, process, place, reason) -> None:
-        """Queue a planned move; it runs once no replay is draining and
-        a cut begun after that is durable.
+    def after_cut(self, then: Callable[[], Any]) -> None:
+        """Queue the continuation ``then`` (a planned move's
+        :meth:`RecoveryManager.move`, or an explicit checkpoint's read of
+        the snapshot); it runs once no replay is draining and a cut begun
+        after that is durable, one waiter at a time in arrival order.
 
         Migrating mid-replay could not tell replayed duplicates from
         migrated re-sends, and the fresh cut makes the moving workers'
-        state and exactly-once ledger entries current.  Moves run one
-        at a time, in arrival order, through :meth:`RecoveryManager.move`
-        while the computation keeps running.
+        state and exactly-once ledger entries current.
         """
-        self.moves.append((process, place, reason))
+        self.moves.append(then)
         if len(self.moves) == 1:
             self._run_moves()
 
     def _run_moves(self) -> None:
-        """Take the queued moves as far as they can go now.  Re-entered
-        when what the first one waits for happens: the last replay
-        ledger drains, its cut turns durable, or a rollback abandons
-        its cut."""
-        cluster = self.cluster
+        """Take the queued waiters as far as they can go now; re-run when
+        the last replay ledger drains, the first waiter's cut turns
+        durable, or a rollback abandons it."""
         while self.moves:
             if self.replay_dedup:
                 self._move_cycle = None  # the cut must follow the replay
@@ -532,8 +524,7 @@ class AsyncCheckpointManager:
             if self.durable_cycle < self._move_cycle:
                 return
             self._move_cycle = None
-            process, place, reason = self.moves.pop(0)
-            cluster.recovery.move(process, place, reason, cluster.sim.now)
+            self.moves.pop(0)()
 
     def _wake_moves(self) -> None:
         """Re-run :meth:`_run_moves` at the current time, after the
@@ -834,6 +825,13 @@ class AsyncCheckpointManager:
             lines.append(
                 "  active cycle %d: precut_inflight=%d uncut_workers=%r"
                 % (self.cycle, self._precut_inflight, uncut)
+            )
+        if self.moves:
+            cycle = self._move_cycle
+            head = "a replay drain" if cycle is None else "durable cycle %d" % cycle
+            lines.append(
+                "  after_cut: %d waiter(s), the first waits for %s"
+                % (len(self.moves), head)
             )
         if self.replay_dedup:
             lines.append(

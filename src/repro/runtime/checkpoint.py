@@ -474,10 +474,8 @@ class RecoveryManager:
         departing node's withheld progress updates are flushed instead.
 
         The change takes the first of three tiers (skip, partial, global)
-        that applies; the module docstring states when each does.  A
-        migration runs only behind a fresh durable cut with no replay
-        draining (:meth:`AsyncCheckpointManager.after_cut`), so it is
-        always partial.
+        that applies; the module docstring states when each does (a
+        migration is always partial).
         """
         cluster = self.cluster
         failure = reason in RECOVERY_POLICIES
@@ -655,7 +653,8 @@ class RecoveryManager:
         self.pump()
 
     def _restore_and_replay(self, snapshot: Dict[str, Any], ready: float) -> None:
-        """The global rollback: every process restarts from the cut."""
+        """The global rollback: every worker, progress view and the
+        input journal restart from the cut."""
         cluster = self.cluster
         trace = cluster._trace
         if trace is not None:
@@ -673,7 +672,12 @@ class RecoveryManager:
                 )
             )
         cluster.network.teardown_inflight()
-        cluster._restore_snapshot(snapshot, ready)
+        cluster._restore_workers(snapshot, range(cluster.total_workers), ready)
+        cluster.plane.reset(snapshot["occurrence"])
+        if cluster.async_ckpt is not None:
+            cluster.async_ckpt.note_global_restore(snapshot)
+        for worker in cluster.workers:
+            worker.activate()
         self.released = snapshot["journal_released"]
         self.epochs_released = snapshot["epochs_released"]
 

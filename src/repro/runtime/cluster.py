@@ -414,7 +414,7 @@ class _Worker(Worker):
                 )
         cluster.plane.submit(self.process, updates)
         if ac is not None and self._cut_deferred:
-            ac.commit_hook(self)
+            ac.try_deferred_cut(self)
         self.activate()
 
 
@@ -829,9 +829,8 @@ class ClusterComputation(Computation):
         self._ensure_pool()
         start = self.sim.now
         self.sim.run(until=until, max_events=max_steps)
-        ac = self.async_ckpt
-        if ac is not None and ac.moves and not self.sim.pending_events:
-            raise self._moves_stalled()
+        if self.async_ckpt is not None and not self.sim.pending_events:
+            self._await_cut("rescale")  # a move still queued has stalled
         return self.sim.now - start
 
     def drained(self) -> bool:
@@ -934,37 +933,23 @@ class ClusterComputation(Computation):
         """Take a consistent checkpoint now and return the snapshot.
 
         Same signature as :meth:`repro.core.Computation.checkpoint`.
-        Under ``mode="checkpoint"``/``"logging"`` it drives one marker
-        cycle to durability while the computation keeps running.  Under
-        ``mode="none"`` it drives the simulation to quiescence, flushes
-        the progress-protocol accumulators so every process view agrees,
-        snapshots vertices, pending notifications and occurrence counts,
-        and charges the write to virtual time.  Either way the snapshot
-        becomes the durable rollback target for subsequent failures.
+        Under ``mode="checkpoint"``/``"logging"`` it waits like a planned
+        move (:meth:`AsyncCheckpointManager.after_cut`) for a marker cut
+        begun once no replay is draining to turn durable, while the
+        computation keeps running; it raises "checkpoint stalled" if the
+        events run out first.  Under ``mode="none"`` it drives the
+        simulation to quiescence, flushes the progress-protocol
+        accumulators so every process view agrees, snapshots vertices,
+        pending notifications and occurrence counts, and charges the
+        write to virtual time.  Either way the snapshot becomes the
+        durable rollback target for subsequent failures.
         """
         self._check_built()
         self._check_not_in_event("checkpoint")
         self._ensure_pool()
         recovery = self.recovery
-        ac = self.async_ckpt
-        if ac is not None:
-            # Start a cycle (unless one is already in flight) and step
-            # the DES until that cut is assembled and durable.
-            ac.request_cycle()
-            target = ac.cycle
-            while ac.durable_cycle < target:
-                if not ac.active and ac.completed_cycle < target:
-                    # The in-progress cycle was abandoned (a failure
-                    # arrived mid-cut); start a fresh one.
-                    ac.begin_cycle()
-                    target = ac.cycle
-                    continue
-                if not self.sim.step():
-                    raise RuntimeError(
-                        "async checkpoint cycle stalled before completing:\n"
-                        + self.debug_state().text
-                    )
-            return recovery.snapshot
+        if self.async_ckpt is not None:
+            return self._await_cut("checkpoint", lambda: recovery.snapshot)
         while True:
             self.sim.run()
             if recovery.settle() and self.sim.pending_events == 0:
@@ -1194,32 +1179,46 @@ class ClusterComputation(Computation):
         self._rescale(process, spread, "remove", at)
 
     def _rescale(self, process, place, reason, at) -> Optional[int]:
-        """Queue a planned move behind a fresh durable cut
-        (:meth:`AsyncCheckpointManager.after_cut`) at virtual time
-        ``at``; with ``at=None``, now, and drive the simulation until it
-        completes."""
+        """Queue a planned move behind a fresh durable cut at virtual
+        time ``at``, or (``at=None``) now, and wait until it has run."""
         if at is None:
             self._check_not_in_event("add_process/remove_process")
         if reason == "add":
             self._adds_pending += 1
-        queue = self.async_ckpt.after_cut
+
+        def move() -> Optional[Dict[str, Any]]:
+            return self.recovery.move(process, place, reason, self.sim.now)
+
         if at is not None:
-            self.sim.schedule_at(at, queue, process, place, reason)
+            self.sim.schedule_at(at, self.async_ckpt.after_cut, move)
             return None
         self._ensure_pool()
-        marker = len(self.rescales)
-        self.sim.schedule_at(self.sim.now, queue, process, place, reason)
-        while len(self.rescales) <= marker:
-            if not self.sim.step():
-                raise self._moves_stalled()
-        record = self.rescales[marker]
-        return record["process"] if record["kind"] == "add" else None
+        record = self._await_cut("rescale", move)
+        return record["process"] if reason == "add" else None
 
-    def _moves_stalled(self) -> RuntimeError:
-        return RuntimeError(
-            "rescale stalled: no pending events while waiting for the "
-            "migration cut:\n" + self.debug_state().text
-        )
+    def _await_cut(self, what: str, then: Optional[Callable[[], Any]] = None) -> Any:
+        """Queue ``then`` behind a fresh durable cut now, step the
+        simulation until it has run and return its result (with
+        ``then=None``, until no waiter is left).  If the events run out
+        first, drop ``then`` and raise "<what> stalled"."""
+        ac = self.async_ckpt
+        fired: List[Any] = []
+
+        def waiter() -> None:
+            fired.append(then())
+
+        if then is not None:
+            self.sim.schedule_at(self.sim.now, ac.after_cut, waiter)
+        while not fired and (then is not None or ac.moves):
+            if not self.sim.step():
+                error = RuntimeError(
+                    "%s stalled: no pending events while waiting for a "
+                    "durable cut:\n%s" % (what, self.debug_state().text)
+                )
+                if waiter in ac.moves:
+                    ac.moves.remove(waiter)  # its caller gives up on it
+                raise error
+        return fired[0] if fired else None
 
     def _check_process(self, process: int) -> None:
         self._check_built()
@@ -1264,16 +1263,6 @@ class ClusterComputation(Computation):
             if index in restored:
                 self.workers[index].bind(vertex)
         self._restore_vertex_states(snapshot["vertices"], restored)
-
-    def _restore_snapshot(self, snapshot: Dict[str, Any], busy_until: float) -> None:
-        """The global rollback: every worker restarts from the cut, and
-        the progress views restart from its occurrence counts."""
-        self._restore_workers(snapshot, range(self.total_workers), busy_until)
-        self.plane.reset(snapshot["occurrence"])
-        if self.async_ckpt is not None:
-            self.async_ckpt.note_global_restore(snapshot)
-        for worker in self.workers:
-            worker.activate()
 
     def __repr__(self) -> str:
         return "ClusterComputation(%d procs x %d workers, mode=%s)" % (

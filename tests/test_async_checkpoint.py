@@ -463,3 +463,114 @@ class TestBufferingVerticesSurviveMidEpochKill:
                     assert state[attr] == {}, (stage_index, attr)
                     checked += 1
         assert checked > 0
+
+
+# ----------------------------------------------------------------------
+# Explicit checkpoint(): a waiter for a fresh durable cut, like a planned
+# move, wherever a kill lands around its cut.
+# ----------------------------------------------------------------------
+
+
+def fed_cluster(ft, sink=None, case="wordcount"):
+    """``case`` on 3x2 with every epoch and the close fed at time 0."""
+    program, epochs = CASES[case]
+    comp = ClusterComputation(
+        num_processes=3, workers_per_process=2, fault_tolerance=ft
+    )
+    if sink is not None:
+        comp.attach_trace_sink(sink)
+    inp, out = program(comp)
+    comp.build()
+    for epoch in epochs:
+        inp.on_next(epoch)
+    inp.on_completed()
+    return comp, out
+
+
+class TestExplicitCheckpointWaitsForADurableCut:
+    @pytest.mark.parametrize(
+        "point", ["before-assembly", "before-write", "after-write"]
+    )
+    def test_checkpoint_survives_a_kill_around_its_cut(self, point):
+        # A first run times the cut from its trace: the assembly event
+        # (worker -1) ends when the cut is assembled, and the durable
+        # write records a ``checkpoint`` event.  Placement is hash-salted,
+        # so the times are read, never fixed.
+        expected, _ = baseline("wordcount", (3, 2))
+        ft = make_async_ft(policy="reassign", every=100)
+        sink = TraceSink()
+        fed_cluster(ft, sink)[0].checkpoint()
+        (assembled,) = [
+            e.finish for e in sink if e.kind == "snapshot" and e.worker == -1
+        ]
+        (durable,) = [e.t for e in sink if e.kind == "checkpoint"]
+        assert assembled < durable
+        kill_at = {
+            "before-assembly": assembled / 2,
+            "before-write": (assembled + durable) / 2,
+            "after-write": 2 * durable,
+        }[point]
+        comp, out = fed_cluster(make_async_ft(policy="reassign", every=100))
+        comp.kill_process(2, at=kill_at)
+        snapshot = comp.checkpoint()
+        ac = comp.async_ckpt
+        assert snapshot is comp.recovery.snapshot
+        assert snapshot["cycle"] == ac.durable_cycle
+        assert not ac.moves
+        comp.run()
+        assert comp.drained(), comp.debug_state().text
+        assert out == expected
+        assert [f["process"] for f in comp.recovery.failures] == [2]
+
+    def test_checkpoint_waits_out_a_draining_replay(self):
+        # Called while a kill's partial replay still drains (the same
+        # kill as the rescale interleaving test), checkpoint() cuts only
+        # once the last dedup ledger has drained, as a migration would.
+        _, duration = baseline("incremental-join", (3, 2))
+
+        def killed():
+            comp, out = fed_cluster(
+                make_async_ft(policy="reassign"), case="incremental-join"
+            )
+            comp.kill_process(1, at=0.4 * duration)
+            comp.run(until=0.4005 * duration)
+            assert comp.async_ckpt.replay_dedup
+            return comp, out
+
+        comp, _ = killed()
+        while comp.async_ckpt.replay_dedup:
+            comp.step()
+        drained_at = comp.now
+        comp, out = killed()
+        snapshot = comp.checkpoint()
+        assert snapshot["time"] >= drained_at
+        comp.run()
+        assert out == baseline("incremental-join", (3, 2))[0]
+
+    def test_checkpoint_behind_an_unrecovered_crash_reports_the_stall(self):
+        # A silent crash nobody supervises freezes every cut: checkpoint()
+        # says so, and the waiter it gave up on does not outlive it, so
+        # the next run() has nothing left to report.
+        _, duration = baseline("wordcount", (3, 2))
+        comp, _ = fed_cluster(make_async_ft(policy="reassign"))
+        comp.crash_process(1, at=duration * 0.3)
+        comp.run()
+        with pytest.raises(RuntimeError, match="checkpoint.* stalled"):
+            comp.checkpoint()
+        assert comp.async_ckpt.moves == []
+        comp.run()
+
+    def test_a_stalled_error_names_the_waiting_cut(self):
+        # The same crash behind a queued add: the stall error's state
+        # dump counts the waiters and names the cycle the first awaits.
+        _, duration = baseline("wordcount", (3, 2))
+        comp, _ = fed_cluster(make_async_ft(policy="reassign"))
+        comp.crash_process(1, at=duration * 0.3)
+        comp.add_process(at=duration * 0.4)
+        with pytest.raises(RuntimeError, match="rescale stalled") as error:
+            comp.run()
+        cycle = comp.async_ckpt.cycle
+        assert (
+            "after_cut: 1 waiter(s), the first waits for durable cycle %d" % cycle
+        ) in str(error.value)
+        assert comp.async_ckpt.durable_cycle < cycle
