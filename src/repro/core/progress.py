@@ -43,11 +43,6 @@ from typing import Dict, Hashable, Iterable, List, NamedTuple, Optional, Tuple
 from .pathsummary import Antichain
 from .timestamp import Timestamp
 
-#: ``_scope_memo`` values: a location the scope index does not know,
-#: and (as the ``get`` default) one not looked up yet.
-_UNSCOPED = object()
-_MISSING = object()
-
 
 class Pointstamp(NamedTuple):
     """A timestamp paired with a graph location (stage or connector)."""
@@ -94,21 +89,8 @@ class ProgressState:
         #: is what makes the domination memo below effective.  Current
         #: only after :meth:`settle`.
         self.version = 0
-        #: The hierarchical index (None when built from a plain dict,
-        #: as unit tests do); enables per-scope version vectors.
-        self._index = summaries if hasattr(summaries, "version_plan") else None
-        #: Per-scope frontier version: bumped on any membership change
-        #: in that scope.
-        self._scope_exact: Dict[int, int] = {}
-        #: Per-scope *projected* frontier version: bumped only when the
-        #: set of boundary-projected frontier timestamps of that scope
-        #: changes.  Other scopes see this scope only through truncating
-        #: LCA summaries, so their verdicts depend on nothing finer —
-        #: steady-state inner-iteration churn leaves it untouched.
-        self._scope_proj: Dict[int, int] = {}
-        self._proj_refs: Dict[int, Dict[Timestamp, int]] = {}
-        #: pointstamp -> (version vector, dominated?) memo.
-        self._dominated: Dict[Pointstamp, Tuple[int, Tuple, bool]] = {}
+        #: pointstamp -> (version, dominated?) memo.
+        self._dominated: Dict[Pointstamp, Tuple[int, bool]] = {}
         #: Active pointstamps grouped by location, then by epoch.
         #: could-result-in is location-gated (no path summary between
         #: two locations means no pointstamp pair across them ever
@@ -121,17 +103,12 @@ class ProgressState:
         #: Frontier pointstamps grouped by location, for the same skip
         #: in :meth:`frontier_dominates`.
         self._frontier_by_loc: Dict[Hashable, set] = {}
-        #: id(scope) -> (version-at-build, vector): version vectors are
-        #: rebuilt only after a frontier membership change.
-        self._vector_cache: Dict[int, Tuple[int, Tuple]] = {}
         #: (l1, l2) -> (forward, backward, fwd_trivial, back_trivial):
         #: whether a summary exists each way and, if so, whether it
         #: relates two counter-free timestamps.  Entries are non-empty
         #: tuples, so ``pairs.get(key) or self._pair(...)`` only calls
         #: on a miss.
         self._pairs: Dict[Tuple[Hashable, Hashable], Tuple] = {}
-        #: location -> scope (``_UNSCOPED`` if the index lacks it).
-        self._scope_memo: Dict[Hashable, object] = {}
 
     # ------------------------------------------------------------------
     # The could-result-in relation on pointstamps.
@@ -185,16 +162,6 @@ class ProgressState:
         )
         self._pairs[(l1, l2)] = pair
         return pair
-
-    def _scope(self, location):
-        """Fill ``_scope_memo`` for a location (callers look it up
-        first, so a hit costs no call)."""
-        try:
-            scope = self._index.scope_of(location)
-        except KeyError:
-            scope = _UNSCOPED
-        self._scope_memo[location] = scope
-        return scope
 
     # ------------------------------------------------------------------
     # Occurrence-count updates.
@@ -321,9 +288,8 @@ class ProgressState:
                             self._note_membership(other, True)
 
     def _note_membership(self, pointstamp: Pointstamp, added: bool) -> None:
-        """A pointstamp entered or left the frontier: bump the global
-        version, its scope's exact version, and — when its boundary
-        projection (dis)appeared — the scope's projected version."""
+        """A pointstamp entered or left the frontier: bump the version
+        and keep the per-location frontier groups current."""
         self.version += 1
         if added:
             self._frontier_by_loc.setdefault(pointstamp.location, set()).add(
@@ -335,32 +301,6 @@ class ProgressState:
                 group.discard(pointstamp)
                 if not group:
                     del self._frontier_by_loc[pointstamp.location]
-        index = self._index
-        if index is None:
-            return
-        scope = self._scope_memo.get(pointstamp.location, _MISSING)
-        if scope is _MISSING:
-            scope = self._scope(pointstamp.location)
-        if scope is _UNSCOPED:
-            return
-        sid = id(scope)
-        self._scope_exact[sid] = self._scope_exact.get(sid, 0) + 1
-        if scope is None:
-            return  # the root has no enclosing boundary to project to
-        projected = index.project(pointstamp.timestamp, scope)
-        refs = self._proj_refs.setdefault(sid, {})
-        if added:
-            previous = refs.get(projected, 0)
-            refs[projected] = previous + 1
-            if previous == 0:
-                self._scope_proj[sid] = self._scope_proj.get(sid, 0) + 1
-        else:
-            remaining = refs.get(projected, 0) - 1
-            if remaining <= 0:
-                refs.pop(projected, None)
-                self._scope_proj[sid] = self._scope_proj.get(sid, 0) + 1
-            else:
-                refs[projected] = remaining
 
     # ------------------------------------------------------------------
     # Frontier queries.
@@ -399,20 +339,11 @@ class ProgressState:
         delivery tests, accumulator hold conditions) ask about the same
         pointstamps repeatedly between frontier movements.
         """
-        # Fast path: no membership change at all since the cached
-        # verdict — skip even the scope-vector lookup.  On a version
-        # move, the vector comparison still salvages verdicts whose
-        # relevant scopes did not move (inner-iteration churn
-        # elsewhere), re-arming the fast path for the next call.
         if self._dirty:
             self.settle()
         cached = self._dominated.get(pointstamp)
         if cached is not None and cached[0] == self.version:
-            return cached[2]
-        vector = self.frontier_version_vector(pointstamp.location)
-        if cached is not None and cached[1] == vector:
-            self._dominated[pointstamp] = (self.version, vector, cached[2])
-            return cached[2]
+            return cached[1]
         cri = self.could_result_in
         pairs = self._pairs
         location = pointstamp.location
@@ -425,37 +356,8 @@ class ProgressState:
                 break
         if len(self._dominated) > 100_000:
             self._dominated.clear()
-        self._dominated[pointstamp] = (self.version, vector, result)
+        self._dominated[pointstamp] = (self.version, result)
         return result
-
-    def frontier_version_vector(self, location) -> Tuple:
-        """The frontier versions a domination verdict at ``location``
-        depends on: exact versions for its scope chain, boundary-
-        projected versions for every other scope.  Equal vectors
-        guarantee an unchanged verdict; inner-iteration churn in
-        *other* scopes does not move the vector."""
-        if self._dirty:
-            self.settle()
-        index = self._index
-        if index is None:
-            return (self.version,)
-        scope = self._scope_memo.get(location, _MISSING)
-        if scope is _MISSING:
-            scope = self._scope(location)
-        if scope is _UNSCOPED:
-            return (self.version,)
-        sid = id(scope)
-        cached = self._vector_cache.get(sid)
-        if cached is not None and cached[0] == self.version:
-            return cached[1]
-        exact = self._scope_exact
-        projected = self._scope_proj
-        vector = tuple(
-            exact.get(id(s), 0) if is_exact else projected.get(id(s), 0)
-            for s, is_exact in index.version_plan(scope)
-        )
-        self._vector_cache[sid] = (self.version, vector)
-        return vector
 
     def active_pointstamps(self) -> List[Pointstamp]:
         return list(self.occurrence)

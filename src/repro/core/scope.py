@@ -141,8 +141,7 @@ class SummaryIndex:
     ``index.get((l1, l2))`` returns an :class:`Antichain` of path
     summaries (possibly truncating — see module docstring) or ``None``;
     ``(l1, l2) in index`` tests reachability.  Per-scope tables, scope
-    membership, boundary stages and the version-vector plan used by
-    progress-tracker memoization are exposed for the runtime layers.
+    membership and boundary stages are exposed for the runtime layers.
     """
 
     def __init__(self, graph):
@@ -175,7 +174,6 @@ class SummaryIndex:
         for scope in self.scopes:
             self._build_scope_table(scope)
         self._merged: Dict[Tuple, Optional[SummarySet]] = {}
-        self._version_plan: Dict[int, Tuple[Tuple[ScopeKey, bool], ...]] = {}
         self._flat: Optional[Dict[Tuple, Antichain]] = None
 
     # ------------------------------------------------------------------
@@ -403,27 +401,6 @@ class SummaryIndex:
         if entry is None:
             raise KeyError(key)
         return entry
-
-    # ------------------------------------------------------------------
-    # Version-vector plan for frontier-verdict memoization.
-    # ------------------------------------------------------------------
-
-    def version_plan(self, scope: ScopeKey) -> Tuple[Tuple[ScopeKey, bool], ...]:
-        """Which scope versions a verdict for a pointstamp in ``scope``
-        depends on: ``(scope', exact)`` pairs, exact for ``scope`` and
-        its ancestors (their frontier elements are compared at full
-        precision), projected for every other scope (only their
-        boundary projection is visible through the LCA tables)."""
-        try:
-            return self._version_plan[id(scope)]
-        except KeyError:
-            pass
-        ancestors = {id(s) for s in self.scope_chain(scope)}
-        plan = tuple(
-            (other, id(other) in ancestors) for other in self.scopes
-        )
-        self._version_plan[id(scope)] = plan
-        return plan
 
     # ------------------------------------------------------------------
     # Flat (global single-table) view, kept for conformance testing.

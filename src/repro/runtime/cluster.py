@@ -205,6 +205,11 @@ class _Worker(Worker):
             src_process, generation = fence
             if cluster.generations[src_process] != generation:
                 cluster.fenced_drops += 1
+                ac = cluster.async_ckpt
+                if ac is not None:
+                    # A partial rollback may have cancelled this copy
+                    # by key as well; the fence is what drops it.
+                    ac.cancelled.discard(key)
                 trace = cluster._trace
                 if trace is not None:
                     trace.emit(

@@ -33,7 +33,7 @@ positive deltas sent before negative ones.
 
 The whole progress plane lives here.  :class:`Accumulator` is the one
 implementation of that algorithm (buffer and netting, in-flight ledger,
-hold-verdict memo, deferred-flush timer); :class:`ProtocolNode` and
+incremental hold scan, deferred-flush timer); :class:`ProtocolNode` and
 :class:`CentralAccumulator` add only routing.  :class:`ProgressPlane`
 owns every endpoint together with the views, the generation fence, the
 scope projection and the queued-interior counts, and is what the data
@@ -168,7 +168,8 @@ class ProgressView:
         self.on_change = on_change
         #: Called with the applied update list after every ``apply`` —
         #: even when the frontier did not move, because occurrence-count
-        #: churn invalidates the accumulators' hold-verdict memos.
+        #: churn dirties entries for the accumulators' incremental hold
+        #: scan.
         self.listeners: List[Callable[[List[ProgressUpdate]], None]] = []
 
     def apply(self, updates: List[ProgressUpdate]) -> None:
@@ -248,26 +249,18 @@ class Accumulator:
         #: heavily within an interval.  The timer is a simulator event,
         #: so a pending flush keeps ``run()`` alive.
         self._flush_scheduled = False
-        #: Hold-verdict memo with exact invalidation: an entry maps a
-        #: pointstamp to ``(frontier version vector, verdict)`` and is
-        #: dropped when any input of its verdict changes — its buffered
-        #: delta (accumulate), its in-flight total (ledger), its
-        #: occurrence count (view listener), its queued-interior count
-        #: (``ProgressPlane.note_dequeue``) — while a frontier move
-        #: invalidates only the entries whose version vector actually
-        #: advanced (inner-iteration churn in *other* scopes leaves a
-        #: verdict's vector, and hence its memo entry, intact).
-        self._hold_cache: Dict[Pointstamp, Tuple[Tuple, bool]] = {}
-        self._hold_version = -1
         #: Incremental safety-condition scan — the fix for the measured
         #: 64-computer hot path (_maybe_flush runs on every accumulate
         #: and every progress receive, and used to rescan the whole
         #: buffer each time).  ``_verified`` means every buffered
         #: pointstamp outside ``_dirty`` was proven holdable and none of
-        #: those verdicts has been invalidated since, so a recheck only
-        #: needs to look at the dirty ones.  A dict, not a set: scan
-        #: order (and with it ``hold_evals``) must not follow the
-        #: address-derived hashes of pointstamps.
+        #: the inputs of its verdict has changed since, so a recheck
+        #: only needs to look at the dirty ones.  A frontier move clears
+        #: ``_verified``: the next scan re-tests every entry, its
+        #: domination term memoised per frontier version in the view.
+        #: A dict, not a set: scan order (and with it ``hold_evals``)
+        #: must not follow the address-derived hashes of pointstamps.
+        self._hold_version = -1
         self._verified = False
         self._dirty: Dict[Pointstamp, None] = {}
         self.hold_evals = 0
@@ -281,13 +274,11 @@ class Accumulator:
     ) -> None:
         """Net ``updates`` into the buffer and re-test the holds."""
         buffer = self.buffer
-        cache = self._hold_cache
         dirty = self._dirty
         for pointstamp, delta in updates:
             buffer[pointstamp] = buffer.get(pointstamp, 0) + delta
             if buffer[pointstamp] == 0:
                 del buffer[pointstamp]
-            cache.pop(pointstamp, None)
             dirty[pointstamp] = None
         if origin is not None:
             self._covered.append(origin)
@@ -305,56 +296,34 @@ class Accumulator:
     # ------------------------------------------------------------------
 
     def _note_view_updates(self, updates: List[ProgressUpdate]) -> None:
-        cache = self._hold_cache
-        dirty = self._dirty
         # The applied pointstamps' occurrence counts changed — an input
-        # of condition (b) the version vector does not capture.
+        # of condition (b).
+        dirty = self._dirty
         for pointstamp, _ in updates:
-            cache.pop(pointstamp, None)
             dirty[pointstamp] = None
         version = self.view.state.version
         if version != self._hold_version:
+            # The frontier moved: condition (a) may have changed for
+            # any entry.
             self._hold_version = version
-            # The frontier moved somewhere; re-examine exactly the
-            # entries whose version vector advanced.
-            state = self.view.state
-            stale = [
-                pointstamp
-                for pointstamp, (vector, _) in cache.items()
-                if state.frontier_version_vector(pointstamp.location) != vector
-            ]
-            for pointstamp in stale:
-                del cache[pointstamp]
-                dirty[pointstamp] = None
+            self._verified = False
 
     def _may_hold(self, pointstamp: Pointstamp, buffered: int) -> bool:
-        state = self.view.state
-        vector = state.frontier_version_vector(pointstamp.location)
-        cached = self._hold_cache.get(pointstamp)
-        if cached is not None and cached[0] == vector:
-            self.hold_memo_hits += 1
-            return cached[1]
         self.hold_evals += 1
-        verdict = _may_hold_update(
-            state,
+        return _may_hold_update(
+            self.view.state,
             pointstamp,
             buffered,
             self._in_flight_totals.get(pointstamp, 0),
             self.queued,
         )
-        self._hold_cache[pointstamp] = (vector, verdict)
-        return verdict
-
-    def _holds_invalidated(self, pointstamp: Pointstamp) -> None:
-        if self._hold_cache.pop(pointstamp, None) is not None:
-            self._dirty[pointstamp] = None
 
     def _scan_holds(self) -> bool:
         """True iff the whole buffer may (still) be withheld.
 
         When the previous scan verified the buffer, only pointstamps
         whose verdict inputs changed since (the dirty ones) are
-        re-examined; the rest are covered by exact invalidation.
+        re-examined; the rest keep the verdict that scan proved.
         """
         buffer = self.buffer
         if self._verified:
@@ -423,7 +392,6 @@ class Accumulator:
         updates = net_updates(list(self.buffer.items()))
         covered = tuple(self._covered)
         self.buffer.clear()
-        self._hold_cache.clear()
         self._verified = False
         self._dirty.clear()
         self._covered = []
@@ -440,9 +408,10 @@ class Accumulator:
         if updates:
             self._in_flight[seq] = updates
             totals = self._in_flight_totals
+            dirty = self._dirty
             for pointstamp, delta in updates:
                 totals[pointstamp] = totals.get(pointstamp, 0) + delta
-                self._holds_invalidated(pointstamp)
+                dirty[pointstamp] = None
         return seq
 
     def _forget_in_flight(self, seq: int) -> None:
@@ -450,13 +419,14 @@ class Accumulator:
         if updates is None:
             return
         totals = self._in_flight_totals
+        dirty = self._dirty
         for pointstamp, delta in updates:
             remaining = totals.get(pointstamp, 0) - delta
             if remaining:
                 totals[pointstamp] = remaining
             else:
                 totals.pop(pointstamp, None)
-            self._holds_invalidated(pointstamp)
+            dirty[pointstamp] = None
 
     # ------------------------------------------------------------------
     # Checkpoint / recovery support (section 3.4).
@@ -481,7 +451,6 @@ class Accumulator:
         self._covered = []
         self._in_flight.clear()
         self._in_flight_totals.clear()
-        self._hold_cache.clear()
         self._hold_version = -1
         self._verified = False
         self._dirty.clear()
@@ -863,7 +832,7 @@ class ProgressPlane:
                         # the callback that took it may net to nothing
                         # here (or never reach the central): no later
                         # update need touch this verdict, so re-test now.
-                        endpoint._holds_invalidated(boundary)
+                        endpoint._dirty[boundary] = None
                         self.sim.schedule(0.0, endpoint._maybe_flush)
 
     # ------------------------------------------------------------------

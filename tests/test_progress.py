@@ -203,7 +203,7 @@ OPS = st.one_of(
     ),
     st.tuples(
         st.just("read"),
-        st.sampled_from(["in_frontier", "frontier", "dominates", "vector"]),
+        st.sampled_from(["in_frontier", "frontier", "dominates"]),
     ),
 )
 
@@ -247,10 +247,8 @@ class TestLazySettling:
                 state.in_frontier(probe)
             elif op[1] == "frontier":
                 state.frontier()
-            elif op[1] == "dominates":
-                state.frontier_dominates(probe)
             else:
-                state.frontier_version_vector(probe.location)
+                state.frontier_dominates(probe)
             fresh = eager_copy(summaries, state.occurrence)
             assert set(state.frontier()) == set(fresh.frontier())
             assert state.precursor == fresh.precursor

@@ -1,6 +1,7 @@
 """Unit tests for the distributed progress protocol pieces."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import Pointstamp, Timestamp
 from repro.core.graph import DataflowGraph, StageKind
@@ -181,6 +182,21 @@ class TestModes:
             comp.build()
 
 
+#: One event at process 1 of a standalone plane: ``point`` is
+#: (location index, epoch, loop counter), resolved by the test.
+_POINT = st.tuples(st.integers(0, 3), st.integers(0, 1), st.integers(0, 1))
+_DELTA = st.sampled_from([-2, -1, 1, 2])
+PLANE_OP = st.one_of(
+    st.tuples(st.just("accumulate"), _POINT, _DELTA),
+    st.tuples(st.just("apply"), _POINT, _DELTA),
+    st.tuples(st.just("enqueue"), _POINT),
+    st.tuples(st.just("dequeue"), _POINT),
+    st.tuples(st.just("remember"), _POINT, _DELTA),
+    st.tuples(st.just("forget"), st.integers(0, 3)),
+    st.tuples(st.just("scan")),
+)
+
+
 class TestStandalonePlane:
     """The progress plane driven on its own: a simulator, a network and
     a frozen graph — no cluster, no workers, no vertices."""
@@ -320,6 +336,94 @@ class TestStandalonePlane:
             plane.note_dequeue(connector, time, 0)
         assert not plane._proj_cache
         assert not any(e.queued for e in plane.nodes + [plane.central])
+
+    def test_enqueue_makes_a_buffered_boundary_delta_holdable(self):
+        graph = self.one_loop_graph()
+        c = graph.connectors
+        sim, plane = self.plane_over(graph, "local")
+        node = plane.nodes[1]
+        interior = Pointstamp(ts(0, 0), c[3])
+        [(boundary, _)] = plane.project([(interior, +1)])
+        plane.apply_all([(boundary, +2)])
+
+        # A negative boundary delta with nothing queued fails every
+        # hold clause: its flush is deferred to the plane's timer.
+        plane.submit(1, [(interior, -1)])
+        assert node.buffer == {boundary: -1}
+        assert node._flush_scheduled
+
+        # Interior work queued at that boundary before the timer fires
+        # makes the delta holdable; the timer must see that.
+        plane.note_enqueue(c[3], ts(0, 1), 1)
+        assert node._scan_holds()
+        sim.run()
+        assert node.buffer == {boundary: -1}
+        for process in range(3):
+            assert plane.view(process).state.occurrence == {boundary: 2}
+
+        # The last queued delivery leaves: the re-test flushes it.
+        plane.note_dequeue(c[3], ts(0, 1), 1)
+        sim.run()
+        assert not node.buffer
+        for process in range(3):
+            assert plane.view(process).state.occurrence == {boundary: 1}
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(ops=st.lists(PLANE_OP, max_size=30))
+    def test_hold_scan_matches_a_fresh_verdict(self, ops):
+        """Whatever changed since the last scan, the incremental scan
+        agrees with the safety condition evaluated from scratch."""
+        graph = self.one_loop_graph()
+        inp = graph.stages[0]
+        c = graph.connectors
+        _, plane = self.plane_over(graph, "local")
+        node = plane.nodes[1]
+        view = plane.view(1)
+        # Interior connectors (projected onto the loop's boundary) and
+        # unsummarized locations outside the loop.
+        interior = (c[1], c[3], c[4])
+        outer = (inp, c[0], c[6])
+
+        def stamp(point):
+            index, epoch, counter = point
+            if index == 3:
+                return Pointstamp(ts(epoch), outer[counter])
+            [(projected, _)] = plane.project(
+                [(Pointstamp(ts(epoch, counter), interior[index]), +1)]
+            )
+            return projected
+
+        seqs = []
+        for op in ops + [("scan",)]:
+            kind = op[0]
+            if kind == "accumulate":
+                node.accumulate([(stamp(op[1]), op[2])])
+            elif kind == "apply":
+                view.apply([(stamp(op[1]), op[2])])
+            elif kind in ("enqueue", "dequeue"):
+                index, epoch, counter = op[1]
+                connector = interior[index % 3]
+                note = plane.note_enqueue if kind == "enqueue" else plane.note_dequeue
+                note(connector, ts(epoch, counter), 1)
+            elif kind == "remember":
+                seqs.append(node._remember_in_flight([(stamp(op[1]), op[2])]))
+            elif kind == "forget":
+                if seqs:
+                    node._forget_in_flight(seqs.pop(op[1] % len(seqs)))
+            else:
+                fresh = ProgressState(graph.summaries)
+                fresh.update_many(view.state.occurrence.items())
+                expected = all(
+                    _may_hold_update(
+                        fresh,
+                        p,
+                        d,
+                        node._in_flight_totals.get(p, 0),
+                        node.queued,
+                    )
+                    for p, d in node.buffer.items()
+                )
+                assert node._scan_holds() == expected, ops
 
     def test_fence_settles_pending_copies_once(self):
         from repro.runtime.protocol import ProgressPlane

@@ -385,6 +385,21 @@ class TestRecoveryMechanics:
         comp = iterate_two_kills()
         assert [f["process"] for f in comp.recovery.failures] == [1, 3]
 
+    @pytest.mark.parametrize("case,victim", [("iterate", 2), ("random-a", 1)])
+    def test_kill_leaves_no_cancelled_keys(self, case, victim):
+        # A partial rollback cancels by key the dead process's sends to
+        # survivors; the generation fence drops those copies, and the
+        # drop must retire the key too, or the set grows with each kill
+        # until a global rollback.
+        expected, duration = baseline(case, (3, 2))
+        out, comp = run_cluster(
+            case, (3, 2), ft=make_ft("checkpoint"), kill=(victim, duration * 0.2)
+        )
+        assert out == expected
+        assert comp.recovery.failures[0]["mode"] == "partial"
+        assert comp.fenced_drops > 0
+        assert comp.async_ckpt.cancelled == set()
+
     def test_kill_central_accumulator_host(self):
         # Process 0 hosts the controller and the central accumulator;
         # killing it must still recover.
