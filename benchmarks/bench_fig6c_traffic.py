@@ -17,6 +17,7 @@ baseline (60,708 messages / 10.5 MB).
 """
 
 from repro.lib import Stream
+from repro.obs import collect_profile
 from repro.algorithms import weakly_connected_components
 from repro.runtime import ClusterComputation
 from repro.workloads import uniform_random_graph
@@ -57,16 +58,13 @@ def run_wcc(preset: str, tracking: str) -> dict:
     inp.on_completed()
     comp.run()
     assert comp.drained(), comp.debug_state()
-    evals = sum(node.hold_evals for node in comp.nodes)
-    hits = sum(node.hold_memo_hits for node in comp.nodes)
-    if comp.central is not None:
-        evals += comp.central.hold_evals
-        hits += comp.central.hold_memo_hits
+    # The plane's endpoints, summed as the spine's hold rows sum them.
+    profile = collect_profile(comp)
     return {
         "messages": comp.network.stats.messages("progress"),
         "bytes": comp.network.stats.bytes("progress"),
-        "hold_evals": evals,
-        "memo_hits": hits,
+        "hold_evals": profile.hold_evals,
+        "memo_hits": profile.hold_memo_hits,
     }
 
 

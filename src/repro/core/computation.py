@@ -549,9 +549,7 @@ class Computation(TimelyRuntime):
             )
         worker.queue.clear()
         self._restore_vertex_states(snapshot["vertices"], (0,))
-        self.progress = ProgressState(self.graph.summaries)
-        for pointstamp, count in snapshot["occurrence"].items():
-            self.progress.update(pointstamp, count)
+        self.progress.reset(snapshot["occurrence"])
         worker.load_pending(snapshot["pending"], snapshot.get("cleanups", {}))
         for handle, (epoch, closed) in zip(self.inputs, snapshot["epochs"]):
             handle.next_epoch = epoch

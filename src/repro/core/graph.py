@@ -382,9 +382,9 @@ class DataflowGraph:
                 scope.context.name for scope in self.open_scopes
             )
         self.validate()
-        from .scope import build_summary_index
+        from .scope import SummaryIndex
 
-        self._summaries = build_summary_index(self)
+        self._summaries = SummaryIndex(self)
         self._frozen = True
 
     @property
@@ -439,11 +439,6 @@ class DataflowGraph:
         if self._summaries is None:
             raise GraphValidationError("freeze() the graph before using summaries")
         return self._summaries
-
-    @property
-    def summary_index(self):
-        """Alias of :attr:`summaries`, named for scope-aware callers."""
-        return self.summaries
 
     def input_stages(self) -> List[Stage]:
         return [stage for stage in self.stages if stage.kind is StageKind.INPUT]

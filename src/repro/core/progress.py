@@ -20,12 +20,15 @@ Operation                   Update
 ``v.on_notify(t)``          ``OC[(t, v)] -= 1``
 ==========================  ==========================
 
-The same class doubles as a worker's *local view* of global progress in
+The same class is each process's *local view* of global progress in
 the distributed protocol (section 3.3), where the updates arrive as
-broadcast ``(pointstamp, delta)`` pairs.  Because broadcasts from
-different workers may interleave, a local occurrence count can transiently
-go negative; any pointstamp with a non-zero count is treated as active
-(and hence blocking), which preserves the protocol's safety property.
+broadcast ``(pointstamp, delta)`` batches (:meth:`ProgressState.apply`).
+Because broadcasts from different workers may interleave, a local
+occurrence count can transiently go negative; any pointstamp with a
+non-zero count is treated as active (and hence blocking), which
+preserves the protocol's safety property.  A view is one object for the
+life of a computation: recovery rebuilds it in place
+(:meth:`ProgressState.reset`).
 
 Occurrence counts are applied at once, but precursor counts and the
 frontier are *settled lazily*: an update only records the pointstamps
@@ -38,7 +41,7 @@ pair between two reads never touches them.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, Hashable, Iterable, List, NamedTuple, Optional, Tuple
 
 from .pathsummary import Antichain
 from .timestamp import Timestamp
@@ -63,14 +66,24 @@ class ProgressState:
         ``{(l1, l2): Antichain}`` giving minimal path summaries between
         locations, as produced by
         :meth:`repro.core.graph.DataflowGraph.freeze`.
+    on_change:
+        Called after an :meth:`apply` that moved the frontier: pending
+        notifications may have become deliverable.
     """
 
     def __init__(
         self,
         summaries: Dict[Tuple[Hashable, Hashable], Antichain],
         cri_cache: Optional[Dict] = None,
+        on_change: Optional[Callable[[], None]] = None,
     ):
         self._summaries = summaries
+        self.on_change = on_change
+        #: Called with the applied batch after every :meth:`apply` —
+        #: even when the frontier did not move, because occurrence-count
+        #: churn dirties entries for the accumulators' incremental hold
+        #: scan.
+        self.listeners: List[Callable[[List[Tuple[Pointstamp, int]]], None]] = []
         self.occurrence: Dict[Pointstamp, int] = {}
         #: Precursor counts of the active set as of the last
         #: :meth:`settle`; its keys are the settled active pointstamps.
@@ -119,29 +132,26 @@ class ProgressState:
         t1, t2 = p1.timestamp, p2.timestamp
         if t1.epoch > t2.epoch:
             return False
-        key = (p1.location, p2.location, t1.counters, t2.counters)
-        cached = self._cri_cache.get(key)
+        # The cache hit inlined: this is the scans' innermost call.
+        cached = self._cri_cache.get(
+            (p1.location, p2.location, t1.counters, t2.counters)
+        )
         if cached is None:
-            antichain = self._summaries.get((p1.location, p2.location))
-            cached = antichain is not None and any(
-                s.dominates_counters(t1.counters, t2.counters) for s in antichain
-            )
-            self._cri_cache[key] = cached
+            return self._cri_counters(p1.location, p2.location, t1.counters, t2.counters)
         return cached
 
     def _cri_counters(self, l1, l2, c1: Tuple, c2: Tuple) -> bool:
-        """could-result-in on raw (location, counters) pairs — the
-        epoch condition is the caller's responsibility.  Lets the scan
-        loops below resolve a whole epoch bucket of flat (no-counter)
-        timestamps with one cached verdict instead of a memo-key build
-        per member."""
+        """could-result-in on raw (location, counters) pairs, memoised —
+        the epoch condition is the caller's responsibility.  Lets the
+        scan loops below resolve a whole epoch bucket of flat
+        (no-counter) timestamps with one cached verdict instead of a
+        memo-key build per member."""
         key = (l1, l2, c1, c2)
         cached = self._cri_cache.get(key)
         if cached is None:
             antichain = self._summaries.get((l1, l2))
             # A summary keeping more loop levels than the timestamp
-            # carries cannot apply to it (such pairs never reach the
-            # regular could_result_in path either).
+            # carries cannot apply to it.
             cached = antichain is not None and any(
                 s.keep <= len(c1) and s.dominates_counters(c1, c2)
                 for s in antichain
@@ -186,6 +196,42 @@ class ProgressState:
     def update_many(self, updates: Iterable[Tuple[Pointstamp, int]]) -> None:
         for pointstamp, delta in updates:
             self.update(pointstamp, delta)
+
+    def apply(self, updates: List[Tuple[Pointstamp, int]]) -> None:
+        """Apply one batch as a process view does: update, settle once
+        (the listeners and the version test read the frontier version),
+        tell the listeners, then ``on_change`` if the frontier moved."""
+        before = self.version
+        for pointstamp, delta in updates:
+            self.update(pointstamp, delta)
+        self.settle()
+        for listener in self.listeners:
+            listener(updates)
+        if self.on_change is not None and self.version != before:
+            self.on_change()
+
+    def reset(self, occurrence: Dict[Pointstamp, int]) -> None:
+        """Rebuild in place from checkpointed occurrence counts.
+
+        Failure recovery (section 3.4): every peer discards its progress
+        state and re-derives precursor counts and the frontier from the
+        counts recorded at the last consistent checkpoint.  The path
+        summaries and could-result-in caches are kept — they are
+        properties of the (unchanged) dataflow graph — and so are the
+        listeners and ``on_change``, which the restored batch reaches
+        through :meth:`apply`.  ``version`` keeps growing, so nothing
+        memoised against a pre-reset version is ever served again.
+        """
+        restored = [(p, d) for p, d in occurrence.items() if d]
+        self.occurrence.clear()
+        self.precursor.clear()
+        self._dirty.clear()
+        self._frontier.clear()
+        self._active_by_loc.clear()
+        self._frontier_by_loc.clear()
+        self._dominated.clear()
+        self.version += 1
+        self.apply(restored)
 
     def settle(self) -> None:
         """Bring precursor counts, the frontier and ``version`` up to

@@ -42,16 +42,23 @@ could-result-in queries hierarchically:
   queries at every ancestor level, so the hierarchical relation never
   under-approximates the flat one.
 
-The public entry point is :func:`build_summary_index`, called by
-:meth:`DataflowGraph.freeze`; the returned :class:`SummaryIndex` keeps
-the mapping interface the old global dict exposed (``get`` /
+:meth:`DataflowGraph.freeze` builds the :class:`SummaryIndex`, which
+keeps the mapping interface the old global dict exposed (``get`` /
 ``in`` / ``[]``), so progress trackers and probes are unchanged
 consumers.
+
+This module also owns *summarized* scopes.  :func:`notifying_contexts`
+is the one rule deciding which loop scopes may be summarized (the
+optimizer's plumbing cut-through and the progress plane both ask it),
+:meth:`SummaryIndex.projection` maps each location interior to a
+summarized scope onto that scope's :class:`ScopeNode`, and
+:meth:`ScopeNode.project` is the one rule for the boundary time an
+interior timestamp projects to.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .pathsummary import Antichain, PathSummary, minimal_summaries
 from .timestamp import Timestamp
@@ -62,6 +69,25 @@ ScopeKey = Optional["LoopContext"]  # noqa: F821 (graph imports us)
 
 def _scope_depth(scope: ScopeKey) -> int:
     return 0 if scope is None else scope.depth
+
+
+def notifying_contexts(stages, notifies: Callable[[object], bool]) -> set:
+    """The loop contexts that must not be summarized.
+
+    ``notifies(stage)`` says whether a stage's vertices request
+    notifications.  A context is notifying when some stage in it or in a
+    scope nested inside it notifies: its interior work may then need a
+    cluster-wide notification frontier, so its interior pointstamps are
+    disseminated.  Every other loop scope is summarized.
+    """
+    notifying: set = set()
+    for stage in stages:
+        context = stage.context
+        if context is not None and notifies(stage):
+            while context is not None:
+                notifying.add(context)
+                context = context.parent
+    return notifying
 
 
 class ScopeNode:
@@ -84,6 +110,11 @@ class ScopeNode:
         #: Depth of the *parent* scope: the depth of timestamps carried
         #: by pointstamps at this node.
         self.depth = context.depth - 1
+
+    def project(self, timestamp: Timestamp) -> Timestamp:
+        """The boundary time of interior work at ``timestamp``: the loop
+        coordinates this scope and its descendants introduced dropped."""
+        return Timestamp(timestamp.epoch, timestamp.counters[: self.depth])
 
     def __repr__(self) -> str:
         return "ScopeNode(%s)" % self.context.name
@@ -140,8 +171,8 @@ class SummaryIndex:
 
     ``index.get((l1, l2))`` returns an :class:`Antichain` of path
     summaries (possibly truncating — see module docstring) or ``None``;
-    ``(l1, l2) in index`` tests reachability.  Per-scope tables, scope
-    membership and boundary stages are exposed for the runtime layers.
+    ``(l1, l2) in index`` tests reachability.  :meth:`projection`
+    decides the progress plane's summarized scopes.
     """
 
     def __init__(self, graph):
@@ -272,61 +303,29 @@ class SummaryIndex:
     def scope_node(self, context) -> ScopeNode:
         return self._node_by_context[id(context)]
 
-    def children(self, scope: ScopeKey):
-        return tuple(self._children[id(scope)])
+    def projection(self, notifies: Callable[[object], bool]) -> Tuple[Tuple, Dict]:
+        """The summarized scopes and the progress plane's projection
+        table.
 
-    def members(self, scope: ScopeKey):
-        return tuple(self._members[id(scope)])
-
-    def table(self, scope: ScopeKey) -> Dict[Tuple, Antichain]:
-        return self.tables[id(scope)]
-
-    def subtree(self, scope: ScopeKey) -> Tuple[ScopeKey, ...]:
-        """``scope`` and every scope nested inside it."""
-        out = [scope]
-        stack = list(self._children[id(scope)])
-        while stack:
-            child = stack.pop()
-            out.append(child)
-            stack.extend(self._children[id(child)])
-        return tuple(out)
-
-    def boundary(self, scope) -> Dict[str, Tuple]:
-        """Ingress / egress / feedback stages of a loop scope.
-
-        Ingress stages live in the parent scope (their retirements are
-        parent-level protocol traffic); egress and feedback stages are
-        interior.  ``entry_connectors`` are the interior connectors fed
-        by the ingresses — the points where parent work enters.
+        Returns ``(scopes, table)``: every loop scope
+        :func:`notifying_contexts` leaves summarized (nested ones
+        included), in creation order, and ``location -> ScopeNode`` for
+        every location interior to one.  The outermost summarized
+        enclosing scope absorbs its whole nest.
         """
-        ingress, egress, feedback, entries = [], [], [], []
-        for stage in self.graph.stages:
-            if stage.context is not scope:
-                continue
-            kind = stage.kind.value
-            if kind == "ingress":
-                ingress.append(stage)
-                for outputs in stage.outputs:
-                    entries.extend(outputs)
-            elif kind == "egress":
-                egress.append(stage)
-            elif kind == "feedback":
-                feedback.append(stage)
-        return {
-            "ingress_stages": tuple(ingress),
-            "egress_stages": tuple(egress),
-            "feedback_stages": tuple(feedback),
-            "entry_connectors": tuple(entries),
-        }
-
-    def project(self, timestamp: Timestamp, scope) -> Timestamp:
-        """Project a timestamp inside ``scope`` to its boundary (parent
-        depth): drop the loop coordinates ``scope`` and its descendants
-        introduced."""
-        keep = _scope_depth(scope) - 1
-        if len(timestamp.counters) <= keep:
-            return timestamp
-        return Timestamp(timestamp.epoch, timestamp.counters[:keep])
+        notifying = notifying_contexts(self.graph.stages, notifies)
+        loops = self.scopes[1:]  # the root streaming context has no boundary
+        table: Dict[object, ScopeNode] = {}
+        for scope in loops:
+            # scope_chain runs innermost -> root; scan from the top so
+            # the outermost summarized ancestor owns the projection.
+            for ancestor in reversed(self.scope_chain(scope)[:-1]):
+                if ancestor not in notifying:
+                    node = self._node_by_context[id(ancestor)]
+                    for member in self._members[id(scope)]:
+                        table[member] = node
+                    break
+        return tuple(s for s in loops if s not in notifying), table
 
     # ------------------------------------------------------------------
     # Hierarchical could-result-in resolution.
@@ -432,8 +431,3 @@ class SummaryIndex:
                         links.append((stage, connector, action))
             self._flat = minimal_summaries(locations, links, depths)
         return self._flat
-
-
-def build_summary_index(graph) -> SummaryIndex:
-    """Partition ``graph`` into scopes and build the per-scope tables."""
-    return SummaryIndex(graph)

@@ -156,7 +156,8 @@ class Vertex:
     #: capability.  A loop scope whose stages all opt out this way can be
     #: *summarized* by the distributed runtime: its interior pointstamp
     #: churn stays scope-local and only boundary projections are
-    #: broadcast (see ``runtime.cluster``).  Leave True when in doubt —
+    #: broadcast (decided by ``core.scope.notifying_contexts``, applied
+    #: by ``runtime.protocol.ProgressPlane``).  Leave True when in doubt —
     #: a notifying vertex inside a summarized scope is rejected at
     #: ``notify_at`` time with a :class:`TimestampViolation`.
     notifies = True

@@ -63,6 +63,7 @@ class Worker:
         "computation",
         "index",
         "process",
+        "view",
         "vertices",
         "queue",
         "pending_notifications",
@@ -82,6 +83,11 @@ class Worker:
         self.index = index
         #: The hosting process (the reference runtime's one worker: 0).
         self.process = 0
+        #: The progress state notifications are delivered against: the
+        #: reference runtime's one state, or (set by the cluster's
+        #: worker) its process's view.  One object for the worker's
+        #: life; recovery resets it in place.
+        self.view: Optional[ProgressState] = computation.progress
         #: Stage -> this worker's vertex of it.
         self.vertices: Dict[Stage, Vertex] = {}
         self.queue: deque = deque()
@@ -98,7 +104,7 @@ class Worker:
         self.delivered_messages = 0
         self.delivered_notifications = 0
         #: Bumped whenever the pending notification/cleanup tables gain
-        #: or lose a key; with the progress state's frontier version it
+        #: or lose a key; with the view's frontier version it
         #: keys the deliverability memos (cleanups, notifications), so
         #: the full scan runs once per (frontier, pending-set) state
         #: instead of once per delivery.
@@ -116,10 +122,6 @@ class Worker:
         self.pending_notifications = dict(pending)
         self.pending_cleanups = dict(cleanups)
         self._pending_rev += 1
-
-    def progress_state(self) -> ProgressState:
-        """The progress state notifications are delivered against."""
-        return self.computation.progress
 
     @property
     def pending_requests(self) -> int:
@@ -249,9 +251,9 @@ class Worker:
         pointstamp, so its delivery never blocks or retires another)."""
         if not pending:
             return None
-        state = self.progress_state()
+        state = self.view
         state.settle()  # the frontier version is current only once settled
-        key = (id(state), state.version, self._pending_rev)
+        key = (state.version, self._pending_rev)
         memo = self._memos[earliest]
         if memo is not None and memo[0] == key:
             return memo[1]

@@ -520,10 +520,11 @@ class Probe:
         self.stage = stage
 
     def _states(self):
-        views = getattr(self.computation, "views", None)
-        if views is not None:
-            return [view.state for view in views]
-        return [self.computation.progress]
+        plane = getattr(self.computation, "plane", None)
+        if plane is not None:
+            return plane.views
+        progress = self.computation.progress
+        return [] if progress is None else [progress]
 
     def first_incomplete(self) -> Optional[int]:
         """The earliest epoch that could still deliver work here.

@@ -119,13 +119,12 @@ def collect_profile(comp) -> DESProfile:
         profile.bytes_by_kind = dict(network.stats.bytes_by_kind)
     profile.batch_bytes_calls = getattr(comp, "batch_bytes_calls", 0)
     profile.stage_cost_calls = getattr(comp, "stage_cost_calls", 0)
-    for node in getattr(comp, "nodes", ()):
-        profile.hold_evals += node.hold_evals
-        profile.hold_memo_hits += node.hold_memo_hits
-    central = getattr(comp, "central", None)
-    if central is not None:
-        profile.hold_evals += central.hold_evals
-        profile.hold_memo_hits += central.hold_memo_hits
+    plane = getattr(comp, "plane", None)
+    if plane is not None:
+        for endpoint in plane.nodes + [plane.central]:
+            if endpoint is not None:
+                profile.hold_evals += endpoint.hold_evals
+                profile.hold_memo_hits += endpoint.hold_memo_hits
     pool = getattr(comp, "pool", None)
     if pool is not None:
         profile.pool_size = pool.size

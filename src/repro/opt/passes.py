@@ -50,6 +50,7 @@ from time import perf_counter
 from typing import Dict, List, Optional, Sequence
 
 from ..core.graph import DataflowGraph, Stage, StageKind
+from ..core.scope import notifying_contexts
 from ..obs.trace import TraceEvent, TraceSink
 from .fused import FusedVertex
 from .plan import (
@@ -310,22 +311,13 @@ class PlumbingCutThroughPass:
     name = "plumbing-cut-through"
 
     def run(self, plan: LogicalPlan) -> List[str]:
-        # Only in scopes the progress plane summarizes: no stage inside
-        # notifies (asked as the plane asks, of a vertex).  In the others
-        # the hop's pointstamp is disseminated, and is what lets a
-        # process withhold the hop's sends behind it (section 3.3): cut
-        # through, Pregel-style loops broadcast 1.5-3.5x the updates.
-        notifying = set()
-        for stage in plan.graph.stages:
-            context = stage.context
-            if (
-                context is not None
-                and stage.kind is StageKind.NORMAL
-                and plan.notifies(stage)
-            ):
-                while context is not None:
-                    notifying.add(context)
-                    context = context.parent
+        # Only in scopes the progress plane summarizes, decided by the
+        # plane's own rule (asked, as the plane asks, of a vertex).  In
+        # the others the hop's pointstamp is disseminated, and is what
+        # lets a process withhold the hop's sends behind it (section
+        # 3.3): cut through, Pregel-style loops broadcast 1.5-3.5x the
+        # updates.
+        notifying = notifying_contexts(plan.graph.stages, plan.notifies)
         rewrites: List[str] = []
         for connector in plan.graph.connectors:
             if (

@@ -723,7 +723,7 @@ class AsyncCheckpointManager:
             cluster._worker_process[index] = host
 
         # ---- Replace only the dead workers; survivors keep running.
-        if cluster.summarized_scopes:
+        if cluster.plane.summarized_scopes:
             # The dying workers' queued interior deliveries vanish;
             # their re-injections re-increment through enqueue_message.
             for index in dead:

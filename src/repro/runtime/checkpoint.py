@@ -291,9 +291,9 @@ class RecoveryManager:
         # their views go stale by design; mirror views alias process
         # 0's object and are deduplicated.
         views = cluster.plane.agreeing_views(live_only=True)
-        occurrence = views[0].snapshot()
+        occurrence = dict(views[0].occurrence)
         for view in views[1:]:
-            if view.state.occurrence != occurrence:
+            if view.occurrence != occurrence:
                 raise RuntimeError(
                     "progress views disagree at a quiescent checkpoint; "
                     "the protocol flush is incomplete:\n"

@@ -35,12 +35,7 @@ from ..obs.trace import TraceEvent, TraceSink, timestamp_tuple
 from ..sim.des import Simulator
 from ..sim.network import Network, NetworkConfig
 from .checkpoint import RECOVERY_POLICIES, RecoveryManager, share, spread
-from .protocol import (
-    CentralAccumulator,
-    ProgressPlane,
-    ProgressView,
-    ProtocolNode,
-)
+from .protocol import ProgressPlane
 from .synthetic import batch_bytes, record_count
 
 
@@ -119,7 +114,6 @@ class _Worker(Worker):
     the network commit."""
 
     __slots__ = (
-        "view",
         "busy_until",
         "dead",
         "cut",
@@ -154,9 +148,6 @@ class _Worker(Worker):
         #: Records charge() billed to the running callback.
         self._charged = 0
 
-    def progress_state(self):
-        return self.view.state
-
     # ------------------------------------------------------------------
     # Harness interface: the cluster's additions.
     # ------------------------------------------------------------------
@@ -169,7 +160,8 @@ class _Worker(Worker):
     ) -> None:
         cluster = self.computation
         stage = vertex.stage
-        if capability and cluster.summarized_scopes and cluster.plane.is_summarized(stage):
+        plane = cluster.plane
+        if capability and plane.summarized_scopes and plane.is_summarized(stage):
             raise TimestampViolation(
                 "notify_at(%r) with a capability on stage %r, which "
                 "lives inside a summarized loop scope: its vertex "
@@ -246,7 +238,7 @@ class _Worker(Worker):
         if pool is not None:
             task = pool.submit(self.index, connector, records, timestamp)
         self.queue.append((connector, records, timestamp, remote_bytes, tag, task))
-        if cluster.summarized_scopes:
+        if cluster.plane.summarized_scopes:
             cluster.plane.note_enqueue(connector, timestamp, self.process)
         trace = cluster._trace
         if trace is not None:
@@ -288,7 +280,7 @@ class _Worker(Worker):
         work = Worker._select(self)
         if work is not None and work[0] == "activation":
             cluster = self.computation
-            if cluster.summarized_scopes:
+            if cluster.plane.summarized_scopes:
                 cluster.plane.note_dequeue(work[1], work[3], self.process, work[5])
         return work
 
@@ -520,14 +512,9 @@ class ClusterComputation(Computation):
         #: in the hot path is a single attribute test.
         self.async_ckpt = None
         #: The progress plane (:class:`repro.runtime.protocol
-        #: .ProgressPlane`), created in build().  ``views``, ``nodes``,
-        #: ``central`` and ``summarized_scopes`` are plain aliases of
-        #: its own attributes, kept for introspection.
+        #: .ProgressPlane`), created in build(): its ``views``, ``nodes``,
+        #: ``central`` and ``summarized_scopes`` are the cluster's.
         self.plane: Optional[ProgressPlane] = None
-        self.views: List[ProgressView] = []
-        self.nodes: List[ProtocolNode] = []
-        self.central: Optional[CentralAccumulator] = None
-        self.summarized_scopes: Tuple = ()
         self._stage_costs: Dict[Stage, float] = {}
         #: Worker index -> hosting process.  Initially the contiguous
         #: block layout; failure recovery with the "reassign" policy
@@ -610,7 +597,7 @@ class ClusterComputation(Computation):
         # Registered on the process-0 view at build time; a single
         # attribute test when tracing is off.
         if self._trace is not None:
-            self._trace_frontier(self._trace, self.views[0].state, self.sim.now, -1)
+            self._trace_frontier(self._trace, self.plane.views[0], self.sim.now, -1)
 
     @property
     def now(self) -> float:
@@ -645,15 +632,11 @@ class ClusterComputation(Computation):
             on_frontier_change=self._recheck_process,
             on_stale=self._note_stale_progress,
         )
-        self.views = plane.views
-        self.nodes = plane.nodes
-        self.central = plane.central
-        self.summarized_scopes = plane.summarized_scopes
         self.workers = [_Worker(self, index) for index in range(self.total_workers)]
         self._rebuild_process_index()
         for (_, index), vertex in self.vertices.items():
             self.workers[index].bind(vertex)
-        self.views[0].listeners.append(self._trace_cluster_frontier)
+        plane.views[0].listeners.append(self._trace_cluster_frontier)
         plane.apply_all(
             [(Pointstamp(Timestamp(0), handle.stage), +1) for handle in self.inputs]
         )
@@ -841,7 +824,7 @@ class ClusterComputation(Computation):
     def drained(self) -> bool:
         return (
             all(
-                len(view.state) == 0
+                len(view) == 0
                 for view in self.plane.agreeing_views(live_only=True)
             )
             and not any(worker.has_work() for worker in self.workers)
@@ -851,7 +834,7 @@ class ClusterComputation(Computation):
     def frontier(self) -> List[Pointstamp]:
         """The process-0 view's frontier (a conservative global view)."""
         self._check_built()
-        return self.views[0].state.frontier()
+        return self.plane.views[0].frontier()
 
     def debug_state(self) -> RuntimeDebugState:
         lines = ["t=%.6f pending_events=%d" % (self.sim.now, self.sim.pending_events)]

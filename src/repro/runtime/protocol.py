@@ -35,15 +35,18 @@ The whole progress plane lives here.  :class:`Accumulator` is the one
 implementation of that algorithm (buffer and netting, in-flight ledger,
 incremental hold scan, deferred-flush timer); :class:`ProtocolNode` and
 :class:`CentralAccumulator` add only routing.  :class:`ProgressPlane`
-owns every endpoint together with the views, the generation fence, the
-scope projection and the queued-interior counts, and is what the data
-plane and the control plane talk to.
+owns every endpoint together with the views (one
+:class:`~repro.core.progress.ProgressState` per process), the
+generation fence and the queued-interior counts, and is what the data
+plane and the control plane talk to.  Which scopes are summarized, and
+what an interior pointstamp projects to, are decided in
+:mod:`repro.core.scope`; the plane applies them and memoizes the result.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.graph import Stage
 from ..core.progress import Pointstamp, ProgressState
@@ -150,66 +153,6 @@ def net_updates(updates: List[ProgressUpdate]) -> List[ProgressUpdate]:
     return merged
 
 
-class ProgressView:
-    """A process's local view of global progress.
-
-    Wraps a :class:`ProgressState` and the worker notification recheck
-    hook: whenever updates are applied, pending notifications at this
-    process may have become deliverable.
-    """
-
-    def __init__(
-        self,
-        summaries,
-        on_change: Optional[Callable[[], None]] = None,
-        cri_cache: Optional[Dict] = None,
-    ):
-        self.state = ProgressState(summaries, cri_cache=cri_cache)
-        self.on_change = on_change
-        #: Called with the applied update list after every ``apply`` —
-        #: even when the frontier did not move, because occurrence-count
-        #: churn dirties entries for the accumulators' incremental hold
-        #: scan.
-        self.listeners: List[Callable[[List[ProgressUpdate]], None]] = []
-
-    def apply(self, updates: List[ProgressUpdate]) -> None:
-        state = self.state
-        before = state.version
-        for pointstamp, delta in updates:
-            state.update(pointstamp, delta)
-        # Settle once per batch: the listeners and the version test
-        # below read the frontier version.
-        state.settle()
-        for listener in self.listeners:
-            listener(updates)
-        # Deliverability can only change when the frontier moved.
-        if self.on_change is not None and state.version != before:
-            self.on_change()
-
-    def snapshot(self) -> Dict[Pointstamp, int]:
-        """The occurrence counts this view currently holds (a copy)."""
-        return dict(self.state.occurrence)
-
-    def reset(self, occurrence: Dict[Pointstamp, int]) -> None:
-        """Rebuild the view from checkpointed occurrence counts.
-
-        Used by failure recovery (section 3.4): every peer discards its
-        progress state and re-derives precursor counts and the frontier
-        from the counts recorded at the last consistent checkpoint.  The
-        path summaries and the shared could-result-in cache are reused —
-        they are properties of the (unchanged) dataflow graph.
-        """
-        state = self.state
-        self.state = ProgressState(state._summaries, cri_cache=state._cri_cache)
-        # Apply through the normal path so on_change fires and pending
-        # notifications deliverable under the restored frontier run.
-        self.apply([(p, d) for p, d in occurrence.items() if d])
-
-    def unblocked(self, pointstamp: Pointstamp) -> bool:
-        """:meth:`ProgressState.unblocked` on this view."""
-        return self.state.unblocked(pointstamp)
-
-
 class Accumulator:
     """One endpoint of the section 3.3 accumulator algorithm.
 
@@ -222,7 +165,7 @@ class Accumulator:
     acknowledgements they consume.
     """
 
-    def __init__(self, process: int, view: ProgressView, plane: "ProgressPlane"):
+    def __init__(self, process: int, view: ProgressState, plane: "ProgressPlane"):
         self.process = process
         self.view = view
         self.plane = plane
@@ -301,7 +244,7 @@ class Accumulator:
         dirty = self._dirty
         for pointstamp, _ in updates:
             dirty[pointstamp] = None
-        version = self.view.state.version
+        version = self.view.version
         if version != self._hold_version:
             # The frontier moved: condition (a) may have changed for
             # any entry.
@@ -311,7 +254,7 @@ class Accumulator:
     def _may_hold(self, pointstamp: Pointstamp, buffered: int) -> bool:
         self.hold_evals += 1
         return _may_hold_update(
-            self.view.state,
+            self.view,
             pointstamp,
             buffered,
             self._in_flight_totals.get(pointstamp, 0),
@@ -468,7 +411,7 @@ class ProtocolNode(Accumulator):
     def __init__(
         self,
         process: int,
-        view: ProgressView,
+        view: ProgressState,
         plane: "ProgressPlane",
         mirror: bool = False,
     ):
@@ -645,11 +588,12 @@ class ProgressPlane:
     Built from the graph's summary index, a simulator and a network —
     no cluster, no vertices — so it can be driven on its own.
     ``notifies(stage)`` says whether a stage's vertices request
-    notifications; a loop scope none of whose stages do is *summarized*:
-    its interior pointstamps are projected onto the scope's boundary
-    :class:`ScopeNode` (inner loop coordinates dropped) before
-    dissemination, so inner-iteration churn nets away inside the
-    accumulators instead of crossing the network.  ``live_processes`` is
+    notifications; a loop scope none of whose stages do is *summarized*
+    (:meth:`repro.core.scope.SummaryIndex.projection`): its interior
+    pointstamps are projected onto the scope's boundary
+    :class:`ScopeNode` (:meth:`ScopeNode.project`) before dissemination,
+    so inner-iteration churn nets away inside the accumulators instead
+    of crossing the network.  ``live_processes`` is
     the cluster's membership list, shared and read at every broadcast.
 
     The data plane calls :meth:`submit`, :meth:`view`,
@@ -680,16 +624,15 @@ class ProgressPlane:
         self.accumulates_locally = progress_mode in ("local", "local+global")
         self.on_frontier_change = on_frontier_change
         self.fence = _Fence(network, on_stale)
-        #: Loop contexts whose interior progress is summarized.
-        self.summarized_scopes: Tuple = ()
-        #: location -> ScopeNode of its outermost summarized enclosing
-        #: scope; empty when nothing is summarized (every data-plane
-        #: hook is then a single truthiness test).
-        self._proj_table: Dict[Any, ScopeNode] = {}
+        #: Loop contexts whose interior progress is summarized (nested
+        #: ones included), and location -> ScopeNode of the outermost
+        #: summarized scope enclosing it; the table is empty when
+        #: nothing is summarized (every data-plane hook is then a single
+        #: truthiness test).
+        self.summarized_scopes, self._proj_table = summaries.projection(notifies)
         #: Pointstamp -> projected Pointstamp memo for :meth:`project`
         #: and the queued-interior counts (:meth:`_boundary`).
         self._proj_cache: Dict[Pointstamp, Pointstamp] = {}
-        self._summarize_scopes(summaries, notifies)
         #: Deferred-flush timer shared by all endpoints: called with a
         #: thunk to run one accumulation interval later.  Only
         #: summarized scopes batch — scope-free graphs never defer.
@@ -699,11 +642,11 @@ class ProgressPlane:
         #: Processes added at runtime; their views alias process 0's.
         self._mirrors: List[int] = []
         shared_cri_cache: Dict = {}
-        self.views: List[ProgressView] = [
-            ProgressView(
+        self.views: List[ProgressState] = [
+            ProgressState(
                 summaries,
-                on_change=partial(self._frontier_moved, process),
                 cri_cache=shared_cri_cache,
+                on_change=partial(self._frontier_moved, process),
             )
             for process in range(len(live_processes))
         ]
@@ -716,39 +659,6 @@ class ProgressPlane:
         self.central: Optional[CentralAccumulator] = None
         if progress_mode in ("global", "local+global"):
             self.central = CentralAccumulator(0, self.views[0], self)
-
-    def _summarize_scopes(self, index, notifies: Callable[[Stage], bool]) -> None:
-        """Choose the summarized scopes and fill the projection table.
-
-        A loop scope qualifies when no stage in its subtree notifies:
-        interior work then never needs a cluster-wide notification
-        frontier.  The outermost qualifying ancestor absorbs its whole
-        nest.
-        """
-        summarized: set = set()
-        for scope in index.scopes:
-            if scope is None:
-                continue  # the root streaming context has no boundary
-            if not any(
-                getattr(member, "kind", None) is not None and notifies(member)
-                for inner in index.subtree(scope)
-                for member in index.members(inner)
-            ):
-                summarized.add(id(scope))
-        self.summarized_scopes = tuple(
-            scope for scope in index.scopes if id(scope) in summarized
-        )
-        for scope in index.scopes:
-            if scope is None:
-                continue
-            # scope_chain runs innermost -> root; scan from the top so
-            # the outermost summarized ancestor owns the projection.
-            for ancestor in reversed(index.scope_chain(scope)[:-1]):
-                if id(ancestor) in summarized:
-                    node = index.scope_node(ancestor)
-                    for member in index.members(scope):
-                        self._proj_table[member] = node
-                    break
 
     # ------------------------------------------------------------------
     # Data plane.
@@ -768,7 +678,7 @@ class ProgressPlane:
         else:
             node._disseminate(net_updates(updates), ())
 
-    def view(self, process: int) -> ProgressView:
+    def view(self, process: int) -> ProgressState:
         return self.views[process]
 
     def is_summarized(self, stage: Stage) -> bool:
@@ -793,10 +703,7 @@ class ProgressPlane:
 
     def _memo_projection(self, key, node: ScopeNode) -> Pointstamp:
         """Project the pointstamp ``key`` onto ``node`` and memoize it."""
-        timestamp = key[0]
-        boundary = Pointstamp(
-            Timestamp(timestamp.epoch, timestamp.counters[: node.depth]), node
-        )
+        boundary = Pointstamp(node.project(key[0]), node)
         cache = self._proj_cache
         if len(cache) > 100_000:
             cache.clear()
@@ -858,7 +765,7 @@ class ProgressPlane:
             out.append((pointstamp, delta))
         return out
 
-    def agreeing_views(self, live_only: bool = False) -> List[ProgressView]:
+    def agreeing_views(self, live_only: bool = False) -> List[ProgressState]:
         """The distinct view objects, identity-deduplicated.
 
         Mirror processes alias process 0's view object, so iterating
@@ -868,7 +775,7 @@ class ProgressPlane:
         by design and must not vote in agreement checks.
         """
         processes = self.live_processes if live_only else range(len(self.views))
-        unique: Dict[int, ProgressView] = {}
+        unique: Dict[int, ProgressState] = {}
         for process in processes:
             view = self.views[process]
             unique.setdefault(id(view), view)
@@ -958,10 +865,8 @@ class ProgressPlane:
         lines = []
         for process, view in enumerate(self.views):
             # A mirror aliases process 0's view; already shown.
-            if process not in self._mirrors and len(view.state):
-                lines.append(
-                    "  process %d view: %r" % (process, view.state.occurrence)
-                )
+            if process not in self._mirrors and len(view):
+                lines.append("  process %d view: %r" % (process, view.occurrence))
         for node in self.nodes:
             if node.buffer:
                 lines.append("  node %d buffer: %r" % (node.process, node.buffer))

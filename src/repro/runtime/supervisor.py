@@ -463,7 +463,7 @@ class Supervisor:
         if cluster.network.data_in_flight:
             return True
         for view in cluster.plane.agreeing_views(live_only=True):
-            if len(view.state):
+            if len(view):
                 return True
         for worker in cluster.workers:
             if worker.has_work():

@@ -229,9 +229,9 @@ class SessionManager:
             vertex = handle.vertex()
             if serve_vertex not in vertex.readers:
                 vertex.readers.append(serve_vertex)
-        views = getattr(computation, "views", None)
-        if views:
-            views[0].listeners.append(self._on_frontier)
+        plane = getattr(computation, "plane", None)
+        if plane is not None:
+            plane.views[0].listeners.append(self._on_frontier)
 
     def _serve_vertex(self) -> ServeVertex:
         vertex = self.computation.vertices.get((self.stage, 0))
@@ -433,7 +433,7 @@ class SessionManager:
         """Publish hook relayed by the runtime when an arrangement
         applies an epoch (reference runtime re-checks here; the cluster
         re-checks on the post-commit frontier change instead)."""
-        if self._deferred and not hasattr(self.computation, "views"):
+        if self._deferred and getattr(self.computation, "plane", None) is None:
             self._recheck_deferred()
 
     # ------------------------------------------------------------------

@@ -49,8 +49,8 @@ class TestProbe:
             if claimed_done_at is None and probe.done(0):
                 claimed_done_at = steps
                 # At claim time, no view may hold epoch-0 work.
-                for view in comp.views:
-                    for p in view.state.occurrence:
+                for view in comp.plane.views:
+                    for p in view.occurrence:
                         assert p.timestamp.epoch > 0
         assert claimed_done_at is not None
 

@@ -613,7 +613,7 @@ class TestPlumbingCutThrough:
         marked = {c for c in comp.graph.connectors if c.cut_through}
         assert len(marked) == 3
         seen = set()
-        for view in comp.views:
+        for view in comp.plane.views:
             view.listeners.append(
                 lambda updates: seen.update(p.location for p, _ in updates)
             )

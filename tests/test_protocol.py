@@ -9,7 +9,6 @@ from repro.core.progress import ProgressState
 from repro.runtime.protocol import (
     PROTOCOL_MODES,
     UPDATE_WIRE_BYTES,
-    ProgressView,
     _may_hold_update,
     net_updates,
     wire_size,
@@ -98,31 +97,34 @@ class TestMayHold:
         assert not _may_hold_update(state, p, +1, -1)
 
 
-class TestProgressView:
+class TestProgressStateAsView:
+    """A process's view is its ProgressState: batches arrive through
+    ``apply`` and recovery resets the same object in place."""
+
     def test_unblocked_active_frontier(self):
         g, inp, a, b, c1, c2 = simple_graph()
-        view = ProgressView(g.summaries)
+        view = ProgressState(g.summaries)
         p = Pointstamp(ts(0), a)
         view.apply([(p, +1)])
         assert view.unblocked(p)
 
     def test_unblocked_inactive_but_clear(self):
         g, inp, a, b, c1, c2 = simple_graph()
-        view = ProgressView(g.summaries)
+        view = ProgressState(g.summaries)
         # p itself is not visible (its +1 is buffered elsewhere), but
         # nothing else could produce work at or before it.
         assert view.unblocked(Pointstamp(ts(0), b))
 
     def test_blocked_by_upstream(self):
         g, inp, a, b, c1, c2 = simple_graph()
-        view = ProgressView(g.summaries)
+        view = ProgressState(g.summaries)
         view.apply([(Pointstamp(ts(0), c1), +1)])
         assert not view.unblocked(Pointstamp(ts(0), b))
         assert not view.unblocked(Pointstamp(ts(5), b))
 
     def test_same_pointstamp_does_not_block_itself(self):
         g, inp, a, b, c1, c2 = simple_graph()
-        view = ProgressView(g.summaries)
+        view = ProgressState(g.summaries)
         p = Pointstamp(ts(0), b)
         view.apply([(p, +2)])  # two workers requested the same time
         assert view.unblocked(p)
@@ -130,7 +132,7 @@ class TestProgressView:
     def test_on_change_hook_fires(self):
         g, inp, a, b, c1, c2 = simple_graph()
         calls = []
-        view = ProgressView(g.summaries, on_change=lambda: calls.append(1))
+        view = ProgressState(g.summaries, on_change=lambda: calls.append(1))
         view.apply([(Pointstamp(ts(0), a), +1)])
         assert calls == [1]
 
@@ -139,7 +141,7 @@ class TestProgressView:
         # sees the batch's net effect on frontier membership.
         g, inp, a, b, c1, c2 = simple_graph()
         calls = []
-        view = ProgressView(g.summaries, on_change=lambda: calls.append(1))
+        view = ProgressState(g.summaries, on_change=lambda: calls.append(1))
         pa = Pointstamp(ts(0), a)
         pb = Pointstamp(ts(0), b)
         batches = [
@@ -152,21 +154,85 @@ class TestProgressView:
         ]
         fired = []
         for batch in batches:
-            before = set(view.state.frontier())
+            before = set(view.frontier())
             count = len(calls)
             view.apply(batch)
             fired.append(len(calls) - count)
-            moved = set(view.state.frontier()) != before
+            moved = set(view.frontier()) != before
             assert fired[-1] == int(moved), batch
         assert fired == [1, 0, 0, 0, 1, 0]
 
     def test_transient_negative_blocks(self):
         g, inp, a, b, c1, c2 = simple_graph()
-        view = ProgressView(g.summaries)
+        view = ProgressState(g.summaries)
         view.apply([(Pointstamp(ts(0), c2), -1)])
         assert not view.unblocked(Pointstamp(ts(0), b))
         view.apply([(Pointstamp(ts(0), c2), +1)])
         assert view.unblocked(Pointstamp(ts(0), b))
+
+    def test_reset_keeps_version_growing_and_drops_the_domination_memo(self):
+        g, inp, a, b, c1, c2 = simple_graph()
+        view = ProgressState(g.summaries)
+        pb = Pointstamp(ts(0), b)
+        view.apply([(Pointstamp(ts(0), c1), +1)])
+        assert view.frontier_dominates(pb)  # memoised at this version
+        before = view.version
+        # Restored counts whose frontier does not cover pb at all.
+        view.reset({Pointstamp(ts(0), c2): 0})
+        assert view.version > before
+        assert view.occurrence == {} and view.frontier() == []
+        assert not view.frontier_dominates(pb)
+        assert view.unblocked(pb)
+        # And a restore whose frontier does cover it.
+        middle = view.version
+        view.reset({Pointstamp(ts(0), a): 1})
+        assert view.version > middle
+        assert view.frontier() == [Pointstamp(ts(0), a)]
+        assert view.frontier_dominates(pb)
+
+    def test_listeners_and_on_change_survive_a_reset(self):
+        g, inp, a, b, c1, c2 = simple_graph()
+        changes, batches = [], []
+        view = ProgressState(g.summaries, on_change=lambda: changes.append(1))
+        view.listeners.append(batches.append)
+        view.apply([(Pointstamp(ts(0), c1), +1)])
+        assert changes == [1] and len(batches) == 1
+        restored = Pointstamp(ts(1), a)
+        view.reset({restored: 2, Pointstamp(ts(0), c1): 0})
+        # The restored batch reached both hooks, zero counts dropped.
+        assert changes == [1, 1]
+        assert batches[-1] == [(restored, 2)]
+        assert view.occurrence == {restored: 2}
+        view.apply([(restored, -2)])
+        assert changes == [1, 1, 1] and len(batches) == 3
+
+
+    def test_reference_restore_keeps_the_view_object(self):
+        from repro import Computation
+        from repro.lib import Stream
+
+        comp = Computation()
+        inp = comp.new_input()
+        out = []
+        Stream.from_input(inp).count_by(lambda x: x).subscribe(
+            lambda t, recs: out.extend((t.epoch, r) for r in recs)
+        )
+        comp.build()
+        state, worker = comp.progress, comp.workers[0]
+        assert worker.view is state
+        snapshot = comp.checkpoint()
+        inp.on_next(["a", "b"])
+        comp.run()
+        before = state.version
+        comp.restore(snapshot)
+        assert comp.progress is state and worker.view is state
+        assert state.version > before
+        # The restored object drives the replayed run to completion.
+        inp.on_next(["a", "a"])
+        inp.on_completed()
+        comp.run()
+        assert comp.drained()
+        assert (0, ("a", 2)) in out
 
 
 class TestModes:
@@ -290,7 +356,7 @@ class TestStandalonePlane:
         # — at every view, with nothing left withheld anywhere.
         open_epoch = Pointstamp(ts(1), inp)
         for process in range(3):
-            state = plane.view(process).state
+            state = plane.view(process)
             assert state.occurrence == {open_epoch: 1}, (mode, process)
             assert state.frontier() == [open_epoch]
             assert not plane.withholding(process)
@@ -359,14 +425,14 @@ class TestStandalonePlane:
         sim.run()
         assert node.buffer == {boundary: -1}
         for process in range(3):
-            assert plane.view(process).state.occurrence == {boundary: 2}
+            assert plane.view(process).occurrence == {boundary: 2}
 
         # The last queued delivery leaves: the re-test flushes it.
         plane.note_dequeue(c[3], ts(0, 1), 1)
         sim.run()
         assert not node.buffer
         for process in range(3):
-            assert plane.view(process).state.occurrence == {boundary: 1}
+            assert plane.view(process).occurrence == {boundary: 1}
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(ops=st.lists(PLANE_OP, max_size=30))
@@ -412,7 +478,7 @@ class TestStandalonePlane:
                     node._forget_in_flight(seqs.pop(op[1] % len(seqs)))
             else:
                 fresh = ProgressState(graph.summaries)
-                fresh.update_many(view.state.occurrence.items())
+                fresh.update_many(view.occurrence.items())
                 expected = all(
                     _may_hold_update(
                         fresh,
@@ -456,7 +522,7 @@ class TestStandalonePlane:
         assert plane.settle(0) == 2  # what is left, in destination order
         assert applied == [1, 0, 2]
         for process in range(3):
-            assert plane.view(process).state.occurrence == {epoch: 1}
+            assert plane.view(process).occurrence == {epoch: 1}
         sim.run()
         # The network copies straggle in and are each dropped once.
         assert applied == [1, 0, 2]

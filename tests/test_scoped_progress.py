@@ -27,7 +27,9 @@ from repro.core import (
     UnclosedScopeError,
 )
 from repro.algorithms.connectivity import wcc_oracle, weakly_connected_components
+from repro.core.graph import StageKind
 from repro.lib import Stream, pregel, final_states
+from repro.obs import collect_profile
 from repro.runtime import ClusterComputation, FaultTolerance
 from repro.workloads.graphs import uniform_random_graph
 
@@ -176,13 +178,15 @@ class TestTrafficAndMemoization:
             progress_tracking="scoped",
         )
         run_wcc(comp)
-        hits = sum(n.hold_memo_hits for n in comp.nodes)
-        evals = sum(n.hold_evals for n in comp.nodes)
-        if comp.central is not None:
-            hits += comp.central.hold_memo_hits
-            evals += comp.central.hold_evals
+        endpoints = [e for e in comp.plane.nodes + [comp.plane.central] if e]
+        evals = sum(e.hold_evals for e in endpoints)
+        hits = sum(e.hold_memo_hits for e in endpoints)
         assert evals > 0
         assert hits > 0  # the 0.0%-hit-rate regression stays fixed
+        # The profile (and the spine's runtime.protocol.hold_* rows)
+        # reads the same endpoints through the plane.
+        profile = collect_profile(comp)
+        assert (profile.hold_evals, profile.hold_memo_hits) == (evals, hits)
 
     def test_hold_scan_is_repeatable(self):
         """Two fresh builds of one program evaluate and reuse exactly as
@@ -194,7 +198,7 @@ class TestTrafficAndMemoization:
                 num_processes=4, workers_per_process=2, progress_mode="local+global"
             )
             run_wcc(comp)
-            endpoints = comp.nodes + [comp.central]
+            endpoints = comp.plane.nodes + [comp.plane.central]
             return (
                 sum(e.hold_evals for e in endpoints),
                 sum(e.hold_memo_hits for e in endpoints),
@@ -209,7 +213,7 @@ class TestTrafficAndMemoization:
             lambda t, recs: None
         )
         comp.build()
-        assert len(comp.summarized_scopes) == 1
+        assert len(comp.plane.summarized_scopes) == 1
         # Interior locations project to the scope's boundary node.
         assert any(comp.plane.is_summarized(s) for s in comp.graph.stages)
 
@@ -218,7 +222,81 @@ class TestTrafficAndMemoization:
         # full-precision dissemination (and still drain correctly).
         comp = ClusterComputation(2, 2, progress_tracking="scoped")
         run_pregel_cc(comp)
-        assert comp.summarized_scopes == ()
+        assert comp.plane.summarized_scopes == ()
+
+
+def wire_wcc(comp):
+    inp = comp.new_input()
+    weakly_connected_components(Stream.from_input(inp)).subscribe(
+        lambda t, recs: None
+    )
+
+
+def wire_pregel(comp):
+    def compute(ctx):
+        ctx.vote_to_halt()
+
+    inp = comp.new_input()
+    states = pregel(Stream.from_input(inp), compute, max_supersteps=4)
+    final_states(states).subscribe(lambda t, recs: None)
+
+
+def wire_nest(notifying_outer):
+    """A decrement loop named "inner" inside one named "outer"; the
+    outer body notifies (``distinct``) or does not."""
+
+    def wire(comp):
+        def inner(stream):
+            return stream.select(lambda x: x - 1).where(lambda x: x > 0)
+
+        def outer(stream):
+            if notifying_outer:
+                stream = stream.distinct()
+            return stream.iterate(inner, name="inner").where(lambda x: x % 2 == 0)
+
+        inp = comp.new_input()
+        Stream.from_input(inp).iterate(outer, name="outer").subscribe(
+            lambda t, recs: None
+        )
+
+    return wire
+
+
+class TestOneSummarizationRule:
+    """The optimizer's plumbing cut-through and the progress plane's
+    summarized scopes are one decision (repro.core.scope)."""
+
+    @pytest.mark.parametrize(
+        "wire, summarized",
+        [
+            (wire_wcc, ["wcc"]),
+            (wire_pregel, []),
+            (wire_nest(False), ["outer", "inner"]),
+            (wire_nest(True), ["inner"]),
+        ],
+        ids=["wcc", "pregel", "quiet-in-quiet", "quiet-in-notifying"],
+    )
+    def test_cut_through_exactly_where_the_plane_summarizes(self, wire, summarized):
+        comp = ClusterComputation(2, 2, progress_tracking="scoped")
+        wire(comp)
+        comp.build()
+        plane = comp.plane
+        # Every qualifying scope is listed, nested ones included.
+        assert [scope.name for scope in plane.summarized_scopes] == summarized
+        eligible = [
+            c
+            for c in comp.graph.connectors
+            if c.partitioner is None
+            and c.src.kind is not StageKind.INPUT
+            and c.dst.kind
+            in (StageKind.INGRESS, StageKind.EGRESS, StageKind.FEEDBACK)
+        ]
+        assert eligible
+        for connector in eligible:
+            assert connector.cut_through == (
+                connector.dst.context in plane.summarized_scopes
+            ), connector
+        assert any(c.cut_through for c in eligible) == bool(summarized)
 
 
 # (nodes, edges, seed, progress_mode): inputs on which a boundary
@@ -270,18 +348,18 @@ class TestBoundarySummaryAlgebra:
 
     def test_scope_node_carries_parent_depth(self):
         comp = self._wcc_graph()
-        index = comp.graph.summary_index
+        index = comp.graph.summaries
         (scope,) = comp.graph.contexts
         node = index.scope_node(scope)
         assert node.depth == scope.depth - 1 == 0
 
     def test_projection_drops_inner_counters(self):
         comp = self._wcc_graph()
-        index = comp.graph.summary_index
         (scope,) = comp.graph.contexts
-        assert index.project(Timestamp(3, (17,)), scope) == Timestamp(3, ())
+        node = comp.graph.summaries.scope_node(scope)
+        assert node.project(Timestamp(3, (17,))) == Timestamp(3, ())
         # Already at boundary depth: projection is the identity.
-        assert index.project(Timestamp(3, ()), scope) == Timestamp(3, ())
+        assert node.project(Timestamp(3, ())) == Timestamp(3, ())
 
     def test_boundary_summary_is_identity_at_parent_depth(self):
         """Ingress -> interior -> egress composes to the identity at the
@@ -297,7 +375,7 @@ class TestBoundarySummaryAlgebra:
 
     def test_cross_scope_summaries_truncate(self):
         comp = self._wcc_graph()
-        index = comp.graph.summary_index
+        index = comp.graph.summaries
         (scope,) = comp.graph.contexts
         inner = [s for s in comp.graph.stages if s.input_context is scope]
         outer = [s for s in comp.graph.stages if s.input_context is None]
@@ -323,7 +401,7 @@ class TestBoundarySummaryAlgebra:
         comp.build()
         plane = comp.plane
         location = next(s for s in comp.graph.stages if plane.is_summarized(s))
-        node = comp.graph.summary_index.scope_node(comp.summarized_scopes[0])
+        node = comp.graph.summaries.scope_node(plane.summarized_scopes[0])
         once = plane.project([(Pointstamp(Timestamp(0, (2,)), location), 1)])
         assert once == [(Pointstamp(Timestamp(0, ()), node), 1)]
         assert plane.project(once) == once
