@@ -134,10 +134,10 @@ def label_propagation(
     with computation.scope(name, max_iterations=max_iterations, parent=arcs.context) as scope:
         stage = scope.stage(name, lambda s, w: MinLabelVertex(), 2, 2)
         # Label propagation is monotone (labels only decrease), so
-        # merging adjacent deliveries of arcs or proposals cannot change
-        # the labels it settles on — declare it batchable so the
-        # optimizer's coalescing pass can collapse the proposal fan-in,
-        # the dominant source of DES events in the loop.
+        # merging the queued deliveries of arcs or proposals at one time
+        # cannot change the labels it settles on — declare it batchable
+        # so the optimizer's coalescing pass can collapse the proposal
+        # fan-in, the dominant source of DES events in the loop.
         stage.opspec = OpSpec("minlabel", fusable=False, batchable=True)
         scope.enter(arcs).connect_to(
             stage, 0, partitioner=hash_partitioner(lambda arc: arc[0])

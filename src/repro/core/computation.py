@@ -381,10 +381,10 @@ class Computation(TimelyRuntime):
                 )
             )
         if records:
-            queue = self.workers[0].queue
+            enqueue = self.workers[0].enqueue
             for connector in stage.outputs[0]:
                 self.progress.update(Pointstamp(timestamp, connector), +1)
-                queue.append((connector, records, timestamp, 0, 0, None))
+                enqueue((connector, records, timestamp, 0, 0, None))
         self.progress.update(Pointstamp(Timestamp(epoch + 1), stage), +1)
         self.progress.update(Pointstamp(timestamp, stage), -1)
 
@@ -413,9 +413,9 @@ class Computation(TimelyRuntime):
         update = self.progress.update
         for pointstamp, delta in updates:
             update(pointstamp, delta)
-        append = worker.queue.append
+        enqueue = worker.enqueue
         for connector, _dest, batch, out_time in dispatches:
-            append((connector, batch, out_time, 0, 0, None))
+            enqueue((connector, batch, out_time, 0, 0, None))
         if trace is not None:
             now = self._logical_time()
             worker._trace_span(trace, work, len, now, perf_counter() - wall, wall)
@@ -548,6 +548,7 @@ class Computation(TimelyRuntime):
                 "rollback requires the worker to be paused"
             )
         worker.queue.clear()
+        worker.queued_keys.clear()
         self._restore_vertex_states(snapshot["vertices"], (0,))
         self.progress.reset(snapshot["occurrence"])
         worker.load_pending(snapshot["pending"], snapshot.get("cleanups", {}))

@@ -193,9 +193,9 @@ class Connector:
         self.dst_port = dst_port
         self.partitioner = partitioner
         #: Set by the optimizer's batching pass: the destination vertex
-        #: tolerates merged deliveries, so the runtime may coalesce
-        #: adjacent same-(connector, timestamp) queue entries into one
-        #: callback (see ``repro.core.worker.Worker._select``).
+        #: tolerates merged deliveries, so the runtime hands every
+        #: queued entry of one (connector, timestamp) to one callback
+        #: (see ``repro.core.worker.Worker._select``).
         self.coalesce = False
         #: Set by the optimizer's plumbing pass: the destination is a
         #: stateless forwarding stage on the sender's own worker, so a

@@ -66,6 +66,7 @@ class Worker:
         "view",
         "vertices",
         "queue",
+        "queued_keys",
         "pending_notifications",
         "pending_cleanups",
         "_frame_time",
@@ -91,6 +92,11 @@ class Worker:
         #: Stage -> this worker's vertex of it.
         self.vertices: Dict[Stage, Vertex] = {}
         self.queue: deque = deque()
+        #: (connector, timestamp) -> queued entries behind the head, for
+        #: coalescible connectors only: what _select merges into the
+        #: head's delivery.  The head is left out so that a delivery that
+        #: finds the queue empty and leaves it empty costs no dict op.
+        self.queued_keys: Dict[Tuple[Connector, Timestamp], int] = {}
         self.pending_notifications: Dict[Pointstamp, int] = {}
         self.pending_cleanups: Dict[Pointstamp, int] = {}
         #: The running callback's frame: its time (None between
@@ -129,6 +135,14 @@ class Worker:
         return sum(self.pending_notifications.values()) + sum(
             self.pending_cleanups.values()
         )
+
+    def enqueue(self, entry: Tuple) -> None:
+        """Queue one delivery entry (the only way entries are added)."""
+        queue = self.queue
+        if queue and entry[0].coalesce:
+            key = entry[0], entry[2]
+            self.queued_keys[key] = self.queued_keys.get(key, 0) + 1
+        queue.append(entry)
 
     def has_work(self) -> bool:
         return bool(self.queue or self.pending_notifications or self.pending_cleanups)
@@ -182,10 +196,11 @@ class Worker:
         times to the same (connector, dest, time) — e.g. per-record
         emission loops feeding a coalescible destination — would be
         charged per-message network bytes and a +1/-1 occurrence round
-        trip for each, even though the receiver merges them on arrival.
-        Merge into the previous dispatch instead, so per-message costs
-        are paid once per coalesced batch.  Adjacency-only, so ordering
-        relative to other connectors is untouched."""
+        trip for each, even though the receiver would merge them in
+        ``_select``.  Merge into the previous dispatch instead, so
+        per-message costs are paid once per coalesced batch.  Only the
+        previous dispatch, so a lookup per send stays O(1); the receiver
+        merges whatever this leaves apart."""
         out_time, connector = pointstamp
         dispatches = self._dispatches
         if connector.coalesce and dispatches:
@@ -276,42 +291,53 @@ class Worker:
 
         Returns ``("activation", connector, records, timestamp,
         remote_bytes, batches, tasks)`` (``batches`` = queue entries
-        consumed, > 1 when batch coalescing merged adjacent deliveries;
-        ``tasks`` = the entries' mp tasks, or None if the first has
-        none), ``("notification", pointstamp)`` or ``("cleanup",
-        pointstamp)``, with the queue / pending tables already
-        decremented.
+        consumed, > 1 when batch coalescing merged every queued entry of
+        the (connector, timestamp); ``tasks`` = the entries' mp tasks,
+        or None if the first has none), ``("notification", pointstamp)``
+        or ``("cleanup", pointstamp)``, with the queue / pending tables
+        already decremented.
         """
         queue = self.queue
         if queue:
             batches = 1
             connector, records, timestamp, remote_bytes, _tag, task = queue.popleft()
             tasks = None if task is None else [task]
+            counts = self.queued_keys
             if connector.coalesce and queue:
-                # Batch coalescing (repro.opt hints): merge *adjacent*
-                # queue entries for the same (connector, timestamp) into
-                # one delivery, paying the callback overhead once.
-                # Adjacency preserves the exact interleaving of
-                # deliveries from other connectors/times, and the pass
-                # only hints destinations whose record-sequence
-                # semantics are batching-insensitive.  A fresh list: the
-                # parts are shared with dispatch tuples and ledgers.
-                merged = None
-                while queue:
-                    head = queue[0]
-                    if head[0] is not connector or head[2] != timestamp:
-                        break
-                    if merged is None:
-                        merged = list(records)
-                    merged.extend(head[1])
-                    remote_bytes += head[3]
-                    if tasks is not None:
-                        tasks.append(head[5])
-                    queue.popleft()
-                    batches += 1
-                    self.computation.coalesced_batches += 1
-                if merged is not None:
+                # Batch coalescing (repro.opt hints): take every queued
+                # entry of this (connector, timestamp) into this one
+                # delivery, in queue order, paying the callback overhead
+                # once.  The pass hints only batchable destinations, and
+                # timely dataflow orders nothing across channels or
+                # times, so moving the later entries ahead of other
+                # keys' entries is a schedule the network could produce.
+                # A fresh list: the parts are shared with dispatch
+                # tuples and ledgers.
+                more = counts.pop((connector, timestamp), 0)
+                if more:
+                    batches += more
+                    self.computation.coalesced_batches += more
+                    merged = list(records)
+                    skipped = []
+                    while more:
+                        entry = queue.popleft()
+                        if entry[0] is not connector or entry[2] != timestamp:
+                            skipped.append(entry)
+                            continue
+                        merged.extend(entry[1])
+                        remote_bytes += entry[3]
+                        if tasks is not None:
+                            tasks.append(entry[5])
+                        more -= 1
+                    queue.extendleft(reversed(skipped))
                     records = merged
+            if queue and queue[0][0].coalesce:  # the new head leaves the count
+                key = queue[0][0], queue[0][2]
+                left = counts[key] - 1
+                if left:
+                    counts[key] = left
+                else:
+                    del counts[key]
             return "activation", connector, records, timestamp, remote_bytes, batches, tasks
         table, kind = self.pending_notifications, "notification"
         pointstamp = self._deliverable(table, True)

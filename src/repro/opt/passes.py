@@ -25,9 +25,9 @@ Four passes ship, applied in order by :func:`compile_plan`:
 
 ``batch-coalescing``
     marks connectors whose destination tolerates merged deliveries
-    (``OpSpec.batchable``, or any system forwarding stage); the cluster
-    runtime then coalesces adjacent same-(connector, timestamp) queue
-    entries into a single callback, cutting DES event counts on
+    (``OpSpec.batchable``, or any system forwarding stage); both
+    runtimes then hand every queued entry of one (connector,
+    timestamp) to a single callback, cutting DES event counts on
     fan-in-heavy graphs where fusion alone cannot (e.g. the WCC label
     loop, whose one chain is a lone ``select_many``).
 

@@ -37,10 +37,12 @@ class OpSpec:
     ``batchable``
         delivering one merged batch ``[r1..rn]`` at a timestamp is
         observably identical to delivering the same records as several
-        consecutive batches — true for record-at-a-time and buffering
-        operators, false when the operator exposes per-batch callbacks
-        to user code (``inspect``).  Grants the runtime permission to
-        coalesce adjacent queue entries on the stage's input connectors.
+        batches, in any interleaving with other inputs and times — true
+        for record-at-a-time and buffering operators, false when the
+        operator exposes per-batch callbacks to user code
+        (``inspect``).  Grants the runtime permission to merge every
+        queued entry of one (connector, timestamp) on the stage's input
+        connectors into one delivery.
     ``preserves_partitioning``
         output records are a subset of input records (same objects, same
         worker), so a partitioning established upstream still holds

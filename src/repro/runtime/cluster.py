@@ -237,7 +237,7 @@ class _Worker(Worker):
         task = None
         if pool is not None:
             task = pool.submit(self.index, connector, records, timestamp)
-        self.queue.append((connector, records, timestamp, remote_bytes, tag, task))
+        self.enqueue((connector, records, timestamp, remote_bytes, tag, task))
         if cluster.plane.summarized_scopes:
             cluster.plane.note_enqueue(connector, timestamp, self.process)
         trace = cluster._trace

@@ -14,7 +14,7 @@ from collections import Counter
 
 import pytest
 
-from repro import Computation, Vertex
+from repro import Computation, Timestamp, Vertex
 from repro.lib import Stream
 from repro.runtime import (
     ClusterComputation,
@@ -420,6 +420,57 @@ class TestReceiverSideCoalescing:
         ]
         assert all(type(part) is list for part in deliveries)
 
+    @staticmethod
+    def _interleaved(comp):
+        # One callback leaves the worker's queue holding A@t, B@t, A@t,
+        # A@t', where A is hinted coalescible and B is not.
+        inp = comp.new_input()
+        deliveries = []
+
+        class Source(Vertex):
+            notifies = False
+
+            def on_recv(self, port, records, t):
+                self.send_by(0, [1, 2], t)
+                self.send_by(1, ["b"], t)
+                self.send_by(0, [3], t)
+                self.send_by(0, [4], Timestamp(t.epoch + 1))
+
+        class Sink(Vertex):
+            notifies = False
+
+            def on_recv(self, port, records, t):
+                deliveries.append((port, list(records), t.epoch))
+
+        source = comp.graph.new_stage("source", lambda s, w: Source(), 1, 2)
+        sink = comp.graph.new_stage("sink", lambda s, w: Sink(), 2, 0)
+        comp.connect(inp.stage, source)
+        comp.connect(source, sink, 0, 0).coalesce = True
+        comp.connect(source, sink, 1, 1)
+        comp.build()
+        inp.on_next([0])
+        inp.on_completed()
+        comp.run()
+        return deliveries
+
+    @pytest.mark.parametrize("runtime", ["reference", "cluster"])
+    def test_every_queued_entry_of_a_key_merges_in_queue_order(self, runtime):
+        if runtime == "reference":
+            comp = Computation(optimize=False)
+        else:
+            comp = ClusterComputation(num_processes=1, workers_per_process=1, optimize=False)
+        deliveries = self._interleaved(comp)
+        # Both A@t entries reach one callback, ahead of B@t; B and A@t'
+        # each get their own.
+        assert deliveries == [(0, [1, 2, 3], 0), (1, ["b"], 0), (0, [4], 1)]
+        assert comp.coalesced_batches == 1
+        assert comp.drained()
+        views = comp.plane.views if runtime == "cluster" else [comp.progress]
+        for view in views:
+            assert all(count >= 0 for count in view.occurrence.values())
+            assert not any(view.occurrence.values())
+        assert not any(worker.queued_keys for worker in comp.workers)
+
 
 class DoubleSendVertex(Vertex):
     """Sends its input in two halves to the same output connector from
@@ -448,7 +499,7 @@ class TestSenderSideBatchAccounting:
     """A callback's repeat sends to one coalesced destination must be
     charged per-message wire overhead once, not per constituent send.
 
-    The receiver has always merged adjacent same-(connector, timestamp)
+    The receiver merges queued same-(connector, timestamp)
     deliveries; before the sender-side merge, each constituent still
     paid its own ``per_message_bytes`` and occurrence round trip.  The
     plan below routes 8 records through a double-sending stage into a

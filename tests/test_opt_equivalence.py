@@ -170,9 +170,10 @@ def test_fusion_reduces_wcc64_event_count():
     fused_labels, fused = run_wcc64(True, edges)
     assert fused_labels == labels
     # Coalesced proposal fan-in plus the fused arcs stage must show up
-    # as a real event-count reduction (the Fig 6 preset measures ~30%;
-    # the smaller graph here still clears 10% comfortably).
-    assert fused.sim.events_executed < 0.9 * plain.sim.events_executed
+    # as a real event-count reduction.  Merging every queued entry of a
+    # (connector, time) runs 0.36x the plain plan's events here;
+    # merging only adjacent runs of them ran 0.58x.
+    assert fused.sim.events_executed < 0.45 * plain.sim.events_executed
     assert fused.coalesced_batches > 0
     counts = Counter(r[1] for r in labels)
     assert sum(counts.values()) == len(labels)
