@@ -43,6 +43,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Hashable, Iterable, List, NamedTuple, Optional, Tuple
 
+from .graph import Connector
 from .pathsummary import Antichain
 from .timestamp import Timestamp
 
@@ -102,8 +103,11 @@ class ProgressState:
         #: is what makes the domination memo below effective.  Current
         #: only after :meth:`settle`.
         self.version = 0
-        #: pointstamp -> (version, dominated?) memo.
+        #: pointstamp -> (version, dominated?) memos of
+        #: :meth:`frontier_dominates` and
+        #: :meth:`frontier_dominates_past_messages`.
         self._dominated: Dict[Pointstamp, Tuple[int, bool]] = {}
+        self._dominated_past_messages: Dict[Pointstamp, Tuple[int, bool]] = {}
         #: Active pointstamps grouped by location, then by epoch.
         #: could-result-in is location-gated (no path summary between
         #: two locations means no pointstamp pair across them ever
@@ -230,6 +234,7 @@ class ProgressState:
         self._active_by_loc.clear()
         self._frontier_by_loc.clear()
         self._dominated.clear()
+        self._dominated_past_messages.clear()
         self.version += 1
         self.apply(restored)
 
@@ -390,6 +395,30 @@ class ProgressState:
         cached = self._dominated.get(pointstamp)
         if cached is not None and cached[0] == self.version:
             return cached[1]
+        return self._scan_dominators(pointstamp, self._dominated, None)
+
+    def frontier_dominates_past_messages(self, pointstamp: Pointstamp) -> bool:
+        """True iff some *other* frontier element that could-result-in
+        it is not a message at its own time: a stage pointstamp (an
+        open input epoch, a pending notification) or one with another
+        timestamp.  Memoised per frontier version like
+        :meth:`frontier_dominates`, which it implies."""
+        if self._dirty:
+            self.settle()
+        memo = self._dominated_past_messages
+        cached = memo.get(pointstamp)
+        if cached is not None and cached[0] == self.version:
+            return cached[1]
+        return self._scan_dominators(pointstamp, memo, pointstamp.timestamp)
+
+    def _scan_dominators(
+        self,
+        pointstamp: Pointstamp,
+        memo: Dict[Pointstamp, Tuple[int, bool]],
+        skip_messages_at: Optional[Timestamp],
+    ) -> bool:
+        """The frontier scan behind both domination tests, memoised in
+        ``memo``; frontier messages at ``skip_messages_at`` do not count."""
         cri = self.could_result_in
         pairs = self._pairs
         location = pointstamp.location
@@ -397,12 +426,14 @@ class ProgressState:
         for loc, group in self._frontier_by_loc.items():
             if not (pairs.get((loc, location)) or self._pair(loc, location))[0]:
                 continue
+            if skip_messages_at is not None and isinstance(loc, Connector):
+                group = [o for o in group if o.timestamp != skip_messages_at]
             if any(other != pointstamp and cri(other, pointstamp) for other in group):
                 result = True
                 break
-        if len(self._dominated) > 100_000:
-            self._dominated.clear()
-        self._dominated[pointstamp] = (self.version, result)
+        if len(memo) > 100_000:
+            memo.clear()
+        memo[pointstamp] = (self.version, result)
         return result
 
     def active_pointstamps(self) -> List[Pointstamp]:

@@ -31,6 +31,23 @@ updates sent but not yet seen back — is strictly positive.  When any
 buffered pointstamp fails both tests the whole buffer is flushed, with
 positive deltas sent before negative ones.
 
+Who may hold what (:func:`_may_hold_update` has the argument):
+
+* a process node holds under (a), and under (b) only a *positive*
+  vertex delta — two decrement holders could deadlock;
+* on a plane with no summarized scope, a node that feeds a central
+  accumulator holds under (a) only behind a vertex pointstamp or an
+  earlier time, not behind same-time messages alone: the central holds
+  such an update against the freshest view instead, and releases it in
+  the broadcast that retires its dominator;
+* the central accumulator holds under (a) and (b) as a node does and,
+  on a plane with no summarized scope, also a *negative* message
+  (connector) delta while the net stays positive — it alone sees every
+  process's retirements, so it can wait for a time's last one and
+  broadcast them together;
+* boundary (:class:`ScopeNode`) pointstamps of summarized scopes are
+  held under (a), (b) or while interior work is queued at them.
+
 The whole progress plane lives here.  :class:`Accumulator` is the one
 implementation of that algorithm (buffer and netting, in-flight ledger,
 incremental hold scan, deferred-flush timer); :class:`ProtocolNode` and
@@ -84,12 +101,24 @@ def _may_hold_update(
     buffered: int,
     in_flight: int,
     queued: Optional[Dict[Pointstamp, int]] = None,
+    rule: str = "paper",
 ) -> bool:
     """The paper's buffering safety condition, amended for liveness.
 
+    Who may hold what depends on the endpoint's ``rule``: ``"paper"``
+    (every endpoint of a plane with a summarized scope, and nodes that
+    feed no central accumulator), ``"node"`` (a process node that feeds a
+    central accumulator on a plane with no summarized scope) or
+    ``"central"`` (the central accumulator of such a plane).
+
     (a) Some *other* element of the local frontier could-result-in the
     pointstamp: flushing can wait, because no recipient's frontier can
-    advance past it anyway.
+    advance past it anyway.  A ``"node"`` holds under (a) only when that
+    element is a vertex pointstamp (an open input epoch, a pending
+    notification) or carries an earlier timestamp: an update dominated
+    only by same-time messages goes to the central at once, which holds
+    it against the freshest view and releases it in the broadcast that
+    retires its dominator, one hop sooner than the node could.
 
     (b) For a vertex pointstamp whose buffered delta is *positive* and
     whose net update (local count + buffer + in-flight) stays strictly
@@ -102,6 +131,24 @@ def _may_hold_update(
     (b) to positive buffered deltas preserves the traffic savings (netting
     still cancels matched pairs in-buffer) and guarantees that decrements
     eventually disseminate.
+
+    The ``"central"`` rule grants (b) for *negative* deltas at message
+    (connector) pointstamps, while the net stays strictly positive.
+    Safe: withholding a ``-1`` never lets a frontier advance.  Live:
+    the central is the one endpoint that sees every process's
+    retirements, nodes never hold decrements under (b), and every
+    ``+1`` that keeps the net positive is a message the data plane
+    delivers without waiting on progress, whose retirement reaches the
+    central and lowers the net (a node holds it only under (a), behind
+    another pointstamp that could-result-in it and retires first).
+    Vertex and boundary decrements keep the paper's verdict: holding
+    those at the central too would thin a barrier round to about 2N
+    messages and erase Fig 6b's straggler tail.
+
+    Both changes apply only on a plane with no summarized scope.  On a
+    plane with one, the deferred-flush timer would make each batch the
+    central held wait one more interval, and a node that flushes sooner
+    reaches the projection hole (DESIGN.md, "The progress plane").
 
     Scope-boundary pointstamps (a :class:`ScopeNode` location, produced
     when a summarized scope's interior updates are projected onto its
@@ -120,7 +167,9 @@ def _may_hold_update(
     pointstamp, so a downstream ``-1`` can reach a peer before the
     ``+1`` it answers (DESIGN.md, "The progress plane").
     """
-    if state.frontier_dominates(pointstamp):
+    if state.frontier_dominates(pointstamp) and (
+        rule != "node" or state.frontier_dominates_past_messages(pointstamp)
+    ):
         return True
     location = pointstamp.location
     if isinstance(location, ScopeNode):
@@ -136,7 +185,12 @@ def _may_hold_update(
             if net > 0:
                 return True
         return False
-    if buffered > 0 and isinstance(location, Stage):
+    if isinstance(location, Stage):
+        condition_b = buffered > 0
+    else:
+        # A message pointstamp: only the central holds one, a decrement.
+        condition_b = buffered < 0 and rule == "central"
+    if condition_b:
         net = state.occurrence.get(pointstamp, 0) + buffered + in_flight
         if net > 0:
             return True
@@ -208,6 +262,8 @@ class Accumulator:
         self._dirty: Dict[Pointstamp, None] = {}
         self.hold_evals = 0
         self.hold_memo_hits = 0
+        #: Which endpoint's verdict :func:`_may_hold_update` gives here.
+        self.hold_rule = "paper"
         view.listeners.append(self._note_view_updates)
 
     def accumulate(
@@ -259,6 +315,7 @@ class Accumulator:
             buffered,
             self._in_flight_totals.get(pointstamp, 0),
             self.queued,
+            self.hold_rule,
         )
 
     def _scan_holds(self) -> bool:
@@ -416,6 +473,8 @@ class ProtocolNode(Accumulator):
         mirror: bool = False,
     ):
         super().__init__(process, view, plane)
+        if plane.feeds_central and plane.defer_flush is None:
+            self.hold_rule = "node"
         #: A mirror node shares another process's view object (elastic
         #: add_process): it buffers and flushes its own workers' updates
         #: normally but must not apply received broadcasts — the view
@@ -476,6 +535,11 @@ class CentralAccumulator(Accumulator):
     per flush, plus its own ``-1: (seq,)``, which its home delivery
     consumes.
     """
+
+    def __init__(self, process: int, view: ProgressState, plane: "ProgressPlane"):
+        super().__init__(process, view, plane)
+        if plane.defer_flush is None:
+            self.hold_rule = "central"
 
     def _disseminate(
         self,
@@ -622,6 +686,7 @@ class ProgressPlane:
         self.network = network
         self.live_processes = live_processes
         self.accumulates_locally = progress_mode in ("local", "local+global")
+        self.feeds_central = progress_mode in ("global", "local+global")
         self.on_frontier_change = on_frontier_change
         self.fence = _Fence(network, on_stale)
         #: Loop contexts whose interior progress is summarized (nested
@@ -657,7 +722,7 @@ class ProgressPlane:
         #: Hosted on process 0, mirroring Naiad, where the cluster-level
         #: accumulator lives in one process.
         self.central: Optional[CentralAccumulator] = None
-        if progress_mode in ("global", "local+global"):
+        if self.feeds_central:
             self.central = CentralAccumulator(0, self.views[0], self)
 
     # ------------------------------------------------------------------
@@ -785,6 +850,10 @@ class ProgressPlane:
         """Apply ``updates`` to every view directly, off the network."""
         for view in self.agreeing_views():
             view.apply(list(updates))
+        if self.central is not None:
+            # Lowered counts can end a condition-(b) hold without moving
+            # process 0's frontier, and no delivery follows to re-test.
+            self.central._maybe_flush()
 
     def controller_broadcast(self, updates: List[ProgressUpdate]) -> None:
         """Low-volume control-plane updates from the controller (proc 0)."""

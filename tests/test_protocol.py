@@ -1,7 +1,9 @@
 """Unit tests for the distributed progress protocol pieces."""
 
+from collections import Counter
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core import Pointstamp, Timestamp
 from repro.core.graph import DataflowGraph, StageKind
@@ -17,6 +19,21 @@ from repro.runtime.protocol import (
 
 def ts(epoch, *counters):
     return Timestamp(epoch, tuple(counters))
+
+
+def central_broadcasts(plane):
+    """``(virtual time, updates)`` of every broadcast the central
+    accumulator sends from now on, recorded as it sends them."""
+    sent = []
+    central = plane.central
+    disseminate = central._disseminate
+
+    def record(updates, covered):
+        sent.append((plane.sim.now, list(updates)))
+        disseminate(updates, covered)
+
+    central._disseminate = record
+    return sent
 
 
 def simple_graph():
@@ -250,7 +267,7 @@ class TestModes:
 
 #: One event at process 1 of a standalone plane: ``point`` is
 #: (location index, epoch, loop counter), resolved by the test.
-_POINT = st.tuples(st.integers(0, 3), st.integers(0, 1), st.integers(0, 1))
+_POINT = st.tuples(st.integers(0, 4), st.integers(0, 1), st.integers(0, 1))
 _DELTA = st.sampled_from([-2, -1, 1, 2])
 PLANE_OP = st.one_of(
     st.tuples(st.just("accumulate"), _POINT, _DELTA),
@@ -281,9 +298,10 @@ class TestStandalonePlane:
         return comp.graph
 
     @staticmethod
-    def plane_over(graph, mode):
-        """A three-process plane over ``graph`` in which nothing
-        notifies, so its loop is summarized."""
+    def plane_over(graph, mode, scoped=True):
+        """A three-process plane over ``graph``.  When ``scoped``,
+        nothing notifies, so its loop is summarized; otherwise every
+        stage does, and no scope is."""
         from repro.runtime.protocol import ProgressPlane
         from repro.sim.des import Simulator
         from repro.sim.network import Network, NetworkConfig
@@ -291,13 +309,13 @@ class TestStandalonePlane:
         sim = Simulator(seed=0)
         plane = ProgressPlane(
             graph.summaries,
-            lambda stage: False,
+            lambda stage: not scoped,
             sim,
             Network(sim, 3, NetworkConfig()),
             [0, 1, 2],
             mode,
         )
-        assert len(plane.summarized_scopes) == 1
+        assert len(plane.summarized_scopes) == int(scoped)
         return sim, plane
 
     @pytest.mark.parametrize("mode", PROTOCOL_MODES)
@@ -434,62 +452,216 @@ class TestStandalonePlane:
         for process in range(3):
             assert plane.view(process).occurrence == {boundary: 1}
 
+    @staticmethod
+    def scope_free_plane(mode):
+        """A three-process plane over ``in -> a -> b``: no loop, so no
+        summarized scope and no deferred flush."""
+        from repro.runtime.protocol import ProgressPlane
+        from repro.sim.des import Simulator
+        from repro.sim.network import Network, NetworkConfig
+
+        g, inp, a, b, c1, c2 = simple_graph()
+        sim = Simulator(seed=0)
+        plane = ProgressPlane(
+            g.summaries,
+            lambda stage: True,
+            sim,
+            Network(sim, 3, NetworkConfig()),
+            [0, 1, 2],
+            mode,
+        )
+        assert not plane.summarized_scopes and plane.defer_flush is None
+        return sim, plane, (inp, a, b, c1, c2)
+
+    def test_central_withholds_a_message_decrement_while_the_net_stays_positive(self):
+        sim, plane, (inp, a, b, c1, c2) = self.scope_free_plane("global")
+        sent = central_broadcasts(plane)
+        message = Pointstamp(ts(0), c1)
+        plane.apply_all([(message, +2)])  # two records in flight on c1
+
+        # The first retirement: one record is still in flight, so the
+        # central holds the -1 and no view moves.
+        plane.submit(1, [(message, -1)])
+        sim.run()
+        assert plane.central.buffer == {message: -1}
+        assert sent == []
+        for process in range(3):
+            assert plane.view(process).occurrence == {message: 2}
+
+        # The last one flushes both in one broadcast.
+        plane.submit(2, [(message, -1)])
+        sim.run()
+        assert [updates for _, updates in sent] == [[(message, -2)]]
+        assert not plane.central.buffer
+        for process in range(3):
+            assert plane.view(process).occurrence == {}
+
+    def test_compensation_ends_a_central_hold(self):
+        # A partial rollback retires a lost record's +1 straight into
+        # the views; no delivery follows, so apply_all re-tests.
+        sim, plane, (inp, a, b, c1, c2) = self.scope_free_plane("global")
+        sent = central_broadcasts(plane)
+        message = Pointstamp(ts(0), c1)
+        plane.apply_all([(message, +2)])
+        plane.submit(1, [(message, -1)])
+        sim.run()
+        assert plane.central.buffer == {message: -1}
+        plane.apply_all([(message, -1)])
+        assert [updates for _, updates in sent] == [[(message, -1)]]
+        sim.run()
+        for process in range(3):
+            assert plane.view(process).occurrence == {}
+
+    def test_central_forwards_a_vertex_decrement_at_once(self):
+        sim, plane, (inp, a, b, c1, c2) = self.scope_free_plane("global")
+        sent = central_broadcasts(plane)
+        message = Pointstamp(ts(0), c1)
+        # A vertex pointstamp that c1@0 cannot reach, nor it c1@0.
+        request = Pointstamp(ts(1), inp)
+        plane.apply_all([(message, +2), (request, +2)])
+        plane.submit(1, [(message, -1)])
+        sim.run()
+        assert sent == []
+
+        # A vertex decrement is not held with a positive net: it leaves
+        # at once, and carries the withheld message decrement along.
+        plane.submit(2, [(request, -1)])
+        sim.run()
+        [(_, broadcast)] = sent
+        assert sorted(broadcast, key=repr) == sorted(
+            [(request, -1), (message, -1)], key=repr
+        )
+        assert not plane.central.buffer
+        for process in range(3):
+            assert plane.view(process).occurrence == {message: 1, request: 1}
+
+    def test_node_forwards_what_only_a_same_time_message_dominates(self):
+        sim, plane, (inp, a, b, c1, c2) = self.scope_free_plane("local+global")
+        node = plane.nodes[1]
+        upstream = Pointstamp(ts(0), c1)
+        downstream = Pointstamp(ts(0), c2)
+        plane.apply_all([(upstream, +1)])
+
+        # c1@0 dominates c2@0 at the same time: the node sends, and the
+        # central (which sees the same frontier) holds it instead.
+        plane.submit(1, [(downstream, +1)])
+        assert not node.buffer
+        sim.run()
+        assert plane.central.buffer == {downstream: +1}
+
+        # Dominated from an earlier time, the node keeps it.
+        later = Pointstamp(ts(1), c2)
+        plane.submit(1, [(later, +1)])
+        assert node.buffer == {later: +1}
+
+        # And one that an open input epoch dominates at the same time.
+        plane.apply_all([(Pointstamp(ts(0), inp), +1)])
+        plane.submit(1, [(upstream, +1)])
+        assert node.buffer == {later: +1, upstream: +1}
+
+    def test_a_summarized_scope_keeps_the_paper_rule_at_both_endpoints(self):
+        """The same updates on the one-loop graph, summarized or not:
+        only the plane without a summarized scope narrows the rules."""
+        graph = self.one_loop_graph()
+        c = graph.connectors
+        entering = Pointstamp(ts(0), c[0])
+        leaving = Pointstamp(ts(0), c[6])
+        for scoped in (True, False):
+            _, plane = self.plane_over(graph, "local+global", scoped)
+            node, central = plane.nodes[1], plane.central
+            plane.apply_all([(entering, +2)])  # two records on c[0]
+            # Only a same-time message (c[0]@0) dominates leaving.
+            plane.submit(1, [(leaving, +1)])
+            # A message decrement whose net stays positive.
+            central.accumulate([(entering, -1)], (2, 0))
+            assert central.buffer == {entering: -1}
+            if scoped:
+                # The paper's rule: the node holds under (a), and the
+                # central flushes (on the timer, as every scoped
+                # endpoint does).
+                assert node.buffer == {leaving: +1}
+                assert not node._flush_scheduled
+                assert not central._scan_holds() and central._flush_scheduled
+            else:
+                assert not node.buffer
+                assert central._scan_holds() and not central._flush_scheduled
+
+    @pytest.mark.parametrize("scoped", [True, False], ids=["summarized", "scope-free"])
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(ops=st.lists(PLANE_OP, max_size=30))
-    def test_hold_scan_matches_a_fresh_verdict(self, ops):
-        """Whatever changed since the last scan, the incremental scan
-        agrees with the safety condition evaluated from scratch."""
+    # An open input epoch dominates c4@(0,0) while it is buffered; once
+    # it closes, only the same-time message c3@(0,0) does, and a "node"
+    # verdict memoised before the frontier moved would still hold.
+    @example(
+        ops=[
+            ("apply", (1, 0, 0), 1),
+            ("apply", (3, 0, 0), 1),
+            ("accumulate", (2, 0, 0), 1),
+            ("apply", (3, 0, 0), -1),
+        ]
+    )
+    def test_hold_scan_matches_a_fresh_verdict(self, scoped, ops):
+        """Whatever changed since the last scan, each endpoint's
+        incremental scan agrees with its own verdict evaluated from
+        scratch: a process node of a summarized loop under ``local``,
+        and both endpoint kinds of a scope-free ``local+global`` plane
+        (the same loop, not summarized because a stage notifies)."""
         graph = self.one_loop_graph()
         inp = graph.stages[0]
         c = graph.connectors
-        _, plane = self.plane_over(graph, "local")
-        node = plane.nodes[1]
-        view = plane.view(1)
-        # Interior connectors (projected onto the loop's boundary) and
-        # unsummarized locations outside the loop.
+        _, plane = self.plane_over(
+            graph, "local" if scoped else "local+global", scoped
+        )
+        endpoints = [plane.nodes[1]] if scoped else [plane.nodes[1], plane.central]
+        # Interior connectors (projected onto the loop's boundary when
+        # it is summarized) and locations outside the loop.
         interior = (c[1], c[3], c[4])
         outer = (inp, c[0], c[6])
 
         def stamp(point):
             index, epoch, counter = point
-            if index == 3:
-                return Pointstamp(ts(epoch), outer[counter])
+            if index >= 3:
+                return Pointstamp(ts(epoch), outer[index - 3 + counter])
             [(projected, _)] = plane.project(
                 [(Pointstamp(ts(epoch, counter), interior[index]), +1)]
             )
             return projected
 
-        seqs = []
+        seqs = {id(endpoint): [] for endpoint in endpoints}
         for op in ops + [("scan",)]:
             kind = op[0]
-            if kind == "accumulate":
-                node.accumulate([(stamp(op[1]), op[2])])
-            elif kind == "apply":
-                view.apply([(stamp(op[1]), op[2])])
-            elif kind in ("enqueue", "dequeue"):
+            if kind in ("enqueue", "dequeue"):
                 index, epoch, counter = op[1]
                 connector = interior[index % 3]
                 note = plane.note_enqueue if kind == "enqueue" else plane.note_dequeue
                 note(connector, ts(epoch, counter), 1)
-            elif kind == "remember":
-                seqs.append(node._remember_in_flight([(stamp(op[1]), op[2])]))
-            elif kind == "forget":
-                if seqs:
-                    node._forget_in_flight(seqs.pop(op[1] % len(seqs)))
-            else:
-                fresh = ProgressState(graph.summaries)
-                fresh.update_many(view.occurrence.items())
-                expected = all(
-                    _may_hold_update(
-                        fresh,
-                        p,
-                        d,
-                        node._in_flight_totals.get(p, 0),
-                        node.queued,
+                continue
+            for endpoint in endpoints:
+                mine = seqs[id(endpoint)]
+                if kind == "accumulate":
+                    endpoint.accumulate([(stamp(op[1]), op[2])])
+                elif kind == "apply":
+                    endpoint.view.apply([(stamp(op[1]), op[2])])
+                elif kind == "remember":
+                    mine.append(endpoint._remember_in_flight([(stamp(op[1]), op[2])]))
+                elif kind == "forget":
+                    if mine:
+                        endpoint._forget_in_flight(mine.pop(op[1] % len(mine)))
+                else:
+                    fresh = ProgressState(graph.summaries)
+                    fresh.update_many(endpoint.view.occurrence.items())
+                    expected = all(
+                        _may_hold_update(
+                            fresh,
+                            p,
+                            d,
+                            endpoint._in_flight_totals.get(p, 0),
+                            endpoint.queued,
+                            endpoint.hold_rule,
+                        )
+                        for p, d in endpoint.buffer.items()
                     )
-                    for p, d in node.buffer.items()
-                )
-                assert node._scan_holds() == expected, ops
+                    assert endpoint._scan_holds() == expected, ops
 
     def test_fence_settles_pending_copies_once(self):
         from repro.runtime.protocol import ProgressPlane
@@ -534,3 +706,90 @@ class TestStandalonePlane:
         del applied[:]
         assert plane.settle(0) == 0
         assert applied == []
+
+
+class TestCentralRounds:
+    """The round structure of a scope-free pipeline on a cluster: the
+    central accumulator nets each epoch's retirements of every stage
+    into a few broadcasts rather than forwarding one per node flush."""
+
+    EPOCH_INTERVAL = 5e-3
+
+    def run_kexposure(self, comp, epochs, followers):
+        from repro.algorithms.kexposure import k_exposure_incremental
+        from repro.lib import Collection, Stream
+
+        tweets_in, followers_in = comp.new_input(), comp.new_input()
+        outputs = {}
+
+        def observe(timestamp, diffs):
+            # Consolidated per epoch: the eager operators send
+            # unconsolidated diffs whose batching depends on the runtime.
+            counts = outputs.setdefault(timestamp.epoch, Counter())
+            for record, delta in diffs:
+                counts[record] += delta
+                if not counts[record]:
+                    del counts[record]
+
+        k_exposure_incremental(
+            Collection(Stream.from_input(tweets_in)),
+            Collection(Stream.from_input(followers_in)),
+        ).subscribe(observe)
+        comp.build()
+        followers_in.on_next(followers)
+        followers_in.on_completed()
+        return tweets_in, outputs
+
+    def test_join_distinct_count_takes_few_central_broadcasts_per_epoch(self):
+        from repro import Computation
+        from repro.runtime import ClusterComputation
+        from repro.workloads import TweetGenerator, TweetStreamConfig
+
+        generator = TweetGenerator(
+            TweetStreamConfig(num_users=200, num_hashtags=20, seed=1)
+        )
+        followers = [
+            ((generator.query(), generator.query()), +1) for _ in range(400)
+        ]
+        epochs = [
+            [
+                ((tweet.user, tag), +1)
+                for tweet in generator.batch(30)
+                for tag in tweet.hashtags or ("#none",)
+            ]
+            for _ in range(6)
+        ]
+
+        reference = Computation()
+        tweets_in, expected = self.run_kexposure(reference, epochs, followers)
+        for batch in epochs:
+            tweets_in.on_next(batch)
+        tweets_in.on_completed()
+        reference.run()
+
+        comp = ClusterComputation(
+            num_processes=8, workers_per_process=1, progress_mode="local+global"
+        )
+        tweets_in, outputs = self.run_kexposure(comp, epochs, followers)
+        assert comp.plane.central.hold_rule == "central"
+        sent = central_broadcasts(comp.plane)
+
+        def inject(epoch):
+            tweets_in.on_next(epochs[epoch])
+            if epoch == len(epochs) - 1:
+                tweets_in.on_completed()
+
+        for epoch in range(len(epochs)):
+            comp.sim.schedule_at(
+                epoch * self.EPOCH_INTERVAL, lambda e=epoch: inject(e)
+            )
+        comp.run()
+        assert comp.drained()
+        assert outputs == expected
+        # The central holds message retirements until their time's last
+        # one, and nodes stop holding behind same-time messages: 7-10
+        # broadcasts per epoch, where forwarding nearly every node flush
+        # took 21-23.
+        broadcasts = Counter(int(now // self.EPOCH_INTERVAL) for now, _ in sent)
+        per_epoch = [broadcasts[epoch] for epoch in range(len(epochs))]
+        assert max(per_epoch) <= 12, per_epoch
