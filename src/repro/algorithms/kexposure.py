@@ -11,6 +11,10 @@ Distinct, Join, and Count", which is exactly the pipeline here:
 2. distinct ``(follower, hashtag)`` exposure pairs;
 3. count exposures per hashtag.
 
+:func:`k_exposure_incremental` also puts a distinct in front of the
+join, so a repeated ``(user, hashtag)`` tweet is joined once, not once
+per repetition (see its docstring).
+
 Per-epoch semantics give Kineograph-style consistent snapshots: each
 epoch's output reflects exactly the tweets ingested in that epoch.
 """
@@ -46,6 +50,10 @@ def k_exposure(
     )
 
 
+def _tweeter(tweet):
+    return tweet[0]
+
+
 def k_exposure_incremental(
     tweets: Collection,
     followers: Collection,
@@ -57,10 +65,27 @@ def k_exposure_incremental(
     each epoch of tweets produces *diffs* to the per-hashtag exposure
     counts — Naiad's consistent-epoch answer to Kineograph's periodic
     snapshots.
+
+    The tweets pass through a distinct before the join.  Distinct
+    commutes into a join's input: when both inputs' accumulated
+    multiplicities are non-negative,
+    ``distinct(A join B) = distinct(distinct(A) join B)`` at every time,
+    because an output record is in the join's support exactly when some
+    pair of records it comes from is in the inputs' supports, and
+    ``distinct(A)`` has ``A``'s support.  A multiplicity is negative only
+    when a retraction outruns its insertion, which valid tweet and follow
+    streams never do, so the output is unchanged; but a repeated
+    ``(user, hashtag)`` tweet no longer joins again with each of the
+    user's followers, only for the exposure distinct to drop the result.
+
+    The tweet distinct is placed by the tweeting user, the join's own
+    left key, so each tweet stays on the worker that joins it and the
+    extra stage adds no network hop.  Placed by the whole record, as a
+    plain ``distinct()`` is, it would send each tweet once more.
     """
-    exposures = tweets.join(
+    exposures = tweets.distinct(name="%s.tweets" % name, key=_tweeter).join(
         followers,
-        left_key=lambda tweet: tweet[0],
+        left_key=_tweeter,
         right_key=lambda edge: edge[1],
         result=lambda tweet, edge: (edge[0], tweet[1]),
         name="%s.join" % name,

@@ -172,10 +172,11 @@ class PathSummary:
                 % (self, self.target_depth, other, other.keep)
             )
         if other.keep <= self.keep:
-            delta = other.delta + (self.delta if other.keep == self.keep else 0)
-            if other.keep == 0:
-                delta = 0
-            return PathSummary(other.keep, delta, other.append)
+            if other.keep == self.keep and other.keep and self.delta:
+                return PathSummary(other.keep, other.delta + self.delta, other.append)
+            # ``other`` drops or keeps verbatim every counter ``self``
+            # changed, so the composite is ``other`` itself.
+            return other
         # other.keep > self.keep: 'other' keeps some of our appended
         # constants and increments the last kept one.
         cut = other.keep - self.keep  # how many appended entries survive

@@ -51,6 +51,7 @@ _LEAF_TYPES = frozenset(
     (int, float, complex, str, bytes, bool, type(None), Timestamp, PathSummary)
 )
 _NESTED_LEAVES = frozenset((tuple, frozenset))
+_REBUILT = frozenset((dict, list, set))
 
 
 def _all_leaves(items) -> bool:
@@ -94,6 +95,11 @@ def snapshot_copy(obj: Any, memo: Optional[Dict[int, Any]] = None) -> Any:
         memo = {}
     copied = memo.get(id(obj))
     if copied is not None:
+        return copied
+    if not obj and cls in _REBUILT:
+        # An empty container has no member to test: a fresh vertex's
+        # state is mostly these.
+        copied = memo[id(obj)] = cls()
         return copied
     if cls is dict:
         leaf_keys = _all_leaves(obj)
@@ -231,8 +237,15 @@ class Vertex:
     #: leaving it out of the snapshot loses nothing on restore.
     _CONFIG_ATTRS: Tuple[str, ...] = ()
 
-    def _checkpoint_excluded(self, key: str) -> bool:
-        return key in self._TRANSIENT_ATTRS or key in self._CONFIG_ATTRS
+    def _checkpoint_state(self) -> Dict[str, Any]:
+        """The attributes a checkpoint holds: all but the transient and
+        configuration ones."""
+        transient, config = self._TRANSIENT_ATTRS, self._CONFIG_ATTRS
+        return {
+            key: value
+            for key, value in self.__dict__.items()
+            if key not in transient and key not in config
+        }
 
     def checkpoint(self) -> Any:
         """Return a snapshot of this vertex's state (default: a
@@ -242,12 +255,7 @@ class Vertex:
         immutable configuration named by ``_CONFIG_ATTRS``, and must be
         picklable — it travels through the durable journal.
         """
-        state = {
-            key: value
-            for key, value in self.__dict__.items()
-            if not self._checkpoint_excluded(key)
-        }
-        return snapshot_copy(state)
+        return snapshot_copy(self._checkpoint_state())
 
     def restore(self, state: Any) -> None:
         """Reset this vertex's state from a :meth:`checkpoint` snapshot.
@@ -257,11 +265,7 @@ class Vertex:
         rollback: a vertex that lazily created per-timestamp state past
         the snapshot point does not keep it into the replayed execution.
         """
-        stale = [
-            key
-            for key in self.__dict__
-            if not self._checkpoint_excluded(key) and key not in state
-        ]
+        stale = [key for key in self._checkpoint_state() if key not in state]
         for key in stale:
             delattr(self, key)
         for key, value in snapshot_copy(state).items():

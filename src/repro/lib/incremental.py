@@ -591,8 +591,20 @@ class Collection:
             )
         )
 
-    def distinct(self, name: str = "inc_distinct") -> "Collection":
-        return self._keyed(IncrementalDistinctVertex, lambda r: r, "inc_distinct", name)
+    def distinct(
+        self, name: str = "inc_distinct", key: Callable[[Any], Any] = lambda r: r
+    ) -> "Collection":
+        """The records whose accumulated multiplicity is positive, once
+        each (:class:`IncrementalDistinctVertex`).
+
+        ``key`` places records and does nothing else: records are
+        partitioned by ``key(record)``, the record itself by default.
+        Equal records have equal keys, so they always meet at one worker
+        and the output is the same whatever the key.  Keying by the next
+        keyed operator's own key keeps every record on the worker that
+        operator reads it at, so the distinct adds no network hop.
+        """
+        return self._keyed(IncrementalDistinctVertex, key, "inc_distinct", name)
 
     def count_by(
         self, key: Callable[[Any], Any], name: str = "inc_count"

@@ -18,6 +18,7 @@ from contextlib import contextmanager
 
 import pytest
 
+from repro import Computation
 from repro.baselines import BarrierCheckpoints
 from repro.lib import Collection, Stream
 from repro.obs import TraceSink, checkpoint_pause_stats
@@ -193,6 +194,54 @@ def run_kexposure(barrier, sink, kill_at=None):
     comp.run()
     assert comp.drained(), comp.debug_state()
     return out, comp
+
+
+class TestKExposurePushdownKill:
+    def test_kill_mid_stream_matches_the_unpushed_pipeline(self):
+        # k-exposure's distinct before the join, under async cuts and a
+        # kill while tweets (some of them retractions) still arrive,
+        # answers what join -> distinct -> count answers failure-free.
+        from repro.algorithms.kexposure import k_exposure_incremental
+        from repro.workloads import TweetGenerator, TweetStreamConfig
+
+        from tests.test_incremental import kexposure_without_pushdown, run_kexposure_epochs
+
+        generator = TweetGenerator(
+            TweetStreamConfig(num_users=200, num_hashtags=20, seed=5)
+        )
+        follows = [[((generator.query(), generator.query()), +1) for _ in range(400)]]
+        tweets = []
+        for epoch in range(16):
+            batch = [
+                ((tweet.user, tag), +1)
+                for tweet in generator.batch(30)
+                for tag in tweet.hashtags or ("#none",)
+            ]
+            if epoch >= 2:
+                # Each batch's first insertion is taken back once, later.
+                batch.append((tweets[epoch - 2][0][0], -1))
+            tweets.append(batch)
+        follows += [[] for _ in tweets[1:]]
+        expected = run_kexposure_epochs(
+            kexposure_without_pushdown, tweets, follows, Computation()
+        )
+        pace = 5e-3
+        comp = ClusterComputation(
+            num_processes=8,
+            workers_per_process=1,
+            fault_tolerance=FaultTolerance(
+                mode="checkpoint",
+                checkpoint_every=4,
+                state_bytes_per_worker=3 << 20,
+                disk_bandwidth=200e6,
+            ),
+        )
+        out = run_kexposure_epochs(
+            k_exposure_incremental, tweets, follows, comp, pace=pace, kill=(3, 9.5 * pace)
+        )
+        assert out == expected
+        assert len(comp.recovery.failures) == 1
+        assert comp.async_ckpt.completed_cycle >= 2
 
 
 class TestPauseComparison:

@@ -63,21 +63,25 @@ records = st.integers(min_value=0, max_value=6)
 
 
 @st.composite
-def diff_epoch_lists(draw):
-    epochs = []
+def diff_epoch_lists(draw, elements=records, epochs=None):
+    """Epochs of diffs over ``elements``, ``epochs`` of them (1-4 when
+    None), each retraction taking back a record that is present."""
+    if epochs is None:
+        epochs = draw(st.integers(1, 4))
+    lists = []
     counts = Counter()
-    for _ in range(draw(st.integers(1, 4))):
+    for _ in range(epochs):
         diffs = []
         for _ in range(draw(st.integers(0, 6))):
-            record = draw(records)
+            record = draw(elements)
             if counts[record] > 0 and draw(st.booleans()):
                 diffs.append((record, -1))
                 counts[record] -= 1
             else:
                 diffs.append((record, +1))
                 counts[record] += 1
-        epochs.append(diffs)
-    return epochs
+        lists.append(diffs)
+    return lists
 
 
 class TestConsolidate:
@@ -348,9 +352,16 @@ class TestEagerJoin:
         for batch in epochs:
             tweets_in.on_next(batch)
         tweets_in.on_completed()
-        # On one worker distinct heads a fused stage.
-        parts = [p for v in comp.vertices.values() for p in getattr(v, "parts", [v])]
-        (distinct,) = [p for p in parts if isinstance(p, IncrementalDistinctVertex)]
+        # On one worker the exposure distinct heads a fused stage; the
+        # tweet distinct before the join is a stage of its own.
+        (distinct,) = [
+            part
+            for (stage, _), vertex in comp.vertices.items()
+            for name, part in zip(
+                getattr(vertex, "names", [stage.name]), getattr(vertex, "parts", [vertex])
+            )
+            if name == "kexposure_inc.distinct"
+        ]
         held = 0
         while comp.step():
             held = max(held, len(distinct.open) + len(distinct.deferred))
@@ -417,6 +428,23 @@ class TestEagerDistinct:
         _, fed = run_scattered_distinct(epochs, *batch_fed(epochs, left, right))
         assert paced == fed
 
+    @given(scattered_diffs())
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_placement_key_changes_no_output(self, case):
+        # Equal records have equal keys, so distinct placed by any key
+        # sees each record's every diff at one worker and sends what the
+        # default placement sends.
+        epochs, left, right = case
+        default = run_scattered_distinct(epochs, left, right, cluster=True)
+        keyed = run_scattered(
+            lambda a, b: a.concat(b).distinct(key=lambda x: x % 2),
+            epochs,
+            left,
+            right,
+            cluster=True,
+        )
+        assert keyed == default
+
     def test_retraction_takes_the_capability(self):
         # A retraction at epoch 1 arrives eagerly: the +1 of a fresh
         # record goes at once, and the -1 correction needs a grant.
@@ -443,6 +471,127 @@ class TestEagerDistinct:
         assert comp.drained()
         assert sent[2:] == [(1, [("a", -1)])]
         assert distinct.open == {} and distinct.held == {}
+
+
+def kexposure_without_pushdown(tweets, followers):
+    """k-exposure as join -> distinct -> count, with no distinct on the
+    tweets before the join: the oracle for the pushdown in
+    :func:`k_exposure_incremental`."""
+    return (
+        tweets.join(
+            followers,
+            lambda tweet: tweet[0],
+            lambda edge: edge[1],
+            lambda tweet, edge: (edge[0], tweet[1]),
+        )
+        .distinct()
+        .count_by(lambda pair: pair[1])
+    )
+
+
+def run_kexposure_epochs(build, tweet_epochs, follow_epochs, comp, pace=None, kill=None):
+    """Run ``build(tweets, followers)`` on ``comp``, one epoch of each
+    stream per input epoch (every ``pace`` seconds of virtual time on a
+    cluster, all at once when None), killing process ``kill[0]`` at
+    ``kill[1]`` when given; returns the consolidated output diffs per
+    epoch."""
+    tweets_in, followers_in = comp.new_input(), comp.new_input()
+    out = {}
+
+    def observe(timestamp, diffs):
+        acc = out.setdefault(timestamp.epoch, Counter())
+        for record, multiplicity in diffs:
+            acc[record] += multiplicity
+
+    build(
+        Collection(Stream.from_input(tweets_in)),
+        Collection(Stream.from_input(followers_in)),
+    ).subscribe(observe)
+    comp.build()
+    if kill is not None:
+        comp.kill_process(*kill)
+    last = len(tweet_epochs) - 1
+
+    def release(epoch):
+        tweets_in.on_next(tweet_epochs[epoch])
+        followers_in.on_next(follow_epochs[epoch])
+        if epoch == last:
+            tweets_in.on_completed()
+            followers_in.on_completed()
+
+    for epoch in range(last + 1):
+        if pace is None:
+            release(epoch)
+        else:
+            comp.sim.schedule_at(epoch * pace, lambda epoch=epoch: release(epoch))
+    comp.run()
+    assert comp.drained(), comp.debug_state()
+    return {
+        epoch: {record: m for record, m in acc.items() if m}
+        for epoch, acc in out.items()
+    }
+
+
+@st.composite
+def tweet_and_follow_epochs(draw):
+    """Tweet and follow streams over a few users, with repeats and valid
+    retractions, the same number of epochs each."""
+    epochs = draw(st.integers(1, 4))
+    users = st.integers(0, 3)
+    tweets = draw(diff_epoch_lists(st.tuples(users, st.sampled_from("ab")), epochs))
+    follows = draw(diff_epoch_lists(st.tuples(users, users), epochs))
+    return tweets, follows
+
+
+class TestKExposurePushdown:
+    """k-exposure drops repeated tweets before the join; with valid
+    retractions its output is the unpushed pipeline's."""
+
+    @pytest.mark.parametrize("cluster", [False, True], ids=["reference", "cluster"])
+    @given(tweet_and_follow_epochs())
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_output_is_the_unpushed_pipelines(self, cluster, case):
+        tweets, follows = case
+
+        def run(build):
+            if cluster:
+                comp = ClusterComputation(num_processes=2, workers_per_process=2)
+                return run_kexposure_epochs(build, tweets, follows, comp, pace=1e-4)
+            return run_kexposure_epochs(build, tweets, follows, Computation())
+
+        assert run(k_exposure_incremental) == run(kexposure_without_pushdown)
+
+    @pytest.mark.parametrize("cluster", [False, True], ids=["reference", "cluster"])
+    def test_join_takes_each_repeated_tweet_once(self, cluster):
+        # One tweet repeated within and across epochs reaches the join
+        # once: the join emits one exposure per (tweet, follower) pair.
+        comp = (
+            ClusterComputation(num_processes=2, workers_per_process=2)
+            if cluster
+            else Computation()
+        )
+        tweets_in, followers_in = comp.new_input(), comp.new_input()
+        k_exposure_incremental(
+            Collection(Stream.from_input(tweets_in)),
+            Collection(Stream.from_input(followers_in)),
+        ).subscribe(lambda t, diffs: None)
+        (join,) = [s for s in comp.graph.stages if s.name == "kexposure_inc.join"]
+        joined = []
+        Stream(comp, join, 0).inspect(lambda t, diffs: joined.extend(diffs))
+        comp.build()
+        followers_in.on_next([(("f1", "u"), +1), (("f2", "u"), +1), (("f3", "v"), +1)])
+        followers_in.on_completed()
+        for _ in range(4):
+            tweets_in.on_next([(("u", "#a"), +1), (("u", "#a"), +1)])
+        tweets_in.on_next([(("u", "#a"), +1), (("v", "#a"), +1)])
+        tweets_in.on_completed()
+        comp.run()
+        assert comp.drained()
+        assert Counter(joined) == {
+            (("f1", "#a"), +1): 1,
+            (("f2", "#a"), +1): 1,
+            (("f3", "#a"), +1): 1,
+        }
 
 
 class TestLinearOperators:
