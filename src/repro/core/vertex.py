@@ -96,9 +96,10 @@ def snapshot_copy(obj: Any, memo: Optional[Dict[int, Any]] = None) -> Any:
     copied = memo.get(id(obj))
     if copied is not None:
         return copied
-    if not obj and cls in _REBUILT:
+    if cls in _REBUILT and not obj:
         # An empty container has no member to test: a fresh vertex's
-        # state is mostly these.
+        # state is mostly these.  The type test comes first: other
+        # objects (a numpy array) may have no truth value.
         copied = memo[id(obj)] = cls()
         return copied
     if cls is dict:

@@ -22,6 +22,7 @@ import operator
 import pickle
 from collections import Counter, OrderedDict, defaultdict
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -36,6 +37,7 @@ from repro.core.timestamp import Timestamp
 from repro.core.vertex import ForwardingVertex, Vertex, snapshot_copy
 from repro.lib import Stream
 from repro.lib.allreduce import (
+    Chunk,
     _GatherVertex,
     _ReduceChunkVertex,
     _ScatterVertex,
@@ -379,6 +381,24 @@ def test_distinct_snapshot_shares_its_count_keys():
     assert state["counts"] == vertex.counts
     assert state["counts"] is not vertex.counts
     assert all(map(operator.is_, state["counts"], vertex.counts))
+
+
+def test_snapshot_of_vertices_holding_arrays():
+    # AllReduce vertices hold numpy vectors mid-epoch; an array has no
+    # single truth value, so the copy must never test one for emptiness.
+    t = Timestamp(0)
+    tree = _TreeLevelVertex(0, np.add)
+    chunks = _ReduceChunkVertex(np.add)
+    for vertex in (tree, chunks):
+        vertex._harness = _NullHarness()
+        vertex.on_recv(0, [Chunk(dest=0, index=0, data=np.ones(8))], t)
+    state = {vertex: vertex.checkpoint() for vertex in (tree, chunks)}
+    for vertex in (tree, chunks):
+        vertex.on_recv(0, [Chunk(dest=0, index=0, data=np.ones(8))], t)
+        vertex.restore(state[vertex])
+    assert (tree.partial[t] == np.ones(8)).all()
+    assert (chunks.partial[t][0] == np.ones(8)).all()
+    assert tree.partial[t] is not state[tree]["partial"][t]
 
 
 class _ClockedVertex(Vertex):
