@@ -12,35 +12,15 @@ models, not the authors' hardware — EXPERIMENTS.md records both sides.
 from __future__ import annotations
 
 import os
-import sys
-from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
-# repro is imported inside the functions that use it: benchmarks/conftest.py
-# imports this module to pin the hash seed, also where repro is not on the path.
-if TYPE_CHECKING:
-    from repro.obs import TraceSink
+from repro.obs import TraceSink, collect_profile, critical_path
 
 RESULTS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "results")
 
 #: Set REPRO_TRACE=1 to record a full event trace during benchmark runs
 #: (and REPRO_TRACE_DIR to also dump the JSONL next to the reports).
 TRACE_ENV = "REPRO_TRACE"
-
-#: Exchanges partition string keys by ``hash()``, which Python salts
-#: per process, so the modelled numbers in the reports repeat run to run
-#: only under one fixed seed (the spine pins the same one).
-HASH_SEED = "0"
-
-
-def pin_hash_seed(argv: Sequence[str]) -> None:
-    """Re-execute this interpreter on ``argv`` under ``PYTHONHASHSEED``
-    = :data:`HASH_SEED`, unless it already runs under it."""
-    if os.environ.get("PYTHONHASHSEED") == HASH_SEED:
-        return
-    os.environ["PYTHONHASHSEED"] = HASH_SEED
-    sys.stdout.flush()
-    sys.stderr.flush()
-    os.execv(sys.executable, [sys.executable, *argv])
 
 
 def backend_lines(computation) -> List[str]:
@@ -65,8 +45,6 @@ def attach_tracing(computation, enabled: Optional[bool] = None) -> Optional[Trac
         enabled = tracing_enabled()
     if not enabled:
         return None
-    from repro.obs import TraceSink
-
     sink = TraceSink()
     computation.attach_trace_sink(sink)
     return sink
@@ -74,8 +52,6 @@ def attach_tracing(computation, enabled: Optional[bool] = None) -> Optional[Trac
 
 def profile_lines(computation) -> List[str]:
     """The DES self-profile of a finished run (repro.obs.profile)."""
-    from repro.obs import collect_profile
-
     return collect_profile(computation).lines()
 
 
@@ -83,8 +59,6 @@ def critical_path_lines(sink: Optional[TraceSink], top_k: int = 5) -> List[str]:
     """SnailTrail-style critical-path summary of a recorded trace."""
     if sink is None or len(sink) == 0:
         return []
-    from repro.obs import critical_path
-
     summary = critical_path(list(sink), top_k=top_k)
     lines = summary.lines()
     directory = os.environ.get("%s_DIR" % TRACE_ENV, "")

@@ -56,12 +56,10 @@ def strongly_connected_components(
     label_propagation(arcs).subscribe(collect)
     comp.build()
 
-    nodes: Set[Any] = set()
-    for u, v in edges:
-        nodes.add(u)
-        nodes.add(v)
+    # A dict, not a set: the self-arcs below enter in first-seen order,
+    # which no hash decides.
+    remaining_nodes = dict.fromkeys(node for edge in edges for node in edge)
     remaining_edges = list(edges)
-    remaining_nodes = set(nodes)
     assignment: Dict[Any, Any] = {}
     epoch = 0
 
@@ -89,12 +87,12 @@ def strongly_connected_components(
         epoch += 1
         # A node is in its root's SCC iff its backward label reached the
         # root (the minimum of its color class).
-        done: Set[Any] = set()
         for node in remaining_nodes:
             if marks[node] == colors[node]:
                 assignment[node] = colors[node]
-                done.add(node)
-        remaining_nodes -= done
+        remaining_nodes = dict.fromkeys(
+            node for node in remaining_nodes if node not in assignment
+        )
         remaining_edges = [
             (u, v)
             for u, v in remaining_edges

@@ -37,7 +37,9 @@ from . import operators as ops
 
 
 def hash_partitioner(key: Callable[[Any], Any]) -> HashPartitioner:
-    """Route records with equal ``key`` to the same downstream vertex.
+    """Route records with equal ``key`` to the same downstream vertex,
+    chosen by :func:`repro.opt.plan.stable_hash` of the key, so the same
+    in every process.
 
     Returns a :class:`repro.opt.plan.HashPartitioner`, whose structural
     equality (same key selector) lets the optimizer's exchange-elision

@@ -18,6 +18,7 @@ Nothing in this module mutates a graph; rewrites live in the passes.
 from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Tuple
+from zlib import crc32
 
 from ..core.graph import DataflowGraph, Stage, StageKind
 
@@ -87,16 +88,35 @@ class OpSpec:
         return "OpSpec(%s%s)" % (self.kind, ", ".join([""] + flags) if flags else "")
 
 
-class HashPartitioner:
-    """A hash-partitioning function with provable equality.
+def stable_hash(key: Any) -> int:
+    """A hash of ``key`` that is the same in every process.
 
-    ``hash_partitioner(key)`` historically returned an anonymous
-    closure, which made two exchanges by the same key indistinguishable
-    to the optimizer.  This callable carries its key selector, and two
-    instances compare equal when the selectors are the *same function
-    object* — the conservative identity test under which exchange
-    elision is provably safe (equal callables route every record to the
-    same worker).
+    Builtin ``hash`` salts ``str`` and ``bytes`` differently in each
+    interpreter, and tuples that hold them inherit the salt; placement
+    must not.  A ``str`` hashes as the CRC-32 of its UTF-8 bytes,
+    ``bytes`` as their CRC-32, and a tuple as the builtin hash of its
+    members' stable hashes; anything else, ``int`` included, keeps
+    builtin ``hash``, which has no salt.  Equal keys hash equal: a
+    numeric member contributes ``hash(member)``, so ``(1, "a")``,
+    ``(1.0, "a")`` and ``(True, "a")`` agree, and a flat tuple of
+    numbers hashes exactly as builtin ``hash`` does.
+    """
+    if isinstance(key, str):
+        return crc32(key.encode())
+    if isinstance(key, tuple):
+        return hash(tuple(map(stable_hash, key)))
+    if isinstance(key, bytes):
+        return crc32(key)
+    return hash(key)
+
+
+class HashPartitioner:
+    """Route a record by the :func:`stable_hash` of its key.
+
+    The callable carries its key selector, and two instances compare
+    equal when the selectors are the *same function object* — the
+    conservative identity test under which exchange elision is provably
+    safe (equal callables route every record to the same worker).
     """
 
     __slots__ = ("key",)
@@ -105,7 +125,7 @@ class HashPartitioner:
         self.key = key
 
     def __call__(self, record: Any) -> int:
-        return hash(self.key(record))
+        return stable_hash(self.key(record))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, HashPartitioner) and self.key is other.key

@@ -342,8 +342,7 @@ class TestPartialRollback:
         # Paced epochs and a cut every epoch leave a pre-cut message in
         # the durable cut's channel for the killed worker; the kill lands
         # after it, so the restore re-injects that channel share first,
-        # then the journal suffix in delivery order.  The int-keyed loop
-        # case routes the same way under every hash seed.
+        # then the journal suffix in delivery order.
         expected, duration = baseline("iterate", (4, 1))
         seen = {}
         rollback = AsyncCheckpointManager.partial_rollback
@@ -543,8 +542,8 @@ class TestExplicitCheckpointWaitsForADurableCut:
     def test_checkpoint_survives_a_kill_around_its_cut(self, point):
         # A first run times the cut from its trace: the assembly event
         # (worker -1) ends when the cut is assembled, and the durable
-        # write records a ``checkpoint`` event.  Placement is hash-salted,
-        # so the times are read, never fixed.
+        # write records a ``checkpoint`` event.  The times are read, never
+        # fixed, so a change to placement or to a cost model moves them too.
         expected, _ = baseline("wordcount", (3, 2))
         ft = make_async_ft(policy="reassign", every=100)
         sink = TraceSink()

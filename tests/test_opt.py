@@ -9,8 +9,13 @@ whole pass pipeline: compiling an already-compiled plan performs zero
 rewrites and leaves the structural signature unchanged.
 """
 
+import os
+import subprocess
+import sys
 import traceback
+import zlib
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +39,7 @@ from repro.opt import (
     partitioners_agree,
     plan_signature,
 )
+from repro.opt.plan import stable_hash
 from repro.runtime import ClusterComputation
 
 
@@ -74,9 +80,75 @@ class TestPartitionerEquality:
         opaque = lambda record: 0  # noqa: E731
         assert partitioners_agree(opaque, opaque)  # identity still counts
 
-    def test_routing_matches_plain_hash(self):
+    def test_routing_uses_the_stable_hash(self):
         partitioner = HashPartitioner(_key)
-        assert partitioner(("x", 1)) == hash("x")
+        assert partitioner(("x", 1)) == stable_hash("x") == 0x8CDC1683
+
+
+class TestStableHash:
+    def test_str_and_bytes_are_their_crc32(self):
+        assert stable_hash("naiad") == zlib.crc32(b"naiad") == 0x1285A15F
+        assert stable_hash(b"naiad") == 0x1285A15F
+        assert stable_hash("\u00e9") == zlib.crc32("\u00e9".encode()) == 0x0E048D3E
+
+    def test_equal_keys_hash_equal(self):
+        assert stable_hash((1, "a")) == stable_hash((1.0, "a")) == stable_hash((True, "a"))
+        assert stable_hash((2**70, "a")) == stable_hash((float(2**70), "a"))
+        assert stable_hash((0, ("a", 1), b"b")) == stable_hash((0.0, ("a", 1.0), b"b"))
+
+    def test_salt_free_keys_keep_the_builtin_hash(self):
+        for key in (7, -1, 2**70, 1.5, (3, -1), (1.5, 2**70, True), ()):
+            assert stable_hash(key) == hash(key)
+
+
+#: Run in a fresh interpreter per hash seed: a wordcount with a process
+#: kill and a k-exposure run with one, whose exchanges route by str and
+#: (int, str) keys.  Prints what placement moves: virtual time, delivery
+#: counts, each failure's recovery mode and the outputs per epoch.
+_DIGEST_PROGRAM = """
+from repro.algorithms.kexposure import k_exposure_incremental
+from repro.runtime import ClusterComputation
+from repro.workloads import TweetGenerator, TweetStreamConfig
+from tests.test_incremental import run_kexposure_epochs
+from tests.test_recovery import make_ft, run_cluster
+
+def digest(comp, out):
+    print(comp.now, comp.delivered_messages, comp.delivered_notifications,
+          [f["mode"] for f in comp.recovery.failures],
+          sorted((e, sorted(dict(c).items())) for e, c in out.items()))
+
+out, comp = run_cluster("wordcount", (3, 2), ft=make_ft("checkpoint"), kill=(1, 0.0003))
+digest(comp, out)
+gen = TweetGenerator(TweetStreamConfig(num_users=200, num_hashtags=20, seed=5))
+follows = [[((gen.query(), gen.query()), +1) for _ in range(400)]] + [[]] * 7
+tweets = [
+    [((t.user, tag), +1) for t in gen.batch(30) for tag in t.hashtags or ("#none",)]
+    for _ in range(8)
+]
+comp = ClusterComputation(8, 1, fault_tolerance=make_ft("checkpoint"))
+out = run_kexposure_epochs(
+    k_exposure_incremental, tweets, follows, comp, pace=5e-3, kill=(3, 0.02)
+)
+digest(comp, out)
+"""
+
+
+def test_runs_repeat_under_every_hash_seed():
+    """Placement is part of the program: the interpreter's str hash salt
+    must move no virtual time, delivery, recovery or output."""
+    root = Path(__file__).resolve().parents[1]
+    runs = []
+    for seed in ("0", "1", "168"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join([str(root / "src"), str(root)])
+        runs.append(subprocess.Popen(
+            [sys.executable, "-c", _DIGEST_PROGRAM], env=env, cwd=root,
+            stdout=subprocess.PIPE, text=True,
+        ))
+    digests = [run.communicate(timeout=120)[0] for run in runs]
+    assert [run.returncode for run in runs] == [0, 0, 0]
+    assert digests[0].count("partial") == 2  # both kills engaged
+    assert digests[1:] == digests[:1] * 2
 
 
 # ----------------------------------------------------------------------
