@@ -13,7 +13,9 @@ Distinct, Join, and Count", which is exactly the pipeline here:
 
 :func:`k_exposure_incremental` also puts a distinct in front of the
 join, so a repeated ``(user, hashtag)`` tweet is joined once, not once
-per repetition (see its docstring).
+per repetition, and places each distinct by the next operator's key, so
+the exposures are counted on the worker that deduplicated them (see its
+docstring).
 
 Per-epoch semantics give Kineograph-style consistent snapshots: each
 epoch's output reflects exactly the tweets ingested in that epoch.
@@ -54,6 +56,10 @@ def _tweeter(tweet):
     return tweet[0]
 
 
+def _hashtag(exposure):
+    return exposure[1]
+
+
 def k_exposure_incremental(
     tweets: Collection,
     followers: Collection,
@@ -78,10 +84,17 @@ def k_exposure_incremental(
     ``(user, hashtag)`` tweet no longer joins again with each of the
     user's followers, only for the exposure distinct to drop the result.
 
-    The tweet distinct is placed by the tweeting user, the join's own
-    left key, so each tweet stays on the worker that joins it and the
-    extra stage adds no network hop.  Placed by the whole record, as a
-    plain ``distinct()`` is, it would send each tweet once more.
+    Each distinct is placed by the key of the keyed operator after it,
+    passed as the same function object: the tweet distinct by the
+    tweeting user, the join's own left key, and the exposure distinct
+    by the hashtag, the count's own key.  Equal records have equal
+    keys, so they still meet at one worker and the output does not
+    change.  A distinct preserves its placement, so exchange elision
+    drops the exchange after each one: every tweet stays on the worker
+    that joins it, and every exposure on the worker that counts it,
+    which fusion then runs with the count in one stage.  Placed by the
+    whole record, as a plain ``distinct()`` is, each would send its
+    records once more.
     """
     exposures = tweets.distinct(name="%s.tweets" % name, key=_tweeter).join(
         followers,
@@ -90,6 +103,6 @@ def k_exposure_incremental(
         result=lambda tweet, edge: (edge[0], tweet[1]),
         name="%s.join" % name,
     )
-    return exposures.distinct(name="%s.distinct" % name).count_by(
-        lambda pair: pair[1], name="%s.count" % name
+    return exposures.distinct(name="%s.distinct" % name, key=_hashtag).count_by(
+        _hashtag, name="%s.count" % name
     )

@@ -16,6 +16,7 @@ from collections import deque
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..obs.trace import TraceEvent, TraceSink, timestamp_tuple
+from ..opt.plan import HashPartitioner
 from .graph import Connector, Stage, StageKind
 from .progress import Pointstamp, ProgressState
 from .timestamp import Timestamp
@@ -33,13 +34,16 @@ def route(
 
     Yields ``(dest_worker, share)`` pairs: pipeline connectors (no
     partitioner) keep the records on the local worker; exchanges bucket
-    them by ``partitioner(record) % total``, each share in send order.
-    The single routing implementation behind :meth:`Worker.send` and the
-    cut-through of plumbing hops.
+    them by ``partitioner(record) % total``, each share in send order,
+    through :meth:`HashPartitioner.route` for a hash partitioner.  The
+    single routing implementation behind :meth:`Worker.send`, the
+    cut-through of plumbing hops and the cluster's keyed ingest.
     """
     partitioner = connector.partitioner
     if partitioner is None:
         return ((local_index, records),)
+    if type(partitioner) is HashPartitioner:
+        return partitioner.route(records, total).items()
     buckets: Dict[int, List[Any]] = {}
     for record in records:
         buckets.setdefault(partitioner(record) % total, []).append(record)

@@ -24,6 +24,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..core.timestamp import Timestamp
 from ..core.vertex import Vertex
+from ..opt.plan import RecordKey
 from .operators import UnaryBufferingVertex
 from .stream import Stream, _opspec, hash_partitioner
 
@@ -586,7 +587,7 @@ class Collection:
             self.stream._unary(
                 name,
                 factory,
-                partitioner=hash_partitioner(lambda d: key(d[0])),
+                partitioner=hash_partitioner(RecordKey(key)),
                 opspec=_opspec(kind),
             )
         )
@@ -601,8 +602,10 @@ class Collection:
         partitioned by ``key(record)``, the record itself by default.
         Equal records have equal keys, so they always meet at one worker
         and the output is the same whatever the key.  Keying by the next
-        keyed operator's own key keeps every record on the worker that
-        operator reads it at, so the distinct adds no network hop.
+        keyed operator's own key (the same function object) keeps every
+        record on the worker that operator reads it at: the distinct
+        preserves its placement, so exchange elision drops the hop
+        between them and the distinct adds no network hop.
         """
         return self._keyed(IncrementalDistinctVertex, key, "inc_distinct", name)
 
@@ -638,12 +641,8 @@ class Collection:
             1,
             opspec=_opspec("inc_join"),
         )
-        self.stream.connect_to(
-            stage, 0, hash_partitioner(lambda d: left_key(d[0]))
-        )
-        other.stream.connect_to(
-            stage, 1, hash_partitioner(lambda d: right_key(d[0]))
-        )
+        self.stream.connect_to(stage, 0, hash_partitioner(RecordKey(left_key)))
+        other.stream.connect_to(stage, 1, hash_partitioner(RecordKey(right_key)))
         return Collection(Stream(self.stream.computation, stage, 0))
 
     def connected_components(

@@ -65,10 +65,12 @@ def _single_partition(record: Any) -> int:
 # per-batch probe callback is driver-side) nor batchable (the probe
 # observes batch boundaries), and ``probe`` never fuses either; nor does
 # ``arrange``, whose Arrangement handle finds its vertex by its stage.
-# The ``inc_*`` rows are the stateful operators of repro.lib.incremental:
-# buffering vertices like ``buffered``, so the unary ones fuse, but
-# their outputs are new ``(record, diff)`` tuples, so unlike the Stream
-# ``distinct`` none preserves partitioning.
+# The ``inc_*`` rows are the stateful operators of repro.lib.incremental;
+# the unary ones fuse.  Their outputs are new ``(record, diff)`` tuples,
+# so none preserves partitioning but ``inc_distinct``: each of its
+# output diffs carries an input diff's record on the same worker, and
+# it is placed by a RecordKey, which reads only that record (see
+# OpSpec.preserves_partitioning).
 _OPSPECS = {
     "select": ("select", True, True, False),
     "where": ("where", True, True, True),
@@ -85,7 +87,7 @@ _OPSPECS = {
     "probe": ("probe", False, True, False),
     "subscribe": ("subscribe", True, True, False),
     "arrange": ("arrange", False, True, False),
-    "inc_distinct": ("inc_distinct", True, True, False),
+    "inc_distinct": ("inc_distinct", True, True, True),
     "inc_count_by": ("inc_count_by", True, True, False),
     "inc_reduce_by": ("inc_reduce_by", True, True, False),
     "inc_connected_components": ("inc_connected_components", True, True, False),

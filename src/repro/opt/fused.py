@@ -11,7 +11,7 @@ operator, which fattens callback bodies.
 
 Notifications are deduplicated at the fused boundary: however many
 constituents request a notification at timestamp ``t``, the fused vertex
-holds a single outer pointstamp and, when it is granted, dispatches the
+holds a single outer request and, when it is granted, dispatches the
 constituents' ``on_notify(t)`` in chain order — upstream first, so a
 buffering constituent's emission at ``t`` reaches its downstream
 neighbours before their own completions run, exactly the order the
@@ -20,6 +20,17 @@ that first requests ``t`` during that grant (its only input at ``t``
 was an upstream completion) runs later in the same grant: the grant
 already proves nothing outside the chain can still reach ``t``, and
 its turn comes only after every constituent upstream of it has run.
+
+The outer request keeps the kind of its constituents' requests (section
+2.4): it holds a capability only if some constituent asked for one at
+``t``, and is a capability-free cleanup otherwise, which delays no one.
+Cleanups are settled at the end of each fused callback, so a
+constituent that asks for a cleanup and then a capability at ``t`` in
+one callback costs one outer notification, as it did before fusion.
+When a cleanup and a capability are both held at ``t``, the capability
+is delivered first (they share one pointstamp, and a worker serves
+notifications before cleanups), so it runs every constituent due at
+``t`` and the cleanup then finds nothing left.
 
 Fault tolerance composes: ``checkpoint()`` snapshots every constituent
 (each applying its own ``_CONFIG_ATTRS`` exclusions, so the composite
@@ -30,10 +41,14 @@ machinery works unchanged.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.timestamp import Timestamp
 from ..core.vertex import Vertex, snapshot_copy
+
+#: Bits of :attr:`FusedVertex._outer`: the outer requests held at a time.
+_CAPABILITY = 1
+_CLEANUP = 2
 
 
 class _ChainHarness:
@@ -92,7 +107,7 @@ class _ChainHarness:
     def request_notification(
         self, vertex: Vertex, timestamp: Timestamp, capability: bool = True
     ) -> None:
-        self.fused._request(self.fused.parts.index(vertex), timestamp)
+        self.fused._request(self.fused.parts.index(vertex), timestamp, capability)
 
 
 class FusedVertex(Vertex):
@@ -122,12 +137,18 @@ class FusedVertex(Vertex):
             part._harness = chain
             notifies = notifies or part.notifies
         self.notifies = notifies
-        #: Timestamp -> constituent positions awaiting on_notify there.
-        #: An entry's existence means one outer notification is held.
-        self._pending: Dict[Timestamp, Set[int]] = {}
+        #: Timestamp -> {constituent position: whether it asked for a
+        #: capability} for the constituents awaiting on_notify there.
+        self._pending: Dict[Timestamp, Dict[int, bool]] = {}
+        #: Timestamp -> the outer requests held there, a bit mask of
+        #: _CAPABILITY and _CLEANUP.
+        self._outer: Dict[Timestamp, int] = {}
+        #: Times a constituent asked a cleanup at during the running
+        #: callback, settled at its end.
+        self._touched: Dict[Timestamp, None] = {}
         #: While on_notify(t) runs: ``(t, positions due in this grant,
         #: positions held for the next one)``, and the running position.
-        self._grant: Optional[Tuple[Timestamp, Set[int], Set[int]]] = None
+        self._grant: Optional[Tuple[Timestamp, Dict[int, bool], Dict[int, bool]]] = None
         self._running = 0
 
     # ------------------------------------------------------------------
@@ -136,13 +157,19 @@ class FusedVertex(Vertex):
 
     def on_recv(self, input_port: int, records: List[Any], timestamp: Timestamp) -> None:
         self._chain.deliver(0, records, timestamp)
+        if self._touched:
+            self._settle()
 
     def on_notify(self, timestamp: Timestamp) -> None:
+        # A held capability is delivered before a cleanup held at the
+        # same time: with both held, this delivery is the capability.
+        if self._outer.pop(timestamp, 0) == _CAPABILITY | _CLEANUP:
+            self._outer[timestamp] = _CLEANUP
         due = self._pending.pop(timestamp, None)
         if due is None:
             return
         parts = self.parts
-        held: Set[int] = set()
+        held: Dict[int, bool] = {}
         self._grant = (timestamp, due, held)
         try:
             # Chain order: an upstream constituent's completion may emit
@@ -155,7 +182,9 @@ class FusedVertex(Vertex):
                     # An upstream constituent re-requested ``timestamp``
                     # and may emit into this one again: the rest wait
                     # for the next grant, as the frontier would have it.
-                    held.update(p for p in due if p >= position)
+                    for later, capability in due.items():
+                        if later >= position:
+                            held[later] = held.get(later, False) or capability
                     break
                 self._running = position
                 try:
@@ -167,7 +196,9 @@ class FusedVertex(Vertex):
             self._grant = None
         if held:
             self._pending[timestamp] = held
-            self.notify_at(timestamp)
+            self._hold(timestamp, any(held.values()))
+        if self._touched:
+            self._settle()
 
     def _blame(self, exc: Exception, position: int) -> None:
         """Fail fast as the original exception, but say which operator
@@ -178,26 +209,42 @@ class FusedVertex(Vertex):
             note = "in operator %r of %r" % (self.names[position], self)
             exc.__notes__ = getattr(exc, "__notes__", []) + [note]
 
-    def _request(self, position: int, timestamp: Timestamp) -> None:
+    def _request(self, position: int, timestamp: Timestamp, capability: bool) -> None:
         grant = self._grant
         if grant is not None and grant[0] == timestamp:
             # A request at the time being granted: a downstream
             # constituent is due later in this grant, and whether it
             # may run is decided when its turn comes; the running one
             # (or one upstream of it) needs the next grant.
-            if position > self._running:
-                grant[1].add(position)
-            else:
-                grant[2].add(position)
-            return
-        waiting = self._pending.get(timestamp)
-        if waiting is None:
-            self._pending[timestamp] = {position}
-            # One outer pointstamp covers every constituent request at
-            # this time.
-            self.notify_at(timestamp)
+            wanted = grant[1] if position > self._running else grant[2]
         else:
-            waiting.add(position)
+            wanted = self._pending.get(timestamp)
+            if wanted is None:
+                wanted = self._pending[timestamp] = {}
+            self._hold(timestamp, capability)
+        wanted[position] = wanted.get(position, False) or capability
+
+    def _hold(self, timestamp: Timestamp, capability: bool) -> None:
+        """Cover a constituent request at ``timestamp`` with an outer
+        one: a capability at once unless one is held there, a cleanup
+        when the running callback ends (:meth:`_settle`)."""
+        if not capability:
+            self._touched[timestamp] = None
+            return
+        outer = self._outer.get(timestamp, 0)
+        if not outer & _CAPABILITY:
+            self.notify_at(timestamp)
+            self._outer[timestamp] = outer | _CAPABILITY
+
+    def _settle(self) -> None:
+        """Hold a cleanup at each time a constituent asked one for in
+        the callback that is ending, unless an outer request is already
+        held there."""
+        touched, self._touched = self._touched, {}
+        for timestamp in touched:
+            if timestamp not in self._outer:
+                self.notify_at(timestamp, capability=False)
+                self._outer[timestamp] = _CLEANUP
 
     # ------------------------------------------------------------------
     # Fault tolerance: composite snapshot.
@@ -207,18 +254,18 @@ class FusedVertex(Vertex):
         return {
             "parts": [part.checkpoint() for part in self.parts],
             "pending": {
-                timestamp: sorted(positions)
+                timestamp: dict(positions)
                 for timestamp, positions in self._pending.items()
             },
+            "outer": dict(self._outer),
         }
 
     def restore(self, state: Any) -> None:
         for part, snapshot in zip(self.parts, state["parts"]):
             part.restore(snapshot)
-        self._pending = {
-            timestamp: set(positions)
-            for timestamp, positions in snapshot_copy(state["pending"]).items()
-        }
+        self._pending = snapshot_copy(state["pending"])
+        self._outer = dict(state["outer"])
+        self._touched = {}
 
     def __repr__(self) -> str:
         base = super().__repr__()

@@ -10,7 +10,10 @@ Four passes ship, applied in order by :func:`compile_plan`:
     "distribution property" through record-preserving stages and
     compares partitioners via :func:`repro.opt.plan.partitioners_agree`;
     with a single worker every exchange is trivially local.  Runs first
-    so an elided edge can unlock fusion across it.
+    so an elided edge can unlock fusion across it.  An exchange kept
+    although its producer's placement is proved gets a note in
+    :meth:`~repro.opt.plan.PhysicalPlan.explain` naming both
+    partitioners.
 
 ``operator-fusion``
     collapses maximal chains of fusable 1-in/1-out stages linked by
@@ -91,11 +94,19 @@ class ExchangeElisionPass:
             if connector.src.kind is StageKind.INPUT:
                 continue  # ingest is round-robin, never provably keyed
             have = located.get(connector.src)
-            if have is not None and partitioners_agree(have, wanted):
+            if have is None:
+                continue
+            if partitioners_agree(have, wanted):
                 connector.partitioner = None
                 rewrites.append(
                     "elided exchange (%s -> %s): producer already partitioned "
                     "by an equal key" % (connector.src.name, connector.dst.name)
+                )
+            else:
+                plan.notes.append(
+                    "kept exchange (%s -> %s): producer partitioned by %r, "
+                    "consumer needs %r, not provably equal"
+                    % (connector.src.name, connector.dst.name, have, wanted)
                 )
         return rewrites
 
@@ -359,8 +370,11 @@ def compile_plan(
     before = plan_signature(graph)
     results: List[PassResult] = []
     for compiler_pass in default_passes() if passes is None else passes:
+        noted = len(plan.notes)
         rewrites = compiler_pass.run(plan)
-        results.append(PassResult(compiler_pass.name, list(rewrites)))
+        results.append(
+            PassResult(compiler_pass.name, list(rewrites), plan.notes[noted:])
+        )
         if trace is not None:
             trace.emit(
                 TraceEvent(

@@ -45,9 +45,17 @@ class OpSpec:
         queued entry of one (connector, timestamp) on the stage's input
         connectors into one delivery.
     ``preserves_partitioning``
-        output records are a subset of input records (same objects, same
-        worker), so a partitioning established upstream still holds
-        downstream — the property exchange elision propagates.
+        a partitioning established upstream still holds downstream —
+        the property exchange elision propagates.  True when output
+        records are a subset of input records (same objects, same
+        worker).  Also true of the incremental distinct, whose outputs
+        are new diffs: each output ``(r, ±1)`` carries the ``r`` of an
+        input diff on the same worker.  The only partitioner it
+        propagates is its own input partitioner, a
+        :class:`HashPartitioner` over a :class:`RecordKey`, which reads
+        ``d[0]`` only; every partitioner found equal to it wraps the
+        same selector in a :class:`RecordKey` and reads ``d[0]`` only
+        too, so it routes each output where it routed the input.
     ``constituents``
         for ``kind == "fused"``: the names of the operators the chain
         absorbed, in pipeline order.
@@ -88,18 +96,24 @@ class OpSpec:
         return "OpSpec(%s%s)" % (self.kind, ", ".join([""] + flags) if flags else "")
 
 
+#: ``None``'s stable hash: builtin ``hash(None)`` is its address on
+#: Python 3.11, which differs between interpreters.
+_NONE_HASH = crc32(b"None")
+
+
 def stable_hash(key: Any) -> int:
     """A hash of ``key`` that is the same in every process.
 
     Builtin ``hash`` salts ``str`` and ``bytes`` differently in each
     interpreter, and tuples that hold them inherit the salt; placement
     must not.  A ``str`` hashes as the CRC-32 of its UTF-8 bytes,
-    ``bytes`` as their CRC-32, and a tuple as the builtin hash of its
-    members' stable hashes; anything else, ``int`` included, keeps
-    builtin ``hash``, which has no salt.  Equal keys hash equal: a
-    numeric member contributes ``hash(member)``, so ``(1, "a")``,
-    ``(1.0, "a")`` and ``(True, "a")`` agree, and a flat tuple of
-    numbers hashes exactly as builtin ``hash`` does.
+    ``bytes`` as their CRC-32, a tuple as the builtin hash of its
+    members' stable hashes, and ``None`` as a fixed value; anything
+    else, ``int`` included, keeps builtin ``hash``, which has no salt.
+    Equal keys hash equal: a numeric member contributes
+    ``hash(member)``, so ``(1, "a")``, ``(1.0, "a")`` and ``(True,
+    "a")`` agree, and a flat tuple of numbers hashes exactly as builtin
+    ``hash`` does.
     """
     if isinstance(key, str):
         return crc32(key.encode())
@@ -107,16 +121,48 @@ def stable_hash(key: Any) -> int:
         return hash(tuple(map(stable_hash, key)))
     if isinstance(key, bytes):
         return crc32(key)
+    if key is None:
+        return _NONE_HASH
     return hash(key)
+
+
+class RecordKey:
+    """A key selector applied to a diff's record: ``diff -> key(diff[0])``.
+
+    How a :class:`repro.lib.incremental.Collection` places its
+    ``(record, multiplicity)`` diffs.  Two wrappers around the *same*
+    selector object compare equal, so two Collection exchanges by one
+    key are equal partitioners and exchange elision can prove them so.
+    Holds no cache: a wrapper lives exactly as long as its connector.
+    """
+
+    __slots__ = ("key",)
+
+    def __init__(self, key: Callable[[Any], Any]):
+        self.key = key
+
+    def __call__(self, diff: Any) -> Any:
+        return self.key(diff[0])
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is RecordKey and self.key is other.key
+
+    def __hash__(self) -> int:
+        return hash((RecordKey, id(self.key)))
+
+    def __repr__(self) -> str:
+        return "RecordKey(%s)" % getattr(self.key, "__name__", repr(self.key))
 
 
 class HashPartitioner:
     """Route a record by the :func:`stable_hash` of its key.
 
     The callable carries its key selector, and two instances compare
-    equal when the selectors are the *same function object* — the
-    conservative identity test under which exchange elision is provably
-    safe (equal callables route every record to the same worker).
+    equal when their selectors compare equal: for a function that is
+    the *same function object*, for a :class:`RecordKey` the same
+    wrapped selector — the conservative test under which exchange
+    elision is provably safe (equal selectors route every record to the
+    same worker).
     """
 
     __slots__ = ("key",)
@@ -127,14 +173,40 @@ class HashPartitioner:
     def __call__(self, record: Any) -> int:
         return stable_hash(self.key(record))
 
+    def route(self, records: List[Any], total: int) -> Dict[int, List[Any]]:
+        """Bucket ``records`` by ``stable_hash(key(record)) % total``,
+        each bucket in input order: the routing kernel of every
+        exchange.  ``int`` and ``str`` keys, the common ones, hash
+        inline; a :class:`RecordKey` is applied to the record directly."""
+        key = self.key
+        if type(key) is RecordKey:
+            keys = map(key.key, [diff[0] for diff in records])
+        else:
+            keys = map(key, records)
+        buckets: Dict[int, List[Any]] = {}
+        for record, k in zip(records, keys):
+            kind = type(k)
+            if kind is int:
+                dest = hash(k) % total
+            elif kind is str:
+                dest = crc32(k.encode()) % total
+            else:
+                dest = stable_hash(k) % total
+            bucket = buckets.get(dest)
+            if bucket is None:
+                buckets[dest] = [record]
+            else:
+                bucket.append(record)
+        return buckets
+
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, HashPartitioner) and self.key is other.key
+        return isinstance(other, HashPartitioner) and self.key == other.key
 
     def __ne__(self, other: object) -> bool:
         return not self.__eq__(other)
 
     def __hash__(self) -> int:
-        return hash((HashPartitioner, id(self.key)))
+        return hash((HashPartitioner, self.key))
 
     def __repr__(self) -> str:
         return "HashPartitioner(%s)" % getattr(self.key, "__name__", repr(self.key))
@@ -159,13 +231,16 @@ class LogicalPlan:
     rewrites whose safety does not depend on unknown parallelism.
     """
 
-    __slots__ = ("graph", "total_workers", "_notifies")
+    __slots__ = ("graph", "total_workers", "notes", "_notifies")
 
     def __init__(self, graph: DataflowGraph, total_workers: Optional[int] = None):
         if graph.frozen:
             raise ValueError("cannot optimize a frozen graph")
         self.graph = graph
         self.total_workers = total_workers
+        #: Why a pass left something as it was: printed by explain(),
+        #: not counted as rewrites.
+        self.notes: List[str] = []
         self._notifies: Dict[Stage, bool] = {}
 
     def notifies(self, stage: Stage) -> bool:
@@ -188,13 +263,15 @@ class LogicalPlan:
 
 
 class PassResult:
-    """What one pass did: a name plus one line per applied rewrite."""
+    """What one pass did: a name plus one line per applied rewrite, and
+    one per note on a rewrite it declined."""
 
-    __slots__ = ("name", "rewrites")
+    __slots__ = ("name", "rewrites", "notes")
 
-    def __init__(self, name: str, rewrites: List[str]):
+    def __init__(self, name: str, rewrites: List[str], notes: List[str] = ()):
         self.name = name
         self.rewrites = rewrites
+        self.notes = list(notes)
 
     def __repr__(self) -> str:
         return "PassResult(%s, %d rewrites)" % (self.name, len(self.rewrites))
@@ -296,8 +373,8 @@ class PhysicalPlan:
                 "== pass %s: %d rewrite%s =="
                 % (result.name, len(result.rewrites), "" if len(result.rewrites) == 1 else "s")
             )
-            for rewrite in result.rewrites:
-                lines.append("  %s" % rewrite)
+            for line in (*result.rewrites, *result.notes):
+                lines.append("  %s" % line)
         lines.append("== physical plan ==")
         lines.extend(_describe(self.after))
         return "\n".join(lines)

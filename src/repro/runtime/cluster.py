@@ -30,7 +30,7 @@ from ..core.progress import Pointstamp
 from ..core.runtime_api import RuntimeDebugState
 from ..core.timestamp import Timestamp
 from ..core.vertex import Vertex
-from ..core.worker import TimestampViolation, Worker
+from ..core.worker import TimestampViolation, Worker, route
 from ..obs.trace import TraceEvent, TraceSink, timestamp_tuple
 from ..sim.des import Simulator
 from ..sim.network import Network, NetworkConfig
@@ -762,14 +762,11 @@ class ClusterComputation(Computation):
         if not records:
             return []
         total = self.total_workers
-        buckets: Dict[int, List[Any]] = {}
         if connector.partitioner is not None:
-            partitioner = connector.partitioner
-            for record in records:
-                buckets.setdefault(partitioner(record) % total, []).append(record)
-        else:
-            for offset, record in enumerate(records):
-                buckets.setdefault(offset % total, []).append(record)
+            return list(route(connector, records, total, -1))
+        buckets: Dict[int, List[Any]] = {}
+        for offset, record in enumerate(records):
+            buckets.setdefault(offset % total, []).append(record)
         return list(buckets.items())
 
     def _release_close(self, stage: Stage, next_epoch: int) -> None:

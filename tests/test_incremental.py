@@ -25,7 +25,8 @@ from repro.lib.incremental import (
     WindowedConnectedComponentsVertex,
 )
 from repro.obs import TraceSink
-from repro.runtime import ClusterComputation
+from repro.opt import FusedVertex
+from repro.runtime import ClusterComputation, FaultTolerance
 from repro.serve.arrangement import ArrangeVertex
 from repro.workloads import TweetGenerator, TweetStreamConfig
 
@@ -368,11 +369,25 @@ class TestEagerJoin:
         assert comp.drained()
         assert held == 1
 
-    def test_paced_join_takes_no_grant(self):
+    def test_paced_join_takes_no_grant(self, monkeypatch):
         # One epoch per interval on 4x1: each epoch's batches arrive after
         # the previous epoch's cleanup, so neither the join nor distinct
-        # (whose input carries no retraction) holds a capability, and each
-        # worker pays one grant per epoch, the fused count's.
+        # (whose input carries no retraction) holds a capability for a
+        # correction, and each worker pays one grant per epoch, the fused
+        # count's.  The exposure distinct is the head of that fused stage,
+        # so its own requests are read off the constituent.  Placed by
+        # hashtag, a worker's distinct may receive nothing at an epoch; it
+        # then has no cleanup there, and defers its next batch under a
+        # capability (the rule the join follows): the only capabilities
+        # it takes.
+        requests = []
+        notify_at = IncrementalDistinctVertex.notify_at
+
+        def record(vertex, timestamp, capability=True):
+            requests.append((vertex, timestamp, capability, vertex.complete))
+            notify_at(vertex, timestamp, capability)
+
+        monkeypatch.setattr(IncrementalDistinctVertex, "notify_at", record)
         comp = ClusterComputation(num_processes=4, workers_per_process=1)
         sink = TraceSink()
         comp.attach_trace_sink(sink)
@@ -387,9 +402,30 @@ class TestEagerJoin:
             comp.sim.schedule_at(epoch * 5e-3, inject)
         comp.run()
         assert comp.drained()
-        for stage in ("kexposure_inc.join", "kexposure_inc.distinct"):
-            kinds = Counter(e.kind for e in sink.events if e.stage == stage)
-            assert kinds["notification"] == 0 and kinds["cleanup"] > 0, stage
+        kinds = Counter(e.kind for e in sink.events if e.stage == "kexposure_inc.join")
+        assert kinds["notification"] == 0 and kinds["cleanup"] > 0
+        (fused,) = comp.plan.fused_stages()
+        assert fused.opspec.constituents[0] == "kexposure_inc.distinct"
+        heads = {
+            id(vertex.parts[0]): worker
+            for (stage, worker), vertex in comp.vertices.items()
+            if stage is fused
+        }
+        fed = {
+            (e.worker, e.timestamp[0])
+            for e in sink.events
+            if e.stage == fused.name and e.kind == "activation"
+        }
+        asked = Counter()
+        for vertex, timestamp, capability, complete in requests:
+            if id(vertex) not in heads:
+                continue
+            asked[capability] += 1
+            if capability:
+                epoch = timestamp.epoch
+                assert complete is None or complete.epoch < epoch - 1
+                assert (heads[id(vertex)], epoch - 1) not in fed
+        assert asked[False] > 0
         grants = Counter(
             (e.worker, e.timestamp) for e in sink.events if e.kind == "notification"
         )
@@ -471,6 +507,123 @@ class TestEagerDistinct:
         assert comp.drained()
         assert sent[2:] == [(1, [("a", -1)])]
         assert distinct.open == {} and distinct.held == {}
+
+
+def _parity(record):
+    return record % 2
+
+
+class TestFusedDistinct:
+    """A distinct fused with the operators after it keeps its requests'
+    kind: the fused stage holds a capability only where a constituent
+    asked for one."""
+
+    def test_cleanups_stay_cleanups_behind_a_map(self):
+        # distinct -> map fuse; the count after them is keyed apart.  Paced
+        # epochs without retractions: the distinct only ever asks cleanups,
+        # so the fused stage's trace shows cleanups only.
+        def run(optimize):
+            comp = ClusterComputation(
+                num_processes=2, workers_per_process=1, optimize=optimize
+            )
+            sink = TraceSink()
+            comp.attach_trace_sink(sink)
+            inp = comp.new_input()
+            out = {}
+            (
+                Collection(Stream.from_input(inp))
+                .distinct()
+                .map(lambda x: x // 3)
+                .count_by(lambda x: x % 4)
+                .subscribe(
+                    lambda t, diffs: out.setdefault(t.epoch, Counter()).update(dict(diffs))
+                )
+            )
+            comp.build()
+            for epoch in range(5):
+
+                def feed(epoch=epoch):
+                    inp.on_next([(x, +1) for x in range(3 * epoch, 3 * epoch + 20)])
+                    if epoch == 4:
+                        inp.on_completed()
+
+                comp.sim.schedule_at(epoch * 1e-3, feed)
+            comp.run()
+            assert comp.drained()
+            return out, comp, sink
+
+        fused_out, comp, sink = run(None)
+        unfused_out, _, _ = run(False)
+        assert fused_out and fused_out == unfused_out
+        (fused,) = [
+            stage
+            for stage in comp.plan.fused_stages()
+            if stage.opspec.constituents[0] == "inc_distinct"
+        ]
+        assert fused.opspec.constituents == ("inc_distinct", "inc_map")
+        kinds = Counter(e.kind for e in sink.events if e.stage == fused.name)
+        assert kinds["cleanup"] > 0 and kinds["notification"] == 0
+
+    def test_retractions_through_fused_distinct_and_count(self, monkeypatch):
+        # Placed by the count's key, the distinct fuses with the count.
+        # At epoch 1 one input repeats present records (the distinct
+        # asks a cleanup and emits nothing) and, later, the other
+        # retracts some (a capability): both are held at one time.
+        requests = []
+        notify_at = FusedVertex.notify_at
+
+        def record(vertex, timestamp, capability=True):
+            requests.append((id(vertex), timestamp, capability))
+            notify_at(vertex, timestamp, capability)
+
+        monkeypatch.setattr(FusedVertex, "notify_at", record)
+
+        def run(optimize):
+            comp = ClusterComputation(
+                num_processes=2, workers_per_process=1, optimize=optimize
+            )
+            a, b = comp.new_input(), comp.new_input()
+            out = {}
+            (
+                Collection(Stream.from_input(a))
+                .concat(Collection(Stream.from_input(b)))
+                .distinct(key=_parity)
+                .count_by(_parity)
+                .subscribe(
+                    lambda t, diffs: out.setdefault(t.epoch, Counter()).update(dict(diffs))
+                )
+            )
+            comp.build()
+            a.on_next([(x, +1) for x in range(6)])
+            b.on_next([])
+
+            def repeat():
+                a.on_next([(x, +1) for x in range(6)])
+                a.on_completed()
+
+            def retract():
+                b.on_next([(0, -2), (1, -2), (2, +1)])
+                b.on_completed()
+
+            comp.sim.schedule_at(1e-3, repeat)
+            comp.sim.schedule_at(2e-3, retract)
+            comp.run()
+            assert comp.drained()
+            return {e: {k: m for k, m in c.items() if m} for e, c in out.items()}, comp
+
+        fused_out, comp = run(None)
+        unfused_out, _ = run(False)
+        assert fused_out == unfused_out
+        assert fused_out[1] == {(0, 3): -1, (0, 2): +1, (1, 3): -1, (1, 2): +1}
+        (fused,) = comp.plan.fused_stages()
+        assert fused.opspec.constituents[:2] == ("inc_distinct", "inc_count")
+        at_one = {
+            (vertex, capability)
+            for vertex, timestamp, capability in requests
+            if timestamp.epoch == 1
+        }
+        both = {vertex for vertex, kind in at_one if (vertex, not kind) in at_one}
+        assert len(both) == 2  # on each worker
 
 
 def kexposure_without_pushdown(tweets, followers):
@@ -559,7 +712,28 @@ class TestKExposurePushdown:
                 return run_kexposure_epochs(build, tweets, follows, comp, pace=1e-4)
             return run_kexposure_epochs(build, tweets, follows, Computation())
 
-        assert run(k_exposure_incremental) == run(kexposure_without_pushdown)
+        expected = run(kexposure_without_pushdown)
+        assert run(k_exposure_incremental) == expected
+        if cluster:
+            # The unrewritten plan, with every exchange and no fused
+            # stage, recovering from a kill mid-stream.
+            comp = ClusterComputation(
+                num_processes=2,
+                workers_per_process=2,
+                optimize=False,
+                fault_tolerance=FaultTolerance(
+                    mode="checkpoint",
+                    checkpoint_every=1,
+                    state_bytes_per_worker=1 << 20,
+                    disk_bandwidth=200e6,
+                ),
+            )
+            killed = run_kexposure_epochs(
+                k_exposure_incremental, tweets, follows, comp, pace=1e-4,
+                kill=(1, 1.5e-4),
+            )
+            assert killed == expected
+            assert len(comp.recovery.failures) == 1
 
     @pytest.mark.parametrize("cluster", [False, True], ids=["reference", "cluster"])
     def test_join_takes_each_repeated_tweet_once(self, cluster):

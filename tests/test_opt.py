@@ -18,11 +18,12 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import Computation
 from repro.algorithms import weakly_connected_components
+from repro.algorithms.kexposure import k_exposure_incremental
 from repro.core.graph import StageKind
 from repro.core.timestamp import Timestamp
 from repro.core.vertex import Vertex
@@ -39,7 +40,8 @@ from repro.opt import (
     partitioners_agree,
     plan_signature,
 )
-from repro.opt.plan import stable_hash
+from repro.opt.fused import _CAPABILITY, _CLEANUP
+from repro.opt.plan import RecordKey, stable_hash
 from repro.runtime import ClusterComputation
 
 
@@ -84,6 +86,48 @@ class TestPartitionerEquality:
         partitioner = HashPartitioner(_key)
         assert partitioner(("x", 1)) == stable_hash("x") == 0x8CDC1683
 
+    def test_collection_keys_compare_by_selector(self):
+        # Collection wraps each key in a RecordKey: one selector, equal
+        # partitioners, however many wrappers; same code is not enough.
+        a, b = hash_partitioner(RecordKey(_key)), hash_partitioner(RecordKey(_key))
+        assert a == b and hash(a) == hash(b)
+        assert partitioners_agree(a, b)
+        assert a != hash_partitioner(RecordKey(lambda record: record[0]))
+        assert a != hash_partitioner(_key)
+        assert a(((7, "x"), -1)) == hash_partitioner(_key)((7, "x"))
+
+
+#: Keys as programs route by: scalars of every hashed kind and nested
+#: tuples of them.
+_ROUTED_KEYS = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=4)
+    | st.binary(max_size=4),
+    lambda inner: st.lists(inner, max_size=3).map(tuple),
+    max_leaves=6,
+)
+
+
+@given(st.lists(_ROUTED_KEYS, max_size=12), st.integers(1, 9))
+@example([-1, 2**61 - 1, -(2**70), True, 1.0, "a", b"a", None, (1, ("a",))], 7)
+@settings(max_examples=200, deadline=None)
+def test_batch_routing_is_the_stable_hash(keys, total):
+    """The per-batch kernel puts every record where ``stable_hash(key) %
+    total`` says, keeping send order within each destination."""
+    records = [(key, position) for position, key in enumerate(keys)]
+    diffs = [(record, -1) for record in records]
+    for partitioner, batch in (
+        (HashPartitioner(_key), records),
+        (HashPartitioner(RecordKey(_key)), diffs),
+    ):
+        expected = {}
+        for item, key in zip(batch, keys):
+            expected.setdefault(stable_hash(key) % total, []).append(item)
+        assert partitioner.route(batch, total) == expected
+
 
 class TestStableHash:
     def test_str_and_bytes_are_their_crc32(self):
@@ -99,6 +143,11 @@ class TestStableHash:
     def test_salt_free_keys_keep_the_builtin_hash(self):
         for key in (7, -1, 2**70, 1.5, (3, -1), (1.5, 2**70, True), ()):
             assert stable_hash(key) == hash(key)
+
+    def test_none_has_a_fixed_hash(self):
+        # Builtin hash(None) is an address on Python 3.11.
+        assert stable_hash(None) == zlib.crc32(b"None") == 0xDFA2AFF1
+        assert stable_hash((None, "a")) == hash((0xDFA2AFF1, zlib.crc32(b"a")))
 
 
 #: Run in a fresh interpreter per hash seed: a wordcount with a process
@@ -418,6 +467,57 @@ class TestExchangeElision:
         comp, graph = fresh_graph(build)
         plan = compile_plan(graph, total_workers=4)
         assert plan.elided_exchanges() == 0
+
+    def test_kexposure_counts_where_it_deduplicated(self):
+        # Each distinct is placed by the next keyed operator's key: the
+        # tweets by the join's left key, the exposures by the count's.
+        def build(comp):
+            k_exposure_incremental(
+                Collection(Stream.from_input(comp.new_input("tweets"))),
+                Collection(Stream.from_input(comp.new_input("follows"))),
+            ).subscribe(lambda t, diffs: None)
+
+        comp, graph = fresh_graph(build)
+        plan = compile_plan(graph, total_workers=8)
+        explain = plan.explain()
+        assert plan.elided_exchanges() == 2, explain
+        for edge in (
+            "kexposure_inc.tweets -> kexposure_inc.join",
+            "kexposure_inc.distinct -> kexposure_inc.count",
+        ):
+            assert "elided exchange (%s): producer already partitioned" % edge in explain
+        (fused,) = plan.fused_stages()
+        assert fused.opspec.constituents == (
+            "kexposure_inc.distinct",
+            "kexposure_inc.count",
+            "inc_subscribe.consolidate",
+            "inc_subscribe",
+        )
+        assert "kept exchange" not in explain
+
+    def test_distinct_and_count_by_different_keys_keep_their_exchange(self):
+        def build(comp):
+            (
+                Collection(Stream.from_input(comp.new_input("src")))
+                .distinct(key=_key)
+                .count_by(lambda record: record[1])
+                .subscribe(lambda t, diffs: None)
+            )
+
+        comp, graph = fresh_graph(build)
+        plan = compile_plan(graph, total_workers=4)
+        assert plan.elided_exchanges() == 0
+        (kept,) = [c for c in graph.connectors if c.src.name == "inc_distinct"]
+        assert kept.partitioner is not None
+        # The pass says why: the producer's placement is proved, and it
+        # is not the consumer's.  A note, not a rewrite.
+        assert plan.results[0].rewrites == []
+        assert plan.results[0].notes == [
+            "kept exchange (inc_distinct -> inc_count): producer partitioned "
+            "by HashPartitioner(RecordKey(_key)), consumer needs "
+            "HashPartitioner(RecordKey(<lambda>)), not provably equal"
+        ]
+        assert plan.results[0].notes[0] in plan.explain()
 
     def test_input_edges_never_elided_multiworker(self):
         def build(comp):
@@ -903,6 +1003,7 @@ class _Recorder:
     def __init__(self):
         self.sent = []
         self.notified = []
+        self.capabilities = []
         self.charged = 0
 
     def send(self, vertex, port, records, timestamp):
@@ -910,6 +1011,7 @@ class _Recorder:
 
     def request_notification(self, vertex, timestamp, capability=True):
         self.notified.append(timestamp)
+        self.capabilities.append(capability)
 
     def charge(self, records):
         self.charged += len(records)
@@ -1000,6 +1102,44 @@ class TestFusedVertex:
         assert harness.sent == [(0, [[0, 1]], t(1))]
         assert harness.notified == [t(1), t(1)]
         assert fused._pending == {}
+
+    def test_outer_request_keeps_the_constituents_kind(self):
+        class Purge(Vertex):
+            """Asks a cleanup at each time it receives, and a capability
+            too when a record is negative; forwards its input."""
+
+            def on_recv(self, input_port, records, timestamp):
+                self.notify_at(timestamp, capability=False)
+                if any(r < 0 for r in records):
+                    self.notify_at(timestamp)
+                self.send_by(0, records, timestamp)
+
+            def on_notify(self, timestamp):
+                pass
+
+        parts = [Purge(), SelectVertex(lambda x: x)]
+        fused = FusedVertex(parts, ("purge", "map"))
+        harness = _Recorder()
+        fused._harness = harness
+        fused.on_recv(0, [1], t(0))
+        # Cleanups only: the outer request holds no capability.
+        assert harness.capabilities == [False]
+        fused.on_recv(0, [2], t(0))
+        assert harness.capabilities == [False]
+        # A cleanup and a capability asked in one callback: one outer
+        # capability, settled when the callback ends.
+        fused.on_recv(0, [-1], t(1))
+        assert harness.notified[1:] == [t(1)] and harness.capabilities[1:] == [True]
+        # A capability after a cleanup held at the same time: both are
+        # held, the capability is delivered first and runs the chain.
+        fused.on_recv(0, [-2], t(0))
+        assert harness.notified[2:] == [t(0)] and harness.capabilities[2:] == [True]
+        fused.on_notify(t(0))
+        assert t(0) not in fused._pending
+        assert fused._outer == {t(0): _CLEANUP, t(1): _CAPABILITY}
+        fused.on_notify(t(0))  # the cleanup: nothing left to run
+        fused.on_notify(t(1))
+        assert fused._pending == {} and fused._outer == {}
 
     def test_checkpoint_restore_roundtrip(self):
         fused, harness = self.make()
@@ -1226,9 +1366,11 @@ def test_incremental_chain_subscriber_adds_no_grant():
     assert grants == bare_grants
 
 
-# Operators whose outputs are their input records, unchanged: the only
-# Collection stages that may claim preserves_partitioning.
-_SUBSET_OPERATORS = {"filter", "concat"}
+# Operators whose outputs are their input records, unchanged, and the
+# incremental distinct, whose output diffs carry its input diffs' records
+# on the same worker under a partitioner that reads only the record: the
+# only Collection stages that may claim preserves_partitioning.
+_SUBSET_OPERATORS = {"filter", "concat", "distinct"}
 
 
 # One builder per public Collection method, over two input collections.
